@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from . import __version__
 from .density import (
     DEFAULT_GRID_SIZE,
-    ergodic_orbit_check,
+    MIN_MONTE_CARLO_SIZE,
+    ks_distance,
     pf_closed_form_check,
     pf_monte_carlo_check,
 )
@@ -50,7 +51,7 @@ from .halfplane import (
     iterate_parameter_map,
     to_canonical,
 )
-from .orbit import CauchyParams, check_alpha, iterate_orbit
+from .orbit import POLE_EPS, CauchyParams, check_alpha, invariant_params, iterate_orbit
 
 SUP_ERROR_TOL = 1e-10
 QUADRATURE_TOL = 1e-8
@@ -81,10 +82,16 @@ class RunConfig:
 
     def validate(self) -> None:
         check_alpha(self.alpha)
-        if self.n < 1 or self.steps < 1 or self.grid_size < 1:
-            raise ValueError("n, steps and grid-size must all be >= 1")
+        if self.n < 1 or self.steps < 1:
+            raise ValueError("n and steps must both be >= 1")
+        if self.grid_size < 2:
+            raise ValueError(f"grid-size must be >= 2, got {self.grid_size}")
         if self.command in ("iterate-params", "verify-pf", "geometry") and self.gamma0 <= 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+        if self.command == "verify-pf" and self.n < MIN_MONTE_CARLO_SIZE:
+            raise ValueError(f"n must be >= {MIN_MONTE_CARLO_SIZE}, got {self.n}")
+        if self.command == "orbit" and not (math.isfinite(self.xi0) and abs(self.xi0) >= POLE_EPS):
+            raise ValueError(f"xi0 must be finite with |xi0| >= {POLE_EPS}, got {self.xi0}")
 
     def as_dict(self) -> dict:
         return {
@@ -237,11 +244,12 @@ def cmd_orbit(cfg: RunConfig) -> tuple[dict, bool]:
             oracles["ks_pass"] = False
             passed = False
         else:
-            report = ergodic_orbit_check(cfg.alpha, cfg.xi0, cfg.n)
-            oracles["ks_distance"] = report.ks
-            oracles["invariant_nu"] = report.invariant.nu
-            oracles["invariant_gamma"] = report.invariant.gamma
-            oracles["ks_pass"] = report.ks < KS_TOL
+            invariant = invariant_params(cfg.alpha)
+            ks = ks_distance(result.points, invariant)
+            oracles["ks_distance"] = ks
+            oracles["invariant_nu"] = invariant.nu
+            oracles["invariant_gamma"] = invariant.gamma
+            oracles["ks_pass"] = ks < KS_TOL
             passed = bool(oracles["ks_pass"])
     return {"records": records, "oracles": oracles}, passed
 

@@ -11,7 +11,9 @@ push-forward is recomputed by brute force in two independent ways:
 * Monte Carlo -- seeded, counter-based sampling pushed through the pointwise
   map and refitted by robust quantile (or maximum-likelihood) estimation.
 
-Both are then compared against the closed-form prediction.
+Both are then compared against the closed-form prediction.  The pointwise
+map and its preimages come from the one core in ``orbit``.  Sampling only
+draws points; fitting is a separate, explicit ``fit_cauchy`` call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from warnings import warn
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     FitConvergenceError,
@@ -33,6 +34,8 @@ from .halfplane import HPoint, iterate_parameter_map, parameter_step
 from .orbit import (
     POLE_EPS,
     CauchyParams,
+    _boole,
+    _preimages,
     cauchy_cdf,
     cauchy_pdf,
     check_alpha,
@@ -42,6 +45,8 @@ from .orbit import (
 
 DEFAULT_GRID_SIZE = 4096
 DEFAULT_TAIL_PROB = 1e-6
+#: Smallest sample the Monte Carlo push-forward check accepts.
+MIN_MONTE_CARLO_SIZE = 10**4
 
 
 @dataclass(frozen=True)
@@ -103,17 +108,6 @@ def cauchy_grid(
     return DensityGrid(nodes, values, float(tail), ref=ref, source=params)
 
 
-def _preimage_arrays(alpha: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Vectorized stable preimages; same cancellation-free logic as
-    # orbit.preimages.  The larger-magnitude root never falls below 1.
-    y = np.asarray(y, dtype=float)
-    disc = np.sqrt(y * y + 4.0 * alpha * alpha)
-    big = (np.abs(y) + disc) / (2.0 * alpha)
-    big = np.where(y >= 0.0, big, -big)
-    other = -1.0 / big
-    return np.minimum(big, other), np.maximum(big, other)
-
-
 def _branch_weight(alpha: float, xi: np.ndarray) -> np.ndarray:
     # 1 / |dF/dxi| with dF/dxi = alpha * (1 + xi^2) / xi^2  (positive everywhere).
     return xi * xi / (alpha * (1.0 + xi * xi))
@@ -126,7 +120,7 @@ def transfer_values(alpha: float, density, nodes: np.ndarray) -> np.ndarray:
     two preimages weighted by the inverse derivative magnitude.
     """
     alpha = check_alpha(alpha)
-    lo, hi = _preimage_arrays(alpha, np.asarray(nodes, dtype=float))
+    lo, hi = _preimages(alpha, np.asarray(nodes, dtype=float))
     weighted_lo = density(lo) * _branch_weight(alpha, lo)
     weighted_hi = density(hi) * _branch_weight(alpha, hi)
     return weighted_lo + weighted_hi
@@ -137,7 +131,10 @@ def _grid_density(rho: DensityGrid):
         src = rho.source
         return lambda xi: cauchy_pdf(src, xi)
     # Tabulated-only fallback: cubic interpolation in the arctan parameter,
-    # zero outside the covered window.
+    # zero outside the covered window.  scipy.interpolate is slow to import
+    # and only this branch needs it.
+    from scipy.interpolate import CubicSpline
+
     th = rho.theta()
     spline = CubicSpline(th, rho.values, extrapolate=False)
 
@@ -185,7 +182,7 @@ def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
     new_values = transfer_values(alpha, density, rho.nodes)
 
     cdf = _grid_cdf(rho)
-    pre_lo, pre_hi = _preimage_arrays(alpha, np.array([rho.nodes[0], rho.nodes[-1]]))
+    pre_lo, pre_hi = _preimages(alpha, np.array([rho.nodes[0], rho.nodes[-1]]))
     minus_l, minus_r = pre_lo
     plus_l, plus_r = pre_hi
     tail = float(1.0 + cdf(plus_l) - cdf(plus_r) + cdf(minus_l) - cdf(minus_r))
@@ -230,14 +227,12 @@ MIN_FIT_SIZE = 1000
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Seeded Monte Carlo draw from a Cauchy law, with its fit when large enough."""
+    """Seeded Monte Carlo draw from a Cauchy law; fit it with ``fit_cauchy``."""
 
     seed: int
     size: int
     workers: int
     points: np.ndarray
-    fitted: CauchyParams | None
-    fit_method: str | None
 
 
 def _worker_rng(seed: int, worker: int) -> np.random.Generator:
@@ -246,17 +241,10 @@ def _worker_rng(seed: int, worker: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(worker,))))
 
 
-def sample_cauchy(
-    p: CauchyParams,
-    n: int,
-    seed: int,
-    workers: int = 1,
-    fit_method: str = "median_iqr",
-) -> SampleBatch:
+def sample_cauchy(p: CauchyParams, n: int, seed: int, workers: int = 1) -> SampleBatch:
     """Draw ``n`` points by inverse-CDF sampling over ``workers`` deterministic streams.
 
-    Identical (seed, n, workers) always reproduces the points bit for bit;
-    the batch is fitted on construction once it meets the minimum fitting size.
+    Identical (seed, n, workers) always reproduces the points bit for bit.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
@@ -267,16 +255,7 @@ def sample_cauchy(
     for w, count in enumerate(counts):
         u = _worker_rng(seed, w).random(count)
         chunks.append(p.nu + p.gamma * np.tan(np.pi * (u - 0.5)))
-    points = np.concatenate(chunks)
-    fitted = fit_cauchy(points, fit_method) if n >= MIN_FIT_SIZE else None
-    return SampleBatch(
-        seed=seed,
-        size=n,
-        workers=workers,
-        points=points,
-        fitted=fitted,
-        fit_method=fit_method if fitted is not None else None,
-    )
+    return SampleBatch(seed=seed, size=n, workers=workers, points=np.concatenate(chunks))
 
 
 def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> CauchyParams:
@@ -366,8 +345,7 @@ def _push_forward(
     for _ in range(steps):
         keep = np.abs(x) >= eps
         dropped += int(x.size - np.count_nonzero(keep))
-        x = x[keep]
-        x = alpha * (x - 1.0 / x)
+        x = _boole(alpha, x[keep])
     return x, dropped
 
 
@@ -410,11 +388,11 @@ def pf_monte_carlo_check(
     check aborts if they exceed ``max_drop_fraction`` of the sample.
     """
     alpha = check_alpha(alpha)
-    if n < 10**4:
-        raise ValueError("push-forward check needs n >= 10^4 samples")
+    if n < MIN_MONTE_CARLO_SIZE:
+        raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
     if steps < 1:
         raise ValueError("need at least one step")
-    batch = sample_cauchy(p, n, seed, workers, fit_method)
+    batch = sample_cauchy(p, n, seed, workers)
     pushed, dropped = _push_forward(alpha, batch.points, steps)
     if dropped > max_drop_fraction * n:
         raise RuntimeError(
@@ -460,7 +438,7 @@ def mc_error_ratio(
     predicted = trajectory[-1]
     err_half, err_full = 0.0, 0.0
     for seed in seeds:
-        batch = sample_cauchy(p, 2 * n, seed, workers=1, fit_method="median_iqr")
+        batch = sample_cauchy(p, 2 * n, seed)
         pushed, _ = _push_forward(alpha, batch.points, steps)
         half = fit_cauchy(pushed[:n], fit_method)
         full = fit_cauchy(pushed, fit_method)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 from .halfplane import (
@@ -79,6 +78,9 @@ def fisher_metric_quadrature(x: HPoint, abs_tol: float = 1e-9) -> Metric2:
     are the directly differentiated density; the closed form 1/(2*gamma^2)
     never enters, so this is an independent oracle for it.
     """
+    # Imported here: scipy.integrate is slow to load and only this oracle uses it.
+    from scipy.integrate import quad
+
     _require_interior(x)
     p = CauchyParams(x.nu, x.gamma)
     nu, gamma = x.nu, x.gamma

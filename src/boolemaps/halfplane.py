@@ -11,6 +11,11 @@ fixed point (0, sqrt(alpha/(1-alpha))), linearization and stability, the
 reflection symmetry, the complex-variable forms that identify the half-plane
 dynamics with the pointwise map, canonical coordinates (q, p) = (nu, 1/(2*gamma)),
 and the transient convergence-rate diagnostics of the scale map.
+
+``parameter_step`` is the production route.  ``complex_s_step``,
+``complex_check_step`` and ``orbital_from_parameter`` are independent routes
+to the same numbers, kept for cross-checking; ``canonical_step`` is
+``parameter_step`` conjugated by the coordinate change.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularInputError
-from .orbit import boole_transform, check_alpha, g_transform, invariant_scale
+from .orbit import _boole, boole_transform, check_alpha, g_transform, invariant_scale
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,7 @@ def complex_s_step(alpha: float, x: HPoint) -> tuple[complex, complex]:
     the images encode (nu', gamma') as s' = nu' - i*gamma', w' = nu' + i*gamma'.
     """
     alpha = check_alpha(alpha)
-    s = complex(x.nu, -x.gamma)
-    w = complex(x.nu, x.gamma)
-    return alpha * (s - 1.0 / s), alpha * (w - 1.0 / w)
+    return _boole(alpha, complex(x.nu, -x.gamma)), _boole(alpha, complex(x.nu, x.gamma))
 
 
 def complex_check_step(alpha: float, x: HPoint) -> tuple[complex, complex]:
@@ -176,21 +179,16 @@ def orbital_from_parameter(alpha: float, xi1: float, xi2: float) -> tuple[float,
 
 
 def picture_agreement(alpha: float, x: HPoint) -> float:
-    """Max absolute disagreement between the four routes to (nu', gamma').
+    """Max absolute disagreement between the three routes to (nu', gamma').
 
-    Compares the real-arithmetic half-plane step against both complex-variable
-    forms and the component decomposition; all four are algebraically equal.
+    Compares the real-arithmetic half-plane step against the two
+    complex-variable forms (the pointwise map on s = nu - i*gamma and the
+    scale map on the rotated variable); all three are algebraically equal.
     """
     stepped = parameter_step(alpha, x)
-    s_new, w_new = complex_s_step(alpha, x)
+    s_new, _ = complex_s_step(alpha, x)
     rot_new, _ = complex_check_step(alpha, x)
-    comp = orbital_from_parameter(alpha, x.nu, x.gamma)
-    candidates = [
-        (s_new.real, -s_new.imag),
-        (w_new.real, w_new.imag),
-        (rot_new.imag, rot_new.real),
-        comp,
-    ]
+    candidates = [(s_new.real, -s_new.imag), (rot_new.imag, rot_new.real)]
     return max(
         max(abs(n - stepped.nu), abs(g - stepped.gamma)) for n, g in candidates
     )
@@ -209,18 +207,13 @@ def from_canonical(c: CanonicalPoint) -> HPoint:
 
 
 def canonical_step(alpha: float, c: CanonicalPoint) -> CanonicalPoint:
-    """The half-plane map written directly in canonical coordinates.
+    """The half-plane map in canonical coordinates.
 
-    With B = (1/(2p))^2 + q^2:  q' = alpha*q*(B-1)/B,  p' = (p/alpha)*B/(B+1).
-    Agrees with conjugating ``parameter_step`` by the coordinate change.
+    Computed by conjugating ``parameter_step`` with the coordinate change; in
+    closed form, with B = (1/(2p))^2 + q^2,  q' = alpha*q*(B-1)/B and
+    p' = (p/alpha)*B/(B+1).
     """
-    alpha = check_alpha(alpha)
-    half_inv = 1.0 / (2.0 * c.p)
-    big_b = half_inv * half_inv + c.q * c.q
-    return CanonicalPoint(
-        alpha * c.q * (big_b - 1.0) / big_b,
-        (c.p / alpha) * big_b / (big_b + 1.0),
-    )
+    return to_canonical(parameter_step(alpha, from_canonical(c)))
 
 
 def iterate_parameter_map(alpha: float, x: HPoint, steps: int) -> list[HPoint]:
@@ -328,14 +321,16 @@ def asymptotic_check(alpha: float, x: HPoint) -> tuple[float, float]:
     Returns (|nu' - alpha*nu| / |alpha*nu|, |gamma' - alpha*gamma| / (alpha*gamma));
     both equal 1/(nu^2 + gamma^2) exactly, so the approximation is good
     precisely when the point is far from the unit circle's interior.  The nu
-    error is reported as 0 for nu = 0 (the axis is invariant).
+    error is reported as 0 for nu = 0 (the axis is invariant).  Both ratios
+    are evaluated with alpha divided out of the stepped point, so a product
+    alpha*nu or alpha*gamma that underflows to 0 cannot divide by zero.
     """
     alpha = check_alpha(alpha)
     if x.boundary:
         raise ValueError("asymptotic comparison is defined on the interior")
     stepped = parameter_step(alpha, x)
-    err_gamma = abs(stepped.gamma - alpha * x.gamma) / (alpha * x.gamma)
+    err_gamma = abs(stepped.gamma / alpha - x.gamma) / x.gamma
     if x.nu == 0.0:
         return 0.0, err_gamma
-    err_nu = abs(stepped.nu - alpha * x.nu) / abs(alpha * x.nu)
+    err_nu = abs(stepped.nu / alpha - x.nu) / abs(x.nu)
     return err_nu, err_gamma

@@ -39,6 +39,11 @@ def invariant_scale(alpha: float) -> float:
     return math.sqrt(alpha / (1.0 - alpha))
 
 
+def _boole(alpha: float, x):
+    # The map itself, unguarded: floats, complex numbers and ndarrays alike.
+    return alpha * (x - 1.0 / x)
+
+
 def boole_transform(alpha: float, xi: float, eps: float = POLE_EPS) -> float:
     """Apply xi -> alpha*(xi - 1/xi).
 
@@ -48,7 +53,7 @@ def boole_transform(alpha: float, xi: float, eps: float = POLE_EPS) -> float:
     alpha = check_alpha(alpha)
     if not math.isfinite(xi) or abs(xi) < eps:
         raise SingularInputError(f"point {xi!r} is inside the pole guard |xi| < {eps}")
-    return alpha * (xi - 1.0 / xi)
+    return _boole(alpha, xi)
 
 
 def g_transform(alpha: float, gamma: float) -> float:
@@ -62,23 +67,24 @@ def g_transform(alpha: float, gamma: float) -> float:
     return alpha * (gamma + 1.0 / gamma)
 
 
-def preimages(alpha: float, xi_prime: float) -> tuple[float, float]:
-    """Both solutions of alpha*(xi - 1/xi) = xi_prime, ordered low/high.
+def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
+    # Both solutions of alpha*(xi - 1/xi) = y, elementwise, ordered low/high.
+    # Cancellation-free: the root of larger magnitude (never below 1) comes
+    # from the discriminant with the sign of y, the other from the exact
+    # product xi_minus * xi_plus = -1.  The naive formula loses all
+    # significant digits for |y| >> alpha.
+    y = np.asarray(y, dtype=float)
+    disc = np.sqrt(y * y + 4.0 * alpha * alpha)
+    big = (np.abs(y) + disc) / (2.0 * alpha)
+    big = np.where(y >= 0.0, big, -big)
+    other = -1.0 / big
+    return np.minimum(big, other), np.maximum(big, other)
 
-    The quadratic is solved in the cancellation-free form: the root whose
-    magnitude matches sign(xi_prime) is computed from the discriminant, the
-    other from the exact product xi_minus * xi_plus = -1.  The naive formula
-    loses all significant digits for |xi_prime| >> alpha.
-    """
-    alpha = check_alpha(alpha)
-    disc = math.sqrt(xi_prime * xi_prime + 4.0 * alpha * alpha)
-    if xi_prime >= 0.0:
-        hi = (xi_prime + disc) / (2.0 * alpha)
-        lo = -1.0 / hi
-    else:
-        lo = (xi_prime - disc) / (2.0 * alpha)
-        hi = -1.0 / lo
-    return lo, hi
+
+def preimages(alpha: float, xi_prime: float) -> tuple[float, float]:
+    """Both solutions of alpha*(xi - 1/xi) = xi_prime, ordered low/high."""
+    lo, hi = _preimages(check_alpha(alpha), xi_prime)
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,7 @@ def iterate_orbit(alpha: float, xi0: float, n: int, eps: float = POLE_EPS) -> Or
     for i in range(1, n + 1):
         if abs(x) < eps:
             return OrbitResult(points[:i].copy(), truncated=True, last_index=i - 1)
-        x = alpha * (x - 1.0 / x)
+        x = _boole(alpha, x)
         points[i] = x
     return OrbitResult(points, truncated=False, last_index=n)
 

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from boolemaps import cli, density
 from boolemaps.cli import main
+from boolemaps.density import ergodic_orbit_check
+from boolemaps.orbit import iterate_orbit
 
 
 def run_json(tmp_path, args):
@@ -57,6 +60,10 @@ class TestValidation:
             ["iterate-params", "--alpha", "0"],
             ["iterate-params", "--gamma0", "-1"],
             ["verify-pf", "--n", "0"],
+            ["verify-pf", "--n", "100"],
+            ["verify-pf", "--grid-size", "1"],
+            ["orbit", "--xi0", "0"],
+            ["orbit", "--xi0", "nan"],
         ],
     )
     def test_bad_config_exits_2(self, args):
@@ -146,6 +153,24 @@ class TestOrbit:
         assert report["oracles"]["ks_distance"] < 0.01
         assert report["oracles"]["invariant_gamma"] == pytest.approx(2.0)
 
+    def test_orbit_is_iterated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return iterate_orbit(*args, **kwargs)
+
+        # every module that binds the iterator, so a second pass cannot hide
+        monkeypatch.setattr(cli, "iterate_orbit", counting)
+        monkeypatch.setattr(density, "iterate_orbit", counting)
+        code, report = run_json(
+            tmp_path, ["orbit", "--alpha", "0.8", "--xi0", "0.3", "--n", "100000"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report["oracles"]["ks_distance"] == ergodic_orbit_check(0.8, 0.3, 100000).ks
+
     def test_truncation_fails_configured_check(self, tmp_path):
         out = tmp_path / "r.json"
         code = main(
@@ -196,6 +221,20 @@ class TestSerialization:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["records"]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.interpolate and scipy.integrate serve one oracle branch each and
+    # take most of the start-up time, so importing the CLI must not load them
+    probe = (
+        "import sys, boolemaps.cli; "
+        "print([m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boolemaps import (
@@ -254,10 +254,19 @@ class TestCanonicalCoordinates:
 
     @given(alphas, st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=0.05, max_value=20.0))
     def test_conjugacy_with_half_plane_step(self, alpha, q, p):
-        direct = canonical_step(alpha, CanonicalPoint(q, p))
-        routed = to_canonical(parameter_step(alpha, from_canonical(CanonicalPoint(q, p))))
-        assert direct.q == pytest.approx(routed.q, rel=1e-12, abs=1e-12)
-        assert direct.p == pytest.approx(routed.p, rel=1e-12)
+        # oracle: the map written directly in canonical coordinates,
+        # B = (1/(2p))^2 + q^2,  q' = alpha*q*(B-1)/B,  p' = (p/alpha)*B/(B+1)
+        half_inv = 1.0 / (2.0 * p)
+        big_b = half_inv * half_inv + q * q
+        out = canonical_step(alpha, CanonicalPoint(q, p))
+        assert out.q == pytest.approx(alpha * q * (big_b - 1.0) / big_b, rel=1e-12, abs=1e-12)
+        assert out.p == pytest.approx((p / alpha) * big_b / (big_b + 1.0), rel=1e-12)
+
+    def test_step_tiny_momentum(self):
+        # gamma = 1/(2p) = 5e169, so A overflows and the step is the far-field
+        # limit alpha*(nu, gamma): (q, p) -> (alpha*q, p/alpha)
+        out = canonical_step(0.5, CanonicalPoint(1.0, 1e-170))
+        assert (out.q, out.p) == pytest.approx((0.5, 2e-170), rel=1e-15)
 
 
 class TestConvergenceBound:
@@ -321,6 +330,7 @@ class TestAsymptotics:
         assert err_gamma == pytest.approx(0.25, rel=1e-12)
 
     @given(alphas, interior_points())
+    @example(0.5, HPoint(5e-324, 1.0))  # alpha*nu underflows to 0
     def test_error_equals_inverse_radius(self, alpha, x):
         _, err_gamma = asymptotic_check(alpha, x)
         big_a = x.nu * x.nu + x.gamma * x.gamma
