@@ -3,8 +3,9 @@
 Layout:
 
 * ``orbit``     -- the pointwise map, preimages, orbits, Cauchy primitives
-* ``halfplane`` -- the induced exact map on Cauchy parameters, fixed point,
-                   stability, complex-variable forms, canonical coordinates
+* ``halfplane`` -- the induced exact map on Cauchy parameters (the pointwise
+                   map on nu - i*gamma), fixed point, stability, the rotated
+                   check form, canonical coordinates
 * ``geometry``  -- Fisher metric, conformal pullback, Killing fields,
                    symplectic structure, with brute-force oracles
 * ``density``   -- transfer-sum and Monte Carlo verification of the reduction
@@ -67,14 +68,12 @@ from .halfplane import (
     asymptotic_check,
     canonical_step,
     complex_check_step,
-    complex_s_step,
     convergence_bound_check,
     converge_to_fixed_point,
     fixed_point,
     from_canonical,
     iterate_parameter_map,
     jacobian_analytic,
-    orbital_from_parameter,
     parameter_step,
     picture_agreement,
     reflect,

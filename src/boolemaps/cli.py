@@ -24,7 +24,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .density import (
@@ -35,6 +35,7 @@ from .density import (
     pf_monte_carlo_check,
 )
 from .geometry import (
+    FD_STEP,
     KILLING_FIELD_NAMES,
     canonical_form_coefficient,
     conformal_factor,
@@ -88,25 +89,13 @@ class RunConfig:
             raise ValueError(f"grid-size must be >= 2, got {self.grid_size}")
         if self.command in ("iterate-params", "verify-pf", "geometry") and self.gamma0 <= 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
+        # The geometry oracles step both gamma and p = 1/(2*gamma) by FD_STEP.
+        if self.command == "geometry" and not FD_STEP < self.gamma0 < 0.5 / FD_STEP:
+            raise ValueError(f"gamma0 must lie in ({FD_STEP}, {0.5 / FD_STEP}), got {self.gamma0}")
         if self.command == "verify-pf" and self.n < MIN_MONTE_CARLO_SIZE:
             raise ValueError(f"n must be >= {MIN_MONTE_CARLO_SIZE}, got {self.n}")
         if self.command == "orbit" and not (math.isfinite(self.xi0) and abs(self.xi0) >= POLE_EPS):
             raise ValueError(f"xi0 must be finite with |xi0| >= {POLE_EPS}, got {self.xi0}")
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "alpha": self.alpha,
-            "nu0": self.nu0,
-            "gamma0": self.gamma0,
-            "xi0": self.xi0,
-            "n": self.n,
-            "steps": self.steps,
-            "seed": self.seed,
-            "grid_size": self.grid_size,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
 
 
 def _param_records(cfg: RunConfig) -> list[dict]:
@@ -287,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="RNG seed")
         p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
                        dest="grid_size", help="density grid node count")
-        p.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
+        p.add_argument("--out", type=str, default=None, dest="output_path",
+                       help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
@@ -321,19 +311,7 @@ def render_report(report: dict, fmt: str) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        alpha=args.alpha,
-        nu0=args.nu0,
-        gamma0=args.gamma0,
-        xi0=args.xi0,
-        n=args.n,
-        steps=args.steps,
-        seed=args.seed,
-        grid_size=args.grid_size,
-        output_path=args.out,
-        format=args.format,
-    )
+    cfg = RunConfig(**vars(args))
     try:
         cfg.validate()
     except ValueError as exc:
@@ -342,7 +320,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     body, passed = _COMMANDS[cfg.command](cfg)
     report = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "records": body["records"],
         "oracles": body["oracles"],
         "meta": {

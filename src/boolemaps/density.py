@@ -108,22 +108,18 @@ def cauchy_grid(
     return DensityGrid(nodes, values, float(tail), ref=ref, source=params)
 
 
-def _branch_weight(alpha: float, xi: np.ndarray) -> np.ndarray:
-    # 1 / |dF/dxi| with dF/dxi = alpha * (1 + xi^2) / xi^2  (positive everywhere).
-    return xi * xi / (alpha * (1.0 + xi * xi))
-
-
 def transfer_values(alpha: float, density, nodes: np.ndarray) -> np.ndarray:
     """Two-branch transfer sum of ``density`` evaluated at each node.
 
     ``density`` is any vectorized callable; each output point collects its
-    two preimages weighted by the inverse derivative magnitude.
+    two preimages weighted by the inverse derivative magnitude.  At either
+    preimage xi of y, alpha*|xi + 1/xi| = hypot(y, 2*alpha), so that weight is
+    |xi| / hypot(y, 2*alpha): no square forms, and it never exceeds 1/alpha.
     """
     alpha = check_alpha(alpha)
-    lo, hi = _preimages(alpha, np.asarray(nodes, dtype=float))
-    weighted_lo = density(lo) * _branch_weight(alpha, lo)
-    weighted_hi = density(hi) * _branch_weight(alpha, hi)
-    return weighted_lo + weighted_hi
+    nodes = np.asarray(nodes, dtype=float)
+    lo, hi = _preimages(alpha, nodes)
+    return (density(lo) * np.abs(lo) + density(hi) * np.abs(hi)) / np.hypot(nodes, 2.0 * alpha)
 
 
 def _grid_density(rho: DensityGrid):
@@ -231,31 +227,19 @@ class SampleBatch:
 
     seed: int
     size: int
-    workers: int
     points: np.ndarray
 
 
-def _worker_rng(seed: int, worker: int) -> np.random.Generator:
-    # Counter-based generator per (seed, worker): any worker's stream is
-    # reproducible independently of execution order.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(worker,))))
+def sample_cauchy(p: CauchyParams, n: int, seed: int) -> SampleBatch:
+    """Draw ``n`` points by inverse-CDF sampling from one counter-based stream.
 
-
-def sample_cauchy(p: CauchyParams, n: int, seed: int, workers: int = 1) -> SampleBatch:
-    """Draw ``n`` points by inverse-CDF sampling over ``workers`` deterministic streams.
-
-    Identical (seed, n, workers) always reproduces the points bit for bit.
+    Identical (seed, n) always reproduces the points bit for bit.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
-    counts = [n // workers + (1 if w < n % workers else 0) for w in range(workers)]
-    chunks = []
-    for w, count in enumerate(counts):
-        u = _worker_rng(seed, w).random(count)
-        chunks.append(p.nu + p.gamma * np.tan(np.pi * (u - 0.5)))
-    return SampleBatch(seed=seed, size=n, workers=workers, points=np.concatenate(chunks))
+    stream = np.random.SeedSequence(seed, spawn_key=(0,))
+    u = np.random.Generator(np.random.Philox(stream)).random(n)
+    return SampleBatch(seed=seed, size=n, points=p.nu + p.gamma * np.tan(np.pi * (u - 0.5)))
 
 
 def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> CauchyParams:
@@ -376,7 +360,6 @@ def pf_monte_carlo_check(
     n: int,
     steps: int,
     seed: int,
-    workers: int = 1,
     fit_method: str = "median_iqr",
     max_drop_fraction: float = 1e-4,
 ) -> PfReport:
@@ -392,7 +375,7 @@ def pf_monte_carlo_check(
         raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
     if steps < 1:
         raise ValueError("need at least one step")
-    batch = sample_cauchy(p, n, seed, workers)
+    batch = sample_cauchy(p, n, seed)
     pushed, dropped = _push_forward(alpha, batch.points, steps)
     if dropped > max_drop_fraction * n:
         raise RuntimeError(

@@ -36,6 +36,9 @@ from .orbit import CauchyParams, cauchy_pdf, check_alpha
 
 Vec = tuple[float, float]
 
+#: Step of every central-difference oracle in this module.
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class Metric2:
@@ -120,19 +123,22 @@ def conformal_factor(x: HPoint) -> float:
     Equals 1 - 4*gamma^2/(1 + A)^2 with A = nu^2 + gamma^2; it lies in
     [0, 1), vanishes only at (0, 1), and does not depend on alpha.  (The
     numerator factors as (nu^2 + (gamma-1)^2) * (nu^2 + (gamma+1)^2).)
+    Evaluated as 1 - t^2 with t = 2*(gamma/r)/(r + 1/r), r = hypot(nu, gamma),
+    so that A never forms and the result stays in [0, 1] at any magnitude.
     """
     _require_interior(x)
-    big_a = x.nu * x.nu + x.gamma * x.gamma
-    return 1.0 - 4.0 * x.gamma * x.gamma / (1.0 + big_a) ** 2
+    r = math.hypot(x.nu, x.gamma)
+    t = 2.0 * (x.gamma / r) / (r + 1.0 / r)
+    return 1.0 - t * t
 
 
 def finite_difference_jacobian(
     f: Callable[[float, float], tuple[float, float]],
     a: float,
     b: float,
-    h: float = 1e-6,
 ) -> np.ndarray:
-    """Central-difference Jacobian of a plane map at (a, b)."""
+    """Central-difference Jacobian of a plane map at (a, b), step ``FD_STEP``."""
+    h = FD_STEP
     jac = np.empty((2, 2))
     for col, (da, db) in enumerate(((h, 0.0), (0.0, h))):
         fp = f(a + da, b + db)
@@ -150,17 +156,17 @@ def _step_xy(alpha: float) -> Callable[[float, float], tuple[float, float]]:
     return f
 
 
-def verify_conformal_pullback(alpha: float, x: HPoint, h: float = 1e-6) -> float:
+def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
     """Max entrywise gap between the finite-difference metric pullback and factor*g.
 
     Differentiates the half-plane map numerically, pulls the metric back
     through that Jacobian, and compares against conformal_factor(x) times
-    the metric at x.  Expected below ~1e-6 for h = 1e-6 away from the
-    degenerate point (0, 1).
+    the metric at x.  Expected below ~1e-6 for the step ``FD_STEP`` away from
+    the degenerate point (0, 1).
     """
     alpha = check_alpha(alpha)
     _require_interior(x)
-    jac = finite_difference_jacobian(_step_xy(alpha), x.nu, x.gamma, h)
+    jac = finite_difference_jacobian(_step_xy(alpha), x.nu, x.gamma)
     target = parameter_step(alpha, x)
     pulled = jac.T @ fisher_metric(target).as_array() @ jac
     expected = conformal_factor(x) * fisher_metric(x).as_array()
@@ -212,8 +218,9 @@ def killing_fields(x: HPoint) -> tuple[TangentVector, TangentVector, TangentVect
     return tuple(out)
 
 
-def _metric_partials_fd(x: HPoint, h: float) -> np.ndarray:
+def _metric_partials_fd(x: HPoint) -> np.ndarray:
     # partials[c][a][b] = d g_ab / d coordinate c, by central differences
+    h = FD_STEP
     out = np.empty((2, 2, 2))
     for c, (dn, dg) in enumerate(((h, 0.0), (0.0, h))):
         gp = fisher_metric(HPoint(x.nu + dn, x.gamma + dg)).as_array()
@@ -222,7 +229,7 @@ def _metric_partials_fd(x: HPoint, h: float) -> np.ndarray:
     return out
 
 
-def lie_derivative_metric(field: str, x: HPoint, h: float = 1e-6) -> Metric2:
+def lie_derivative_metric(field: str, x: HPoint) -> Metric2:
     """(L_K g)_ab for one generator, mixing exact dK with finite-difference dg.
 
     The generator components are polynomials, so their derivatives are exact;
@@ -233,15 +240,16 @@ def lie_derivative_metric(field: str, x: HPoint, h: float = 1e-6) -> Metric2:
     comp, dcomp = _KILLING[field]
     k = np.array(comp(x.nu, x.gamma))
     dk = dcomp(x.nu, x.gamma)  # dk[a, c] = d K^a / d coord c
-    dg = _metric_partials_fd(x, h)
+    dg = _metric_partials_fd(x)
     g = fisher_metric(x).as_array()
     lie = np.einsum("c,cab->ab", k, dg) + dk.T @ g + g @ dk
     return Metric2(float(lie[0, 0]), float(lie[0, 1]), float(lie[1, 1]))
 
 
-def lie_derivative_two_form(field: str, x: HPoint, h: float = 1e-6) -> float:
+def lie_derivative_two_form(field: str, x: HPoint) -> float:
     """(L_K omega)_{nu gamma}, finite differences on omega, exact dK."""
     _require_interior(x)
+    h = FD_STEP
     comp, dcomp = _KILLING[field]
     k = comp(x.nu, x.gamma)
     dk = dcomp(x.nu, x.gamma)
@@ -301,7 +309,7 @@ def canonical_form_coefficient(x: HPoint) -> float:
     return two_form_value(symplectic_form(x), basis_q, basis_p)
 
 
-def symplectic_defect(alpha: float, c: CanonicalPoint, h: float = 1e-6) -> float:
+def symplectic_defect(alpha: float, c: CanonicalPoint) -> float:
     """|det(d canonical_step) - 1| by finite differences.
 
     The half-plane map is not symplectic: the determinant equals the
@@ -314,7 +322,7 @@ def symplectic_defect(alpha: float, c: CanonicalPoint, h: float = 1e-6) -> float
         out = canonical_step(alpha, CanonicalPoint(q, p))
         return out.q, out.p
 
-    jac = finite_difference_jacobian(f, c.q, c.p, h)
+    jac = finite_difference_jacobian(f, c.q, c.p)
     return abs(float(np.linalg.det(jac)) - 1.0)
 
 

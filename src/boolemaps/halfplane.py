@@ -6,16 +6,20 @@ the two Cauchy parameters: with A = nu^2 + gamma^2,
     nu'    = alpha * nu    * (A - 1) / A
     gamma' = alpha * gamma * (A + 1) / A.
 
+This is the pointwise map z -> alpha*(z - 1/z) itself, applied to the
+complex point s = nu - i*gamma: s' = nu' - i*gamma'.  ``parameter_step``
+evaluates it that way, through the one core in ``orbit``; CPython's complex
+division is scaled (Smith's algorithm), so A never forms and the step stays
+finite and accurate across the whole float range.
+
 This module implements that map on H = {(nu, gamma): gamma > 0}, its unique
 fixed point (0, sqrt(alpha/(1-alpha))), linearization and stability, the
-reflection symmetry, the complex-variable forms that identify the half-plane
-dynamics with the pointwise map, canonical coordinates (q, p) = (nu, 1/(2*gamma)),
-and the transient convergence-rate diagnostics of the scale map.
-
-``parameter_step`` is the production route.  ``complex_s_step``,
-``complex_check_step`` and ``orbital_from_parameter`` are independent routes
-to the same numbers, kept for cross-checking; ``canonical_step`` is
-``parameter_step`` conjugated by the coordinate change.
+reflection symmetry, canonical coordinates (q, p) = (nu, 1/(2*gamma)), and
+the transient convergence-rate diagnostics of the scale map.
+``picture_agreement`` checks the step against two independent routes: the
+real formula above and the scale map on the rotated variable
+(``complex_check_step``).  ``canonical_step`` is ``parameter_step``
+conjugated by the coordinate change.
 """
 
 from __future__ import annotations
@@ -73,27 +77,23 @@ class CanonicalPoint:
             raise ValueError(f"canonical momentum must be positive, got {self.p!r}")
 
 
-def _plane_map(alpha: float, a: float, b: float) -> tuple[float, float]:
-    # Shared rational core: (a, b) -> alpha * (a*(A-1)/A, b*(A+1)/A), A = a^2+b^2.
-    # Written as 1 -+ 1/A so that overflow of A (|point| ~ 1e155 and beyond)
-    # degrades to the exact far-field limit alpha*(a, b) instead of NaN.
-    big_a = a * a + b * b
-    if big_a == 0.0:
-        raise SingularInputError("point (0, 0) is a singularity of the plane map")
-    shrink = 1.0 / big_a
-    return alpha * a * (1.0 - shrink), alpha * b * (1.0 + shrink)
-
-
 def parameter_step(alpha: float, x: HPoint) -> HPoint:
     """One step of the half-plane map; preserves the interior (gamma' > 0).
 
-    Boundary points evolve by the pointwise map on nu, matching the
-    point-mass limit of the Cauchy family.
+    Interior points move by the pointwise map on s = nu - i*gamma, so that
+    s' = nu' - i*gamma'.  Boundary points evolve by the pointwise map on nu,
+    matching the point-mass limit of the Cauchy family.  Raises
+    SingularInputError where the image is not a finite interior point in
+    floating point: gamma' overflows (|s| below about 1/DBL_MAX) or
+    underflows to 0.
     """
     alpha = check_alpha(alpha)
     if x.boundary:
         return HPoint(boole_transform(alpha, x.nu), 0.0, boundary=True)
-    nu, gamma = _plane_map(alpha, x.nu, x.gamma)
+    stepped = _boole(alpha, complex(x.nu, -x.gamma))
+    nu, gamma = stepped.real, -stepped.imag
+    if not (math.isfinite(nu) and math.isfinite(gamma) and gamma > 0.0):
+        raise SingularInputError(f"the image of {x} is not a finite interior point")
     return HPoint(nu, gamma)
 
 
@@ -105,20 +105,29 @@ def fixed_point(alpha: float) -> HPoint:
 def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
     """Closed-form Jacobian of the half-plane map at an interior point.
 
-    Rows are (nu', gamma'), columns (nu, gamma).  The map satisfies the
-    Cauchy-Riemann pattern [[a, b], [-b, a]] with
+    Rows are (nu', gamma'), columns (nu, gamma).  The map is holomorphic in
+    s = nu - i*gamma, so the Jacobian has the Cauchy-Riemann pattern
+    [[a, b], [-b, a]] with a + i*b = alpha*(1 + 1/s^2), the derivative of the
+    pointwise map; in real terms
 
         a = alpha * (1 + (nu^2 - gamma^2)/A^2),    b = 2*alpha*nu*gamma/A^2,
 
     verified against central finite differences in the test suite.  At the
-    fixed point it reduces to diag(2*alpha - 1, 2*alpha - 1).
+    fixed point it reduces to diag(2*alpha - 1, 2*alpha - 1).  Raises
+    SingularInputError where an entry is not a finite double.
     """
     alpha = check_alpha(alpha)
     if x.boundary:
         raise ValueError("Jacobian is defined on the interior only")
-    big_a = x.nu * x.nu + x.gamma * x.gamma
-    a = alpha * (1.0 + (x.nu * x.nu - x.gamma * x.gamma) / (big_a * big_a))
-    b = 2.0 * alpha * x.nu * x.gamma / (big_a * big_a)
+    inv = 1.0 / complex(x.nu, -x.gamma)
+    re, im = inv.real, inv.imag
+    # (re - im)*(re + im) rather than re^2 - im^2, which is inf - inf = NaN
+    # once both squares overflow; alpha multiplies first, so an entry
+    # overflows only where its exact value does.
+    a = alpha + alpha * (re - im) * (re + im)
+    b = 2.0 * alpha * re * im
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise SingularInputError(f"the Jacobian at {x} is not finite")
     return np.array([[a, b], [-b, a]])
 
 
@@ -146,16 +155,6 @@ def reflect(x: HPoint) -> HPoint:
     return HPoint(-x.nu, x.gamma, boundary=x.boundary)
 
 
-def complex_s_step(alpha: float, x: HPoint) -> tuple[complex, complex]:
-    """Evolve s = nu - i*gamma and its conjugate by the pointwise map.
-
-    Both components move by z -> alpha*(z - 1/z) in complex arithmetic;
-    the images encode (nu', gamma') as s' = nu' - i*gamma', w' = nu' + i*gamma'.
-    """
-    alpha = check_alpha(alpha)
-    return _boole(alpha, complex(x.nu, -x.gamma)), _boole(alpha, complex(x.nu, x.gamma))
-
-
 def complex_check_step(alpha: float, x: HPoint) -> tuple[complex, complex]:
     """Evolve the rotated variables (gamma + i*nu, -gamma + i*nu).
 
@@ -168,27 +167,21 @@ def complex_check_step(alpha: float, x: HPoint) -> tuple[complex, complex]:
     return alpha * (s_rot + 1.0 / s_rot), alpha * (w_rot + 1.0 / w_rot)
 
 
-def orbital_from_parameter(alpha: float, xi1: float, xi2: float) -> tuple[float, float]:
-    """Real/imaginary parts of the pointwise map applied to xi1 + i*xi2.
-
-    Computed through the same rational algebra as the half-plane map, which
-    is exactly the decomposition of alpha*(z - 1/z) into components.
-    """
-    alpha = check_alpha(alpha)
-    return _plane_map(alpha, xi1, xi2)
-
-
 def picture_agreement(alpha: float, x: HPoint) -> float:
-    """Max absolute disagreement between the three routes to (nu', gamma').
+    """Max absolute disagreement between three routes to (nu', gamma').
 
-    Compares the real-arithmetic half-plane step against the two
-    complex-variable forms (the pointwise map on s = nu - i*gamma and the
-    scale map on the rotated variable); all three are algebraically equal.
+    Compares ``parameter_step`` (the pointwise map on s = nu - i*gamma)
+    against the real formula of the density step, written out here in terms
+    of A = nu^2 + gamma^2, and against the scale map on the rotated variable
+    (``complex_check_step``); all three are algebraically equal.
     """
     stepped = parameter_step(alpha, x)
-    s_new, _ = complex_s_step(alpha, x)
+    big_a = x.nu * x.nu + x.gamma * x.gamma
     rot_new, _ = complex_check_step(alpha, x)
-    candidates = [(s_new.real, -s_new.imag), (rot_new.imag, rot_new.real)]
+    candidates = [
+        (alpha * x.nu * (big_a - 1.0) / big_a, alpha * x.gamma * (big_a + 1.0) / big_a),
+        (rot_new.imag, rot_new.real),
+    ]
     return max(
         max(abs(n - stepped.nu), abs(g - stepped.gamma)) for n, g in candidates
     )

@@ -72,9 +72,9 @@ def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
     # Cancellation-free: the root of larger magnitude (never below 1) comes
     # from the discriminant with the sign of y, the other from the exact
     # product xi_minus * xi_plus = -1.  The naive formula loses all
-    # significant digits for |y| >> alpha.
+    # significant digits for |y| >> alpha; hypot keeps y^2 from overflowing.
     y = np.asarray(y, dtype=float)
-    disc = np.sqrt(y * y + 4.0 * alpha * alpha)
+    disc = np.hypot(y, 2.0 * alpha)
     big = (np.abs(y) + disc) / (2.0 * alpha)
     big = np.where(y >= 0.0, big, -big)
     other = -1.0 / big
@@ -138,9 +138,13 @@ class CauchyParams:
 
 
 def cauchy_pdf(p: CauchyParams, xi):
-    """Density gamma / (pi * ((xi - nu)^2 + gamma^2)); accepts arrays."""
-    d = np.asarray(xi, dtype=float) - p.nu
-    out = p.gamma / (np.pi * (d * d + p.gamma * p.gamma))
+    """Density gamma / (pi * ((xi - nu)^2 + gamma^2)); accepts arrays.
+
+    Evaluated as (gamma/h)/h/pi with h = hypot(xi - nu, gamma), so no square
+    overflows or underflows.
+    """
+    h = np.hypot(np.asarray(xi, dtype=float) - p.nu, p.gamma)
+    out = p.gamma / h / h / np.pi
     return float(out) if np.isscalar(xi) else out
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -51,6 +52,22 @@ class TestIterateParams:
         assert report["meta"]["seed"] == 42
         assert report["config"]["command"] == "iterate-params"
 
+    def test_config_echo(self, tmp_path):
+        _, report = run_json(tmp_path, ["iterate-params", "--steps", "2"])
+        assert report["config"] == {
+            "command": "iterate-params",
+            "alpha": 0.5,
+            "nu0": 1.0,
+            "gamma0": 1.0,
+            "xi0": math.sqrt(2.0),
+            "n": 10**6,
+            "steps": 2,
+            "seed": 42,
+            "grid_size": 4096,
+            "output_path": str(tmp_path / "report.json"),
+            "format": "json",
+        }
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -64,6 +81,8 @@ class TestValidation:
             ["verify-pf", "--grid-size", "1"],
             ["orbit", "--xi0", "0"],
             ["orbit", "--xi0", "nan"],
+            ["geometry", "--gamma0", "1e-200"],
+            ["geometry", "--gamma0", "1e6"],
         ],
     )
     def test_bad_config_exits_2(self, args):

@@ -65,6 +65,13 @@ class TestTransferStep:
         out = transfer_values(0.5, lambda xi: cauchy_pdf(p, xi), np.array([0.0]))
         assert out[0] == pytest.approx(1.0 / math.pi, rel=1e-14)
 
+    def test_far_tails_stay_finite(self):
+        # C(0, 1) steps to C(0, 2*alpha); at +-1e300 one preimage is ~2.7e300
+        p = CauchyParams(0.0, 1.0)
+        nodes = np.array([-1e300, -1e150, 1e150, 1e300])
+        out = transfer_values(0.37, lambda xi: cauchy_pdf(p, xi), nodes)
+        np.testing.assert_allclose(out, cauchy_pdf(CauchyParams(0.0, 0.74), nodes), rtol=1e-14)
+
     def test_matches_closed_form_pointwise(self):
         grid = cauchy_grid(CauchyParams(1.0, 1.0))
         stepped = pf_density_step(0.5, grid)
@@ -113,12 +120,6 @@ class TestSampling:
         b = sample_cauchy(CauchyParams(0, 1), 5000, seed=7)
         np.testing.assert_array_equal(a.points, b.points)
 
-    def test_worker_split_is_deterministic(self):
-        a = sample_cauchy(CauchyParams(0, 1), 5000, seed=7, workers=4)
-        b = sample_cauchy(CauchyParams(0, 1), 5000, seed=7, workers=4)
-        np.testing.assert_array_equal(a.points, b.points)
-        assert a.size == 5000
-
     def test_distinct_seeds_differ(self):
         a = sample_cauchy(CauchyParams(0, 1), 1000, seed=1)
         b = sample_cauchy(CauchyParams(0, 1), 1000, seed=2)
@@ -136,8 +137,6 @@ class TestSampling:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_cauchy(CauchyParams(0, 1), 0, seed=0)
-        with pytest.raises(ValueError):
-            sample_cauchy(CauchyParams(0, 1), 10, seed=0, workers=0)
 
 
 class TestFitting:

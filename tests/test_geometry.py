@@ -77,7 +77,13 @@ class TestFisherQuadrature:
 class TestConformalFactor:
     @pytest.mark.parametrize(
         "point, expected",
-        [((0.0, 1.0), 0.0), ((1.0, 1.0), 5.0 / 9.0), ((0.0, 3.0), 0.64), ((0.0, 2.0), 0.36)],
+        [
+            ((0.0, 1.0), 0.0),
+            ((1.0, 1.0), 5.0 / 9.0),
+            ((0.0, 3.0), 0.64),
+            ((0.0, 2.0), 0.36),
+            ((1e200, 1e200), 1.0),
+        ],
     )
     def test_known_values(self, point, expected):
         assert conformal_factor(HPoint(*point)) == pytest.approx(expected, abs=1e-15)

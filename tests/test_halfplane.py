@@ -1,6 +1,7 @@
 """Half-plane parameter map: step, fixed point, symmetries, canonical form."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from boolemaps import (
     boole_transform,
     canonical_step,
     complex_check_step,
-    complex_s_step,
+    conformal_factor,
     convergence_bound_check,
     converge_to_fixed_point,
     finite_difference_jacobian,
@@ -24,13 +25,13 @@ from boolemaps import (
     g_transform,
     invariant_scale,
     jacobian_analytic,
-    orbital_from_parameter,
     parameter_step,
     picture_agreement,
     reflect,
     stability_eigenvalues,
     to_canonical,
 )
+from boolemaps.orbit import _boole
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
 nus = st.floats(min_value=-5.0, max_value=5.0)
@@ -73,9 +74,23 @@ class TestParameterStep:
         assert parameter_step(alpha, x).gamma > 0.0
 
     def test_degenerate_origin(self):
-        # gamma small enough that nu^2 + gamma^2 underflows to zero
+        # nu^2 + gamma^2 underflows to zero, but the image alpha/gamma is finite
+        out = parameter_step(0.5, HPoint(0.0, 1e-200))
+        assert (out.nu, out.gamma) == (0.0, pytest.approx(5e199, rel=1e-15))
+
+    @pytest.mark.parametrize(
+        "point, expected",
+        [((1e-170, 1e-170), (-2.5e169, 2.5e169)), ((0.0, 1e-160), (0.0, 5e159))],
+    )
+    def test_tiny_points_have_finite_images(self, point, expected):
+        out = parameter_step(0.5, HPoint(*point))
+        assert (out.nu, out.gamma) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha, point", [(0.5, (0.0, 5e-324)), (0.1, (1.0, 5e-324))])
+    def test_unrepresentable_image_raises(self, alpha, point):
+        # gamma' = 0.5/5e-324 overflows; gamma' = 0.1*2*5e-324 underflows to 0
         with pytest.raises(SingularInputError):
-            parameter_step(0.5, HPoint(0.0, 1e-200))
+            parameter_step(alpha, HPoint(*point))
 
     def test_boundary_dispatches_to_pointwise_map(self):
         out = parameter_step(0.5, HPoint(2.0, 0.0, boundary=True))
@@ -94,6 +109,52 @@ class TestParameterStep:
         right = reflect(parameter_step(alpha, x))
         assert left.nu == pytest.approx(right.nu, abs=1e-14)
         assert left.gamma == pytest.approx(right.gamma, abs=1e-14)
+
+
+# |nu| and gamma log-uniform over 1e-300..1e300, nu of either sign
+magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+signed_magnitudes = st.builds(lambda m, neg: -m if neg else m, magnitudes, st.booleans())
+EXACT_RTOL = Fraction(1e-12)
+
+
+class TestFullFloatRange:
+    @given(alphas, signed_magnitudes, magnitudes)
+    def test_step_is_exact_to_rounding(self, alpha, nu, gamma):
+        # oracle: the real formula in exact rational arithmetic; nu' is
+        # compared on the scale of its terms, which cancel near |s| = 1
+        a, n, g = Fraction(alpha), Fraction(nu), Fraction(gamma)
+        big_a = n * n + g * g
+        out = parameter_step(alpha, HPoint(nu, gamma))
+        nu_scale = a * abs(n) * (1 + 1 / big_a)
+        assert abs(Fraction(out.nu) - a * n * (big_a - 1) / big_a) <= EXACT_RTOL * nu_scale
+        exact_gamma = a * g * (big_a + 1) / big_a
+        assert abs(Fraction(out.gamma) - exact_gamma) <= EXACT_RTOL * exact_gamma
+
+    @given(alphas, signed_magnitudes, magnitudes)
+    def test_reflection_commutes_exactly(self, alpha, nu, gamma):
+        x = HPoint(nu, gamma)
+        assert parameter_step(alpha, reflect(x)) == reflect(parameter_step(alpha, x))
+
+    @given(alphas, signed_magnitudes, magnitudes)
+    def test_jacobian_is_finite_cauchy_riemann_or_refused(self, alpha, nu, gamma):
+        try:
+            jac = jacobian_analytic(alpha, HPoint(nu, gamma))
+        except SingularInputError:
+            # refused only where an exact entry is beyond the largest double
+            a, n, g = Fraction(alpha), Fraction(nu), Fraction(gamma)
+            big_a2 = (n * n + g * g) ** 2
+            entries = (a * (1 + (n * n - g * g) / big_a2), 2 * a * n * g / big_a2)
+            assert max(abs(e) for e in entries) > Fraction(1.7e308)
+            return
+        assert np.all(np.isfinite(jac))
+        assert jac[0, 0] == jac[1, 1] and jac[0, 1] == -jac[1, 0]
+
+    @given(signed_magnitudes, magnitudes)
+    def test_conformal_factor_in_unit_interval(self, nu, gamma):
+        factor = conformal_factor(HPoint(nu, gamma))
+        assert 0.0 <= factor <= 1.0
+        n, g = Fraction(nu), Fraction(gamma)
+        assert abs(Fraction(factor) - (1 - 4 * g * g / (1 + n * n + g * g) ** 2)) <= EXACT_RTOL
 
 
 class TestFixedPoint:
@@ -133,8 +194,17 @@ class TestJacobian:
             out = parameter_step(alpha, HPoint(a, b))
             return out.nu, out.gamma
 
-        fd = finite_difference_jacobian(step, nu, gamma, h=1e-6)
+        fd = finite_difference_jacobian(step, nu, gamma)
         np.testing.assert_allclose(jacobian_analytic(alpha, HPoint(nu, gamma)), fd, atol=1e-6)
+
+    def test_far_field_is_alpha_identity(self):
+        # the squares of 1/s lie far below the smallest double
+        jac = jacobian_analytic(0.5, HPoint(1e200, 1e200))
+        np.testing.assert_allclose(jac, 0.5 * np.eye(2), rtol=0.0, atol=1e-300)
+
+    def test_overflowing_entries_raise(self):
+        with pytest.raises(SingularInputError):
+            jacobian_analytic(0.5, HPoint(0.0, 5e-324))
 
 
 class TestStability:
@@ -165,19 +235,19 @@ class TestReflect:
 
 class TestComplexForms:
     def test_fixed_point_in_complex_form(self):
-        s_new, w_new = complex_s_step(0.5, HPoint(0.0, 1.0))
-        assert s_new == complex(0.0, -1.0)
-        assert w_new == complex(0.0, 1.0)
+        # s = nu - i*gamma at the fixed point, and its conjugate, are fixed by the core
+        assert _boole(0.5, complex(0.0, -1.0)) == complex(0.0, -1.0)
+        assert _boole(0.5, complex(0.0, 1.0)) == complex(0.0, 1.0)
 
     def test_derived_value(self):
         # oracle: 0.5*((1-1j) - 1/(1-1j)) = 0.25 - 0.75j, computed by hand
-        s_new, _ = complex_s_step(0.5, HPoint(1.0, 1.0))
-        assert s_new == pytest.approx(0.25 - 0.75j, abs=1e-15)
+        assert _boole(0.5, complex(1.0, -1.0)) == pytest.approx(0.25 - 0.75j, abs=1e-15)
 
     @given(alphas, interior_points())
     def test_conjugate_symmetry(self, alpha, x):
-        s_new, w_new = complex_s_step(alpha, x)
-        assert w_new == pytest.approx(s_new.conjugate(), abs=1e-14)
+        # real coefficients: the map on nu + i*gamma is the conjugate of the map on s
+        s = complex(x.nu, -x.gamma)
+        assert _boole(alpha, s.conjugate()) == _boole(alpha, s).conjugate()
 
     def test_rotated_fixed_point(self):
         rot, _ = complex_check_step(0.5, HPoint(0.0, 1.0))
@@ -190,9 +260,9 @@ class TestComplexForms:
 
     @given(alphas, interior_points())
     def test_rotation_consistency(self, alpha, x):
-        s_new, _ = complex_s_step(alpha, x)
+        stepped = parameter_step(alpha, x)
         rot, _ = complex_check_step(alpha, x)
-        assert rot == pytest.approx(1j * s_new, abs=1e-14)
+        assert rot == pytest.approx(1j * complex(stepped.nu, -stepped.gamma), abs=1e-14)
 
     @pytest.mark.parametrize(
         "xi1, xi2, expected",
@@ -203,18 +273,21 @@ class TestComplexForms:
         ],
     )
     def test_component_form(self, xi1, xi2, expected):
-        assert orbital_from_parameter(0.5, xi1, xi2) == pytest.approx(expected, abs=1e-15)
+        # (Re, Im) of the pointwise map at xi1 + i*xi2; the real axis is the boundary
+        out = parameter_step(0.5, HPoint(xi1, xi2, boundary=xi2 == 0.0))
+        assert (out.nu, out.gamma) == pytest.approx(expected, abs=1e-15)
 
     def test_component_form_rejects_origin(self):
         with pytest.raises(SingularInputError):
-            orbital_from_parameter(0.5, 0.0, 0.0)
+            parameter_step(0.5, HPoint(0.0, 0.0, boundary=True))
 
     @given(alphas, nus, gammas)
     def test_component_form_matches_complex_arithmetic(self, alpha, xi1, xi2):
-        re, im = orbital_from_parameter(alpha, xi1, xi2)
-        z = alpha * ((xi1 + 1j * xi2) - 1.0 / (xi1 + 1j * xi2))
-        assert re == pytest.approx(z.real, abs=1e-12)
-        assert im == pytest.approx(z.imag, abs=1e-12)
+        # oracle: the real formula, alpha*(nu*(A-1)/A, gamma*(A+1)/A)
+        out = parameter_step(alpha, HPoint(xi1, xi2))
+        big_a = xi1 * xi1 + xi2 * xi2
+        assert out.nu == pytest.approx(alpha * xi1 * (big_a - 1.0) / big_a, abs=1e-12)
+        assert out.gamma == pytest.approx(alpha * xi2 * (big_a + 1.0) / big_a, abs=1e-12)
 
     @given(alphas, interior_points())
     def test_all_pictures_agree(self, alpha, x):

@@ -97,6 +97,12 @@ class TestPreimages:
         for root in (lo, hi):
             assert abs(boole_transform(0.5, root) - xi_prime) <= 1e-10 * abs(xi_prime)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_huge_target_does_not_overflow(self, sign):
+        # roots y/alpha and -alpha/y, up to terms far below the last bit
+        lo, hi = preimages(0.37, sign * 1e300)
+        assert (lo, hi) == pytest.approx(sorted((sign * 1e300 / 0.37, -sign * 3.7e-301)), rel=1e-15)
+
 
 class TestIterateOrbit:
     def test_truncates_at_pole(self):
@@ -138,6 +144,8 @@ class TestCauchyPrimitives:
             (CauchyParams(0, 1), 0.0, 1.0 / math.pi),
             (CauchyParams(0, 1), 1.0, 1.0 / (2.0 * math.pi)),
             (CauchyParams(3, 2), 3.0, 1.0 / (2.0 * math.pi)),
+            (CauchyParams(0, 1e-200), 0.0, 1e200 / math.pi),
+            (CauchyParams(0, 1), 1e200, 1e-400),
         ],
     )
     def test_pdf(self, p, xi, expected):
