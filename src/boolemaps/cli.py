@@ -8,23 +8,26 @@ geometry         metric/symplectic verification at a point and on a lattice
 orbit            pointwise orbit trace with an ergodicity check for long runs
 
 Reports carry ``config``, ``records``, ``oracles`` and ``meta`` sections and
-serialize to JSON (everything) or CSV (the records table).  Floats are
+serialize to JSON (everything) or CSV (the records table).  Records are kept
+as columns and streamed to the output a chunk of rows at a time.  Floats are
 written in shortest round-trip form so identical runs diff cleanly.  The
 exit status is 0 exactly when every tolerance check the command configured
-has passed.
+has passed; a numerical failure in the library gives exit 1 and a report
+with empty records and ``oracles.error``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import __version__
 from .density import (
@@ -34,6 +37,7 @@ from .density import (
     pf_closed_form_check,
     pf_monte_carlo_check,
 )
+from .errors import FitConvergenceError, QuadratureError
 from .geometry import (
     FD_STEP,
     KILLING_FIELD_NAMES,
@@ -98,6 +102,26 @@ class RunConfig:
             raise ValueError(f"xi0 must be finite with |xi0| >= {POLE_EPS}, got {self.xi0}")
 
 
+@dataclass(frozen=True)
+class Table:
+    """A report's records: equal-length columns under a header.
+
+    A column is any sliceable sequence (a list, a range, an ndarray), and
+    ``len`` gives the number of rows.
+    """
+
+    header: tuple[str, ...] = ()
+    columns: tuple = ()
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
+def _table(rows: list[dict]) -> Table:
+    header = tuple(rows[0])
+    return Table(header, tuple([row[key] for row in rows] for key in header))
+
+
 def _param_records(cfg: RunConfig) -> list[dict]:
     target = fixed_point(cfg.alpha)
     records = []
@@ -129,7 +153,7 @@ def cmd_iterate_params(cfg: RunConfig) -> tuple[dict, bool]:
         "final_dist_to_fixed_point": records[-1]["dist_to_fixed_point"],
         "closure_gamma_positive": all(r["gamma"] > 0.0 for r in records),
     }
-    return {"records": records, "oracles": oracles}, bool(oracles["closure_gamma_positive"])
+    return {"records": _table(records), "oracles": oracles}, bool(oracles["closure_gamma_positive"])
 
 
 def cmd_verify_pf(cfg: RunConfig) -> tuple[dict, bool]:
@@ -157,7 +181,7 @@ def cmd_verify_pf(cfg: RunConfig) -> tuple[dict, bool]:
         "warnings": caught,
     }
     passed = bool(oracles["sup_error_pass"] and oracles["monte_carlo_pass"])
-    return {"records": _param_records(cfg), "oracles": oracles}, passed
+    return {"records": _table(_param_records(cfg)), "oracles": oracles}, passed
 
 
 _LATTICE_NU = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -215,14 +239,12 @@ def cmd_geometry(cfg: RunConfig) -> tuple[dict, bool]:
     }
     oracles = dict(checks)
     oracles["degenerate_points"] = sum(1 for r in records if r["degenerate"])
-    return {"records": records, "oracles": oracles}, all(checks.values())
+    return {"records": _table(records), "oracles": oracles}, all(checks.values())
 
 
 def cmd_orbit(cfg: RunConfig) -> tuple[dict, bool]:
     result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
-    records = [
-        {"step": i, "xi": float(x)} for i, x in enumerate(result.points)
-    ]
+    records = Table(("step", "xi"), (range(len(result.points)), result.points))
     oracles: dict = {
         "truncated": result.truncated,
         "last_index": result.last_index,
@@ -282,30 +304,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt_cell(value) -> str:
+_CHUNK_ROWS = 1 << 16
+
+
+def _chunks(table: Table):
+    # Each column as Python scalars, _CHUNK_ROWS rows at a time, so that the
+    # text in flight stays bounded whatever the length of the table.
+    for start in range(0, len(table), _CHUNK_ROWS):
+        parts = [column[start:start + _CHUNK_ROWS] for column in table.columns]
+        yield [part.tolist() if isinstance(part, np.ndarray) else list(part) for part in parts]
+
+
+def _csv_cells(values: list) -> list[str]:
     # repr of a Python float is its shortest round-trip decimal; the float()
     # coercion strips numpy scalar types, whose repr is not parseable
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
 
 
-def render_csv(records: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = list(records[0].keys())
-    writer.writerow(header)
-    for record in records:
-        writer.writerow([_fmt_cell(record[key]) for key in header])
-    return buf.getvalue()
+def _write_csv(table: Table, handle) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    if table.header:
+        writer.writerow(table.header)
+    for columns in _chunks(table):
+        writer.writerows(zip(*map(_csv_cells, columns)))
 
 
-def render_report(report: dict, fmt: str) -> str:
+_RECORDS_SLOT = "\0records\0"
+
+
+def _write_json(report: dict, handle) -> None:
+    # The same text as json.dumps(report, indent=2) with every record a dict.
+    # With indent set, json encodes in pure Python; here only the small
+    # remainder of the report goes that way, and the records are encoded a
+    # column at a time by the C encoder and laid into a per-row template.
+    table = report["records"]
+    text = json.dumps({**report, "records": _RECORDS_SLOT}, indent=2)
+    head, _, tail = text.partition(json.dumps(_RECORDS_SLOT))
+    if not len(table):
+        handle.write(f"{head}[]{tail}\n")
+        return
+    row = "    {" + ",".join(f"\n      {json.dumps(key)}: %s" for key in table.header) + "\n    }"
+    handle.write(head + "[\n")
+    separator = ""
+    for columns in _chunks(table):
+        # "\n" as the item separator: no encoded value contains a raw newline
+        cells = [json.dumps(values, separators=("\n", ":"))[1:-1].split("\n") for values in columns]
+        handle.write(separator + ",\n".join(map(row.__mod__, zip(*cells))))
+        separator = ",\n"
+    handle.write(f"\n  ]{tail}\n")
+
+
+def render_report(report: dict, fmt: str, handle) -> None:
+    """Write ``report`` to ``handle``: all of it as JSON, or its records as CSV.
+
+    Rows are written in chunks straight from the record columns, so the
+    whole report is never held as one string.
+    """
     if fmt == "csv":
-        return render_csv(report["records"])
-    return json.dumps(report, indent=2) + "\n"
+        _write_csv(report["records"], handle)
+    else:
+        _write_json(report, handle)
 
 
 def main(argv=None) -> int:
@@ -318,7 +376,13 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     started = time.perf_counter()
-    body, passed = _COMMANDS[cfg.command](cfg)
+    try:
+        body, passed = _COMMANDS[cfg.command](cfg)
+    except (QuadratureError, FitConvergenceError) as exc:
+        # A numerical failure is a failed run, reported like any other.
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"boolemaps {cfg.command}: {error}", file=sys.stderr)
+        body, passed = {"records": Table(), "oracles": {"error": error}}, False
     report = {
         "config": asdict(cfg),
         "records": body["records"],
@@ -330,12 +394,11 @@ def main(argv=None) -> int:
             "passed": passed,
         },
     }
-    text = render_report(report, cfg.format)
     if cfg.output_path:
         with open(cfg.output_path, "w") as handle:
-            handle.write(text)
+            render_report(report, cfg.format, handle)
     else:
-        sys.stdout.write(text)
+        render_report(report, cfg.format, sys.stdout)
     return 0 if passed else 1
 
 

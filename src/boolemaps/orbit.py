@@ -59,12 +59,17 @@ def boole_transform(alpha: float, xi: float, eps: float = POLE_EPS) -> float:
 def g_transform(alpha: float, gamma: float) -> float:
     """Apply the companion scale map gamma -> alpha*(gamma + 1/gamma).
 
-    Defined for gamma > 0 only; the positive axis is invariant.
+    Defined for gamma > 0 only; the positive axis is invariant.  Raises
+    SingularInputError where the image is not a finite double (gamma below
+    about alpha/DBL_MAX).
     """
     alpha = check_alpha(alpha)
     if not math.isfinite(gamma) or gamma <= 0.0:
         raise SingularInputError(f"scale map needs gamma > 0, got {gamma!r}")
-    return alpha * (gamma + 1.0 / gamma)
+    image = alpha * (gamma + 1.0 / gamma)
+    if not math.isfinite(image):
+        raise SingularInputError(f"the image of gamma={gamma!r} is not a finite double")
+    return image
 
 
 def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
@@ -72,10 +77,11 @@ def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
     # Cancellation-free: the root of larger magnitude (never below 1) comes
     # from the discriminant with the sign of y, the other from the exact
     # product xi_minus * xi_plus = -1.  The naive formula loses all
-    # significant digits for |y| >> alpha; hypot keeps y^2 from overflowing.
+    # significant digits for |y| >> alpha; hypot keeps y^2 from overflowing,
+    # and halving before the sum keeps |y| + disc from overflowing near DBL_MAX.
     y = np.asarray(y, dtype=float)
     disc = np.hypot(y, 2.0 * alpha)
-    big = (np.abs(y) + disc) / (2.0 * alpha)
+    big = (0.5 * np.abs(y) + 0.5 * disc) / alpha
     big = np.where(y >= 0.0, big, -big)
     other = -1.0 / big
     return np.minimum(big, other), np.maximum(big, other)

@@ -1,6 +1,7 @@
 """Command-line interface: reports, serialization, exit codes."""
 
 import csv
+import io
 import json
 import math
 import subprocess
@@ -240,6 +241,99 @@ class TestSerialization:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["records"]) == 2
+
+
+def _old_json(report):
+    # Reference renderer: the whole report with one dict per record, dumped
+    # by json's pure-Python indenting encoder.
+    table = report["records"]
+    records = [dict(zip(table.header, row)) for row in zip(*table.columns)]
+    return json.dumps({**report, "records": records}, indent=2) + "\n"
+
+
+def _old_csv(report):
+    # Reference renderer: csv.writer over one row per record, repr of every
+    # float and str of everything else.
+    table = report["records"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.header)
+    for row in zip(*table.columns):
+        writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+class TestStreamingWriter:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["iterate-params", "--alpha", "0.3", "--nu0", "2", "--gamma0", "0.7", "--steps", "20"],
+            ["verify-pf", "--n", "20000", "--grid-size", "8"],
+            ["geometry", "--nu0", "0", "--gamma0", "1"],
+            ["orbit", "--n", "5"],
+            ["orbit", "--alpha", "0.5", "--xi0", "1", "--n", "3"],  # truncated
+            ["orbit", "--alpha", "0.8", "--xi0", "0.3", "--n", "100000"],  # two chunks
+        ],
+        ids=["iterate-params", "verify-pf", "geometry", "orbit", "orbit-truncated", "orbit-1e5"],
+    )
+    def test_matches_whole_report_renderers(self, tmp_path, monkeypatch, args, fmt):
+        seen = []
+        render = cli.render_report
+
+        def capturing(report, *rest):
+            seen.append(report)
+            return render(report, *rest)
+
+        monkeypatch.setattr(cli, "render_report", capturing)
+        out = tmp_path / f"report.{fmt}"
+        main(args + ["--format", fmt, "--out", str(out)])
+        (report,) = seen
+        expected = _old_json(report) if fmt == "json" else _old_csv(report)
+        assert out.read_text() == expected
+
+    def test_orbit_report_memory_is_bounded(self, tmp_path):
+        # A child's ru_maxrss starts from its parent's high-water mark at exec,
+        # so the command runs under a minimal parent, away from pytest's RSS.
+        # Rendering the whole report as one string peaked near 290 MB.
+        argv = [sys.executable, "-m", "boolemaps.cli", "orbit", "--n", "300000",
+                "--format", "json", "--out", str(tmp_path / "orbit.json")]
+        probe = (
+            "import resource, subprocess, sys; "
+            f"subprocess.run({argv!r}, check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout) / 1024
+        assert peak_mb < 150
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_quadrature_failure_is_a_failed_report(self, tmp_path, fmt):
+        # fisher_metric_quadrature cannot reach its tolerance this close to the
+        # boundary, although --gamma0 is inside the range validate() accepts
+        out = tmp_path / f"report.{fmt}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "boolemaps.cli", "geometry", "--gamma0", "2e-6",
+             "--format", fmt, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "QuadratureError" in proc.stderr
+        if fmt == "csv":
+            assert out.read_text() == ""
+            return
+        report = json.loads(out.read_text())
+        assert report["records"] == []
+        assert report["oracles"]["error"].startswith("QuadratureError: ")
+        assert report["meta"]["passed"] is False
 
 
 def test_import_leaves_scipy_unloaded():

@@ -72,6 +72,13 @@ class TestTransferStep:
         out = transfer_values(0.37, lambda xi: cauchy_pdf(p, xi), nodes)
         np.testing.assert_allclose(out, cauchy_pdf(CauchyParams(0.0, 0.74), nodes), rtol=1e-14)
 
+    def test_tails_near_dbl_max_stay_finite(self):
+        # at +-1e308 and alpha = 0.9 the larger preimage, ~1.11e308, is finite
+        p = CauchyParams(0.0, 1.0)
+        nodes = np.array([-1e308, 1e308])
+        out = transfer_values(0.9, lambda xi: cauchy_pdf(p, xi), nodes)
+        np.testing.assert_array_equal(out, cauchy_pdf(CauchyParams(0.0, 1.8), nodes))
+
     def test_matches_closed_form_pointwise(self):
         grid = cauchy_grid(CauchyParams(1.0, 1.0))
         stepped = pf_density_step(0.5, grid)

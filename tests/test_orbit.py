@@ -64,6 +64,12 @@ class TestGTransform:
     def test_stays_positive(self, alpha, gamma):
         assert g_transform(alpha, gamma) > 0.0
 
+    @pytest.mark.parametrize("gamma", [1e-310, 5e-324])
+    def test_unrepresentable_image_raises(self, gamma):
+        # alpha/gamma exceeds DBL_MAX, so the image is not a finite double
+        with pytest.raises(SingularInputError):
+            g_transform(0.5, gamma)
+
 
 class TestPreimages:
     def test_symmetric_pair_at_zero(self):
@@ -102,6 +108,14 @@ class TestPreimages:
         # roots y/alpha and -alpha/y, up to terms far below the last bit
         lo, hi = preimages(0.37, sign * 1e300)
         assert (lo, hi) == pytest.approx(sorted((sign * 1e300 / 0.37, -sign * 3.7e-301)), rel=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_target_near_dbl_max_has_finite_roots(self, sign):
+        # |y| + hypot(y, 2*alpha) alone would overflow; the roots ~1.11e308
+        # and ~9e-309 are both finite
+        lo, hi = preimages(0.9, sign * 1e308)
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert (lo, hi) == pytest.approx(sorted((sign * 1e308 / 0.9, -sign * 9e-309)), rel=1e-15)
 
 
 class TestIterateOrbit:
