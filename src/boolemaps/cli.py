@@ -7,13 +7,18 @@ verify-pf        grid and Monte Carlo push-forward oracles vs the closed form
 geometry         metric/symplectic verification at a point and on a lattice
 orbit            pointwise orbit trace with an ergodicity check for long runs
 
-Reports carry ``config``, ``records``, ``oracles`` and ``meta`` sections and
-serialize to JSON (everything) or CSV (the records table).  Records are kept
-as columns and streamed to the output a chunk of rows at a time.  Floats are
-written in shortest round-trip form so identical runs diff cleanly.  The
-exit status is 0 exactly when every tolerance check the command configured
-has passed; a numerical failure in the library gives exit 1 and a report
-with empty records and ``oracles.error``.
+Each command parses only the flags it reads (``_COMMAND_FLAGS``), plus
+--out and --format; any other flag, or a value the command cannot run with,
+exits 2 with a one-line message.
+
+Reports carry ``config`` (the command and its flags), ``records``,
+``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
+(the records table).  Records are kept as columns and streamed to the output
+a chunk of rows at a time.  Floats are written in shortest round-trip form
+so identical runs diff cleanly.  The exit status is 0 exactly when every
+tolerance check the command configured has passed; a numerical failure in
+the library gives exit 1 and a report with empty records and
+``oracles.error``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,37 +74,54 @@ KS_MIN_SAMPLES = 10**5
 DEGENERACY_RADIUS = 0.1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the flags a command ran with."""
+#: Every flag a command may take, as (type, default, help).
+_FLAGS = {
+    "alpha": (float, 0.5, "map parameter in (0,1)"),
+    "nu0": (float, 1.0, "initial location"),
+    "gamma0": (float, 1.0, "initial scale (> 0)"),
+    "xi0": (float, math.sqrt(2.0), "orbit seed"),
+    "n": (int, 10**6, "sample size / orbit length"),
+    "steps": (int, 1, "number of map iterations"),
+    "seed": (int, 42, "RNG seed"),
+    "grid_size": (int, DEFAULT_GRID_SIZE, "density grid node count"),
+}
 
-    command: str
-    alpha: float
-    nu0: float
-    gamma0: float
-    xi0: float
-    n: int
-    steps: int
-    seed: int
-    grid_size: int
-    output_path: str | None
-    format: str
+#: The flags each command reads, besides --out and --format.
+_COMMAND_FLAGS = {
+    "iterate-params": ("alpha", "nu0", "gamma0", "steps"),
+    "verify-pf": ("alpha", "nu0", "gamma0", "n", "steps", "seed", "grid_size"),
+    "geometry": ("alpha", "nu0", "gamma0"),
+    "orbit": ("alpha", "xi0", "n"),
+}
 
-    def validate(self) -> None:
-        check_alpha(self.alpha)
-        if self.n < 1 or self.steps < 1:
-            raise ValueError("n and steps must both be >= 1")
-        if self.grid_size < 2:
-            raise ValueError(f"grid-size must be >= 2, got {self.grid_size}")
-        if self.command in ("iterate-params", "verify-pf", "geometry") and self.gamma0 <= 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        # The geometry oracles step both gamma and p = 1/(2*gamma) by FD_STEP.
-        if self.command == "geometry" and not FD_STEP < self.gamma0 < 0.5 / FD_STEP:
-            raise ValueError(f"gamma0 must lie in ({FD_STEP}, {0.5 / FD_STEP}), got {self.gamma0}")
-        if self.command == "verify-pf" and self.n < MIN_MONTE_CARLO_SIZE:
-            raise ValueError(f"n must be >= {MIN_MONTE_CARLO_SIZE}, got {self.n}")
-        if self.command == "orbit" and not (math.isfinite(self.xi0) and abs(self.xi0) >= POLE_EPS):
-            raise ValueError(f"xi0 must be finite with |xi0| >= {POLE_EPS}, got {self.xi0}")
+
+def validate(cfg: argparse.Namespace) -> None:
+    """Raise ValueError on a flag value the command cannot run with."""
+    flags = vars(cfg)
+    check_alpha(cfg.alpha)
+    for name in ("n", "steps"):
+        if flags.get(name, 1) < 1:
+            raise ValueError(f"{name} must be >= 1, got {flags[name]}")
+    if "gamma0" in flags and cfg.gamma0 <= 0:
+        raise ValueError(f"gamma0 must be positive, got {cfg.gamma0}")
+    # The geometry oracles step both gamma and p = 1/(2*gamma) by FD_STEP.
+    if cfg.command == "geometry" and not FD_STEP < cfg.gamma0 < 0.5 / FD_STEP:
+        raise ValueError(f"gamma0 must lie in ({FD_STEP}, {0.5 / FD_STEP}), got {cfg.gamma0}")
+    if cfg.command == "verify-pf":
+        if cfg.n < MIN_MONTE_CARLO_SIZE:
+            raise ValueError(f"n must be >= {MIN_MONTE_CARLO_SIZE}, got {cfg.n}")
+        if cfg.grid_size < 2:
+            raise ValueError(f"grid-size must be >= 2, got {cfg.grid_size}")
+        # cauchy_grid's central nodes are about this far apart; no more than
+        # one double apart at nu0, neighbouring nodes round to the same value.
+        gap = cfg.gamma0 * math.pi / (cfg.grid_size - 1)
+        if not gap > math.ulp(cfg.nu0):
+            raise ValueError(
+                f"grid nodes collapse: gamma0*pi/(grid-size - 1) = {gap:.3g} does not exceed"
+                f" the spacing {math.ulp(cfg.nu0):.3g} of doubles at nu0 = {cfg.nu0}"
+            )
+    if cfg.command == "orbit" and not (math.isfinite(cfg.xi0) and abs(cfg.xi0) >= POLE_EPS):
+        raise ValueError(f"xi0 must be finite with |xi0| >= {POLE_EPS}, got {cfg.xi0}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +144,7 @@ def _table(rows: list[dict]) -> Table:
     return Table(header, tuple([row[key] for row in rows] for key in header))
 
 
-def _param_records(cfg: RunConfig) -> list[dict]:
+def _param_records(cfg: argparse.Namespace) -> list[dict]:
     target = fixed_point(cfg.alpha)
     records = []
     trajectory = iterate_parameter_map(cfg.alpha, HPoint(cfg.nu0, cfg.gamma0), cfg.steps)
@@ -144,7 +166,7 @@ def _param_records(cfg: RunConfig) -> list[dict]:
     return records
 
 
-def cmd_iterate_params(cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
     records = _param_records(cfg)
     target = fixed_point(cfg.alpha)
     oracles = {
@@ -156,7 +178,7 @@ def cmd_iterate_params(cfg: RunConfig) -> tuple[dict, bool]:
     return {"records": _table(records), "oracles": oracles}, bool(oracles["closure_gamma_positive"])
 
 
-def cmd_verify_pf(cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
     params = CauchyParams(cfg.nu0, cfg.gamma0)
     caught: list[str] = []
     with warnings.catch_warnings(record=True) as grabbed:
@@ -218,7 +240,7 @@ def _geometry_row(alpha: float, point: HPoint) -> dict:
     }
 
 
-def cmd_geometry(cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_geometry(cfg: argparse.Namespace) -> tuple[dict, bool]:
     records = [_geometry_row(cfg.alpha, HPoint(cfg.nu0, cfg.gamma0))]
     for gamma in _LATTICE_GAMMA:
         for nu in _LATTICE_NU:
@@ -242,7 +264,7 @@ def cmd_geometry(cfg: RunConfig) -> tuple[dict, bool]:
     return {"records": _table(records), "oracles": oracles}, all(checks.values())
 
 
-def cmd_orbit(cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
     result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
     records = Table(("step", "xi"), (range(len(result.points)), result.points))
     oracles: dict = {
@@ -279,28 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boole-transform dynamics, half-plane parameter maps, and their verification oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {
-        "iterate-params": {"steps": 10},
-        "verify-pf": {"steps": 1},
-        "geometry": {"steps": 1},
-        "orbit": {"steps": 1, "n": 10**6},
-    }
-    for name in _COMMANDS:
+    for name, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--alpha", type=float, default=0.5, help="map parameter in (0,1)")
-        p.add_argument("--nu0", type=float, default=1.0, help="initial location")
-        p.add_argument("--gamma0", type=float, default=1.0, help="initial scale (> 0)")
-        p.add_argument("--xi0", type=float, default=math.sqrt(2.0), help="orbit seed")
-        p.add_argument("--n", type=int, default=defaults[name].get("n", 10**6),
-                       help="sample size / orbit length")
-        p.add_argument("--steps", type=int, default=defaults[name]["steps"],
-                       help="number of map iterations")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed")
-        p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
-                       dest="grid_size", help="density grid node count")
+        for flag in flags:
+            kind, default, text = _FLAGS[flag]
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, default=default,
+                           dest=flag, help=text)
         p.add_argument("--out", type=str, default=None, dest="output_path",
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.choices["iterate-params"].set_defaults(steps=10)
     return parser
 
 
@@ -368,10 +378,9 @@ def render_report(report: dict, fmt: str, handle) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(**vars(args))
+    cfg = parser.parse_args(argv)
     try:
-        cfg.validate()
+        validate(cfg)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -384,12 +393,11 @@ def main(argv=None) -> int:
         print(f"boolemaps {cfg.command}: {error}", file=sys.stderr)
         body, passed = {"records": Table(), "oracles": {"error": error}}, False
     report = {
-        "config": asdict(cfg),
+        "config": vars(cfg),
         "records": body["records"],
         "oracles": body["oracles"],
         "meta": {
             "version": __version__,
-            "seed": cfg.seed,
             "wall_time_s": time.perf_counter() - started,
             "passed": passed,
         },

@@ -44,9 +44,12 @@ from .orbit import (
 )
 
 DEFAULT_GRID_SIZE = 4096
-DEFAULT_TAIL_PROB = 1e-6
+#: Probability left outside a ``cauchy_grid`` on each side.
+TAIL_PROB = 1e-6
 #: Smallest sample the Monte Carlo push-forward check accepts.
 MIN_MONTE_CARLO_SIZE = 10**4
+#: Largest share of a Monte Carlo sample that may hit the pole guard.
+MAX_DROP_FRACTION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -82,26 +85,35 @@ class DensityGrid:
         """Arctan parameter of the nodes relative to the reference law."""
         return np.arctan((self.nodes - self.ref.nu) / self.ref.gamma)
 
+    def _integrand(self) -> np.ndarray:
+        """The values times d(xi)/d(theta) = gamma*(1 + t^2), t = (xi - nu)/gamma.
+
+        Formed as (values*gamma)*(1 + t*t), so no square of a node offset
+        overflows however large the reference scale.
+        """
+        t = (self.nodes - self.ref.nu) / self.ref.gamma
+        return (self.values * self.ref.gamma) * (1.0 + t * t)
+
     def mass(self) -> float:
         """Total mass: trapezoid over the arctan-spaced nodes plus tails."""
-        d = self.nodes - self.ref.nu
-        jac = self.ref.gamma + d * d / self.ref.gamma
-        return float(np.trapezoid(self.values * jac, self.theta())) + self.tail_mass
+        return float(np.trapezoid(self._integrand(), self.theta())) + self.tail_mass
 
 
 def cauchy_grid(
     params: CauchyParams,
     n_nodes: int = DEFAULT_GRID_SIZE,
-    tail_prob: float = DEFAULT_TAIL_PROB,
     ref: CauchyParams | None = None,
 ) -> DensityGrid:
-    """Tabulate a Cauchy density on nodes at quantiles of ``ref`` (defaults to itself)."""
+    """Tabulate a Cauchy density on nodes at quantiles of ``ref`` (defaults to itself).
+
+    The nodes sit at ``n_nodes`` evenly spaced levels in
+    [TAIL_PROB, 1 - TAIL_PROB]; near the centre of ``ref`` they are about
+    ``ref.gamma * pi / (n_nodes - 1)`` apart.
+    """
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
-    if not 0.0 < tail_prob < 0.5:
-        raise ValueError("tail probability must lie in (0, 1/2)")
     ref = params if ref is None else ref
-    u = np.linspace(tail_prob, 1.0 - tail_prob, n_nodes)
+    u = np.linspace(TAIL_PROB, 1.0 - TAIL_PROB, n_nodes)
     nodes = ref.nu + ref.gamma * np.tan(np.pi * (u - 0.5))
     values = cauchy_pdf(params, nodes)
     tail = cauchy_cdf(params, nodes[0]) + 1.0 - cauchy_cdf(params, nodes[-1])
@@ -148,12 +160,8 @@ def _grid_cdf(rho: DensityGrid):
         return lambda xi: cauchy_cdf(src, xi)
     # Empirical CDF from the grid; the recorded tail mass is split evenly
     # between the two sides (the grid does not remember the split).
-    d = rho.nodes - rho.ref.nu
-    jac = rho.ref.gamma + d * d / rho.ref.gamma
-    th = rho.theta()
-    cum = np.concatenate(
-        [[0.0], np.cumsum(np.diff(th) * 0.5 * ((rho.values * jac)[1:] + (rho.values * jac)[:-1]))]
-    )
+    f = rho._integrand()
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(rho.theta()) * 0.5 * (f[1:] + f[:-1]))])
     left = rho.tail_mass / 2.0
 
     def cdf(xi):
@@ -195,24 +203,19 @@ def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
     return out
 
 
-def pf_closed_form_check(
-    alpha: float,
-    p: CauchyParams,
-    n_nodes: int = DEFAULT_GRID_SIZE,
-    window: float = 1e3,
-) -> float:
+def pf_closed_form_check(alpha: float, p: CauchyParams, n_nodes: int = DEFAULT_GRID_SIZE) -> float:
     """Sup gap between the brute-force transfer step and the closed-form step.
 
     Evolves C(.; p) by the two-branch sum and compares pointwise against the
     Cauchy density with parameters advanced by the half-plane map, over grid
-    nodes with |xi| < ``window``.  Exactness of the reduction means this is
-    floating-point small (<< 1e-10).
+    nodes with |xi| < 1e3 (all nodes, if none lies there).  Exactness of the
+    reduction means this is floating-point small (<< 1e-10).
     """
     grid = cauchy_grid(p, n_nodes)
     stepped = pf_density_step(alpha, grid)
     target = parameter_step(alpha, HPoint(p.nu, p.gamma))
     predicted = cauchy_pdf(CauchyParams(target.nu, target.gamma), grid.nodes)
-    inside = np.abs(grid.nodes) < window
+    inside = np.abs(grid.nodes) < 1e3
     if not inside.any():
         inside = np.ones_like(inside)
     return float(np.max(np.abs(stepped.values[inside] - predicted[inside])))
@@ -319,15 +322,13 @@ def _cauchy_mle(
     return CauchyParams(nu, gamma)
 
 
-def _push_forward(
-    alpha: float, points: np.ndarray, steps: int, eps: float = POLE_EPS
-) -> tuple[np.ndarray, int]:
+def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
     # Pointwise map applied to every sample; pole hits are dropped with a count
     # rather than resampled, preserving the push-forward's independence.
     dropped = 0
     x = points
     for _ in range(steps):
-        keep = np.abs(x) >= eps
+        keep = np.abs(x) >= POLE_EPS
         dropped += int(x.size - np.count_nonzero(keep))
         x = _boole(alpha, x[keep])
     return x, dropped
@@ -361,14 +362,13 @@ def pf_monte_carlo_check(
     steps: int,
     seed: int,
     fit_method: str = "median_iqr",
-    max_drop_fraction: float = 1e-4,
 ) -> PfReport:
     """Push a seeded sample through the pointwise map and refit.
 
     The refitted parameters are compared against the half-plane prediction;
     ``within_tolerance`` demands agreement within 5 asymptotic standard
     errors of the fit.  Pole-guard hits are dropped with accounting and the
-    check aborts if they exceed ``max_drop_fraction`` of the sample.
+    check aborts if they exceed ``MAX_DROP_FRACTION`` of the sample.
     """
     alpha = check_alpha(alpha)
     if n < MIN_MONTE_CARLO_SIZE:
@@ -377,9 +377,9 @@ def pf_monte_carlo_check(
         raise ValueError("need at least one step")
     batch = sample_cauchy(p, n, seed)
     pushed, dropped = _push_forward(alpha, batch.points, steps)
-    if dropped > max_drop_fraction * n:
+    if dropped > MAX_DROP_FRACTION * n:
         raise RuntimeError(
-            f"{dropped} of {n} samples hit the pole guard (> {max_drop_fraction:.2%})"
+            f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
         )
     trajectory = iterate_parameter_map(alpha, HPoint(p.nu, p.gamma), steps)
     final = trajectory[-1]
@@ -401,43 +401,47 @@ def pf_monte_carlo_check(
     )
 
 
-def mc_error_ratio(
-    alpha: float,
-    p: CauchyParams,
-    n: int,
-    seeds=range(10),
-    steps: int = 1,
-    fit_method: str = "median_iqr",
-) -> float:
+def mc_error_ratio(alpha: float, p: CauchyParams, n: int, seeds=range(10)) -> float:
     """RMS fit-error ratio between sample sizes n and 2n (nested draws).
 
-    For each seed a single stream of 2n points is drawn and pushed through
-    the map; the first n of them form the half-size estimate, so the two
-    levels share their randomness and the ratio concentrates near sqrt(2)
-    under the expected n^(-1/2) error scaling.
+    For each seed a single stream of 2n points is drawn and pushed one step
+    through the map; the first n of them form the half-size estimate, so the
+    two levels share their randomness and the ratio concentrates near sqrt(2)
+    under the expected n^(-1/2) error scaling of the quantile fit.
     """
     alpha = check_alpha(alpha)
-    trajectory = iterate_parameter_map(alpha, HPoint(p.nu, p.gamma), steps)
-    predicted = trajectory[-1]
+    predicted = parameter_step(alpha, HPoint(p.nu, p.gamma))
     err_half, err_full = 0.0, 0.0
     for seed in seeds:
         batch = sample_cauchy(p, 2 * n, seed)
-        pushed, _ = _push_forward(alpha, batch.points, steps)
-        half = fit_cauchy(pushed[:n], fit_method)
-        full = fit_cauchy(pushed, fit_method)
+        pushed, _ = _push_forward(alpha, batch.points, 1)
+        half = fit_cauchy(pushed[:n])
+        full = fit_cauchy(pushed)
         err_half += (half.nu - predicted.nu) ** 2 + (half.gamma - predicted.gamma) ** 2
         err_full += (full.nu - predicted.nu) ** 2 + (full.gamma - predicted.gamma) ** 2
     return math.sqrt(err_half / err_full)
 
 
 def ks_distance(samples: np.ndarray, p: CauchyParams) -> float:
-    """Kolmogorov-Smirnov distance between an empirical sample and C(.; p)."""
-    ordered = np.sort(np.asarray(samples, dtype=float))
-    n = ordered.size
-    theoretical = cauchy_cdf(p, ordered)
-    steps_hi = np.arange(1, n + 1) / n
-    steps_lo = np.arange(0, n) / n
-    return float(max(np.max(steps_hi - theoretical), np.max(theoretical - steps_lo)))
+    """Kolmogorov-Smirnov distance between an empirical sample and C(.; p).
+
+    The sorted copy of the samples becomes their CDF in place, and one ramp
+    k/n, k = 0..n, serves both one-sided maxima, so three arrays of the
+    sample's size are alive at most.
+    """
+    cdf = np.sort(np.asarray(samples, dtype=float))
+    n = cdf.size
+    # cauchy_cdf's 1/2 + arctan((xi - nu)/gamma)/pi, step by step
+    cdf -= p.nu
+    cdf /= p.gamma
+    np.arctan(cdf, out=cdf)
+    cdf /= np.pi
+    cdf += 0.5
+    ramp = np.arange(n + 1, dtype=float)
+    ramp /= n
+    above = np.max(ramp[1:] - cdf)
+    cdf -= ramp[:-1]
+    return float(max(above, np.max(cdf)))
 
 
 @dataclass(frozen=True)

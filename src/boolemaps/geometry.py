@@ -2,7 +2,9 @@
 
 The Fisher information metric of the Cauchy family is the rescaled
 hyperbolic metric g = (d_nu^2 + d_gamma^2) / (2*gamma^2), making the
-parameter space a Poincare-type upper half-plane.  The half-plane map is
+parameter space a Poincare-type upper half-plane.  Every object here lives
+on the open half-plane gamma > 0, which ``HPoint`` enforces; the metric
+blows up toward the point masses at gamma = 0.  The half-plane map is
 conformal for this metric with the alpha-independent factor
 1 - 4*gamma^2/(1 + A)^2, A = nu^2 + gamma^2.  Together with the constant
 rotation J the metric induces the two-form omega(X, Y) = g(J X, Y)
@@ -59,32 +61,25 @@ class TwoForm:
     omega_ng: float
 
 
-def _require_interior(x: HPoint) -> HPoint:
-    if x.boundary:
-        raise ValueError("geometric structure is defined on the interior only")
-    return x
-
-
 def fisher_metric(x: HPoint) -> Metric2:
     """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2))."""
-    _require_interior(x)
     half = 1.0 / (2.0 * x.gamma * x.gamma)
     return Metric2(half, 0.0, half)
 
 
-def fisher_metric_quadrature(x: HPoint, abs_tol: float = 1e-9) -> Metric2:
+def fisher_metric_quadrature(x: HPoint) -> Metric2:
     """Fisher metric from its defining integral, by adaptive quadrature.
 
     Integrates  E[ (d log p / d theta_a)(d log p / d theta_b) ]  for the
     Cauchy density over the arctan-substituted axis xi = nu + gamma*tan(t),
     which maps the heavy tails onto a finite interval.  The score factors
     are the directly differentiated density; the closed form 1/(2*gamma^2)
-    never enters, so this is an independent oracle for it.
+    never enters, so this is an independent oracle for it.  Raises
+    QuadratureError where an entry's error estimate exceeds 1e-9.
     """
     # Imported here: scipy.integrate is slow to load and only this oracle uses it.
     from scipy.integrate import quad
 
-    _require_interior(x)
     p = CauchyParams(x.nu, x.gamma)
     nu, gamma = x.nu, x.gamma
 
@@ -109,7 +104,7 @@ def fisher_metric_quadrature(x: HPoint, abs_tol: float = 1e-9) -> Metric2:
             epsrel=1e-12,
             limit=200,
         )
-        if err > abs_tol:
+        if err > 1e-9:
             raise QuadratureError(
                 f"metric entry ({a},{b}) at ({nu}, {gamma}): error estimate {err:.2e}"
             )
@@ -126,7 +121,6 @@ def conformal_factor(x: HPoint) -> float:
     Evaluated as 1 - t^2 with t = 2*(gamma/r)/(r + 1/r), r = hypot(nu, gamma),
     so that A never forms and the result stays in [0, 1] at any magnitude.
     """
-    _require_interior(x)
     r = math.hypot(x.nu, x.gamma)
     t = 2.0 * (x.gamma / r) / (r + 1.0 / r)
     return 1.0 - t * t
@@ -165,7 +159,6 @@ def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
     the degenerate point (0, 1).
     """
     alpha = check_alpha(alpha)
-    _require_interior(x)
     jac = finite_difference_jacobian(_step_xy(alpha), x.nu, x.gamma)
     target = parameter_step(alpha, x)
     pulled = jac.T @ fisher_metric(target).as_array() @ jac
@@ -209,7 +202,6 @@ KILLING_FIELD_NAMES = ("special_conformal", "dilation", "translation")
 
 def killing_fields(x: HPoint) -> tuple[TangentVector, TangentVector, TangentVector]:
     """The three isometry generators evaluated at x, in K1, K2, K3 order."""
-    _require_interior(x)
     out = []
     for name in KILLING_FIELD_NAMES:
         comp, _ = _KILLING[name]
@@ -236,7 +228,6 @@ def lie_derivative_metric(field: str, x: HPoint) -> Metric2:
     only the metric derivative is numerical.  All entries vanish (to the
     difference scheme's accuracy) exactly when the field is an isometry.
     """
-    _require_interior(x)
     comp, dcomp = _KILLING[field]
     k = np.array(comp(x.nu, x.gamma))
     dk = dcomp(x.nu, x.gamma)  # dk[a, c] = d K^a / d coord c
@@ -248,7 +239,6 @@ def lie_derivative_metric(field: str, x: HPoint) -> Metric2:
 
 def lie_derivative_two_form(field: str, x: HPoint) -> float:
     """(L_K omega)_{nu gamma}, finite differences on omega, exact dK."""
-    _require_interior(x)
     h = FD_STEP
     comp, dcomp = _KILLING[field]
     k = comp(x.nu, x.gamma)
@@ -267,7 +257,6 @@ def lie_derivative_two_form(field: str, x: HPoint) -> float:
 
 def symplectic_form(x: HPoint) -> TwoForm:
     """The induced two-form -1/(2*gamma^2) d_nu ^ d_gamma."""
-    _require_interior(x)
     return TwoForm(-1.0 / (2.0 * x.gamma * x.gamma))
 
 
@@ -314,7 +303,7 @@ def symplectic_defect(alpha: float, c: CanonicalPoint) -> float:
 
     The half-plane map is not symplectic: the determinant equals the
     conformal factor at the corresponding half-plane point, which is < 1
-    everywhere on the interior.
+    everywhere on H.
     """
     alpha = check_alpha(alpha)
 
@@ -337,7 +326,6 @@ def christoffel(x: HPoint) -> np.ndarray:
 
     Tested against the metric-compatibility identity with finite differences.
     """
-    _require_interior(x)
     inv = 1.0 / x.gamma
     out = np.zeros((2, 2, 2))
     out[0, 1, 0] = out[1, 0, 0] = -inv

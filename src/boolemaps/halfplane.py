@@ -12,14 +12,17 @@ evaluates it that way, through the one core in ``orbit``; CPython's complex
 division is scaled (Smith's algorithm), so A never forms and the step stays
 finite and accurate across the whole float range.
 
-This module implements that map on H = {(nu, gamma): gamma > 0}, its unique
-fixed point (0, sqrt(alpha/(1-alpha))), linearization and stability, the
-reflection symmetry, canonical coordinates (q, p) = (nu, 1/(2*gamma)), and
-the transient convergence-rate diagnostics of the scale map.
+This module implements that map on the open half-plane
+H = {(nu, gamma): gamma > 0}, the statistical manifold of Cauchy laws; its
+unique fixed point (0, sqrt(alpha/(1-alpha))), linearization and stability,
+the reflection symmetry, canonical coordinates (q, p) = (nu, 1/(2*gamma)),
+and the transient convergence-rate diagnostics of the scale map.
 ``picture_agreement`` checks the step against two independent routes: the
 real formula above and the scale map on the rotated variable
 (``complex_check_step``).  ``canonical_step`` is ``parameter_step``
-conjugated by the coordinate change.
+conjugated by the coordinate change.  The edge gamma -> 0 (point masses)
+is not part of H: there the step tends to the pointwise map on nu, which is
+``orbit.boole_transform``.
 """
 
 from __future__ import annotations
@@ -30,35 +33,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularInputError
-from .orbit import _boole, boole_transform, check_alpha, g_transform, invariant_scale
+from .orbit import _boole, check_alpha, g_transform, invariant_scale
 
 
 @dataclass(frozen=True)
 class HPoint:
-    """Point of the closed upper half-plane.
+    """Point (nu, gamma) of the open upper half-plane: finite, with gamma > 0.
 
-    Interior points require gamma > 0.  The boundary gamma = 0 (point-mass
-    densities) is representable only by passing ``boundary=True``; the
-    half-plane map degenerates there to the pointwise map acting on nu.
+    A point mass (gamma = 0) is not a point of H; it is stepped with the
+    pointwise map ``orbit.boole_transform``, the gamma -> 0 limit of
+    ``parameter_step``.
     """
 
     nu: float
     gamma: float
-    boundary: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and math.isfinite(self.gamma)):
             raise ValueError("half-plane coordinates must be finite")
-        if self.boundary:
-            if self.gamma != 0.0:
-                raise ValueError("boundary points must have gamma = 0")
-        elif self.gamma <= 0.0:
-            raise ValueError(f"interior points need gamma > 0, got {self.gamma!r}")
+        if self.gamma <= 0.0:
+            raise ValueError(f"half-plane points need gamma > 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Tangent vector (d_nu, d_gamma) attached to an interior base point."""
+    """Tangent vector (d_nu, d_gamma) attached to a base point."""
 
     base: HPoint
     d_nu: float
@@ -67,7 +66,7 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class CanonicalPoint:
-    """Canonical coordinates q = nu, p = 1/(2*gamma); p > 0 on the interior."""
+    """Canonical coordinates q = nu, p = 1/(2*gamma); p > 0 on H."""
 
     q: float
     p: float
@@ -78,22 +77,18 @@ class CanonicalPoint:
 
 
 def parameter_step(alpha: float, x: HPoint) -> HPoint:
-    """One step of the half-plane map; preserves the interior (gamma' > 0).
+    """One step of the half-plane map; preserves H (gamma' > 0).
 
-    Interior points move by the pointwise map on s = nu - i*gamma, so that
-    s' = nu' - i*gamma'.  Boundary points evolve by the pointwise map on nu,
-    matching the point-mass limit of the Cauchy family.  Raises
-    SingularInputError where the image is not a finite interior point in
-    floating point: gamma' overflows (|s| below about 1/DBL_MAX) or
-    underflows to 0.
+    Points move by the pointwise map on s = nu - i*gamma, so that
+    s' = nu' - i*gamma'.  Raises SingularInputError where the image is not a
+    finite point of H in floating point: gamma' overflows (|s| below about
+    1/DBL_MAX) or underflows to 0.
     """
     alpha = check_alpha(alpha)
-    if x.boundary:
-        return HPoint(boole_transform(alpha, x.nu), 0.0, boundary=True)
     stepped = _boole(alpha, complex(x.nu, -x.gamma))
     nu, gamma = stepped.real, -stepped.imag
     if not (math.isfinite(nu) and math.isfinite(gamma) and gamma > 0.0):
-        raise SingularInputError(f"the image of {x} is not a finite interior point")
+        raise SingularInputError(f"the image of {x} is not a finite point of H")
     return HPoint(nu, gamma)
 
 
@@ -103,7 +98,7 @@ def fixed_point(alpha: float) -> HPoint:
 
 
 def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
-    """Closed-form Jacobian of the half-plane map at an interior point.
+    """Closed-form Jacobian of the half-plane map.
 
     Rows are (nu', gamma'), columns (nu, gamma).  The map is holomorphic in
     s = nu - i*gamma, so the Jacobian has the Cauchy-Riemann pattern
@@ -117,8 +112,6 @@ def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
     SingularInputError where an entry is not a finite double.
     """
     alpha = check_alpha(alpha)
-    if x.boundary:
-        raise ValueError("Jacobian is defined on the interior only")
     inv = 1.0 / complex(x.nu, -x.gamma)
     re, im = inv.real, inv.imag
     # (re - im)*(re + im) rather than re^2 - im^2, which is inf - inf = NaN
@@ -152,7 +145,7 @@ def stability_eigenvalues(alpha: float) -> StabilityReport:
 
 def reflect(x: HPoint) -> HPoint:
     """Mirror (nu, gamma) -> (-nu, gamma); an involution commuting with the map."""
-    return HPoint(-x.nu, x.gamma, boundary=x.boundary)
+    return HPoint(-x.nu, x.gamma)
 
 
 def complex_check_step(alpha: float, x: HPoint) -> tuple[complex, complex]:
@@ -188,9 +181,7 @@ def picture_agreement(alpha: float, x: HPoint) -> float:
 
 
 def to_canonical(x: HPoint) -> CanonicalPoint:
-    """(nu, gamma) -> (q, p) = (nu, 1/(2*gamma)); interior points only."""
-    if x.boundary:
-        raise ValueError("canonical coordinates are undefined on the boundary")
+    """(nu, gamma) -> (q, p) = (nu, 1/(2*gamma))."""
     return CanonicalPoint(x.nu, 1.0 / (2.0 * x.gamma))
 
 
@@ -319,8 +310,6 @@ def asymptotic_check(alpha: float, x: HPoint) -> tuple[float, float]:
     alpha*nu or alpha*gamma that underflows to 0 cannot divide by zero.
     """
     alpha = check_alpha(alpha)
-    if x.boundary:
-        raise ValueError("asymptotic comparison is defined on the interior")
     stepped = parameter_step(alpha, x)
     err_gamma = abs(stepped.gamma / alpha - x.gamma) / x.gamma
     if x.nu == 0.0:

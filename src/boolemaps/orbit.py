@@ -44,15 +44,15 @@ def _boole(alpha: float, x):
     return alpha * (x - 1.0 / x)
 
 
-def boole_transform(alpha: float, xi: float, eps: float = POLE_EPS) -> float:
+def boole_transform(alpha: float, xi: float) -> float:
     """Apply xi -> alpha*(xi - 1/xi).
 
-    Raises SingularInputError when ``|xi| < eps`` (the pole guard); exact
+    Raises SingularInputError when ``|xi| < POLE_EPS`` (the pole guard); exact
     pre-poles are measure zero, so no attempt is made to enumerate them.
     """
     alpha = check_alpha(alpha)
-    if not math.isfinite(xi) or abs(xi) < eps:
-        raise SingularInputError(f"point {xi!r} is inside the pole guard |xi| < {eps}")
+    if not math.isfinite(xi) or abs(xi) < POLE_EPS:
+        raise SingularInputError(f"point {xi!r} is inside the pole guard |xi| < {POLE_EPS}")
     return _boole(alpha, xi)
 
 
@@ -107,16 +107,17 @@ class OrbitResult:
     last_index: int
 
 
-def iterate_orbit(alpha: float, xi0: float, n: int, eps: float = POLE_EPS) -> OrbitResult:
+def iterate_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
     """Iterate the map ``n`` times from ``xi0``.
 
-    Returns n+1 points on a clean run.  If an iterate lands within ``eps``
-    of the pole the orbit is truncated there and flagged rather than raising,
-    so callers can see how far it got.
+    Returns n+1 points on a clean run.  If an iterate lands within
+    ``POLE_EPS`` of the pole the orbit is truncated there and flagged rather
+    than raising, so callers can see how far it got.
     """
     alpha = check_alpha(alpha)
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
+    eps = POLE_EPS  # a local, read once per step
     if not math.isfinite(xi0) or abs(xi0) < eps:
         raise SingularInputError(f"seed {xi0!r} is inside the pole guard")
     points = np.empty(n + 1)

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import math
 import subprocess
 import sys
 
@@ -50,7 +49,7 @@ class TestIterateParams:
         code, report = run_json(tmp_path, ["iterate-params", "--steps", "2"])
         assert set(report) == {"config", "records", "oracles", "meta"}
         assert report["meta"]["version"]
-        assert report["meta"]["seed"] == 42
+        assert "seed" not in report["meta"]
         assert report["config"]["command"] == "iterate-params"
 
     def test_config_echo(self, tmp_path):
@@ -60,11 +59,7 @@ class TestIterateParams:
             "alpha": 0.5,
             "nu0": 1.0,
             "gamma0": 1.0,
-            "xi0": math.sqrt(2.0),
-            "n": 10**6,
             "steps": 2,
-            "seed": 42,
-            "grid_size": 4096,
             "output_path": str(tmp_path / "report.json"),
             "format": "json",
         }
@@ -84,12 +79,41 @@ class TestValidation:
             ["orbit", "--xi0", "nan"],
             ["geometry", "--gamma0", "1e-200"],
             ["geometry", "--gamma0", "1e6"],
+            # the density grid's nodes would collapse onto equal doubles
+            ["verify-pf", "--nu0", "1", "--gamma0", "1e-300"],
+            ["verify-pf", "--nu0", "1", "--gamma0", "1e-13"],
+            ["verify-pf", "--nu0", "1e300", "--gamma0", "1"],
+            # a flag the command does not read
+            ["iterate-params", "--seed", "1"],
+            ["verify-pf", "--xi0", "1"],
+            ["geometry", "--steps", "2"],
+            ["orbit", "--seed", "1"],
         ],
     )
     def test_bad_config_exits_2(self, args):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+
+    def test_bad_config_message_is_one_line(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify-pf", "--nu0", "1", "--gamma0", "1e-300"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("boolemaps: error: grid nodes collapse")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("iterate-params", ["alpha", "nu0", "gamma0", "steps"]),
+            ("verify-pf", ["alpha", "nu0", "gamma0", "n", "steps", "seed", "grid_size"]),
+            ("geometry", ["alpha", "nu0", "gamma0"]),
+            ("orbit", ["alpha", "xi0", "n"]),
+        ],
+    )
+    def test_each_command_parses_its_own_flags(self, command, flags):
+        args = cli.build_parser().parse_args([command])
+        assert list(vars(args)) == ["command", *flags, "output_path", "format"]
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -115,6 +139,14 @@ class TestVerifyPf:
         )
         assert code == 0
         assert report["oracles"]["sup_error"] < 1e-12
+
+    def test_narrow_grid_at_the_spacing_limit_runs(self, tmp_path):
+        # nodes 7.7e-16 apart around 1.0, about 3.5 doubles: the grid still holds
+        code, report = run_json(
+            tmp_path, ["verify-pf", "--nu0", "1", "--gamma0", "1e-12", "--n", "20000"]
+        )
+        assert code == 0
+        assert report["oracles"]["sup_error_pass"] and report["oracles"]["monte_carlo_pass"]
 
     def test_coarse_grid_reports_warning(self, tmp_path):
         code, report = run_json(

@@ -1,6 +1,7 @@
 """Transfer-sum grid evolution, sampling, fitting, and ergodicity checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,11 +41,18 @@ class TestDensityGrid:
         grid = cauchy_grid(CauchyParams(0.25, 0.75), ref=CauchyParams(1.0, 1.0))
         assert grid.mass() == pytest.approx(1.0, abs=1e-9)
 
+    def test_mass_at_huge_reference_scale(self):
+        # node offsets reach ~3e5*gamma, so their squares would overflow here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = cauchy_grid(CauchyParams(1.0, 1e200))
+            assert grid.mass() == pytest.approx(1.0, abs=1e-9)
+            tabulated = DensityGrid(grid.nodes, grid.values, grid.tail_mass, ref=grid.ref)
+            assert pf_density_step(0.5, tabulated).mass() == pytest.approx(1.0, abs=1e-3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cauchy_grid(CauchyParams(0, 1), n_nodes=1)
-        with pytest.raises(ValueError):
-            cauchy_grid(CauchyParams(0, 1), tail_prob=0.7)
         nodes = np.array([0.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             DensityGrid(nodes, np.ones(3), 0.0, ref=CauchyParams(0, 1))
@@ -220,6 +228,15 @@ class TestErgodicity:
         p = CauchyParams(0.0, 1.0)
         u = np.arange(1, 2001) / 2001.0
         assert ks_distance(cauchy_quantile(p, u), p) < 1.0 / 2000.0
+
+    @pytest.mark.parametrize("p", [CauchyParams(0.0, 1.0), CauchyParams(-0.3, 2.5)])
+    def test_ks_matches_direct_formula(self, p):
+        samples = np.random.default_rng(7).standard_cauchy(100_001) * 1.7 + 0.4
+        ordered = np.sort(samples)
+        n = ordered.size
+        cdf = cauchy_cdf(p, ordered)
+        expected = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n))
+        assert ks_distance(samples, p) == float(expected)
 
     def test_long_orbit_matches_invariant_law(self):
         report = ergodic_orbit_check(0.5, math.sqrt(2.0), 2 * 10**5)

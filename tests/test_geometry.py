@@ -53,10 +53,6 @@ class TestFisherMetric:
     def test_location_independence(self, nu_a, nu_b, gamma):
         assert fisher_metric(HPoint(nu_a, gamma)) == fisher_metric(HPoint(nu_b, gamma))
 
-    def test_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            fisher_metric(HPoint(0.0, 0.0, boundary=True))
-
 
 class TestFisherQuadrature:
     @pytest.mark.parametrize(
@@ -70,8 +66,9 @@ class TestFisherQuadrature:
         assert g.g_ng == pytest.approx(0.0, abs=1e-8)
 
     def test_unreachable_tolerance_raises(self):
+        # this close to gamma = 0 the integrand is too sharp for the quadrature
         with pytest.raises(QuadratureError):
-            fisher_metric_quadrature(HPoint(0.0, 1.0), abs_tol=0.0)
+            fisher_metric_quadrature(HPoint(1.0, 2e-6))
 
 
 class TestConformalFactor:

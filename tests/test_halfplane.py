@@ -49,12 +49,6 @@ class TestHPoint:
         with pytest.raises(ValueError):
             HPoint(0.0, -1.0)
 
-    def test_boundary_flag(self):
-        b = HPoint(2.0, 0.0, boundary=True)
-        assert b.boundary
-        with pytest.raises(ValueError):
-            HPoint(2.0, 1.0, boundary=True)
-
 
 class TestParameterStep:
     @pytest.mark.parametrize(
@@ -92,10 +86,11 @@ class TestParameterStep:
         with pytest.raises(SingularInputError):
             parameter_step(alpha, HPoint(*point))
 
-    def test_boundary_dispatches_to_pointwise_map(self):
-        out = parameter_step(0.5, HPoint(2.0, 0.0, boundary=True))
-        assert out.boundary
-        assert out.nu == boole_transform(0.5, 2.0)
+    @given(alphas, st.sampled_from((-1.0, 1.0)), st.floats(min_value=-3.0, max_value=3.0))
+    def test_vanishing_scale_is_pointwise_map(self, alpha, sign, log_x):
+        # gamma -> 0 is the point-mass edge of H, where the step is boole_transform
+        x = sign * 10.0**log_x
+        assert parameter_step(alpha, HPoint(x, 1e-300)).nu == boole_transform(alpha, x)
 
     @given(alphas, gammas)
     def test_scale_axis_is_invariant(self, alpha, gamma):
@@ -268,18 +263,14 @@ class TestComplexForms:
         "xi1, xi2, expected",
         [
             (1.0, 1.0, (0.25, 0.75)),
-            (2.0, 0.0, (0.75, 0.0)),
+            (2.0, 1.0, (0.8, 0.6)),
             (0.0, 1.0, (0.0, 1.0)),
         ],
     )
     def test_component_form(self, xi1, xi2, expected):
-        # (Re, Im) of the pointwise map at xi1 + i*xi2; the real axis is the boundary
-        out = parameter_step(0.5, HPoint(xi1, xi2, boundary=xi2 == 0.0))
+        # (Re, -Im) of the pointwise map at xi1 - i*xi2
+        out = parameter_step(0.5, HPoint(xi1, xi2))
         assert (out.nu, out.gamma) == pytest.approx(expected, abs=1e-15)
-
-    def test_component_form_rejects_origin(self):
-        with pytest.raises(SingularInputError):
-            parameter_step(0.5, HPoint(0.0, 0.0, boundary=True))
 
     @given(alphas, nus, gammas)
     def test_component_form_matches_complex_arithmetic(self, alpha, xi1, xi2):
@@ -309,9 +300,7 @@ class TestCanonicalCoordinates:
         assert back.nu == x.nu
         assert back.gamma == pytest.approx(x.gamma, rel=1e-15)
 
-    def test_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            to_canonical(HPoint(1.0, 0.0, boundary=True))
+    def test_nonpositive_momentum_rejected(self):
         with pytest.raises(ValueError):
             CanonicalPoint(0.0, 0.0)
 
