@@ -33,6 +33,7 @@ from .errors import (
     FitConvergenceError,
     GridResolutionWarning,
     OrbitTruncationError,
+    PoleGuardError,
     QuadratureError,
     SingularInputError,
 )

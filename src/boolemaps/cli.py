@@ -42,7 +42,7 @@ from .density import (
     pf_closed_form_check,
     pf_monte_carlo_check,
 )
-from .errors import FitConvergenceError, QuadratureError
+from .errors import FitConvergenceError, PoleGuardError, QuadratureError, SingularInputError
 from .geometry import (
     FD_STEP,
     KILLING_FIELD_NAMES,
@@ -99,6 +99,9 @@ def validate(cfg: argparse.Namespace) -> None:
     """Raise ValueError on a flag value the command cannot run with."""
     flags = vars(cfg)
     check_alpha(cfg.alpha)
+    for name in ("nu0", "gamma0"):
+        if name in flags and not math.isfinite(flags[name]):
+            raise ValueError(f"{name} must be finite, got {flags[name]}")
     for name in ("n", "steps"):
         if flags.get(name, 1) < 1:
             raise ValueError(f"{name} must be >= 1, got {flags[name]}")
@@ -387,7 +390,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         body, passed = _COMMANDS[cfg.command](cfg)
-    except (QuadratureError, FitConvergenceError) as exc:
+    except (QuadratureError, FitConvergenceError, PoleGuardError, SingularInputError) as exc:
         # A numerical failure is a failed run, reported like any other.
         error = f"{type(exc).__name__}: {exc}"
         print(f"boolemaps {cfg.command}: {error}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .errors import (
     FitConvergenceError,
     GridResolutionWarning,
     OrbitTruncationError,
+    PoleGuardError,
     SingularInputError,
 )
 from .halfplane import HPoint, iterate_parameter_map, parameter_step
@@ -50,6 +51,8 @@ TAIL_PROB = 1e-6
 MIN_MONTE_CARLO_SIZE = 10**4
 #: Largest share of a Monte Carlo sample that may hit the pole guard.
 MAX_DROP_FRACTION = 1e-4
+#: Nodes per interpolation stencil on a tabulated-only grid: a local quintic.
+STENCIL = 6
 
 
 @dataclass(frozen=True)
@@ -138,18 +141,36 @@ def _grid_density(rho: DensityGrid):
     if rho.source is not None:
         src = rho.source
         return lambda xi: cauchy_pdf(src, xi)
-    # Tabulated-only fallback: cubic interpolation in the arctan parameter,
-    # zero outside the covered window.  scipy.interpolate is slow to import
-    # and only this branch needs it.
-    from scipy.interpolate import CubicSpline
-
+    # Tabulated-only fallback: in the arctan parameter, the quintic through
+    # the six nodes around each interval, zero outside the covered window and
+    # clamped at 0.  Column j of the table holds the Newton divided
+    # differences of the stencil that starts at node j, then the nodes that
+    # Horner's rule on the Newton form reads, so one gather serves a query.
     th = rho.theta()
-    spline = CubicSpline(th, rho.values, extrapolate=False)
+    if np.any(np.diff(th) <= 0.0):
+        raise ValueError("nodes must stay distinct in the arctan parameter")
+    n = th.size
+    width = min(STENCIL, n)
+    rows = n - width + 1
+    diffs = rho.values
+    levels = [diffs[:rows]]
+    for k in range(1, width):
+        diffs = (diffs[1:] - diffs[:-1]) / (th[k:] - th[:-k])
+        levels.append(diffs[:rows])
+    table = np.array(levels + [th[k:k + rows] for k in range(width - 1)])
 
     def density(xi):
         t = np.arctan((np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma)
-        out = spline(t)
-        return np.where(np.isnan(out), 0.0, np.maximum(out, 0.0))
+        first = np.searchsorted(th, t, side="right") - width // 2
+        stencil = np.take(table, first, axis=1, mode="clip")  # a copy, so reused in place
+        offsets = np.subtract(t, stencil[width:], out=stencil[width:])
+        out = stencil[width - 1]
+        for k in range(width - 2, -1, -1):
+            out *= offsets[k]
+            out += stencil[k]
+        np.maximum(out, 0.0, out=out)
+        out[~((t >= th[0]) & (t <= th[-1]))] = 0.0
+        return out
 
     return density
 
@@ -367,8 +388,9 @@ def pf_monte_carlo_check(
 
     The refitted parameters are compared against the half-plane prediction;
     ``within_tolerance`` demands agreement within 5 asymptotic standard
-    errors of the fit.  Pole-guard hits are dropped with accounting and the
-    check aborts if they exceed ``MAX_DROP_FRACTION`` of the sample.
+    errors of the fit.  Pole-guard hits are dropped with accounting, and the
+    check raises PoleGuardError if they exceed ``MAX_DROP_FRACTION`` of the
+    sample.
     """
     alpha = check_alpha(alpha)
     if n < MIN_MONTE_CARLO_SIZE:
@@ -378,7 +400,7 @@ def pf_monte_carlo_check(
     batch = sample_cauchy(p, n, seed)
     pushed, dropped = _push_forward(alpha, batch.points, steps)
     if dropped > MAX_DROP_FRACTION * n:
-        raise RuntimeError(
+        raise PoleGuardError(
             f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
         )
     trajectory = iterate_parameter_map(alpha, HPoint(p.nu, p.gamma), steps)

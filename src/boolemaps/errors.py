@@ -13,8 +13,12 @@ class OrbitTruncationError(RuntimeError):
         self.last_index = last_index
 
 
+class PoleGuardError(RuntimeError):
+    """Too many Monte Carlo samples landed inside the pole guard to drop them."""
+
+
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested accuracy."""
+    """Quadrature did not reach the requested accuracy."""
 
 
 class FitConvergenceError(RuntimeError):

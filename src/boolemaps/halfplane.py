@@ -180,14 +180,30 @@ def picture_agreement(alpha: float, x: HPoint) -> float:
     )
 
 
+def _half_reciprocal(x: float) -> float:
+    # 0.5/x rather than 1/(2*x), whose 2*x overflows above DBL_MAX/2
+    out = 0.5 / x
+    if not 0.0 < out < math.inf:
+        raise SingularInputError(f"1/(2*{x!r}) is not a finite double")
+    return out
+
+
 def to_canonical(x: HPoint) -> CanonicalPoint:
-    """(nu, gamma) -> (q, p) = (nu, 1/(2*gamma))."""
-    return CanonicalPoint(x.nu, 1.0 / (2.0 * x.gamma))
+    """(nu, gamma) -> (q, p) = (nu, 1/(2*gamma)).
+
+    Raises SingularInputError where p is not a finite double (gamma below
+    about 2.8e-309).
+    """
+    return CanonicalPoint(x.nu, _half_reciprocal(x.gamma))
 
 
 def from_canonical(c: CanonicalPoint) -> HPoint:
-    """(q, p) -> (nu, gamma) = (q, 1/(2*p)); inverse of ``to_canonical``."""
-    return HPoint(c.q, 1.0 / (2.0 * c.p))
+    """(q, p) -> (nu, gamma) = (q, 1/(2*p)); inverse of ``to_canonical``.
+
+    Raises SingularInputError where gamma is not a finite double (p below
+    about 2.8e-309).
+    """
+    return HPoint(c.q, _half_reciprocal(c.p))
 
 
 def canonical_step(alpha: float, c: CanonicalPoint) -> CanonicalPoint:

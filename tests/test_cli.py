@@ -45,6 +45,12 @@ class TestIterateParams:
             assert (record["nu"], record["gamma"]) == (0.0, 1.0)
             assert record["dist_to_fixed_point"] == 0.0
 
+    def test_scale_near_dbl_max_runs(self, tmp_path):
+        # p = 1/(2*gamma) is a subnormal double here; 2*gamma would overflow
+        code, report = run_json(tmp_path, ["iterate-params", "--gamma0", "1e308", "--steps", "50"])
+        assert code == 0
+        assert report["records"][0]["p"] == 5e-309
+
     def test_report_shape(self, tmp_path):
         code, report = run_json(tmp_path, ["iterate-params", "--steps", "2"])
         assert set(report) == {"config", "records", "oracles", "meta"}
@@ -88,6 +94,11 @@ class TestValidation:
             ["verify-pf", "--xi0", "1"],
             ["geometry", "--steps", "2"],
             ["orbit", "--seed", "1"],
+            # a starting point that is not finite
+            ["iterate-params", "--nu0", "nan"],
+            ["verify-pf", "--gamma0", "inf"],
+            ["geometry", "--nu0", "nan"],
+            ["iterate-params", "--gamma0=-inf"],
         ],
     )
     def test_bad_config_exits_2(self, args):
@@ -101,6 +112,13 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("boolemaps: error: grid nodes collapse")
+
+    def test_non_finite_flag_message_is_one_line(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify-pf", "--gamma0", "inf"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "boolemaps: error: gamma0 must be finite, got inf"
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -345,36 +363,57 @@ class TestStreamingWriter:
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_quadrature_failure_is_a_failed_report(self, tmp_path, fmt):
-        # fisher_metric_quadrature cannot reach its tolerance this close to the
-        # boundary, although --gamma0 is inside the range validate() accepts
+    def test_pole_guard_failure_is_a_failed_report(self, tmp_path, fmt):
+        # about half of a C(0, 1e-300) sample lies inside the pole guard,
+        # although the flags are inside the range validate() accepts
         out = tmp_path / f"report.{fmt}"
         proc = subprocess.run(
-            [sys.executable, "-m", "boolemaps.cli", "geometry", "--gamma0", "2e-6",
-             "--format", fmt, "--out", str(out)],
+            [sys.executable, "-m", "boolemaps.cli", "verify-pf", "--nu0", "0",
+             "--gamma0", "1e-300", "--n", "10000", "--format", fmt, "--out", str(out)],
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "QuadratureError" in proc.stderr
+        assert proc.stderr.startswith("boolemaps verify-pf: PoleGuardError: ")
+        assert len(proc.stderr.splitlines()) == 1
         if fmt == "csv":
             assert out.read_text() == ""
             return
         report = json.loads(out.read_text())
         assert report["records"] == []
-        assert report["oracles"]["error"].startswith("QuadratureError: ")
+        assert report["oracles"]["error"].startswith("PoleGuardError: ")
         assert report["meta"]["passed"] is False
 
+    @pytest.mark.parametrize("flag", ["--gamma0", "--alpha"])
+    def test_singular_input_is_a_failed_report(self, tmp_path, capsys, flag):
+        # the image of gamma0 = 5e-324, or of gamma0 = 1 at alpha = 5e-324,
+        # is not a point of H in floating point
+        code, report = run_json(tmp_path, ["iterate-params", flag, "5e-324"])
+        assert code == 1
+        assert report["oracles"]["error"].startswith("SingularInputError: ")
+        assert report["meta"]["passed"] is False
+        err = capsys.readouterr().err
+        assert err.startswith("boolemaps iterate-params: SingularInputError: ")
+        assert len(err.splitlines()) == 1
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.interpolate and scipy.integrate serve one oracle branch each and
-    # take most of the start-up time, so importing the CLI must not load them
-    probe = (
-        "import sys, boolemaps.cli; "
-        "print([m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules])"
-    )
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # The runtime needs only numpy; scipy serves the tests as an oracle.  So
+    # neither the import nor any of the four commands may load a scipy module.
+    commands = [
+        ["iterate-params"],
+        ["verify-pf", "--n", "10000"],
+        ["geometry"],
+        ["orbit", "--n", "100000"],
+    ]
+    probe = "\n".join([
+        "import sys, boolemaps.cli",
+        f"for argv in {commands!r}:",
+        f"    assert boolemaps.cli.main(argv + ['--out', {str(tmp_path / 'r.json')!r}]) == 0, argv",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )

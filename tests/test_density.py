@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boolemaps import (
     CauchyParams,
@@ -13,6 +15,7 @@ from boolemaps import (
     GridResolutionWarning,
     HPoint,
     OrbitTruncationError,
+    PoleGuardError,
     cauchy_cdf,
     cauchy_grid,
     cauchy_pdf,
@@ -20,6 +23,7 @@ from boolemaps import (
     ergodic_orbit_check,
     fit_cauchy,
     invariant_params,
+    iterate_parameter_map,
     ks_distance,
     parameter_step,
     pf_closed_form_check,
@@ -27,7 +31,24 @@ from boolemaps import (
     pf_monte_carlo_check,
     sample_cauchy,
 )
-from boolemaps.density import transfer_values
+from boolemaps.density import _grid_density, transfer_values
+
+#: Relative error, against the peak, allowed after a 10-step chain on a
+#: tabulated-only grid (the benchmark's bound for the same chain).
+SPLINE_RTOL = 1e-5
+
+
+def spline_density(rho):
+    """The interpolant of a tabulated-only grid by a scipy cubic spline: the oracle."""
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(rho.theta(), rho.values, extrapolate=False)
+
+    def density(xi):
+        out = spline(np.arctan((np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma))
+        return np.where(np.isnan(out), 0.0, np.maximum(out, 0.0))
+
+    return density
 
 
 class TestDensityGrid:
@@ -122,6 +143,54 @@ class TestTransferStep:
         np.testing.assert_allclose(
             stepped.values[window], exact.values[window], atol=1e-8
         )
+        spline = transfer_values(0.5, spline_density(tabulated), exact.nodes)
+        np.testing.assert_allclose(stepped.values[window], spline[window], atol=1e-8)
+
+    @given(
+        st.floats(min_value=0.2, max_value=0.8),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
+    )
+    def test_tabulated_chain_against_cubic_spline(self, alpha, nu, log_gamma):
+        # ten steps on a 4096-node grid, the benchmark's chain
+        grid = cauchy_grid(CauchyParams(nu, math.exp(log_gamma)), 4096)
+        quintic = DensityGrid(grid.nodes, grid.values, grid.tail_mass, ref=grid.ref)
+        spline = grid.values
+        for _ in range(10):
+            quintic = pf_density_step(alpha, quintic)
+            spline = transfer_values(
+                alpha, spline_density(DensityGrid(grid.nodes, spline, 0.0, ref=grid.ref)), grid.nodes
+            )
+        end = iterate_parameter_map(alpha, HPoint(nu, math.exp(log_gamma)), 10)[-1]
+        exact = cauchy_pdf(CauchyParams(end.nu, end.gamma), grid.nodes)
+        bound = SPLINE_RTOL * np.max(exact)
+        assert np.max(np.abs(quintic.values - exact)) <= bound
+        assert np.max(np.abs(quintic.values - spline)) <= bound
+
+    def test_quintic_reproduces_quintics_on_uneven_nodes(self):
+        # any strictly increasing nodes will do, and the local quintic through
+        # six of them is exact for a polynomial of degree 5 in the arctan
+        # parameter, up to the window edges
+        rng = np.random.default_rng(3)
+        nodes = np.sort(rng.standard_cauchy(40))
+        ref = CauchyParams(0.2, 1.5)
+
+        def poly(xi):
+            th = np.arctan((xi - ref.nu) / ref.gamma)
+            return 4.0 + th - 0.3 * th**2 + 0.1 * th**5  # positive on (-pi/2, pi/2)
+
+        density = _grid_density(DensityGrid(nodes, poly(nodes), 0.0, ref=ref))
+        inside = rng.uniform(nodes[0], nodes[-1], 1000)
+        np.testing.assert_allclose(density(inside), poly(inside), rtol=1e-9)
+        outside = np.array([nodes[0] - 1.0, nodes[-1] + 1.0, np.nan])
+        np.testing.assert_array_equal(density(outside), 0.0)
+
+    def test_tabulated_nodes_must_stay_distinct_in_theta(self):
+        # distinct doubles whose arctan parameters round to the same value
+        nodes = np.array([1e20, 1e21, 1e22])
+        grid = DensityGrid(nodes, np.ones(3), 0.0, ref=CauchyParams(0.0, 1.0))
+        with pytest.raises(ValueError):
+            pf_density_step(0.5, grid)
 
     def test_coarse_grid_warns(self):
         grid = cauchy_grid(CauchyParams(1.0, 1.0), n_nodes=8)
@@ -221,6 +290,11 @@ class TestMonteCarloPushForward:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             pf_monte_carlo_check(0.5, CauchyParams(1, 1), 10**3, 1, seed=0)
+
+    def test_pole_guard_overflow_raises(self):
+        # about half of a C(0, 1e-300) sample lies inside the pole guard
+        with pytest.raises(PoleGuardError):
+            pf_monte_carlo_check(0.5, CauchyParams(0, 1e-300), 10**4, 1, seed=0)
 
 
 class TestErgodicity:

@@ -1,19 +1,23 @@
 """Metric, conformal pullback, Killing fields, symplectic structure."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from boolemaps import (
     CanonicalPoint,
+    CauchyParams,
     HPoint,
     KILLING_FIELD_NAMES,
     QuadratureError,
     apply_complex_structure,
     canonical_form_coefficient,
+    cauchy_pdf,
     christoffel,
     conformal_factor,
     conformal_factor_from_jacobian,
@@ -31,6 +35,7 @@ from boolemaps import (
     two_form_value,
     verify_conformal_pullback,
 )
+from boolemaps.cli import QUADRATURE_TOL
 
 points = st.builds(
     HPoint,
@@ -38,6 +43,42 @@ points = st.builds(
     st.floats(min_value=0.2, max_value=4.0),
 )
 components = st.floats(min_value=-1.0, max_value=1.0)
+
+
+#: The scales at which 1/(2*gamma^2) is a normal double.
+_GAMMA_NORMAL = (math.sqrt(0.5 / sys.float_info.max), math.sqrt(0.5 / sys.float_info.min))
+
+
+def _adaptive_metric(x: HPoint):
+    """The metric integrals by scipy's adaptive quadrature, with its error estimates.
+
+    The integrand, one point at a time: the scores and the Cauchy density at
+    xi = nu + gamma*tan(t), times d(xi)/dt.  Convergence is judged by the
+    error estimates, so quad's own warnings are silenced.
+    """
+    from scipy.integrate import quad
+
+    p = CauchyParams(x.nu, x.gamma)
+    nu, gamma = x.nu, x.gamma
+
+    def integrand(a, b):
+        def f(t):
+            xi = nu + gamma * math.tan(t)
+            d = xi - nu
+            q = d * d + gamma * gamma
+            score = (2.0 * d / q, (d * d - gamma * gamma) / (gamma * q))
+            return score[a] * score[b] * cauchy_pdf(p, xi) * gamma / math.cos(t) ** 2
+
+        return f
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = [
+            quad(integrand(a, b), -math.pi / 2.0, math.pi / 2.0,
+                 epsabs=1e-12, epsrel=1e-12, limit=200)
+            for a, b in ((0, 0), (0, 1), (1, 1))
+        ]
+    return np.array([value for value, _ in results]), [err for _, err in results]
 
 
 class TestFisherMetric:
@@ -65,10 +106,42 @@ class TestFisherQuadrature:
         assert g.g_gg == pytest.approx(diag, abs=1e-8)
         assert g.g_ng == pytest.approx(0.0, abs=1e-8)
 
-    def test_unreachable_tolerance_raises(self):
-        # this close to gamma = 0 the integrand is too sharp for the quadrature
+    @given(
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.floats(min_value=math.log(_GAMMA_NORMAL[0]), max_value=math.log(_GAMMA_NORMAL[1])),
+    )
+    @example(1.0, math.log(2e-6))
+    def test_exact_wherever_the_metric_is_normal(self, nu, log_gamma):
+        # The midpoint rule integrates the integrands exactly, so only rounding
+        # is left, at every scale where 1/(2*gamma^2) is a normal double.
+        # At gamma = 2e-6 scipy's adaptive quadrature misses 1e-9.
+        gamma = math.exp(log_gamma)
+        diag = 0.5 / gamma / gamma
+        assume(sys.float_info.min <= diag <= sys.float_info.max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = fisher_metric_quadrature(HPoint(nu, gamma))
+        assert abs(g.g_nn - diag) <= 1e-12 * diag
+        assert abs(g.g_gg - diag) <= 1e-12 * diag
+        assert abs(g.g_ng) <= 1e-12 * diag
+
+    @given(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=math.log(1e-2), max_value=math.log(1e2)),
+    )
+    def test_matches_adaptive_quadrature(self, nu, log_gamma):
+        # oracle: scipy's adaptive quadrature of the same integrals, wherever
+        # it reports convergence
+        x = HPoint(nu, math.exp(log_gamma))
+        values, errors = _adaptive_metric(x)
+        assume(max(errors) <= 1e-9)
+        g = fisher_metric_quadrature(x)
+        gaps = np.abs(np.array([g.g_nn, g.g_ng, g.g_gg]) - values)
+        assert np.max(gaps) < QUADRATURE_TOL
+
+    def test_overflowing_metric_raises(self):
         with pytest.raises(QuadratureError):
-            fisher_metric_quadrature(HPoint(1.0, 2e-6))
+            fisher_metric_quadrature(HPoint(0.0, 1e-160))
 
 
 class TestConformalFactor:

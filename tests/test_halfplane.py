@@ -304,6 +304,19 @@ class TestCanonicalCoordinates:
         with pytest.raises(ValueError):
             CanonicalPoint(0.0, 0.0)
 
+    @pytest.mark.parametrize("big", [1e308, 1.7976931348623157e308])
+    def test_huge_coordinate_has_a_subnormal_reciprocal(self, big):
+        # 2*big overflows; 0.5/big is a positive subnormal double
+        assert to_canonical(HPoint(1.0, big)).p == 0.5 / big > 0.0
+        assert from_canonical(CanonicalPoint(1.0, big)).gamma == 0.5 / big > 0.0
+
+    @pytest.mark.parametrize("tiny", [5e-324, 2e-309])
+    def test_reciprocal_beyond_dbl_max_raises(self, tiny):
+        with pytest.raises(SingularInputError):
+            to_canonical(HPoint(1.0, tiny))
+        with pytest.raises(SingularInputError):
+            from_canonical(CanonicalPoint(1.0, tiny))
+
     def test_step_fixed_point(self):
         out = canonical_step(0.5, CanonicalPoint(0.0, 0.5))
         assert (out.q, out.p) == pytest.approx((0.0, 0.5), abs=1e-15)
