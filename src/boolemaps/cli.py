@@ -13,30 +13,40 @@ exits 2 with a one-line message.
 
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
-(the records table).  Records are kept as columns and streamed to the output
-a chunk of rows at a time.  Floats are written in shortest round-trip form
-so identical runs diff cleanly.  The exit status is 0 exactly when every
-tolerance check the command configured has passed; a numerical failure in
-the library gives exit 1 and a report with empty records and
-``oracles.error``.
+(the records table).  ``meta.timings`` holds the seconds spent validating
+the flags, computing and rendering.  Records are kept as columns and
+streamed to the output a chunk of rows at a time.  The chunks are encoded
+round-robin on every CPU the process may run on, by the process itself and
+forked workers, and written in order; the bytes do not depend on the number
+of CPUs.  Floats are written in shortest round-trip form so identical runs
+diff cleanly.  The exit status is 0 exactly when every tolerance check the
+command configured has passed; a numerical failure in the library gives
+exit 1 and a report with empty records and ``oracles.error``, and a chunk
+that cannot be encoded gives exit 1 and one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
+import signal
+import struct
 import sys
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from . import __version__
 from .density import (
     DEFAULT_GRID_SIZE,
+    MAX_SAMPLE_OFFSET,
     MIN_MONTE_CARLO_SIZE,
     ks_distance,
     pf_closed_form_check,
@@ -123,6 +133,14 @@ def validate(cfg: argparse.Namespace) -> None:
                 f"grid nodes collapse: gamma0*pi/(grid-size - 1) = {gap:.3g} does not exceed"
                 f" the spacing {math.ulp(cfg.nu0):.3g} of doubles at nu0 = {cfg.nu0}"
             )
+        # Every point of the sample, and so of the grid, lies within
+        # gamma0*MAX_SAMPLE_OFFSET of nu0; that must stay a finite double.
+        if not math.isfinite(abs(cfg.nu0) + cfg.gamma0 * MAX_SAMPLE_OFFSET):
+            limit = (sys.float_info.max - abs(cfg.nu0)) / MAX_SAMPLE_OFFSET
+            raise ValueError(
+                f"gamma0 must not exceed {limit:.4g} at nu0 = {cfg.nu0}, or a sample point"
+                f" can overflow; got {cfg.gamma0}"
+            )
     if cfg.command == "orbit" and not (math.isfinite(cfg.xi0) and abs(cfg.xi0) >= POLE_EPS):
         raise ValueError(f"xi0 must be finite with |xi0| >= {POLE_EPS}, got {cfg.xi0}")
 
@@ -183,14 +201,11 @@ def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
     params = CauchyParams(cfg.nu0, cfg.gamma0)
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
         sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
-        caught = [str(w.message) for w in grabbed]
-    report = pf_monte_carlo_check(
-        cfg.alpha, params, cfg.n, cfg.steps, cfg.seed
-    )
+        report = pf_monte_carlo_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
+    caught = [str(w.message) for w in grabbed]
     oracles = {
         "sup_error": sup_error,
         "sup_error_pass": sup_error < SUP_ERROR_TOL,
@@ -318,14 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CHUNK_ROWS = 1 << 16
+#: A frame on a worker's pipe: whether the chunk was encoded, then the length
+#: in bytes of what follows, the chunk's text or the failure that stopped it.
+_FRAME = struct.Struct("<?Q")
 
 
-def _chunks(table: Table):
-    # Each column as Python scalars, _CHUNK_ROWS rows at a time, so that the
-    # text in flight stays bounded whatever the length of the table.
-    for start in range(0, len(table), _CHUNK_ROWS):
-        parts = [column[start:start + _CHUNK_ROWS] for column in table.columns]
-        yield [part.tolist() if isinstance(part, np.ndarray) else list(part) for part in parts]
+class ReportError(RuntimeError):
+    """A worker failed to encode its records, so the report is incomplete."""
+
+
+def _columns(table: Table, start: int) -> list[list]:
+    # The rows of one chunk, from ``start``, each column as Python scalars.
+    parts = [column[start:start + _CHUNK_ROWS] for column in table.columns]
+    return [part.tolist() if isinstance(part, np.ndarray) else list(part) for part in parts]
 
 
 def _csv_cells(values: list) -> list[str]:
@@ -334,44 +354,162 @@ def _csv_cells(values: list) -> list[str]:
     return [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
 
 
+def _csv_chunk(table: Table, start: int) -> str:
+    """The CSV lines of one chunk of rows, from ``start``."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(zip(*map(_csv_cells, _columns(table, start))))
+    return text.getvalue()
+
+
+def _json_chunk(table: Table, start: int) -> str:
+    """One chunk of rows, from ``start``, as items of the indented records array.
+
+    The C encoder encodes a column at a time, and each row is laid into a
+    template; a chunk after the first begins with the separator before it.
+    """
+    row = "    {" + ",".join(f"\n      {json.dumps(key)}: %s" for key in table.header) + "\n    }"
+    # "\n" as the item separator: no encoded value contains a raw newline
+    cells = [json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+             for values in _columns(table, start)]
+    return (",\n" if start else "") + ",\n".join(map(row.__mod__, zip(*cells)))
+
+
+def _cpu_count() -> int:
+    # the CPUs this process may run on; one where the OS cannot say
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork() -> int:
+    # Python 3.12+ warns that forking a process with threads (numpy's BLAS
+    # pool) can deadlock a child that needs a lock another thread held.  A
+    # worker takes none: it encodes with json and csv, writes to its pipe
+    # and leaves through os._exit.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
+        )
+        return os.fork()
+
+
+def _encode(encode, table: Table, start: int) -> str:
+    # A failed chunk reads the same from any worker: one line, not a traceback.
+    try:
+        return encode(table, start)
+    except Exception as exc:
+        raise ReportError(f"rows from {start} not encoded: {type(exc).__name__}: {exc}") from exc
+
+
+def _serve(table: Table, encode, starts: range, pipe, readers: list) -> NoReturn:
+    # A forked worker: send each chunk, or the failure that stopped it, then
+    # leave through os._exit, so that no exit handler runs and no buffer
+    # copied from the parent (its unflushed report among them) is written.
+    # The parent learns of a failure from the pipe, not the exit status.
+    try:
+        for reader in readers:  # the parent's ends, so that only it holds them
+            reader.close()
+        for start in starts:
+            try:
+                data, encoded = _encode(encode, table, start).encode(), True
+            except ReportError as exc:
+                data, encoded = str(exc).encode(), False
+            pipe.write(_FRAME.pack(encoded, len(data)))
+            pipe.write(data)
+            pipe.flush()
+            if not encoded:
+                break
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe, start: int) -> str:
+    # A worker's chunk from ``start``; ReportError if it sent its failure or died.
+    header = pipe.read(_FRAME.size)
+    if len(header) == _FRAME.size:
+        encoded, size = _FRAME.unpack(header)
+        data = pipe.read(size)
+        if len(data) == size:
+            if encoded:
+                return data.decode()
+            raise ReportError(data.decode())
+    raise ReportError(f"rows from {start} not encoded: the worker exited")
+
+
+def _write_chunks(table: Table, encode, handle) -> None:
+    """Write ``encode(table, start)`` for every chunk of rows, in order.
+
+    Chunk k is encoded by worker k % W, with W the number of CPUs this
+    process may run on, at most the number of chunks.  Worker 0 is this
+    process; the others are forked children, which send their chunks back
+    through pipes.  A child blocks on its pipe until its chunk is read, so
+    no worker holds more than one chunk of text.
+    """
+    starts = range(0, len(table), _CHUNK_ROWS)
+    workers = min(_cpu_count(), len(starts))
+    pipes, pids = [], []
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as pipe:
+                pid = _fork()
+                if pid == 0:
+                    _serve(table, encode, starts[w::workers], pipe, pipes)
+            pids.append(pid)
+        for k, start in enumerate(starts):
+            w = k % workers
+            handle.write(_receive(pipes[w - 1], start) if w else _encode(encode, table, start))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            # every chunk was read, or the report failed: no worker is needed now
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _write_csv(table: Table, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
     if table.header:
-        writer.writerow(table.header)
-    for columns in _chunks(table):
-        writer.writerows(zip(*map(_csv_cells, columns)))
+        csv.writer(handle, lineterminator="\n").writerow(table.header)
+    _write_chunks(table, _csv_chunk, handle)
 
 
 _RECORDS_SLOT = "\0records\0"
 
 
+def _around_records(report: dict) -> tuple[str, str]:
+    # The JSON text before and after the records of json.dumps(report, indent=2).
+    head, _, tail = json.dumps({**report, "records": _RECORDS_SLOT}, indent=2).partition(
+        json.dumps(_RECORDS_SLOT)
+    )
+    return head, tail
+
+
 def _write_json(report: dict, handle) -> None:
     # The same text as json.dumps(report, indent=2) with every record a dict.
     # With indent set, json encodes in pure Python; here only the small
-    # remainder of the report goes that way, and the records are encoded a
-    # column at a time by the C encoder and laid into a per-row template.
+    # remainder of the report goes that way.  The tail (oracles, meta) is
+    # encoded after the records, so that render_s counts them.
+    started = time.perf_counter()
     table = report["records"]
-    text = json.dumps({**report, "records": _RECORDS_SLOT}, indent=2)
-    head, _, tail = text.partition(json.dumps(_RECORDS_SLOT))
-    if not len(table):
-        handle.write(f"{head}[]{tail}\n")
-        return
-    row = "    {" + ",".join(f"\n      {json.dumps(key)}: %s" for key in table.header) + "\n    }"
-    handle.write(head + "[\n")
-    separator = ""
-    for columns in _chunks(table):
-        # "\n" as the item separator: no encoded value contains a raw newline
-        cells = [json.dumps(values, separators=("\n", ":"))[1:-1].split("\n") for values in columns]
-        handle.write(separator + ",\n".join(map(row.__mod__, zip(*cells))))
-        separator = ",\n"
-    handle.write(f"\n  ]{tail}\n")
+    head, _ = _around_records(report)
+    if len(table):
+        handle.write(head + "[\n")
+        _write_chunks(table, _json_chunk, handle)
+        handle.write("\n  ]")
+    else:
+        handle.write(head + "[]")
+    report["meta"]["timings"]["render_s"] = time.perf_counter() - started
+    _, tail = _around_records(report)
+    handle.write(tail + "\n")
 
 
 def render_report(report: dict, fmt: str, handle) -> None:
     """Write ``report`` to ``handle``: all of it as JSON, or its records as CSV.
 
-    Rows are written in chunks straight from the record columns, so the
-    whole report is never held as one string.
+    Rows are written in chunks straight from the record columns, encoded on
+    every CPU this process may run on, so the whole report is never held as
+    one string.  JSON sets ``meta.timings.render_s`` to the time spent up to
+    the tail that holds it.  ReportError means the records were cut short.
     """
     if fmt == "csv":
         _write_csv(report["records"], handle)
@@ -380,6 +518,7 @@ def render_report(report: dict, fmt: str, handle) -> None:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     cfg = parser.parse_args(argv)
     try:
@@ -387,7 +526,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    started = time.perf_counter()
+    validated = time.perf_counter()
     try:
         body, passed = _COMMANDS[cfg.command](cfg)
     except (QuadratureError, FitConvergenceError, PoleGuardError, SingularInputError) as exc:
@@ -401,15 +540,23 @@ def main(argv=None) -> int:
         "oracles": body["oracles"],
         "meta": {
             "version": __version__,
-            "wall_time_s": time.perf_counter() - started,
+            "timings": {
+                "validate_s": validated - started,
+                "compute_s": time.perf_counter() - validated,
+                "render_s": 0.0,  # set by the JSON writer
+            },
             "passed": passed,
         },
     }
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as handle:
-            render_report(report, cfg.format, handle)
-    else:
-        render_report(report, cfg.format, sys.stdout)
+    try:
+        if cfg.output_path:
+            with open(cfg.output_path, "w") as handle:
+                render_report(report, cfg.format, handle)
+        else:
+            render_report(report, cfg.format, sys.stdout)
+    except ReportError as exc:
+        print(f"boolemaps {cfg.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return 0 if passed else 1
 
 

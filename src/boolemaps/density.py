@@ -254,10 +254,16 @@ class SampleBatch:
     points: np.ndarray
 
 
+#: The largest |tan(pi*(u - 1/2))| over the doubles u in [0, 1) that
+#: ``sample_cauchy`` draws, reached at u = 0: about 1.6e16.
+MAX_SAMPLE_OFFSET = float(abs(np.tan(-0.5 * np.pi)))
+
+
 def sample_cauchy(p: CauchyParams, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` points by inverse-CDF sampling from one counter-based stream.
 
-    Identical (seed, n) always reproduces the points bit for bit.
+    Identical (seed, n) always reproduces the points bit for bit.  Every
+    point lies within ``p.gamma * MAX_SAMPLE_OFFSET`` of ``p.nu``.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")

@@ -88,8 +88,16 @@ def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def preimages(alpha: float, xi_prime: float) -> tuple[float, float]:
-    """Both solutions of alpha*(xi - 1/xi) = xi_prime, ordered low/high."""
-    lo, hi = _preimages(check_alpha(alpha), xi_prime)
+    """Both solutions of alpha*(xi - 1/xi) = xi_prime, ordered low/high.
+
+    Raises SingularInputError where a root is not a finite double, as for
+    |xi_prime| above about alpha*DBL_MAX.
+    """
+    alpha = check_alpha(alpha)
+    with np.errstate(over="ignore"):
+        lo, hi = _preimages(alpha, xi_prime)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise SingularInputError(f"a preimage of {xi_prime!r} is not a finite double")
     return float(lo), float(hi)
 
 

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import math
+import os
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
@@ -55,6 +59,7 @@ class TestIterateParams:
         code, report = run_json(tmp_path, ["iterate-params", "--steps", "2"])
         assert set(report) == {"config", "records", "oracles", "meta"}
         assert report["meta"]["version"]
+        assert set(report["meta"]["timings"]) == {"validate_s", "compute_s", "render_s"}
         assert "seed" not in report["meta"]
         assert report["config"]["command"] == "iterate-params"
 
@@ -99,6 +104,9 @@ class TestValidation:
             ["verify-pf", "--gamma0", "inf"],
             ["geometry", "--nu0", "nan"],
             ["iterate-params", "--gamma0=-inf"],
+            # a sample point could overflow
+            ["verify-pf", "--gamma0", "1e308", "--n", "10000"],
+            ["verify-pf", "--gamma0", "1.2e292", "--n", "10000"],
         ],
     )
     def test_bad_config_exits_2(self, args):
@@ -165,6 +173,16 @@ class TestVerifyPf:
         )
         assert code == 0
         assert report["oracles"]["sup_error_pass"] and report["oracles"]["monte_carlo_pass"]
+
+    def test_largest_scale_has_a_finite_report(self, tmp_path):
+        # |nu0| + gamma0 * 1.633e16 stays below DBL_MAX; any warning fails here
+        code, report = run_json(
+            tmp_path, ["verify-pf", "--nu0", "0", "--gamma0", "1.1e292", "--n", "10000"]
+        )
+        assert code == 0
+        oracles = report["oracles"]
+        assert oracles["warnings"] == []
+        assert all(math.isfinite(v) for v in oracles.values() if isinstance(v, float))
 
     def test_coarse_grid_reports_warning(self, tmp_path):
         code, report = run_json(
@@ -293,6 +311,11 @@ class TestSerialization:
         assert len(report["records"]) == 2
 
 
+def _one_cpu():
+    # preexec_fn of a command that must run on a single CPU
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def _old_json(report):
     # Reference renderer: the whole report with one dict per record, dumped
     # by json's pure-Python indenting encoder.
@@ -324,8 +347,10 @@ class TestStreamingWriter:
             ["orbit", "--n", "5"],
             ["orbit", "--alpha", "0.5", "--xi0", "1", "--n", "3"],  # truncated
             ["orbit", "--alpha", "0.8", "--xi0", "0.3", "--n", "100000"],  # two chunks
+            ["orbit", "--n", "200000"],  # four chunks, the last of 3393 rows
         ],
-        ids=["iterate-params", "verify-pf", "geometry", "orbit", "orbit-truncated", "orbit-1e5"],
+        ids=["iterate-params", "verify-pf", "geometry", "orbit", "orbit-truncated", "orbit-1e5",
+             "orbit-2e5"],
     )
     def test_matches_whole_report_renderers(self, tmp_path, monkeypatch, args, fmt):
         seen = []
@@ -341,6 +366,84 @@ class TestStreamingWriter:
         (report,) = seen
         expected = _old_json(report) if fmt == "json" else _old_csv(report)
         assert out.read_text() == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_same_bytes_on_one_cpu_and_on_all(self, tmp_path, fmt, to_stdout):
+        # Chunks are encoded by as many workers as the process has CPUs.
+        def run(one_cpu):
+            argv = [sys.executable, "-m", "boolemaps.cli", "orbit", "--n", "200000",
+                    "--format", fmt]
+            out = tmp_path / f"orbit.{fmt}"
+            if not to_stdout:
+                argv += ["--out", str(out)]
+            proc = subprocess.run(argv, capture_output=True, timeout=120,
+                                  preexec_fn=_one_cpu if one_cpu else None)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            text = proc.stdout if to_stdout else out.read_bytes()
+            # meta, the last section of a JSON report, holds the run's timings
+            return text.partition(b'\n  "meta": ')[0] if fmt == "json" else text
+
+        assert run(one_cpu=True) == run(one_cpu=False)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["all-cpus", "one-cpu"])
+    def test_failed_chunk_fails_the_command(self, tmp_path, fmt, one_cpu):
+        # An encoder that raises from the second chunk on, in whichever worker
+        # encodes it: one line on stderr, exit 1, and every worker reaped.
+        out = tmp_path / f"orbit.{fmt}"
+        probe = "\n".join([
+            "import os, sys",
+            "from boolemaps import cli",
+            f"encode = cli._{fmt}_chunk",
+            "def failing(table, start):",
+            "    if start:",
+            "        raise ValueError('injected')",
+            "    return encode(table, start)",
+            f"cli._{fmt}_chunk = failing",
+            f"argv = ['orbit', '--n', '200000', '--format', {fmt!r}, '--out', {str(out)!r}]",
+            "code = cli.main(argv)",
+            "try:",
+            "    os.waitpid(-1, os.WNOHANG)",
+            "except ChildProcessError:",
+            "    print('no child left')",
+            "sys.exit(code)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=120, preexec_fn=_one_cpu if one_cpu else None)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "boolemaps orbit: ReportError: rows from 65536 not encoded: ValueError: injected\n"
+        )
+        assert proc.stdout == "no child left\n"
+
+    def test_fork_warning_is_not_shown(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns when a process with threads forks; a worker only
+        # encodes and exits, so the warning is not the user's to act on.
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead"
+                " to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        code, _ = run_json(tmp_path, ["orbit", "--n", "100000"])
+        assert code == 0
+
+    def test_timings_account_for_the_run(self, tmp_path):
+        out = tmp_path / "orbit.json"
+        started = time.perf_counter()
+        argv = [sys.executable, "-m", "boolemaps.cli", "orbit", "--n", "200000", "--out", str(out)]
+        subprocess.run(argv, check=True, timeout=120)
+        wall = time.perf_counter() - started
+        timings = json.loads(out.read_text())["meta"]["timings"]
+        assert timings["render_s"] > 0
+        assert sum(timings.values()) <= wall
 
     def test_orbit_report_memory_is_bounded(self, tmp_path):
         # A child's ru_maxrss starts from its parent's high-water mark at exec,

@@ -117,6 +117,12 @@ class TestPreimages:
         assert math.isfinite(lo) and math.isfinite(hi)
         assert (lo, hi) == pytest.approx(sorted((sign * 1e308 / 0.9, -sign * 9e-309)), rel=1e-15)
 
+    @pytest.mark.parametrize("target", [1e308, -1e308, math.inf, math.nan])
+    def test_root_beyond_dbl_max_raises(self, target):
+        # 1e308/0.37 is not a double
+        with pytest.raises(SingularInputError):
+            preimages(0.37, target)
+
 
 class TestIterateOrbit:
     def test_truncates_at_pole(self):
