@@ -142,13 +142,20 @@ def _grid_density(rho: DensityGrid):
         src = rho.source
         return lambda xi: cauchy_pdf(src, xi)
     # Tabulated-only fallback: in the arctan parameter, the quintic through
-    # the six nodes around each interval, zero outside the covered window and
-    # clamped at 0.  Column j of the table holds the Newton divided
-    # differences of the stencil that starts at node j, then the nodes that
-    # Horner's rule on the Newton form reads, so one gather serves a query.
+    # the six nodes around each interval, clamped at 0.  Column j of the
+    # table holds the Newton divided differences of the stencil that starts
+    # at node j, then the nodes that Horner's rule on the Newton form reads,
+    # so one gather serves a query.  Beyond the covered window the integrand
+    # in the arctan parameter stays at its value on the nearer edge node, the
+    # shape of every Cauchy tail, so long as the grid records tail mass at
+    # all.  The edge values, not the recorded tail mass, set that level: the
+    # tail mass absorbs each step's mass drift, and fed back through the
+    # edge values it would amplify the drift from step to step.
     th = rho.theta()
     if np.any(np.diff(th) <= 0.0):
         raise ValueError("nodes must stay distinct in the arctan parameter")
+    f = rho._integrand() / rho.ref.gamma if rho.tail_mass > 0.0 else np.zeros(2)
+    below_level, above_level = f[0], f[-1]
     n = th.size
     width = min(STENCIL, n)
     rows = n - width + 1
@@ -160,7 +167,8 @@ def _grid_density(rho: DensityGrid):
     table = np.array(levels + [th[k:k + rows] for k in range(width - 1)])
 
     def density(xi):
-        t = np.arctan((np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma)
+        s = (np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma
+        t = np.arctan(s)
         first = np.searchsorted(th, t, side="right") - width // 2
         stencil = np.take(table, first, axis=1, mode="clip")  # a copy, so reused in place
         offsets = np.subtract(t, stencil[width:], out=stencil[width:])
@@ -170,6 +178,9 @@ def _grid_density(rho: DensityGrid):
             out += stencil[k]
         np.maximum(out, 0.0, out=out)
         out[~((t >= th[0]) & (t <= th[-1]))] = 0.0
+        # d(theta)/d(xi) = 1/(gamma*(1 + s^2)); hypot keeps 1 + s^2 from overflowing
+        for side, level in ((t < th[0], below_level), (t > th[-1], above_level)):
+            out[side] = level / np.hypot(1.0, s[side]) ** 2
         return out
 
     return density
@@ -179,15 +190,21 @@ def _grid_cdf(rho: DensityGrid):
     if rho.source is not None:
         src = rho.source
         return lambda xi: cauchy_cdf(src, xi)
-    # Empirical CDF from the grid; the recorded tail mass is split evenly
-    # between the two sides (the grid does not remember the split).
+    # Empirical CDF from the grid, piecewise linear in the arctan parameter:
+    # trapezoid sums over the window, and beyond it the recorded tail mass,
+    # split evenly between the two sides (the grid does not remember the
+    # split), spread evenly out to +-pi/2, the tail shape ``_grid_density``
+    # also assumes.
+    th = rho.theta()
     f = rho._integrand()
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(rho.theta()) * 0.5 * (f[1:] + f[:-1]))])
-    left = rho.tail_mass / 2.0
+    cum = np.cumsum(np.diff(th) * 0.5 * (f[1:] + f[:-1]))
+    half = 0.5 * rho.tail_mass
+    knots = np.concatenate([[-0.5 * np.pi], th, [0.5 * np.pi]])
+    levels = np.concatenate([[0.0, half], half + cum, [half + cum[-1] + half]])
 
     def cdf(xi):
-        return left + np.interp(
-            np.asarray(xi, dtype=float), rho.nodes, cum, left=0.0, right=cum[-1]
+        return np.interp(
+            np.arctan((np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma), knots, levels
         )
 
     return cdf

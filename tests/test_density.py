@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boolemaps import (
@@ -151,6 +151,9 @@ class TestTransferStep:
         st.floats(min_value=-2.0, max_value=2.0),
         st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
     )
+    # the outer preimage of each edge node falls beyond the window, where a
+    # density cut to zero lost about 2e-3 of the mass in the second step
+    @example(alpha=0.75, nu=0.0, log_gamma=-1.25)
     def test_tabulated_chain_against_cubic_spline(self, alpha, nu, log_gamma):
         # ten steps on a 4096-node grid, the benchmark's chain
         grid = cauchy_grid(CauchyParams(nu, math.exp(log_gamma)), 4096)
