@@ -286,7 +286,12 @@ def sample_cauchy(p: CauchyParams, n: int, seed: int) -> SampleBatch:
         raise ValueError("sample size must be at least 1")
     stream = np.random.SeedSequence(seed, spawn_key=(0,))
     u = np.random.Generator(np.random.Philox(stream)).random(n)
-    return SampleBatch(seed=seed, size=n, points=p.nu + p.gamma * np.tan(np.pi * (u - 0.5)))
+    # p.nu + p.gamma*tan(pi*(u - 1/2)), formed in u's own buffer
+    np.subtract(u, 0.5, out=u)
+    np.multiply(np.pi, u, out=u)
+    np.tan(u, out=u)
+    np.multiply(p.gamma, u, out=u)
+    return SampleBatch(seed=seed, size=n, points=np.add(p.nu, u, out=u))
 
 
 def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> CauchyParams:
@@ -302,13 +307,49 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> CauchyParams:
     if points.size < MIN_FIT_SIZE:
         raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {points.size}")
     ordered = np.sort(points)  # fixed reduction order for quantiles
-    q1, q2, q3 = np.quantile(ordered, [0.25, 0.5, 0.75])
+    q1, q2, q3 = np.quantile(ordered, [0.25, 0.5, 0.75], overwrite_input=True)
     quartile_fit = CauchyParams(float(q2), float((q3 - q1) / 2.0))
     if method == "median_iqr":
         return quartile_fit
     if method == "mle":
         return _cauchy_mle(points, quartile_fit)
     raise ValueError(f"unknown fit method {method!r}")
+
+
+#: Sample-sized work runs in blocks of this many points (512 KiB of doubles),
+#: so that no temporary grows with the sample: a Monte Carlo check holds its
+#: sample and one sorted copy, and its peak memory does not depend on where
+#: earlier large temporaries left the heap.
+_BLOCK = 1 << 16
+
+
+def _blocks(points: np.ndarray):
+    return (points[lo:lo + _BLOCK] for lo in range(0, points.size, _BLOCK))
+
+
+def _mean_log_q(points: np.ndarray, nu: float, gamma: float) -> float:
+    """Mean over the points of log(d^2 + gamma^2), d = points - nu."""
+    total = 0.0
+    for block in _blocks(points):
+        d = block - nu
+        total += float(np.sum(np.log(d * d + gamma * gamma)))
+    return total / points.size
+
+
+def _score_means(points: np.ndarray, nu: float, gamma: float) -> list[float]:
+    """Means over the points of 1/q, d/q, 1/q^2, d/q^2 and (d^2 - gamma^2)/q^2.
+
+    Here d = points - nu and q = d^2 + gamma^2.
+    """
+    g2 = gamma * gamma
+    sums = np.zeros(5)
+    for block in _blocks(points):
+        d = block - nu
+        q = d * d + g2
+        q2 = q * q
+        sums += [np.sum(1.0 / q), np.sum(d / q), np.sum(1.0 / q2), np.sum(d / q2),
+                 np.sum((d * d - g2) / q2)]
+    return (sums / points.size).tolist()
 
 
 def _cauchy_mle(
@@ -320,20 +361,15 @@ def _cauchy_mle(
     nu, gamma = start.nu, start.gamma
 
     def mean_loglik(nu_, gamma_):
-        return math.log(gamma_) - float(np.mean(np.log((points - nu_) ** 2 + gamma_ * gamma_)))
+        return math.log(gamma_) - _mean_log_q(points, nu_, gamma_)
 
     current = mean_loglik(nu, gamma)
     for _ in range(max_iter):
-        d = points - nu
-        q = d * d + gamma * gamma
-        grad_nu = 2.0 * float(np.mean(d / q))
-        grad_g = 1.0 / gamma - 2.0 * gamma * float(np.mean(1.0 / q))
+        mean_inv, mean_d_inv, mean_inv2, mean_d_inv2, mean_dd = _score_means(points, nu, gamma)
+        grad_nu = 2.0 * mean_d_inv
+        grad_g = 1.0 / gamma - 2.0 * gamma * mean_inv
         if math.hypot(grad_nu, grad_g) < tol:
             return CauchyParams(nu, gamma)
-        mean_inv = float(np.mean(1.0 / q))
-        mean_inv2 = float(np.mean(1.0 / (q * q)))
-        mean_d_inv2 = float(np.mean(d / (q * q)))
-        mean_dd = float(np.mean((d * d - gamma * gamma) / (q * q)))
         h_nn = 2.0 * mean_dd
         h_gg = -1.0 / (gamma * gamma) - 2.0 * mean_inv + 4.0 * gamma * gamma * mean_inv2
         h_ng = -4.0 * gamma * mean_d_inv2
@@ -353,12 +389,8 @@ def _cauchy_mle(
             scale /= 2.0
         else:
             break
-    d = points - nu
-    q = d * d + gamma * gamma
-    grad_norm = math.hypot(
-        2.0 * float(np.mean(d / q)),
-        1.0 / gamma - 2.0 * gamma * float(np.mean(1.0 / q)),
-    )
+    mean_inv, mean_d_inv = _score_means(points, nu, gamma)[:2]
+    grad_norm = math.hypot(2.0 * mean_d_inv, 1.0 / gamma - 2.0 * gamma * mean_inv)
     if grad_norm >= tol:
         raise FitConvergenceError(
             f"likelihood fit stalled at gradient norm {grad_norm:.2e} after {max_iter} iterations"
@@ -367,14 +399,18 @@ def _cauchy_mle(
 
 
 def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-    # Pointwise map applied to every sample; pole hits are dropped with a count
-    # rather than resampled, preserving the push-forward's independence.
+    # Pointwise map applied to every sample, overwriting ``points`` block by
+    # block; pole hits are dropped with a count rather than resampled,
+    # preserving the push-forward's independence.
     dropped = 0
     x = points
     for _ in range(steps):
-        keep = np.abs(x) >= POLE_EPS
-        dropped += int(x.size - np.count_nonzero(keep))
-        x = _boole(alpha, x[keep])
+        kept = sum(int(np.count_nonzero(np.abs(block) >= POLE_EPS)) for block in _blocks(x))
+        if kept < x.size:
+            dropped += x.size - kept
+            x = x[np.abs(x) >= POLE_EPS]
+        for block in _blocks(x):
+            block[...] = _boole(alpha, block)
     return x, dropped
 
 
@@ -420,8 +456,7 @@ def pf_monte_carlo_check(
         raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
     if steps < 1:
         raise ValueError("need at least one step")
-    batch = sample_cauchy(p, n, seed)
-    pushed, dropped = _push_forward(alpha, batch.points, steps)
+    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed).points, steps)
     if dropped > MAX_DROP_FRACTION * n:
         raise PoleGuardError(
             f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
@@ -458,8 +493,7 @@ def mc_error_ratio(alpha: float, p: CauchyParams, n: int, seeds=range(10)) -> fl
     predicted = parameter_step(alpha, HPoint(p.nu, p.gamma))
     err_half, err_full = 0.0, 0.0
     for seed in seeds:
-        batch = sample_cauchy(p, 2 * n, seed)
-        pushed, _ = _push_forward(alpha, batch.points, 1)
+        pushed, _ = _push_forward(alpha, sample_cauchy(p, 2 * n, seed).points, 1)
         half = fit_cauchy(pushed[:n])
         full = fit_cauchy(pushed)
         err_half += (half.nu - predicted.nu) ** 2 + (half.gamma - predicted.gamma) ** 2

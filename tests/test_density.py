@@ -1,6 +1,7 @@
 """Transfer-sum grid evolution, sampling, fitting, and ergodicity checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from boolemaps import (
     GridResolutionWarning,
     HPoint,
     OrbitTruncationError,
+    POLE_EPS,
     PoleGuardError,
     cauchy_cdf,
     cauchy_grid,
@@ -31,7 +33,7 @@ from boolemaps import (
     pf_monte_carlo_check,
     sample_cauchy,
 )
-from boolemaps.density import _grid_density, transfer_values
+from boolemaps.density import _grid_density, _push_forward, transfer_values
 
 #: Relative error, against the peak, allowed after a 10-step chain on a
 #: tabulated-only grid (the benchmark's bound for the same chain).
@@ -298,6 +300,34 @@ class TestMonteCarloPushForward:
         # about half of a C(0, 1e-300) sample lies inside the pole guard
         with pytest.raises(PoleGuardError):
             pf_monte_carlo_check(0.5, CauchyParams(0, 1e-300), 10**4, 1, seed=0)
+
+    def test_pole_hits_are_dropped_and_counted(self):
+        # zeros are hit at the first step, +-1 (mapped to 0) at the second;
+        # the hits straddle a block boundary
+        rng = np.random.default_rng(4)
+        points = rng.standard_cauchy(70_000)
+        points[[5, 66_000]] = 0.0
+        points[[65_535, 65_536]] = [1.0, -1.0]
+        expected = points.copy()
+        for _ in range(3):
+            expected = expected[np.abs(expected) >= POLE_EPS]
+            expected = 0.5 * (expected - 1.0 / expected)
+        pushed, dropped = _push_forward(0.5, points, 3)
+        assert dropped == 4
+        np.testing.assert_array_equal(pushed, expected)
+
+    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
+    def test_memory_holds_two_sample_copies(self, method):
+        # the sample (pushed in place) and the fit's sorted copy; no
+        # temporary of the sample's size, however many steps or iterations
+        n = 10**6
+        tracemalloc.start()
+        try:
+            pf_monte_carlo_check(0.5, CauchyParams(0.3, 1.2), n, 7, seed=3, fit_method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n
 
 
 class TestErgodicity:
