@@ -2,12 +2,15 @@
 
 Layout:
 
-* ``orbit``     -- the pointwise map, preimages, orbits, Cauchy primitives
+* ``orbit``     -- the pointwise map, preimages, orbits, and the Cauchy law
+                   ``HPoint``, a point of the upper half-plane, with its
+                   pdf, cdf and quantile
 * ``halfplane`` -- the induced exact map on Cauchy parameters (the pointwise
-                   map on nu - i*gamma), fixed point, stability, the rotated
-                   check form, canonical coordinates
-* ``geometry``  -- Fisher metric, conformal pullback, Killing fields,
-                   symplectic structure, with brute-force oracles
+                   map on nu - i*gamma), its fixed point and Jacobian,
+                   canonical coordinates, convergence diagnostics
+* ``geometry``  -- Fisher metric, conformal pullback, Lie derivatives along
+                   the Killing fields, symplectic structure, with
+                   brute-force oracles
 * ``density``   -- transfer-sum and Monte Carlo verification of the reduction
 * ``cli``       -- the ``boolemaps`` command
 """
@@ -18,7 +21,6 @@ from .density import (
     DensityGrid,
     ErgodicReport,
     PfReport,
-    SampleBatch,
     cauchy_grid,
     ergodic_orbit_check,
     fit_cauchy,
@@ -45,12 +47,9 @@ from .geometry import (
     canonical_form_coefficient,
     christoffel,
     conformal_factor,
-    conformal_factor_from_jacobian,
     finite_difference_jacobian,
     fisher_metric,
     fisher_metric_quadrature,
-    j_squared_deviation,
-    killing_fields,
     lie_derivative_metric,
     lie_derivative_two_form,
     metric_inner,
@@ -63,12 +62,8 @@ from .halfplane import (
     CanonicalPoint,
     ConvergenceReport,
     FixedPointRun,
-    HPoint,
-    StabilityReport,
-    TangentVector,
     asymptotic_check,
     canonical_step,
-    complex_check_step,
     convergence_bound_check,
     converge_to_fixed_point,
     fixed_point,
@@ -77,13 +72,11 @@ from .halfplane import (
     jacobian_analytic,
     parameter_step,
     picture_agreement,
-    reflect,
-    stability_eigenvalues,
     to_canonical,
 )
 from .orbit import (
     POLE_EPS,
-    CauchyParams,
+    HPoint,
     OrbitResult,
     boole_transform,
     cauchy_cdf,
@@ -91,10 +84,7 @@ from .orbit import (
     cauchy_quantile,
     check_alpha,
     g_transform,
-    invariant_params,
     invariant_scale,
     iterate_orbit,
     preimages,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,25 +24,9 @@ from warnings import warn
 
 import numpy as np
 
-from .errors import (
-    FitConvergenceError,
-    GridResolutionWarning,
-    OrbitTruncationError,
-    PoleGuardError,
-    SingularInputError,
-)
-from .halfplane import HPoint, iterate_parameter_map, parameter_step
-from .orbit import (
-    POLE_EPS,
-    CauchyParams,
-    _boole,
-    _preimages,
-    cauchy_cdf,
-    cauchy_pdf,
-    check_alpha,
-    invariant_params,
-    iterate_orbit,
-)
+from .errors import FitConvergenceError, GridResolutionWarning, OrbitTruncationError, PoleGuardError
+from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
+from .orbit import POLE_EPS, _boole, _preimages, cauchy_cdf, cauchy_pdf, check_alpha, iterate_orbit
 
 DEFAULT_GRID_SIZE = 4096
 #: Probability left outside a ``cauchy_grid`` on each side.
@@ -73,8 +57,8 @@ class DensityGrid:
     nodes: np.ndarray
     values: np.ndarray
     tail_mass: float
-    ref: CauchyParams
-    source: CauchyParams | None = None
+    ref: HPoint
+    source: HPoint | None = None
 
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.nodes.shape != self.values.shape:
@@ -103,9 +87,9 @@ class DensityGrid:
 
 
 def cauchy_grid(
-    params: CauchyParams,
+    params: HPoint,
     n_nodes: int = DEFAULT_GRID_SIZE,
-    ref: CauchyParams | None = None,
+    ref: HPoint | None = None,
 ) -> DensityGrid:
     """Tabulate a Cauchy density on nodes at quantiles of ``ref`` (defaults to itself).
 
@@ -176,8 +160,7 @@ def _grid_density(rho: DensityGrid):
         for k in range(width - 2, -1, -1):
             out *= offsets[k]
             out += stencil[k]
-        np.maximum(out, 0.0, out=out)
-        out[~((t >= th[0]) & (t <= th[-1]))] = 0.0
+        np.fmax(0.0, out, out=out)  # a NaN query reads 0, as outside the window
         # d(theta)/d(xi) = 1/(gamma*(1 + s^2)); hypot keeps 1 + s^2 from overflowing
         for side, level in ((t < th[0], below_level), (t > th[-1], above_level)):
             out[side] = level / np.hypot(1.0, s[side]) ** 2
@@ -241,7 +224,7 @@ def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
     return out
 
 
-def pf_closed_form_check(alpha: float, p: CauchyParams, n_nodes: int = DEFAULT_GRID_SIZE) -> float:
+def pf_closed_form_check(alpha: float, p: HPoint, n_nodes: int = DEFAULT_GRID_SIZE) -> float:
     """Sup gap between the brute-force transfer step and the closed-form step.
 
     Evolves C(.; p) by the two-branch sum and compares pointwise against the
@@ -251,8 +234,7 @@ def pf_closed_form_check(alpha: float, p: CauchyParams, n_nodes: int = DEFAULT_G
     """
     grid = cauchy_grid(p, n_nodes)
     stepped = pf_density_step(alpha, grid)
-    target = parameter_step(alpha, HPoint(p.nu, p.gamma))
-    predicted = cauchy_pdf(CauchyParams(target.nu, target.gamma), grid.nodes)
+    predicted = cauchy_pdf(parameter_step(alpha, p), grid.nodes)
     inside = np.abs(grid.nodes) < 1e3
     if not inside.any():
         inside = np.ones_like(inside)
@@ -262,21 +244,12 @@ def pf_closed_form_check(alpha: float, p: CauchyParams, n_nodes: int = DEFAULT_G
 MIN_FIT_SIZE = 1000
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Seeded Monte Carlo draw from a Cauchy law; fit it with ``fit_cauchy``."""
-
-    seed: int
-    size: int
-    points: np.ndarray
-
-
 #: The largest |tan(pi*(u - 1/2))| over the doubles u in [0, 1) that
 #: ``sample_cauchy`` draws, reached at u = 0: about 1.6e16.
 MAX_SAMPLE_OFFSET = float(abs(np.tan(-0.5 * np.pi)))
 
 
-def sample_cauchy(p: CauchyParams, n: int, seed: int) -> SampleBatch:
+def sample_cauchy(p: HPoint, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` points by inverse-CDF sampling from one counter-based stream.
 
     Identical (seed, n) always reproduces the points bit for bit.  Every
@@ -291,28 +264,29 @@ def sample_cauchy(p: CauchyParams, n: int, seed: int) -> SampleBatch:
     np.multiply(np.pi, u, out=u)
     np.tan(u, out=u)
     np.multiply(p.gamma, u, out=u)
-    return SampleBatch(seed=seed, size=n, points=np.add(p.nu, u, out=u))
+    return np.add(p.nu, u, out=u)
 
 
-def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> CauchyParams:
+def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     """Estimate Cauchy parameters from data.
 
     ``median_iqr``: location = sample median, scale = half the interquartile
     range -- exact for the Cauchy CDF, whose quartiles sit at nu +/- gamma.
-    ``mle``: damped Newton on the mean log-likelihood, started from the
-    quantile fit, declared converged when the gradient norm drops below
-    1e-10.  Moment fitting is not offered; the Cauchy law has no moments.
+    ``mle``: damped Newton on the mean log-likelihood, in the location and
+    scale frame of the quantile fit and started there, declared converged
+    when the gradient norm in that frame drops below 1e-10.  Moment fitting
+    is not offered; the Cauchy law has no moments.
     """
     points = np.asarray(points, dtype=float)
     if points.size < MIN_FIT_SIZE:
         raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {points.size}")
-    ordered = np.sort(points)  # fixed reduction order for quantiles
+    ordered = np.sort(points)  # fixed reduction order; the likelihood fit reuses it
     q1, q2, q3 = np.quantile(ordered, [0.25, 0.5, 0.75], overwrite_input=True)
-    quartile_fit = CauchyParams(float(q2), float((q3 - q1) / 2.0))
+    quartile_fit = HPoint(float(q2), float((q3 - q1) / 2.0))
     if method == "median_iqr":
         return quartile_fit
     if method == "mle":
-        return _cauchy_mle(points, quartile_fit)
+        return _cauchy_mle(ordered, quartile_fit)
     raise ValueError(f"unknown fit method {method!r}")
 
 
@@ -354,11 +328,18 @@ def _score_means(points: np.ndarray, nu: float, gamma: float) -> list[float]:
 
 def _cauchy_mle(
     points: np.ndarray,
-    start: CauchyParams,
+    frame: HPoint,
     tol: float = 1e-10,
     max_iter: int = 100,
-) -> CauchyParams:
-    nu, gamma = start.nu, start.gamma
+) -> HPoint:
+    # Newton on the standardized points (x - m)/s, formed in place, where
+    # (m, s) is the quartile fit ``frame``, from C(0, 1); the fit of the
+    # sample is C(m + s*nu, s*gamma).  Their mean log-likelihoods differ by
+    # the constant log(s), so neither the gradient nor the stopping test
+    # depends on where the sample sits or on its scale.
+    points -= frame.nu
+    points /= frame.gamma
+    nu, gamma = 0.0, 1.0
 
     def mean_loglik(nu_, gamma_):
         return math.log(gamma_) - _mean_log_q(points, nu_, gamma_)
@@ -369,7 +350,7 @@ def _cauchy_mle(
         grad_nu = 2.0 * mean_d_inv
         grad_g = 1.0 / gamma - 2.0 * gamma * mean_inv
         if math.hypot(grad_nu, grad_g) < tol:
-            return CauchyParams(nu, gamma)
+            return HPoint(frame.nu + frame.gamma * nu, frame.gamma * gamma)
         h_nn = 2.0 * mean_dd
         h_gg = -1.0 / (gamma * gamma) - 2.0 * mean_inv + 4.0 * gamma * gamma * mean_inv2
         h_ng = -4.0 * gamma * mean_d_inv2
@@ -395,7 +376,7 @@ def _cauchy_mle(
         raise FitConvergenceError(
             f"likelihood fit stalled at gradient norm {grad_norm:.2e} after {max_iter} iterations"
         )
-    return CauchyParams(nu, gamma)
+    return HPoint(frame.nu + frame.gamma * nu, frame.gamma * gamma)
 
 
 def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
@@ -423,13 +404,8 @@ def fit_stderr(gamma: float, n: int) -> float:
 class PfReport:
     """Monte Carlo push-forward compared against the closed-form prediction."""
 
-    alpha: float
-    input: CauchyParams
-    predicted: CauchyParams
-    measured: CauchyParams
-    sup_error: float
-    n_steps: int
-    n_samples: int
+    predicted: HPoint
+    measured: HPoint
     n_dropped: int
     stderr: float
     within_tolerance: bool
@@ -437,7 +413,7 @@ class PfReport:
 
 def pf_monte_carlo_check(
     alpha: float,
-    p: CauchyParams,
+    p: HPoint,
     n: int,
     steps: int,
     seed: int,
@@ -456,32 +432,25 @@ def pf_monte_carlo_check(
         raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
     if steps < 1:
         raise ValueError("need at least one step")
-    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed).points, steps)
+    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed), steps)
     if dropped > MAX_DROP_FRACTION * n:
         raise PoleGuardError(
             f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
         )
-    trajectory = iterate_parameter_map(alpha, HPoint(p.nu, p.gamma), steps)
-    final = trajectory[-1]
-    predicted = CauchyParams(final.nu, final.gamma)
+    predicted = iterate_parameter_map(alpha, p, steps)[-1]
     measured = fit_cauchy(pushed, fit_method)
     sup_error = max(abs(measured.nu - predicted.nu), abs(measured.gamma - predicted.gamma))
     se = fit_stderr(predicted.gamma, pushed.size)
     return PfReport(
-        alpha=alpha,
-        input=p,
         predicted=predicted,
         measured=measured,
-        sup_error=sup_error,
-        n_steps=steps,
-        n_samples=n,
         n_dropped=dropped,
         stderr=se,
         within_tolerance=sup_error < 5.0 * se,
     )
 
 
-def mc_error_ratio(alpha: float, p: CauchyParams, n: int, seeds=range(10)) -> float:
+def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
     """RMS fit-error ratio between sample sizes n and 2n (nested draws).
 
     For each seed a single stream of 2n points is drawn and pushed one step
@@ -490,10 +459,10 @@ def mc_error_ratio(alpha: float, p: CauchyParams, n: int, seeds=range(10)) -> fl
     under the expected n^(-1/2) error scaling of the quantile fit.
     """
     alpha = check_alpha(alpha)
-    predicted = parameter_step(alpha, HPoint(p.nu, p.gamma))
+    predicted = parameter_step(alpha, p)
     err_half, err_full = 0.0, 0.0
     for seed in seeds:
-        pushed, _ = _push_forward(alpha, sample_cauchy(p, 2 * n, seed).points, 1)
+        pushed, _ = _push_forward(alpha, sample_cauchy(p, 2 * n, seed), 1)
         half = fit_cauchy(pushed[:n])
         full = fit_cauchy(pushed)
         err_half += (half.nu - predicted.nu) ** 2 + (half.gamma - predicted.gamma) ** 2
@@ -501,7 +470,7 @@ def mc_error_ratio(alpha: float, p: CauchyParams, n: int, seeds=range(10)) -> fl
     return math.sqrt(err_half / err_full)
 
 
-def ks_distance(samples: np.ndarray, p: CauchyParams) -> float:
+def ks_distance(samples: np.ndarray, p: HPoint) -> float:
     """Kolmogorov-Smirnov distance between an empirical sample and C(.; p).
 
     The sorted copy of the samples becomes their CDF in place, and one ramp
@@ -527,10 +496,7 @@ def ks_distance(samples: np.ndarray, p: CauchyParams) -> float:
 class ErgodicReport:
     """KS distance of a long orbit against the invariant Cauchy law."""
 
-    alpha: float
-    xi0: float
-    n: int
-    invariant: CauchyParams
+    invariant: HPoint
     ks: float
 
 
@@ -549,5 +515,5 @@ def ergodic_orbit_check(alpha: float, xi0: float, n: int) -> ErgodicReport:
             f"orbit from {xi0} hit the pole guard at index {result.last_index}",
             result.last_index,
         )
-    target = invariant_params(alpha)
-    return ErgodicReport(alpha, xi0, n, target, ks_distance(result.points, target))
+    target = fixed_point(alpha)
+    return ErgodicReport(target, ks_distance(result.points, target))

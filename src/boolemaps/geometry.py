@@ -26,15 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
-from .halfplane import (
-    CanonicalPoint,
-    HPoint,
-    TangentVector,
-    canonical_step,
-    jacobian_analytic,
-    parameter_step,
-)
+from .errors import QuadratureError, SingularInputError
+from .halfplane import CanonicalPoint, HPoint, canonical_step, parameter_step
 from .orbit import check_alpha
 
 Vec = tuple[float, float]
@@ -62,9 +55,25 @@ class TwoForm:
     omega_ng: float
 
 
+def _half_inverse_square(gamma: float) -> float:
+    # 1/(2*gamma^2), which overflows below gamma ~5e-155, and whose
+    # denominator underflows to 0 below ~1e-162 (a ZeroDivisionError); both
+    # raise SingularInputError instead.  (0.5/gamma)/gamma would round the
+    # last bit differently for a third of all gamma.
+    square = 2.0 * gamma * gamma
+    out = 1.0 / square if square else math.inf
+    if out == math.inf:
+        raise SingularInputError(f"1/(2*gamma^2) is not a finite double at gamma = {gamma!r}")
+    return out
+
+
 def fisher_metric(x: HPoint) -> Metric2:
-    """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2))."""
-    half = 1.0 / (2.0 * x.gamma * x.gamma)
+    """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2)).
+
+    Raises SingularInputError where the entries are not finite doubles
+    (gamma below about 5e-155).
+    """
+    half = _half_inverse_square(x.gamma)
     return Metric2(half, 0.0, half)
 
 
@@ -168,19 +177,6 @@ def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
     return float(np.max(np.abs(pulled - expected)))
 
 
-def conformal_factor_from_jacobian(alpha: float, x: HPoint) -> float:
-    """The pullback factor recovered from the closed-form Jacobian.
-
-    Uses pulled-back g_nn divided by g_nn; alpha cancels algebraically, so
-    comparing this across alpha values checks the factor's alpha-independence
-    at full floating-point precision (no finite-difference noise).
-    """
-    jac = jacobian_analytic(alpha, x)
-    target = parameter_step(alpha, x)
-    pulled = jac.T @ fisher_metric(target).as_array() @ jac
-    return float(pulled[0, 0] * 2.0 * x.gamma * x.gamma)
-
-
 # Isometry generators of the half-plane metric, keyed by what their flows do.
 # Components (K^nu, K^gamma) and their exact partials d K^a / d(nu, gamma).
 _KILLING: dict[str, tuple[Callable, Callable]] = {
@@ -200,16 +196,6 @@ _KILLING: dict[str, tuple[Callable, Callable]] = {
 
 #: Generator names in the conventional order K1, K2, K3.
 KILLING_FIELD_NAMES = ("special_conformal", "dilation", "translation")
-
-
-def killing_fields(x: HPoint) -> tuple[TangentVector, TangentVector, TangentVector]:
-    """The three isometry generators evaluated at x, in K1, K2, K3 order."""
-    out = []
-    for name in KILLING_FIELD_NAMES:
-        comp, _ = _KILLING[name]
-        k_nu, k_gamma = comp(x.nu, x.gamma)
-        out.append(TangentVector(x, k_nu, k_gamma))
-    return tuple(out)
 
 
 def _metric_partials_fd(x: HPoint) -> np.ndarray:
@@ -258,8 +244,11 @@ def lie_derivative_two_form(field: str, x: HPoint) -> float:
 
 
 def symplectic_form(x: HPoint) -> TwoForm:
-    """The induced two-form -1/(2*gamma^2) d_nu ^ d_gamma."""
-    return TwoForm(-1.0 / (2.0 * x.gamma * x.gamma))
+    """The induced two-form -1/(2*gamma^2) d_nu ^ d_gamma.
+
+    Raises SingularInputError where the coefficient is not a finite double.
+    """
+    return TwoForm(-_half_inverse_square(x.gamma))
 
 
 def apply_complex_structure(v: Vec) -> Vec:
@@ -279,12 +268,6 @@ def metric_inner(g: Metric2, u: Vec, v: Vec) -> float:
 def two_form_value(w: TwoForm, u: Vec, v: Vec) -> float:
     """omega(u, v) = omega_ng * (u_nu * v_gamma - u_gamma * v_nu)."""
     return w.omega_ng * (u[0] * v[1] - u[1] * v[0])
-
-
-def j_squared_deviation(v: Vec) -> float:
-    """Max |J(J(v)) + v| component; structurally zero (integer coefficients)."""
-    twice = apply_complex_structure(apply_complex_structure(v))
-    return max(abs(twice[0] + v[0]), abs(twice[1] + v[1]))
 
 
 def canonical_form_coefficient(x: HPoint) -> float:

@@ -13,13 +13,13 @@ division is scaled (Smith's algorithm), so A never forms and the step stays
 finite and accurate across the whole float range.
 
 This module implements that map on the open half-plane
-H = {(nu, gamma): gamma > 0}, the statistical manifold of Cauchy laws; its
-unique fixed point (0, sqrt(alpha/(1-alpha))), linearization and stability,
-the reflection symmetry, canonical coordinates (q, p) = (nu, 1/(2*gamma)),
-and the transient convergence-rate diagnostics of the scale map.
-``picture_agreement`` checks the step against two independent routes: the
-real formula above and the scale map on the rotated variable
-(``complex_check_step``).  ``canonical_step`` is ``parameter_step``
+H = {(nu, gamma): gamma > 0}, the statistical manifold of Cauchy laws, whose
+points are ``orbit.HPoint``: its unique fixed point (0, sqrt(alpha/(1-alpha))),
+the invariant law of the pointwise map; its linearization; canonical
+coordinates (q, p) = (nu, 1/(2*gamma)); and the transient convergence-rate
+diagnostics of the scale map.  ``picture_agreement`` checks the step against
+two independent routes: the real formula above and the scale map on the
+rotated variable gamma + i*nu.  ``canonical_step`` is ``parameter_step``
 conjugated by the coordinate change.  The edge gamma -> 0 (point masses)
 is not part of H: there the step tends to the pointwise map on nu, which is
 ``orbit.boole_transform``.
@@ -33,35 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularInputError
-from .orbit import _boole, check_alpha, g_transform, invariant_scale
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """Point (nu, gamma) of the open upper half-plane: finite, with gamma > 0.
-
-    A point mass (gamma = 0) is not a point of H; it is stepped with the
-    pointwise map ``orbit.boole_transform``, the gamma -> 0 limit of
-    ``parameter_step``.
-    """
-
-    nu: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.nu) and math.isfinite(self.gamma)):
-            raise ValueError("half-plane coordinates must be finite")
-        if self.gamma <= 0.0:
-            raise ValueError(f"half-plane points need gamma > 0, got {self.gamma!r}")
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector (d_nu, d_gamma) attached to a base point."""
-
-    base: HPoint
-    d_nu: float
-    d_gamma: float
+from .orbit import HPoint, _boole, check_alpha, g_transform, invariant_scale
 
 
 @dataclass(frozen=True)
@@ -93,7 +65,10 @@ def parameter_step(alpha: float, x: HPoint) -> HPoint:
 
 
 def fixed_point(alpha: float) -> HPoint:
-    """The unique fixed point (0, sqrt(alpha/(1-alpha))) of the half-plane map."""
+    """The unique fixed point (0, sqrt(alpha/(1-alpha))) of the half-plane map.
+
+    It is also the invariant Cauchy law of the pointwise map.
+    """
     return HPoint(0.0, invariant_scale(alpha))
 
 
@@ -124,53 +99,19 @@ def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
     return np.array([[a, b], [-b, a]])
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Eigenvalues of the linearization at the fixed point.
-
-    Both eigenvalues equal 2*alpha - 1, so the fixed point is linearly
-    stable throughout 0 < alpha < 1; at alpha = 1/2 the linearization
-    vanishes and convergence is quadratic instead of geometric.
-    """
-
-    eigenvalues: tuple[float, float]
-    quadratic_convergence: bool
-
-
-def stability_eigenvalues(alpha: float) -> StabilityReport:
-    alpha = check_alpha(alpha)
-    lam = 2.0 * alpha - 1.0
-    return StabilityReport((lam, lam), quadratic_convergence=(alpha == 0.5))
-
-
-def reflect(x: HPoint) -> HPoint:
-    """Mirror (nu, gamma) -> (-nu, gamma); an involution commuting with the map."""
-    return HPoint(-x.nu, x.gamma)
-
-
-def complex_check_step(alpha: float, x: HPoint) -> tuple[complex, complex]:
-    """Evolve the rotated variables (gamma + i*nu, -gamma + i*nu).
-
-    Both move by z -> alpha*(z + 1/z), the complex extension of the scale
-    map; the first image encodes gamma' + i*nu'.
-    """
-    alpha = check_alpha(alpha)
-    s_rot = complex(x.gamma, x.nu)
-    w_rot = complex(-x.gamma, x.nu)
-    return alpha * (s_rot + 1.0 / s_rot), alpha * (w_rot + 1.0 / w_rot)
-
-
 def picture_agreement(alpha: float, x: HPoint) -> float:
     """Max absolute disagreement between three routes to (nu', gamma').
 
     Compares ``parameter_step`` (the pointwise map on s = nu - i*gamma)
     against the real formula of the density step, written out here in terms
-    of A = nu^2 + gamma^2, and against the scale map on the rotated variable
-    (``complex_check_step``); all three are algebraically equal.
+    of A = nu^2 + gamma^2, and against the scale map's complex extension
+    z -> alpha*(z + 1/z) on the rotated variable gamma + i*nu, whose image
+    is gamma' + i*nu'; all three are algebraically equal.
     """
     stepped = parameter_step(alpha, x)
     big_a = x.nu * x.nu + x.gamma * x.gamma
-    rot_new, _ = complex_check_step(alpha, x)
+    rot = complex(x.gamma, x.nu)
+    rot_new = alpha * (rot + 1.0 / rot)
     candidates = [
         (alpha * x.nu * (big_a - 1.0) / big_a, alpha * x.gamma * (big_a + 1.0) / big_a),
         (rot_new.imag, rot_new.real),
@@ -264,8 +205,6 @@ class ConvergenceReport:
     violating n in ``first_violation`` otherwise.
     """
 
-    alpha: float
-    gamma0: float
     gammas: np.ndarray
     deviations: np.ndarray
     ratios: np.ndarray
@@ -304,8 +243,6 @@ def convergence_bound_check(alpha: float, gamma0: float, n_max: int) -> Converge
             first_violation = n
             break
     return ConvergenceReport(
-        alpha=alpha,
-        gamma0=gamma0,
         gammas=gammas,
         deviations=dev,
         ratios=ratios,

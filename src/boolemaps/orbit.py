@@ -9,7 +9,9 @@ invariant Cauchy law of location 0 and scale sqrt(alpha/(1-alpha)); its
 companion map gamma -> alpha * (gamma + 1/gamma) governs the scale dynamics
 on the positive axis.  This module provides the maps themselves, their
 two-branch preimages, guarded orbit iteration, and the Cauchy pdf/cdf/
-quantile trio that the density-level verifiers build on.
+quantile trio that the density-level verifiers build on.  A Cauchy law is
+its parameter point ``HPoint`` of the upper half-plane, on which
+``halfplane`` states the derived map.
 """
 
 from __future__ import annotations
@@ -139,20 +141,29 @@ def iterate_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
 
 
 @dataclass(frozen=True)
-class CauchyParams:
-    """Location/scale pair of a Cauchy law; the scale must be positive."""
+class HPoint:
+    """A Cauchy law C(nu, gamma), and the point (nu, gamma) of the upper half-plane H.
+
+    Both fields are finite and gamma > 0.  A point mass (gamma = 0) is not a
+    point of H; it is stepped with the pointwise map ``boole_transform``, the
+    gamma -> 0 limit of ``halfplane.parameter_step``.
+    """
 
     nu: float
     gamma: float
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and math.isfinite(self.gamma)):
-            raise ValueError("Cauchy parameters must be finite")
+            raise ValueError("half-plane coordinates must be finite")
         if self.gamma <= 0.0:
-            raise ValueError(f"Cauchy scale must be positive, got {self.gamma!r}")
+            raise ValueError(f"half-plane points need gamma > 0, got {self.gamma!r}")
 
 
-def cauchy_pdf(p: CauchyParams, xi):
+#: The earlier name of ``HPoint``, which the benchmark in ``perfbench/`` still uses.
+CauchyParams = HPoint
+
+
+def cauchy_pdf(p: HPoint, xi):
     """Density gamma / (pi * ((xi - nu)^2 + gamma^2)); accepts arrays.
 
     Evaluated as (gamma/h)/h/pi with h = hypot(xi - nu, gamma), so no square
@@ -163,14 +174,14 @@ def cauchy_pdf(p: CauchyParams, xi):
     return float(out) if np.isscalar(xi) else out
 
 
-def cauchy_cdf(p: CauchyParams, xi):
+def cauchy_cdf(p: HPoint, xi):
     """Cumulative probability 1/2 + arctan((xi - nu)/gamma)/pi; accepts arrays."""
     z = (np.asarray(xi, dtype=float) - p.nu) / p.gamma
     out = 0.5 + np.arctan(z) / np.pi
     return float(out) if np.isscalar(xi) else out
 
 
-def cauchy_quantile(p: CauchyParams, u):
+def cauchy_quantile(p: HPoint, u):
     """Inverse CDF nu + gamma*tan(pi*(u - 1/2)) for u strictly inside (0, 1)."""
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
@@ -178,7 +189,3 @@ def cauchy_quantile(p: CauchyParams, u):
     out = p.nu + p.gamma * np.tan(np.pi * (u_arr - 0.5))
     return float(out) if np.isscalar(u) else out
 
-
-def invariant_params(alpha: float) -> CauchyParams:
-    """Parameters of the invariant Cauchy law for the given alpha."""
-    return CauchyParams(0.0, invariant_scale(alpha))

@@ -13,12 +13,9 @@ from conftest import record_criterion
 
 from boolemaps import (
     CanonicalPoint,
-    CauchyParams,
     HPoint,
     apply_complex_structure,
     canonical_form_coefficient,
-    conformal_factor,
-    conformal_factor_from_jacobian,
     convergence_bound_check,
     converge_to_fixed_point,
     ergodic_orbit_check,
@@ -26,7 +23,6 @@ from boolemaps import (
     fisher_metric,
     fisher_metric_quadrature,
     fixed_point,
-    invariant_params,
     invariant_scale,
     jacobian_analytic,
     lie_derivative_metric,
@@ -59,7 +55,7 @@ def test_criterion_1_exact_transfer_reduction():
     for alpha in ALPHA_LATTICE:
         for nu in NU_LATTICE:
             for gamma in GAMMA_LATTICE:
-                worst = max(worst, pf_closed_form_check(alpha, CauchyParams(nu, gamma)))
+                worst = max(worst, pf_closed_form_check(alpha, HPoint(nu, gamma)))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 5.0
     record_criterion(
@@ -74,7 +70,7 @@ def test_criterion_1_exact_transfer_reduction():
 def test_criterion_2_invariant_density_is_fixed():
     worst = 0.0
     for alpha in ALPHA_LATTICE:
-        grid = cauchy_grid(invariant_params(alpha))
+        grid = cauchy_grid(fixed_point(alpha))
         stepped = pf_density_step(alpha, grid)
         worst = max(worst, float(np.max(np.abs(stepped.values / grid.values - 1.0))))
     record_criterion(
@@ -157,9 +153,12 @@ def test_criterion_5_conformality():
     worst_spread = 0.0
     for _ in range(20):
         x = HPoint(rng.uniform(-3, 3), rng.uniform(0.2, 4))
-        factors = [
-            conformal_factor_from_jacobian(alpha, x) for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)
-        ]
+        factors = []
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            # a conformal Jacobian has J^T J = det(J) * Id, so the step pulls
+            # g = Id/(2*gamma^2) back to det(J) * (gamma/gamma')^2 times g
+            ratio = x.gamma / parameter_step(alpha, x).gamma
+            factors.append(float(np.linalg.det(jacobian_analytic(alpha, x))) * ratio * ratio)
         worst_spread = max(worst_spread, max(factors) - min(factors))
     ok = worst_pullback < 1e-5 and worst_spread < 1e-12
     record_criterion(
@@ -232,10 +231,10 @@ def test_criterion_7_killing_and_symplectic_structure():
 
 def test_criterion_8_monte_carlo_consistency():
     started = time.perf_counter()
-    report = pf_monte_carlo_check(0.5, CauchyParams(1.0, 1.0), 10**6, 1, seed=42)
+    report = pf_monte_carlo_check(0.5, HPoint(1.0, 1.0), 10**6, 1, seed=42)
     gap_nu = abs(report.measured.nu - 0.25)
     gap_gamma = abs(report.measured.gamma - 0.75)
-    ratio = mc_error_ratio(0.5, CauchyParams(1.0, 1.0), 4 * 10**5)
+    ratio = mc_error_ratio(0.5, HPoint(1.0, 1.0), 4 * 10**5)
     elapsed = time.perf_counter() - started
     ok = gap_nu < 0.01 and gap_gamma < 0.01 and 1.2 <= ratio <= 1.7 and elapsed < 10.0
     record_criterion(

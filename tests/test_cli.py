@@ -1,18 +1,22 @@
 """Command-line interface: reports, serialization, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from boolemaps import cli, density
+from boolemaps import HPoint, cli, density
 from boolemaps.cli import main
 from boolemaps.density import ergodic_orbit_check
 from boolemaps.orbit import iterate_orbit
@@ -107,6 +111,8 @@ class TestValidation:
             # a sample point could overflow
             ["verify-pf", "--gamma0", "1e308", "--n", "10000"],
             ["verify-pf", "--gamma0", "1.2e292", "--n", "10000"],
+            # a seed the random stream cannot take
+            ["verify-pf", "--seed", "-1"],
         ],
     )
     def test_bad_config_exits_2(self, args):
@@ -183,6 +189,29 @@ class TestVerifyPf:
         oracles = report["oracles"]
         assert oracles["warnings"] == []
         assert all(math.isfinite(v) for v in oracles.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize("gamma0", ["1", "1e200"])
+    def test_wrong_step_fails_at_any_scale(self, tmp_path, monkeypatch, gamma0):
+        # the transfer sum against a closed form off by 1% in gamma; an
+        # absolute tolerance let this pass wherever the density is small
+        exact = density.parameter_step
+
+        def wrong(alpha, x):
+            out = exact(alpha, x)
+            return HPoint(out.nu, 1.01 * out.gamma)
+
+        monkeypatch.setattr(density, "parameter_step", wrong)
+        code, report = run_json(tmp_path, ["verify-pf", "--gamma0", gamma0, "--n", "10000"])
+        assert code == 1
+        assert report["oracles"]["sup_error_pass"] is False
+
+    @pytest.mark.parametrize(
+        "args", [["verify-pf"], ["verify-pf", "--gamma0", "1e200", "--n", "10000"]]
+    )
+    def test_exact_step_passes_at_any_scale(self, tmp_path, args):
+        code, report = run_json(tmp_path, args)
+        assert code == 0
+        assert report["oracles"]["sup_error_pass"] is True
 
     def test_coarse_grid_reports_warning(self, tmp_path):
         code, report = run_json(
@@ -489,6 +518,16 @@ class TestNumericalFailure:
         assert report["oracles"]["error"].startswith("PoleGuardError: ")
         assert report["meta"]["passed"] is False
 
+    def test_metric_beyond_the_doubles_is_a_failed_report(self, tmp_path, capsys):
+        # at alpha = 1e-300 a step lands at gamma ~1e-300, where 1/(2*gamma^2)
+        # is not a double
+        code, report = run_json(tmp_path, ["geometry", "--alpha", "1e-300"])
+        assert code == 1
+        assert report["oracles"]["error"].startswith("SingularInputError: ")
+        err = capsys.readouterr().err
+        assert err.startswith("boolemaps geometry: SingularInputError: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag", ["--gamma0", "--alpha"])
     def test_singular_input_is_a_failed_report(self, tmp_path, capsys, flag):
         # the image of gamma0 = 5e-324, or of gamma0 = 1 at alpha = 5e-324,
@@ -535,3 +574,54 @@ def test_console_script_entry_point():
     report = json.loads(proc.stdout)
     assert report["meta"]["passed"] is True
     assert report["config"]["steps"] == 2
+
+
+# Any float a flag may be given: magnitudes log-uniform over 5e-324..1e308,
+# of either sign, and the edges 0, -0, +-inf and nan.
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(
+        lambda exponent, negative: -(10.0**exponent) if negative else 10.0**exponent,
+        st.floats(min_value=-323.3, max_value=308.0),
+        st.booleans(),
+    ),
+)
+# Small integers, around each command's own limits.  An orbit of fewer than
+# 2^16 steps, log-uniform, is a report of one chunk, encoded without forking.
+_INTS = {
+    ("verify-pf", "n"): st.one_of(st.integers(-2, 2), st.integers(10**4, 2 * 10**4)),
+    ("orbit", "n"): st.one_of(
+        st.integers(-2, 0), st.floats(min_value=0.0, max_value=16.0).map(lambda e: int(2**e) - 1)
+    ),
+    "steps": st.integers(-1, 30),
+    "seed": st.integers(-2, 2**64),
+    "grid_size": st.integers(-1, 4096),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMAND_FLAGS))
+@given(data=st.data())
+def test_every_flag_value_gives_an_exit_status(command, data):
+    # 0, 1 or 2, never an exception; exit 2 says why in one line, and exit 1
+    # in at most one.  A warning does not stop the run, as in the installed
+    # command; the suite's warnings-as-errors filter is set aside.
+    argv = [command]
+    for flag in cli._COMMAND_FLAGS[command]:
+        if data.draw(st.booleans(), label=f"set --{flag}"):
+            kind = cli._FLAGS[flag][0]
+            strategy = _ANY_FLOAT if kind is float else _INTS.get((command, flag), _INTS.get(flag))
+            argv.append(f"--{flag.replace('_', '-')}={data.draw(strategy, label=flag)!r}")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True), contextlib.redirect_stderr(err):
+        warnings.resetwarnings()
+        try:
+            code = main(argv + ["--out", os.devnull])
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert [line for line in lines if ": error: " in line] == lines[-1:], lines
+        assert re.match(rf"boolemaps( {command})?: error: ", lines[-1]), lines
+    else:
+        assert len(lines) <= (1 if code == 1 else 0), lines

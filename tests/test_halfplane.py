@@ -15,7 +15,6 @@ from boolemaps import (
     asymptotic_check,
     boole_transform,
     canonical_step,
-    complex_check_step,
     conformal_factor,
     convergence_bound_check,
     converge_to_fixed_point,
@@ -27,8 +26,6 @@ from boolemaps import (
     jacobian_analytic,
     parameter_step,
     picture_agreement,
-    reflect,
-    stability_eigenvalues,
     to_canonical,
 )
 from boolemaps.orbit import _boole
@@ -100,9 +97,10 @@ class TestParameterStep:
 
     @given(alphas, interior_points())
     def test_reflection_commutes(self, alpha, x):
-        left = parameter_step(alpha, reflect(x))
-        right = reflect(parameter_step(alpha, x))
-        assert left.nu == pytest.approx(right.nu, abs=1e-14)
+        # the mirror nu -> -nu commutes with the step
+        left = parameter_step(alpha, HPoint(-x.nu, x.gamma))
+        right = parameter_step(alpha, x)
+        assert left.nu == pytest.approx(-right.nu, abs=1e-14)
         assert left.gamma == pytest.approx(right.gamma, abs=1e-14)
 
 
@@ -127,8 +125,8 @@ class TestFullFloatRange:
 
     @given(alphas, signed_magnitudes, magnitudes)
     def test_reflection_commutes_exactly(self, alpha, nu, gamma):
-        x = HPoint(nu, gamma)
-        assert parameter_step(alpha, reflect(x)) == reflect(parameter_step(alpha, x))
+        right = parameter_step(alpha, HPoint(nu, gamma))
+        assert parameter_step(alpha, HPoint(-nu, gamma)) == HPoint(-right.nu, right.gamma)
 
     @given(alphas, signed_magnitudes, magnitudes)
     def test_jacobian_is_finite_cauchy_riemann_or_refused(self, alpha, nu, gamma):
@@ -208,24 +206,16 @@ class TestStability:
         [(0.5, 0.0, True), (0.9, 0.8, False), (0.25, -0.5, False)],
     )
     def test_eigenvalues(self, alpha, lam, quadratic):
-        report = stability_eigenvalues(alpha)
-        assert report.eigenvalues == pytest.approx((lam, lam), abs=1e-15)
-        assert report.quadratic_convergence is quadratic
+        # both eigenvalues of the linearization at the fixed point are 2*alpha - 1;
+        # convergence is quadratic where they vanish
+        eig = np.linalg.eigvals(jacobian_analytic(alpha, fixed_point(alpha)))
+        assert eig == pytest.approx([lam, lam], abs=1e-15)
+        assert bool(np.all(np.abs(eig) < 1e-15)) is quadratic
 
     @given(alphas)
     def test_always_contracting(self, alpha):
-        lam = stability_eigenvalues(alpha).eigenvalues[0]
-        assert abs(lam) < 1.0
-
-
-class TestReflect:
-    def test_values(self):
-        assert reflect(HPoint(1.0, 2.0)) == HPoint(-1.0, 2.0)
-        assert reflect(HPoint(0.0, 1.0)) == HPoint(0.0, 1.0)
-
-    @given(interior_points())
-    def test_involution(self, x):
-        assert reflect(reflect(x)) == x
+        eig = np.linalg.eigvals(jacobian_analytic(alpha, fixed_point(alpha)))
+        assert np.all(np.abs(eig) < 1.0)
 
 
 class TestComplexForms:
@@ -245,18 +235,23 @@ class TestComplexForms:
         assert _boole(alpha, s.conjugate()) == _boole(alpha, s).conjugate()
 
     def test_rotated_fixed_point(self):
-        rot, _ = complex_check_step(0.5, HPoint(0.0, 1.0))
-        assert rot == complex(1.0, 0.0)
+        # the rotated variable gamma + i*nu of the fixed point (0, 1) at alpha 1/2
+        z = complex(1.0, 0.0)
+        assert 0.5 * (z + 1.0 / z) == z
 
     def test_rotated_derived_value(self):
         # oracle: 0.5*((1+1j) + 1/(1+1j)) = 0.75 + 0.25j encodes (gamma', nu')
-        rot, _ = complex_check_step(0.5, HPoint(1.0, 1.0))
-        assert rot == pytest.approx(0.75 + 0.25j, abs=1e-15)
+        z = complex(1.0, 1.0)
+        stepped = parameter_step(0.5, HPoint(1.0, 1.0))
+        assert 0.5 * (z + 1.0 / z) == pytest.approx(0.75 + 0.25j, abs=1e-15)
+        assert complex(stepped.gamma, stepped.nu) == pytest.approx(0.75 + 0.25j, abs=1e-15)
 
     @given(alphas, interior_points())
     def test_rotation_consistency(self, alpha, x):
+        # the scale map's complex extension on gamma + i*nu is the step, rotated
         stepped = parameter_step(alpha, x)
-        rot, _ = complex_check_step(alpha, x)
+        z = complex(x.gamma, x.nu)
+        rot = alpha * (z + 1.0 / z)
         assert rot == pytest.approx(1j * complex(stepped.nu, -stepped.gamma), abs=1e-14)
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolemaps import (
-    CauchyParams,
+    HPoint,
     SingularInputError,
     boole_transform,
     cauchy_cdf,
@@ -150,22 +150,28 @@ class TestIterateOrbit:
 
 
 class TestCauchyPrimitives:
+    def test_one_type_for_the_law_and_the_point(self):
+        # a Cauchy law C(nu, gamma) is the point nu + i*gamma of the half-plane
+        from boolemaps import halfplane, orbit
+
+        assert orbit.CauchyParams is halfplane.HPoint is HPoint
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            CauchyParams(0.0, 0.0)
+            HPoint(0.0, 0.0)
         with pytest.raises(ValueError):
-            CauchyParams(0.0, -1.0)
+            HPoint(0.0, -1.0)
         with pytest.raises(ValueError):
-            CauchyParams(math.inf, 1.0)
+            HPoint(math.inf, 1.0)
 
     @pytest.mark.parametrize(
         "p, xi, expected",
         [
-            (CauchyParams(0, 1), 0.0, 1.0 / math.pi),
-            (CauchyParams(0, 1), 1.0, 1.0 / (2.0 * math.pi)),
-            (CauchyParams(3, 2), 3.0, 1.0 / (2.0 * math.pi)),
-            (CauchyParams(0, 1e-200), 0.0, 1e200 / math.pi),
-            (CauchyParams(0, 1), 1e200, 1e-400),
+            (HPoint(0, 1), 0.0, 1.0 / math.pi),
+            (HPoint(0, 1), 1.0, 1.0 / (2.0 * math.pi)),
+            (HPoint(3, 2), 3.0, 1.0 / (2.0 * math.pi)),
+            (HPoint(0, 1e-200), 0.0, 1e200 / math.pi),
+            (HPoint(0, 1), 1e200, 1e-400),
         ],
     )
     def test_pdf(self, p, xi, expected):
@@ -174,9 +180,9 @@ class TestCauchyPrimitives:
     @pytest.mark.parametrize(
         "p, xi, expected",
         [
-            (CauchyParams(0, 1), 0.0, 0.5),
-            (CauchyParams(0, 1), 1.0, 0.75),
-            (CauchyParams(2, 3), -1.0, 0.25),
+            (HPoint(0, 1), 0.0, 0.5),
+            (HPoint(0, 1), 1.0, 0.75),
+            (HPoint(2, 3), -1.0, 0.25),
         ],
     )
     def test_cdf(self, p, xi, expected):
@@ -185,9 +191,9 @@ class TestCauchyPrimitives:
     @pytest.mark.parametrize(
         "p, u, expected",
         [
-            (CauchyParams(0, 1), 0.5, 0.0),
-            (CauchyParams(0, 1), 0.75, 1.0),
-            (CauchyParams(5, 2), 0.25, 3.0),
+            (HPoint(0, 1), 0.5, 0.0),
+            (HPoint(0, 1), 0.75, 1.0),
+            (HPoint(5, 2), 0.25, 3.0),
         ],
     )
     def test_quantile(self, p, u, expected):
@@ -196,10 +202,10 @@ class TestCauchyPrimitives:
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1])
     def test_quantile_domain(self, u):
         with pytest.raises(ValueError):
-            cauchy_quantile(CauchyParams(0, 1), u)
+            cauchy_quantile(HPoint(0, 1), u)
 
     @pytest.mark.parametrize(
-        "p", [CauchyParams(0, 1), CauchyParams(3, 2), CauchyParams(-5, 0.3)]
+        "p", [HPoint(0, 1), HPoint(3, 2), HPoint(-5, 0.3)]
     )
     def test_cdf_quantile_inversion(self, p):
         u = np.arange(0.01, 1.0, 0.01)
@@ -208,7 +214,7 @@ class TestCauchyPrimitives:
 
     def test_pdf_normalizes(self):
         # trapezoid over the arctan-substituted axis as an independent check
-        p = CauchyParams(1.5, 0.7)
+        p = HPoint(1.5, 0.7)
         theta = np.linspace(-np.pi / 2 + 1e-9, np.pi / 2 - 1e-9, 20001)
         xi = p.nu + p.gamma * np.tan(theta)
         jac = p.gamma / np.cos(theta) ** 2
