@@ -14,12 +14,14 @@ exits 2 with a one-line message.
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
 (the records table).  ``meta.timings`` holds the seconds spent validating
-the flags, computing and rendering.  Records are kept as columns and
-streamed to the output a chunk of rows at a time.  The chunks are encoded
-round-robin on every CPU the process may run on, by the process itself and
-forked workers, and written in order; the bytes do not depend on the number
-of CPUs.  Floats are written in shortest round-trip form so identical runs
-diff cleanly.  The exit status is 0 exactly when every tolerance check the
+the flags, computing and rendering; ``oracles.warnings`` lists the warnings
+the command raised.  Records are kept as columns and streamed to the output
+a chunk of rows at a time, each chunk formatted and laid out a column at a
+time, with no Python call per row.  The chunks are encoded round-robin on
+every CPU the process may run on, by the process itself and forked workers,
+and written in order; the bytes do not depend on the number of CPUs.
+Floats are written in shortest round-trip form so identical runs diff
+cleanly.  The exit status is 0 exactly when every tolerance check the
 command configured has passed; a numerical failure in the library gives
 exit 1 and a report with empty records and ``oracles.error``, and a chunk
 that cannot be encoded gives exit 1 and one line on stderr.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -203,11 +204,8 @@ def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
     params = HPoint(cfg.nu0, cfg.gamma0)
-    with warnings.catch_warnings(record=True) as grabbed:
-        warnings.simplefilter("always")
-        sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
-        report = pf_monte_carlo_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
-    caught = [str(w.message) for w in grabbed]
+    sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
+    report = pf_monte_carlo_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
     records = _param_records(cfg)
     # the tolerance is relative to the peak 1/(pi*gamma) of the stepped law
     peak = 1.0 / (math.pi * records[1]["gamma"])
@@ -223,7 +221,6 @@ def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
         "fit_stderr": report.stderr,
         "n_dropped": report.n_dropped,
         "monte_carlo_pass": report.within_tolerance,
-        "warnings": caught,
     }
     passed = bool(oracles["sup_error_pass"] and oracles["monte_carlo_pass"])
     return {"records": _table(records), "oracles": oracles}, passed
@@ -354,29 +351,46 @@ def _columns(table: Table, start: int) -> list[list]:
 
 
 def _csv_cells(values: list) -> list[str]:
-    # repr of a Python float is its shortest round-trip decimal; the float()
-    # coercion strips numpy scalar types, whose repr is not parseable
-    return [repr(float(v)) if isinstance(v, float) else str(v) for v in values]
+    # float.__repr__ is the shortest round-trip decimal, also of numpy float
+    # scalars, whose own repr is not parseable; anything else is written by str
+    floats = [issubclass(kind, float) for kind in set(map(type, values))]
+    if all(floats):
+        return list(map(float.__repr__, values))
+    if not any(floats):
+        return list(map(str, values))
+    return [float.__repr__(v) if isinstance(v, float) else str(v) for v in values]
+
+
+def _lay(cells: list[list[str]], seps: list[str], head: str, end: str) -> str:
+    # head, then row by row each cell followed by its column's separator, the
+    # last row's final separator replaced by end; no Python call per row
+    width, rows = len(cells), len(cells[0])
+    flat = [head] * (1 + 2 * width * rows)
+    for j, (column, sep) in enumerate(zip(cells, seps)):
+        flat[1 + 2 * j::2 * width] = column
+        flat[2 + 2 * j::2 * width] = [sep] * rows
+    flat[-1] = end
+    return "".join(flat)
 
 
 def _csv_chunk(table: Table, start: int) -> str:
     """The CSV lines of one chunk of rows, from ``start``."""
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(zip(*map(_csv_cells, _columns(table, start))))
-    return text.getvalue()
+    seps = [","] * (len(table.columns) - 1) + ["\n"]
+    return _lay(list(map(_csv_cells, _columns(table, start))), seps, "", "\n")
 
 
 def _json_chunk(table: Table, start: int) -> str:
     """One chunk of rows, from ``start``, as items of the indented records array.
 
-    The C encoder encodes a column at a time, and each row is laid into a
-    template; a chunk after the first begins with the separator before it.
+    The C encoder encodes a column at a time, and the cells are laid between
+    the keys; a chunk after the first begins with the separator before it.
     """
-    row = "    {" + ",".join(f"\n      {json.dumps(key)}: %s" for key in table.header) + "\n    }"
+    first, *rest = (f"\n      {json.dumps(key)}: " for key in table.header)
+    seps = ["," + lead for lead in rest] + ["\n    },\n    {" + first]
     # "\n" as the item separator: no encoded value contains a raw newline
     cells = [json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
              for values in _columns(table, start)]
-    return (",\n" if start else "") + ",\n".join(map(row.__mod__, zip(*cells)))
+    return _lay(cells, seps, (",\n" if start else "") + "    {" + first, "\n    }")
 
 
 def _cpu_count() -> int:
@@ -532,13 +546,17 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     validated = time.perf_counter()
-    try:
-        body, passed = _COMMANDS[cfg.command](cfg)
-    except (QuadratureError, FitConvergenceError, PoleGuardError, SingularInputError) as exc:
-        # A numerical failure is a failed run, reported like any other.
-        error = f"{type(exc).__name__}: {exc}"
-        print(f"boolemaps {cfg.command}: {error}", file=sys.stderr)
-        body, passed = {"records": Table(), "oracles": {"error": error}}, False
+    # A warning from the library belongs to the report, not to stderr.
+    with warnings.catch_warnings(record=True) as grabbed:
+        warnings.simplefilter("always")
+        try:
+            body, passed = _COMMANDS[cfg.command](cfg)
+        except (QuadratureError, FitConvergenceError, PoleGuardError, SingularInputError) as exc:
+            # A numerical failure is a failed run, reported like any other.
+            error = f"{type(exc).__name__}: {exc}"
+            print(f"boolemaps {cfg.command}: {error}", file=sys.stderr)
+            body, passed = {"records": Table(), "oracles": {"error": error}}, False
+    body["oracles"]["warnings"] = [str(w.message) for w in grabbed]
     report = {
         "config": vars(cfg),
         "records": body["records"],

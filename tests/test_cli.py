@@ -12,6 +12,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -232,6 +233,21 @@ class TestGeometry:
         assert report["oracles"]["pullback_pass"]
         assert report["oracles"]["lie_pass"]
         assert report["oracles"]["canonical_pass"]
+        assert report["oracles"]["warnings"] == []
+
+    def test_warning_is_reported_not_printed(self, tmp_path):
+        # at nu0 = 1e308 a finite difference of the metric overflows and the
+        # Lie derivative's matmul meets inf - inf
+        out = tmp_path / "g.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "boolemaps.cli", "geometry", "--nu0", "1e308", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        warned = json.loads(out.read_text())["oracles"]["warnings"]
+        assert "invalid value encountered in matmul" in warned
 
     def test_degenerate_point_is_flagged(self, tmp_path):
         code, report = run_json(tmp_path, ["geometry", "--nu0", "0", "--gamma0", "1"])
@@ -397,6 +413,31 @@ class TestStreamingWriter:
         assert out.read_text() == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "rows", [1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1], ids=["1", "chunk", "chunk+1"]
+    )
+    def test_synthetic_table_matches_whole_report_renderers(self, fmt, rows):
+        # Every kind of column a table holds, with non-finite and extreme
+        # floats; at one row past a chunk the last chunk is a single row.
+        edges = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
+        table = cli.Table(
+            ("step", "flag", "count", "scalar", "edge", "mixed"),
+            (
+                range(rows),
+                [i % 3 == 0 for i in range(rows)],
+                [7 * i - 3 for i in range(rows)],
+                [np.float64(i) / 7 for i in range(rows)],
+                np.resize(edges, rows),
+                [i / 3 if i % 2 else i for i in range(rows)],  # ints and floats
+            ),
+        )
+        report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
+        out = io.StringIO()
+        cli.render_report(report, fmt, out)
+        expected = _old_json(report) if fmt == "json" else _old_csv(report)
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
     def test_same_bytes_on_one_cpu_and_on_all(self, tmp_path, fmt, to_stdout):
         # Chunks are encoded by as many workers as the process has CPUs.
@@ -524,6 +565,7 @@ class TestNumericalFailure:
         code, report = run_json(tmp_path, ["geometry", "--alpha", "1e-300"])
         assert code == 1
         assert report["oracles"]["error"].startswith("SingularInputError: ")
+        assert report["oracles"]["warnings"] == []
         err = capsys.readouterr().err
         assert err.startswith("boolemaps geometry: SingularInputError: ")
         assert len(err.splitlines()) == 1
