@@ -14,14 +14,20 @@ exits 2 with a one-line message.
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
 (the records table).  ``meta.timings`` holds the seconds spent validating
-the flags, computing and rendering; ``oracles.warnings`` lists the warnings
-the command raised.  Records are kept as columns and streamed to the output
-a chunk of rows at a time, each chunk formatted and laid out a column at a
-time, with no Python call per row.  The chunks are encoded round-robin on
-every CPU the process may run on, by the process itself and forked workers,
-and written in order; the bytes do not depend on the number of CPUs.
-Floats are written in shortest round-trip form so identical runs diff
-cleanly.  The exit status is 0 exactly when every tolerance check the
+the flags, computing and rendering, ``meta.peak_rss_mb`` the run's memory
+high-water mark and ``meta.environment`` the Python and numpy versions and
+the CPU count; ``oracles.warnings`` lists the warnings the command raised.
+Records are kept as columns and streamed to the output a chunk of rows at
+a time.  The chunks are encoded round-robin on every CPU the process may
+run on, by the process itself and forked workers, and written in order;
+the bytes do not depend on the number of CPUs.  A float is written as
+``float.__repr__`` writes it, the shortest decimal that reads back to the
+same double, so identical runs diff cleanly; nan and the infinities are
+spelled as JSON or Python spell them.  Float and integer columns are
+spelled by the numpy kernels of ``_numtext``, with no Python object per
+cell, and columns of bools, strings or mixed types a cell at a time.  A
+block of rows is one matrix of cell and separator bytes, laid out by one
+boolean index.  The exit status is 0 exactly when every tolerance check the
 command configured has passed; a numerical failure in the library gives
 exit 1 and a report with empty records and ``oracles.error``, and a chunk
 that cannot be encoded gives exit 1 and one line on stderr.
@@ -30,10 +36,12 @@ that cannot be encoded gives exit 1 and one line on stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import math
 import os
+import resource
 import signal
 import struct
 import sys
@@ -45,6 +53,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
+from ._numtext import float_text, int_text
 from .density import (
     DEFAULT_GRID_SIZE,
     MAX_SAMPLE_OFFSET,
@@ -344,53 +353,94 @@ class ReportError(RuntimeError):
     """A worker failed to encode its records, so the report is incomplete."""
 
 
-def _columns(table: Table, start: int) -> list[list]:
-    # The rows of one chunk, from ``start``, each column as Python scalars.
-    parts = [column[start:start + _CHUNK_ROWS] for column in table.columns]
-    return [part.tolist() if isinstance(part, np.ndarray) else list(part) for part in parts]
+#: Rows per sub-block of a chunk: the text kernels' working arrays stay small.
+_BLOCK_ROWS = 1 << 13
+#: How each format spells nan, inf and -inf.
+_NONFINITE = {"json": (b"NaN", b"Infinity", b"-Infinity"), "csv": (b"nan", b"inf", b"-inf")}
 
 
-def _csv_cells(values: list) -> list[str]:
-    # float.__repr__ is the shortest round-trip decimal, also of numpy float
-    # scalars, whose own repr is not parseable; anything else is written by str
-    floats = [issubclass(kind, float) for kind in set(map(type, values))]
-    if all(floats):
-        return list(map(float.__repr__, values))
-    if not any(floats):
-        return list(map(str, values))
-    return [float.__repr__(v) if isinstance(v, float) else str(v) for v in values]
+def _packed(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    # cells as words, one row each, and the mask of their bytes
+    encoded = list(map(str.encode, cells))
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    width = -(-max(int(lengths.max()), 1) // 4) * 4
+    text = np.array(encoded, dtype=f"S{width}").view(np.uint32).reshape(len(encoded), -1)
+    return text, (np.arange(width) < lengths[:, None]).view(np.uint32)
 
 
-def _lay(cells: list[list[str]], seps: list[str], head: str, end: str) -> str:
-    # head, then row by row each cell followed by its column's separator, the
-    # last row's final separator replaced by end; no Python call per row
-    width, rows = len(cells), len(cells[0])
-    flat = [head] * (1 + 2 * width * rows)
-    for j, (column, sep) in enumerate(zip(cells, seps)):
-        flat[1 + 2 * j::2 * width] = column
-        flat[2 + 2 * j::2 * width] = [sep] * rows
-    flat[-1] = end
-    return "".join(flat)
+def _cells(part, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """The text of a column's cells in one block of rows, as (words, mask).
+
+    Floats and integers go through the array kernels; bools, strings and
+    mixed columns are spelled a cell at a time, by json or as for CSV.
+    """
+    if isinstance(part, range):
+        return int_text(np.arange(part.start, part.stop, part.step))
+    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
+        return int_text(part)
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return float_text(part, _NONFINITE[fmt])
+    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
+        return float_text(np.array(values, dtype=np.float64), _NONFINITE[fmt])
+    if kinds == {int}:
+        ints = np.array(values)
+        if ints.dtype.kind in "iu":  # else beyond 64 bits
+            return int_text(ints)
+    if fmt == "json":
+        return _packed(list(map(json.dumps, values)))
+    # float.__repr__, also of numpy float scalars, whose own repr is not
+    # parseable; anything else as str writes it
+    return _packed([float.__repr__(v) if isinstance(v, float) else str(v) for v in values])
 
 
-def _csv_chunk(table: Table, start: int) -> str:
-    """The CSV lines of one chunk of rows, from ``start``."""
+def _chunk(table: Table, start: int, fmt: str, lead: str, seps: list[str]) -> bytes:
+    """The UTF-8 text of one chunk of rows, from ``start``.
+
+    Each row is ``lead``, then every cell followed by its column's
+    separator.  A block of rows is one matrix of words, made of the cells'
+    columns and constant separator columns, with a mask of the bytes that
+    are text; one boolean index of the flattened pair lays it out.
+    """
+    stop = min(start + _CHUNK_ROWS, len(table))
+    lead, seps = _constant(lead), list(map(_constant, seps))
+    texts = []
+    for lo in range(start, stop, _BLOCK_ROWS):
+        rows = min(lo + _BLOCK_ROWS, stop) - lo
+        parts = [lead]
+        for column, sep in zip(table.columns, seps):
+            parts += [_cells(column[lo:lo + rows], fmt), sep]
+        text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])
+                      for half in zip(*parts))
+        texts.append(text.view(np.uint8).ravel()[mask.view(bool).ravel()].tobytes())
+    return b"".join(texts)
+
+
+def _constant(text: str) -> tuple[np.ndarray, np.ndarray]:
+    # text as words, right-aligned, and the mask of its bytes
+    raw = text.encode()
+    holes = b"\0" * (-len(raw) % 4)
+    return (np.frombuffer(holes + raw, dtype=np.uint32),
+            np.frombuffer(holes + b"\1" * len(raw), dtype=np.uint32))
+
+
+def _csv_chunk(table: Table, start: int) -> bytes:
+    """The CSV lines of one chunk of rows, from ``start``, in UTF-8."""
     seps = [","] * (len(table.columns) - 1) + ["\n"]
-    return _lay(list(map(_csv_cells, _columns(table, start))), seps, "", "\n")
+    return _chunk(table, start, "csv", "", seps)
 
 
-def _json_chunk(table: Table, start: int) -> str:
+def _json_chunk(table: Table, start: int) -> bytes:
     """One chunk of rows, from ``start``, as items of the indented records array.
 
-    The C encoder encodes a column at a time, and the cells are laid between
-    the keys; a chunk after the first begins with the separator before it.
+    Each row is an object with its keys on indented lines; a chunk after
+    the first begins with the separator before it.
     """
     first, *rest = (f"\n      {json.dumps(key)}: " for key in table.header)
-    seps = ["," + lead for lead in rest] + ["\n    },\n    {" + first]
-    # "\n" as the item separator: no encoded value contains a raw newline
-    cells = [json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-             for values in _columns(table, start)]
-    return _lay(cells, seps, (",\n" if start else "") + "    {" + first, "\n    }")
+    seps = ["," + lead for lead in rest] + ["\n    }"]
+    text = _chunk(table, start, "json", ",\n    {" + first, seps)
+    return text if start else text[2:]
 
 
 def _cpu_count() -> int:
@@ -410,7 +460,7 @@ def _fork() -> int:
         return os.fork()
 
 
-def _encode(encode, table: Table, start: int) -> str:
+def _encode(encode, table: Table, start: int) -> bytes:
     # A failed chunk reads the same from any worker: one line, not a traceback.
     try:
         return encode(table, start)
@@ -428,7 +478,7 @@ def _serve(table: Table, encode, starts: range, pipe, readers: list) -> NoReturn
             reader.close()
         for start in starts:
             try:
-                data, encoded = _encode(encode, table, start).encode(), True
+                data, encoded = _encode(encode, table, start), True
             except ReportError as exc:
                 data, encoded = str(exc).encode(), False
             pipe.write(_FRAME.pack(encoded, len(data)))
@@ -440,7 +490,7 @@ def _serve(table: Table, encode, starts: range, pipe, readers: list) -> NoReturn
         os._exit(0)
 
 
-def _receive(pipe, start: int) -> str:
+def _receive(pipe, start: int) -> bytes:
     # A worker's chunk from ``start``; ReportError if it sent its failure or died.
     header = pipe.read(_FRAME.size)
     if len(header) == _FRAME.size:
@@ -448,9 +498,19 @@ def _receive(pipe, start: int) -> str:
         data = pipe.read(size)
         if len(data) == size:
             if encoded:
-                return data.decode()
+                return data
             raise ReportError(data.decode())
     raise ReportError(f"rows from {start} not encoded: the worker exited")
+
+
+def _byte_writer(handle):
+    # Write UTF-8 bytes to a text stream: straight to its binary buffer,
+    # after the text it holds, where it would encode them so, else as text.
+    raw = getattr(handle, "buffer", None)
+    if raw is None or os.linesep != "\n" or codecs.lookup(handle.encoding).name != "utf-8":
+        return lambda data: handle.write(data.decode())
+    handle.flush()
+    return raw.write
 
 
 def _write_chunks(table: Table, encode, handle) -> None:
@@ -464,6 +524,7 @@ def _write_chunks(table: Table, encode, handle) -> None:
     """
     starts = range(0, len(table), _CHUNK_ROWS)
     workers = min(_cpu_count(), len(starts))
+    write = _byte_writer(handle)
     pipes, pids = [], []
     try:
         for w in range(1, workers):
@@ -476,7 +537,7 @@ def _write_chunks(table: Table, encode, handle) -> None:
             pids.append(pid)
         for k, start in enumerate(starts):
             w = k % workers
-            handle.write(_receive(pipes[w - 1], start) if w else _encode(encode, table, start))
+            write(_receive(pipes[w - 1], start) if w else _encode(encode, table, start))
     finally:
         for pipe in pipes:
             pipe.close()
@@ -503,6 +564,13 @@ def _around_records(report: dict) -> tuple[str, str]:
     return head, tail
 
 
+def _peak_rss_mb() -> float:
+    # the high-water mark of this process or of any reaped report worker
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes or KiB
+
+
 def _write_json(report: dict, handle) -> None:
     # The same text as json.dumps(report, indent=2) with every record a dict.
     # With indent set, json encodes in pure Python; here only the small
@@ -518,6 +586,7 @@ def _write_json(report: dict, handle) -> None:
     else:
         handle.write(head + "[]")
     report["meta"]["timings"]["render_s"] = time.perf_counter() - started
+    report["meta"]["peak_rss_mb"] = _peak_rss_mb()
     _, tail = _around_records(report)
     handle.write(tail + "\n")
 
@@ -528,7 +597,8 @@ def render_report(report: dict, fmt: str, handle) -> None:
     Rows are written in chunks straight from the record columns, encoded on
     every CPU this process may run on, so the whole report is never held as
     one string.  JSON sets ``meta.timings.render_s`` to the time spent up to
-    the tail that holds it.  ReportError means the records were cut short.
+    the tail that holds it, and ``meta.peak_rss_mb`` to the high-water mark
+    by then.  ReportError means the records were cut short.
     """
     if fmt == "csv":
         _write_csv(report["records"], handle)
@@ -563,11 +633,17 @@ def main(argv=None) -> int:
         "oracles": body["oracles"],
         "meta": {
             "version": __version__,
+            "environment": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "nproc": _cpu_count(),
+            },
             "timings": {
                 "validate_s": validated - started,
                 "compute_s": time.perf_counter() - validated,
                 "render_s": 0.0,  # set by the JSON writer
             },
+            "peak_rss_mb": 0.0,  # set by the JSON writer
             "passed": passed,
         },
     }

@@ -65,6 +65,8 @@ class TestIterateParams:
         assert set(report) == {"config", "records", "oracles", "meta"}
         assert report["meta"]["version"]
         assert set(report["meta"]["timings"]) == {"validate_s", "compute_s", "render_s"}
+        assert set(report["meta"]) == {"version", "environment", "timings", "peak_rss_mb",
+                                       "passed"}
         assert "seed" not in report["meta"]
         assert report["config"]["command"] == "iterate-params"
 
@@ -418,10 +420,12 @@ class TestStreamingWriter:
     )
     def test_synthetic_table_matches_whole_report_renderers(self, fmt, rows):
         # Every kind of column a table holds, with non-finite and extreme
-        # floats; at one row past a chunk the last chunk is a single row.
-        edges = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
+        # floats and those where repr changes notation; at one row past a
+        # chunk the last chunk is a single row.
+        edges = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1e-4, 1e-5,
+                          1e16, 9999999999999998.0, 2.0**53 + 2, -1e-4, -1e-5, -1e16, -2.5e-300])
         table = cli.Table(
-            ("step", "flag", "count", "scalar", "edge", "mixed"),
+            ("step", "flag", "count", "scalar", "edge", "mixed", "float"),
             (
                 range(rows),
                 [i % 3 == 0 for i in range(rows)],
@@ -429,6 +433,7 @@ class TestStreamingWriter:
                 [np.float64(i) / 7 for i in range(rows)],
                 np.resize(edges, rows),
                 [i / 3 if i % 2 else i for i in range(rows)],  # ints and floats
+                [(-1.0) ** i * i / 3 for i in range(rows)],
             ),
         )
         report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
@@ -514,6 +519,22 @@ class TestStreamingWriter:
         timings = json.loads(out.read_text())["meta"]["timings"]
         assert timings["render_s"] > 0
         assert sum(timings.values()) <= wall
+
+    def test_meta_accounts_for_the_run(self, tmp_path):
+        # The versions and CPUs it ran on, and the run's high-water mark.
+        # ru_maxrss carries a parent's high-water mark across exec, so the
+        # command runs under a minimal parent.
+        out = tmp_path / "orbit.json"
+        argv = [sys.executable, "-m", "boolemaps.cli", "orbit", "--n", "200000", "--out", str(out)]
+        probe = f"import subprocess; subprocess.run({argv!r}, check=True)"
+        subprocess.run([sys.executable, "-c", probe], check=True, timeout=120)
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["environment"] == {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+        }
+        assert 10 < meta["peak_rss_mb"] < 150
 
     def test_orbit_report_memory_is_bounded(self, tmp_path):
         # A child's ru_maxrss starts from its parent's high-water mark at exec,
