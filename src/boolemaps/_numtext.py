@@ -232,7 +232,9 @@ def float_text(values: np.ndarray, nonfinite: tuple[bytes, bytes, bytes]):
     infinite = magnitude == _U(0x7FF << 52)
     tail[~finite] = 633
     tail[infinite] = 634 + (bits[infinite] >> _U(63))
-    whole, frac = (-(-(7 + int(x.max())) // 4) for x in (point, end))
+    # words of the first part: the "0" of "0." is byte 6, so at least two
+    whole = -(-(7 + max(int(point.max()), 0)) // 4)
+    frac = -(-(7 + int(end.max())) // 4)
     tails = 0 if (tail == 636).all() else 3
     text = np.empty((len(bits), whole + frac + tails), dtype=np.uint32)
     mask = np.empty_like(text)

@@ -23,9 +23,9 @@ run on, by the process itself and forked workers, and written in order;
 the bytes do not depend on the number of CPUs.  A float is written as
 ``float.__repr__`` writes it, the shortest decimal that reads back to the
 same double, so identical runs diff cleanly; nan and the infinities are
-spelled as JSON or Python spell them.  Float and integer columns are
-spelled by the numpy kernels of ``_numtext``, with no Python object per
-cell, and columns of bools, strings or mixed types a cell at a time.  A
+spelled as JSON or Python spell them.  Float64 and integer arrays and
+ranges are spelled by the numpy kernels of ``_numtext``, with no Python
+object per cell, and columns held as lists by json or a cell at a time.  A
 block of rows is one matrix of cell and separator bytes, laid out by one
 boolean index.  The exit status is 0 exactly when every tolerance check the
 command configured has passed; a numerical failure in the library gives
@@ -36,7 +36,6 @@ that cannot be encoded gives exit 1 and one line on stderr.
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import json
 import math
@@ -371,8 +370,10 @@ def _packed(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def _cells(part, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """The text of a column's cells in one block of rows, as (words, mask).
 
-    Floats and integers go through the array kernels; bools, strings and
-    mixed columns are spelled a cell at a time, by json or as for CSV.
+    Ranges and integer and float64 ndarrays go through the array kernels.
+    Lists, and ndarrays of other types, are spelled by one json encoder
+    call for JSON, or a cell at a time for CSV: small tables (every command
+    but orbit) render faster so than through a kernel.
     """
     if isinstance(part, range):
         return int_text(np.arange(part.start, part.stop, part.step))
@@ -381,15 +382,9 @@ def _cells(part, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
         return float_text(part, _NONFINITE[fmt])
     values = part.tolist() if isinstance(part, np.ndarray) else list(part)
-    kinds = set(map(type, values))
-    if all(issubclass(kind, float) for kind in kinds):
-        return float_text(np.array(values, dtype=np.float64), _NONFINITE[fmt])
-    if kinds == {int}:
-        ints = np.array(values)
-        if ints.dtype.kind in "iu":  # else beyond 64 bits
-            return int_text(ints)
     if fmt == "json":
-        return _packed(list(map(json.dumps, values)))
+        # one C encoder call per column; no encoded value holds a raw newline
+        return _packed(json.dumps(values, separators=("\n", ":"))[1:-1].split("\n"))
     # float.__repr__, also of numpy float scalars, whose own repr is not
     # parseable; anything else as str writes it
     return _packed([float.__repr__(v) if isinstance(v, float) else str(v) for v in values])
@@ -404,7 +399,7 @@ def _chunk(table: Table, start: int, fmt: str, lead: str, seps: list[str]) -> by
     are text; one boolean index of the flattened pair lays it out.
     """
     stop = min(start + _CHUNK_ROWS, len(table))
-    lead, seps = _constant(lead), list(map(_constant, seps))
+    lead, *seps = (_packed([text]) for text in [lead, *seps])  # one row each, broadcast
     texts = []
     for lo in range(start, stop, _BLOCK_ROWS):
         rows = min(lo + _BLOCK_ROWS, stop) - lo
@@ -413,16 +408,9 @@ def _chunk(table: Table, start: int, fmt: str, lead: str, seps: list[str]) -> by
             parts += [_cells(column[lo:lo + rows], fmt), sep]
         text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])
                       for half in zip(*parts))
-        texts.append(text.view(np.uint8).ravel()[mask.view(bool).ravel()].tobytes())
+        # ravel copies only if hstack chose a column-major layout
+        texts.append(text.ravel().view(np.uint8)[mask.ravel().view(bool)].tobytes())
     return b"".join(texts)
-
-
-def _constant(text: str) -> tuple[np.ndarray, np.ndarray]:
-    # text as words, right-aligned, and the mask of its bytes
-    raw = text.encode()
-    holes = b"\0" * (-len(raw) % 4)
-    return (np.frombuffer(holes + raw, dtype=np.uint32),
-            np.frombuffer(holes + b"\1" * len(raw), dtype=np.uint32))
 
 
 def _csv_chunk(table: Table, start: int) -> bytes:
@@ -503,16 +491,6 @@ def _receive(pipe, start: int) -> bytes:
     raise ReportError(f"rows from {start} not encoded: the worker exited")
 
 
-def _byte_writer(handle):
-    # Write UTF-8 bytes to a text stream: straight to its binary buffer,
-    # after the text it holds, where it would encode them so, else as text.
-    raw = getattr(handle, "buffer", None)
-    if raw is None or os.linesep != "\n" or codecs.lookup(handle.encoding).name != "utf-8":
-        return lambda data: handle.write(data.decode())
-    handle.flush()
-    return raw.write
-
-
 def _write_chunks(table: Table, encode, handle) -> None:
     """Write ``encode(table, start)`` for every chunk of rows, in order.
 
@@ -524,7 +502,6 @@ def _write_chunks(table: Table, encode, handle) -> None:
     """
     starts = range(0, len(table), _CHUNK_ROWS)
     workers = min(_cpu_count(), len(starts))
-    write = _byte_writer(handle)
     pipes, pids = [], []
     try:
         for w in range(1, workers):
@@ -537,7 +514,8 @@ def _write_chunks(table: Table, encode, handle) -> None:
             pids.append(pid)
         for k, start in enumerate(starts):
             w = k % workers
-            write(_receive(pipes[w - 1], start) if w else _encode(encode, table, start))
+            chunk = _receive(pipes[w - 1], start) if w else _encode(encode, table, start)
+            handle.write(chunk.decode())
     finally:
         for pipe in pipes:
             pipe.close()
@@ -565,10 +543,16 @@ def _around_records(report: dict) -> tuple[str, str]:
 
 
 def _peak_rss_mb() -> float:
-    # the high-water mark of this process or of any reaped report worker
-    peak = max(resource.getrusage(who).ru_maxrss
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes or KiB
+    # The high-water mark of this process or of any reaped report worker.
+    # Linux keeps this process's ru_maxrss across exec, so that it holds the
+    # launcher's mark; VmHWM starts afresh with the program.
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    try:
+        with open("/proc/self/status") as status:
+            own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return max(own, peak) / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes or KiB
 
 
 def _write_json(report: dict, handle) -> None:

@@ -443,6 +443,17 @@ class TestStreamingWriter:
         assert out.getvalue() == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_cells_of_one_word_match_whole_report_renderers(self, fmt):
+        # Every cell fits one 4-byte word, so each block's columns of cells
+        # are as narrow as they can be.
+        table = cli.Table(("a", "b"), ([0.0] * 5, [1, 2, 3, 4, 5]))
+        report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
+        out = io.StringIO()
+        cli.render_report(report, fmt, out)
+        expected = _old_json(report) if fmt == "json" else _old_csv(report)
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
     def test_same_bytes_on_one_cpu_and_on_all(self, tmp_path, fmt, to_stdout):
         # Chunks are encoded by as many workers as the process has CPUs.
@@ -521,13 +532,11 @@ class TestStreamingWriter:
         assert sum(timings.values()) <= wall
 
     def test_meta_accounts_for_the_run(self, tmp_path):
-        # The versions and CPUs it ran on, and the run's high-water mark.
-        # ru_maxrss carries a parent's high-water mark across exec, so the
-        # command runs under a minimal parent.
+        # The versions and CPUs it ran on, and the run's high-water mark,
+        # not that of pytest, which launches it.
         out = tmp_path / "orbit.json"
         argv = [sys.executable, "-m", "boolemaps.cli", "orbit", "--n", "200000", "--out", str(out)]
-        probe = f"import subprocess; subprocess.run({argv!r}, check=True)"
-        subprocess.run([sys.executable, "-c", probe], check=True, timeout=120)
+        subprocess.run(argv, check=True, timeout=120)
         meta = json.loads(out.read_text())["meta"]
         assert meta["environment"] == {
             "python": sys.version.split()[0],

@@ -59,6 +59,25 @@ def test_edges_match_repr_and_json():
     check(edges())
 
 
+def test_each_layout_alone_matches_repr_and_json():
+    # A block's parts are as wide as its widest value needs, so each point
+    # position and notation is checked in a block of its own as well.
+    values = [0.0, math.nan, math.inf, 5e-324, sys.float_info.max, 2.0**53 + 2]
+    values += [m * 10.0**e for e in range(-6, 20) for m in (1, 5, 1.25, 9.99)]
+    for value in values + [-v for v in values]:
+        check(np.array([value]))
+        check(np.full(3, value))
+    check(np.array([1e-4, -9.99e-4]))
+
+
+@given(st.integers(-8, 20), st.lists(st.floats(1, 10, exclude_max=True), min_size=1,
+                                         max_size=50))
+def test_blocks_of_one_decade_match_repr_and_json(decade, mantissas):
+    # every value of the block shares its decimal point position, or is
+    # written with an exponent
+    check(np.array(mantissas) * 10.0**decade)
+
+
 def test_random_patterns_match_repr_and_json():
     # the CI step "Float text equals float.__repr__" checks 10**7 of them
     check_random_patterns(1 << 16, seed=1)
