@@ -18,9 +18,10 @@ the flags, computing and rendering, ``meta.peak_rss_mb`` the run's memory
 high-water mark and ``meta.environment`` the Python and numpy versions and
 the CPU count; ``oracles.warnings`` lists the warnings the command raised.
 Records are kept as columns and streamed to the output a chunk of rows at
-a time.  The chunks are encoded round-robin on every CPU the process may
-run on, by the process itself and forked workers, and written in order;
-the bytes do not depend on the number of CPUs.  A float is written as
+a time, as bytes, to the file or to the binary buffer under stdout.  The
+chunks are encoded round-robin on every CPU the process may run on, by the
+process itself and forked workers, and written in order; the bytes do not
+depend on the number of CPUs.  A float is written as
 ``float.__repr__`` writes it, the shortest decimal that reads back to the
 same double, so identical runs diff cleanly; nan and the infinities are
 spelled as JSON or Python spell them.  Float64 and integer arrays and
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -55,9 +57,10 @@ from . import __version__
 from ._numtext import float_text, int_text
 from .density import (
     DEFAULT_GRID_SIZE,
+    KS_MIN_SAMPLES,
     MAX_SAMPLE_OFFSET,
     MIN_MONTE_CARLO_SIZE,
-    ks_distance,
+    _orbit_ks,
     pf_closed_form_check,
     pf_monte_carlo_check,
 )
@@ -88,7 +91,6 @@ PULLBACK_TOL = 1e-5
 LIE_TOL = 1e-6
 CANONICAL_TOL = 1e-14
 KS_TOL = 1e-2
-KS_MIN_SAMPLES = 10**5
 #: Points closer than this to (0, 1) have a vanishing conformal factor.
 DEGENERACY_RADIUS = 0.1
 
@@ -301,17 +303,15 @@ def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
     }
     passed = True
     if cfg.n >= KS_MIN_SAMPLES:
-        if result.truncated:
+        check = _orbit_ks(cfg.alpha, result)
+        if check is None:
             oracles["ks_pass"] = False
-            passed = False
         else:
-            invariant = fixed_point(cfg.alpha)
-            ks = ks_distance(result.points, invariant)
-            oracles["ks_distance"] = ks
-            oracles["invariant_nu"] = invariant.nu
-            oracles["invariant_gamma"] = invariant.gamma
-            oracles["ks_pass"] = ks < KS_TOL
-            passed = bool(oracles["ks_pass"])
+            oracles["ks_distance"] = check.ks
+            oracles["invariant_nu"] = check.invariant.nu
+            oracles["invariant_gamma"] = check.invariant.gamma
+            oracles["ks_pass"] = check.ks < KS_TOL
+        passed = bool(oracles["ks_pass"])
     return {"records": records, "oracles": oracles}, passed
 
 
@@ -515,7 +515,7 @@ def _write_chunks(table: Table, encode, handle) -> None:
         for k, start in enumerate(starts):
             w = k % workers
             chunk = _receive(pipes[w - 1], start) if w else _encode(encode, table, start)
-            handle.write(chunk.decode())
+            handle.write(chunk)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -527,7 +527,9 @@ def _write_chunks(table: Table, encode, handle) -> None:
 
 def _write_csv(table: Table, handle) -> None:
     if table.header:
-        csv.writer(handle, lineterminator="\n").writerow(table.header)
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(table.header)
+        handle.write(header.getvalue().encode())
     _write_chunks(table, _csv_chunk, handle)
 
 
@@ -564,19 +566,19 @@ def _write_json(report: dict, handle) -> None:
     table = report["records"]
     head, _ = _around_records(report)
     if len(table):
-        handle.write(head + "[\n")
+        handle.write(f"{head}[\n".encode())
         _write_chunks(table, _json_chunk, handle)
-        handle.write("\n  ]")
+        handle.write(b"\n  ]")
     else:
-        handle.write(head + "[]")
+        handle.write(f"{head}[]".encode())
     report["meta"]["timings"]["render_s"] = time.perf_counter() - started
     report["meta"]["peak_rss_mb"] = _peak_rss_mb()
     _, tail = _around_records(report)
-    handle.write(tail + "\n")
+    handle.write(f"{tail}\n".encode())
 
 
 def render_report(report: dict, fmt: str, handle) -> None:
-    """Write ``report`` to ``handle``: all of it as JSON, or its records as CSV.
+    """Write ``report`` to the binary ``handle``: all of it as JSON, or its records as CSV.
 
     Rows are written in chunks straight from the record columns, encoded on
     every CPU this process may run on, so the whole report is never held as
@@ -633,10 +635,11 @@ def main(argv=None) -> int:
     }
     try:
         if cfg.output_path:
-            with open(cfg.output_path, "w") as handle:
+            with open(cfg.output_path, "wb") as handle:
                 render_report(report, cfg.format, handle)
         else:
-            render_report(report, cfg.format, sys.stdout)
+            sys.stdout.flush()  # any text printed so far goes out before the report
+            render_report(report, cfg.format, sys.stdout.buffer)
     except ReportError as exc:
         print(f"boolemaps {cfg.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,16 @@ import numpy as np
 
 from .errors import FitConvergenceError, GridResolutionWarning, OrbitTruncationError, PoleGuardError
 from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
-from .orbit import POLE_EPS, _boole, _preimages, cauchy_cdf, cauchy_pdf, check_alpha, iterate_orbit
+from .orbit import (
+    POLE_EPS,
+    OrbitResult,
+    _boole,
+    _preimages,
+    cauchy_cdf,
+    cauchy_pdf,
+    check_alpha,
+    iterate_orbit,
+)
 
 DEFAULT_GRID_SIZE = 4096
 #: Probability left outside a ``cauchy_grid`` on each side.
@@ -492,12 +501,24 @@ def ks_distance(samples: np.ndarray, p: HPoint) -> float:
     return float(max(above, np.max(cdf)))
 
 
+#: Orbits of fewer steps than this are not checked against the invariant law.
+KS_MIN_SAMPLES = 10**5
+
+
 @dataclass(frozen=True)
 class ErgodicReport:
     """KS distance of a long orbit against the invariant Cauchy law."""
 
     invariant: HPoint
     ks: float
+
+
+def _orbit_ks(alpha: float, orbit: OrbitResult) -> ErgodicReport | None:
+    # The orbit's KS distance to the invariant law; None if it was truncated.
+    if orbit.truncated:
+        return None
+    target = fixed_point(alpha)
+    return ErgodicReport(target, ks_distance(orbit.points, target))
 
 
 def ergodic_orbit_check(alpha: float, xi0: float, n: int) -> ErgodicReport:
@@ -507,13 +528,13 @@ def ergodic_orbit_check(alpha: float, xi0: float, n: int) -> ErgodicReport:
     seeds (e.g. +/-1, which map to the pole in two steps) are degenerate.
     """
     alpha = check_alpha(alpha)
-    if n < 10**5:
-        raise ValueError("ergodic check needs n >= 10^5 steps")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"ergodic check needs n >= {KS_MIN_SAMPLES} steps")
     result = iterate_orbit(alpha, xi0, n)
-    if result.truncated:
+    report = _orbit_ks(alpha, result)
+    if report is None:
         raise OrbitTruncationError(
             f"orbit from {xi0} hit the pole guard at index {result.last_index}",
             result.last_index,
         )
-    target = fixed_point(alpha)
-    return ErgodicReport(target, ks_distance(result.points, target))
+    return report

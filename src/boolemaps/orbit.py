@@ -16,6 +16,7 @@ its parameter point ``HPoint`` of the upper half-plane, on which
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -117,26 +118,39 @@ class OrbitResult:
     last_index: int
 
 
+def _iterates(alpha: float, x: float, n: int):
+    # The seed and its n images, with the map inlined.  An exact 0 ends the
+    # orbit with the ZeroDivisionError of its image, which a float raises
+    # and a numpy scalar does not; any other point inside the guard is
+    # stepped on, and cut off by the caller.
+    yield x
+    try:
+        for _ in itertools.repeat(None, n):
+            x = alpha * (x - 1.0 / x)
+            yield x
+    except ZeroDivisionError:
+        return
+
+
 def iterate_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
     """Iterate the map ``n`` times from ``xi0``.
 
-    Returns n+1 points on a clean run.  If an iterate lands within
-    ``POLE_EPS`` of the pole the orbit is truncated there and flagged rather
-    than raising, so callers can see how far it got.
+    Returns n+1 points on a clean run.  If an iterate before the last lands
+    within ``POLE_EPS`` of the pole, the orbit is truncated at the first
+    such point and flagged rather than raising, so callers can see how far
+    it got.
     """
     alpha = check_alpha(alpha)
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
-    eps = POLE_EPS  # a local, read once per step
-    if not math.isfinite(xi0) or abs(xi0) < eps:
+    if not math.isfinite(xi0) or abs(xi0) < POLE_EPS:
         raise SingularInputError(f"seed {xi0!r} is inside the pole guard")
-    points = np.empty(n + 1)
-    points[0] = x = xi0
-    for i in range(1, n + 1):
-        if abs(x) < eps:
-            return OrbitResult(points[:i].copy(), truncated=True, last_index=i - 1)
-        x = _boole(alpha, x)
-        points[i] = x
+    points = np.fromiter(_iterates(alpha, float(xi0), n), dtype=float)
+    # The last point is never stepped from, so it is not guarded.
+    inside = np.abs(points[:n]) < POLE_EPS
+    if inside.any():
+        last = int(inside.argmax())
+        return OrbitResult(points[:last + 1].copy(), truncated=True, last_index=last)
     return OrbitResult(points, truncated=False, last_index=n)
 
 

@@ -437,10 +437,10 @@ class TestStreamingWriter:
             ),
         )
         report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
-        out = io.StringIO()
+        out = io.BytesIO()
         cli.render_report(report, fmt, out)
         expected = _old_json(report) if fmt == "json" else _old_csv(report)
-        assert out.getvalue() == expected
+        assert out.getvalue().decode() == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_cells_of_one_word_match_whole_report_renderers(self, fmt):
@@ -448,10 +448,10 @@ class TestStreamingWriter:
         # are as narrow as they can be.
         table = cli.Table(("a", "b"), ([0.0] * 5, [1, 2, 3, 4, 5]))
         report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
-        out = io.StringIO()
+        out = io.BytesIO()
         cli.render_report(report, fmt, out)
         expected = _old_json(report) if fmt == "json" else _old_csv(report)
-        assert out.getvalue() == expected
+        assert out.getvalue().decode() == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])

@@ -1,6 +1,7 @@
 """Pointwise map, preimages, orbits, and Cauchy primitives."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolemaps import (
+    POLE_EPS,
     HPoint,
+    OrbitResult,
     SingularInputError,
     boole_transform,
     cauchy_cdf,
     cauchy_pdf,
     cauchy_quantile,
+    check_alpha,
     g_transform,
     invariant_scale,
     iterate_orbit,
@@ -124,9 +128,68 @@ class TestPreimages:
             preimages(0.37, target)
 
 
+def loop_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
+    """Reference oracle: the orbit a step at a time, each point guarded
+    before it is stepped from."""
+    alpha = check_alpha(alpha)
+    if n < 0:
+        raise ValueError("orbit length must be nonnegative")
+    if not math.isfinite(xi0) or abs(xi0) < POLE_EPS:
+        raise SingularInputError(f"seed {xi0!r} is inside the pole guard")
+    points = np.empty(n + 1)
+    points[0] = x = xi0
+    for i in range(1, n + 1):
+        if abs(x) < POLE_EPS:
+            return OrbitResult(points[:i].copy(), truncated=True, last_index=i - 1)
+        x = alpha * (x - 1.0 / x)
+        points[i] = x
+    return OrbitResult(points, truncated=False, last_index=n)
+
+
+def assert_same_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
+    """Assert that ``iterate_orbit`` gives the oracle's points, bit for bit,
+    and its ``truncated`` and ``last_index``; return the result."""
+    got, expected = iterate_orbit(alpha, xi0, n), loop_orbit(alpha, xi0, n)
+    assert got.points.tobytes() == expected.points.tobytes(), (alpha, xi0, n)
+    assert (got.truncated, got.last_index) == (expected.truncated, expected.last_index), (
+        alpha, xi0, n
+    )
+    return got
+
+
+#: log10 of the ranges drawn from: alpha in 1e-320..0.999, |seed| in 1e-300..1e300.
+_LOG_ALPHA = (-320.0, math.log10(0.999))
+_LOG_SEED = (-300.0, 300.0)
+
+
+def _seed(exponent: float, negative: bool) -> float:
+    # 10**-300 rounds below POLE_EPS, which no seed may be
+    xi0 = max(10.0**exponent, POLE_EPS)
+    return -xi0 if negative else xi0
+
+
+def check_orbits(count: int, seed: int) -> int:
+    """``assert_same_orbit`` on ``count`` random orbits drawn from ``seed``:
+    alpha and |xi0| log-uniform in their ranges, xi0 of either sign, n
+    uniform in 0..1000.  Returns how many of them were truncated."""
+    rng = np.random.default_rng(seed)
+    alphas = 10.0 ** rng.uniform(*_LOG_ALPHA, count)
+    seeds = rng.uniform(*_LOG_SEED, count)
+    signs = rng.integers(0, 2, count).astype(bool)
+    lengths = rng.integers(0, 1000, count, endpoint=True)
+    truncated = 0
+    for alpha, exponent, negative, n in zip(alphas.tolist(), seeds.tolist(), signs.tolist(),
+                                            lengths.tolist()):
+        truncated += assert_same_orbit(alpha, _seed(exponent, negative), n).truncated
+    return truncated
+
+
 class TestIterateOrbit:
+    """``iterate_orbit``, and the points, ``truncated`` and ``last_index`` it
+    gives against the per-step loop ``loop_orbit``."""
+
     def test_truncates_at_pole(self):
-        result = iterate_orbit(0.5, 1.0, 3)
+        result = assert_same_orbit(0.5, 1.0, 3)
         assert result.truncated
         assert result.last_index == 1
         np.testing.assert_array_equal(result.points, [1.0, 0.0])
@@ -138,7 +201,7 @@ class TestIterateOrbit:
         np.testing.assert_allclose(result.points, expected, rtol=1e-15)
 
     def test_zero_steps(self):
-        result = iterate_orbit(0.3, 5.0, 0)
+        result = assert_same_orbit(0.3, 5.0, 0)
         np.testing.assert_array_equal(result.points, [5.0])
         assert not result.truncated
 
@@ -147,6 +210,47 @@ class TestIterateOrbit:
             iterate_orbit(0.5, 2.0, -1)
         with pytest.raises(SingularInputError):
             iterate_orbit(0.5, 0.0, 5)
+
+    @given(
+        st.floats(*_LOG_ALPHA).map(lambda e: 10.0**e),
+        st.builds(_seed, st.floats(*_LOG_SEED), st.booleans()),
+        st.integers(0, 200),
+    )
+    def test_equals_the_loop(self, alpha, xi0, n):
+        assert_same_orbit(alpha, xi0, n)
+
+    def test_random_orbits_equal_the_loop(self):
+        # a few of them are truncated, so the cut is checked too
+        assert check_orbits(3000, seed=11) > 0
+
+    @pytest.mark.parametrize("xi0", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_zero(self, xi0, n):
+        # +-1 maps to 0, whose image raises ZeroDivisionError in the loop; a
+        # last point is never stepped from, so at n = 1 nothing is cut
+        result = assert_same_orbit(0.5, xi0, n)
+        assert result.points.tolist() == [xi0, 0.0]
+        assert (result.truncated, result.last_index) == (n > 1, 1)
+
+    def test_subnormal_iterate(self):
+        result = assert_same_orbit(1e-310, 1.5, 10)
+        assert result.truncated and result.last_index == 1
+        assert 0.0 < abs(result.points[1]) < sys.float_info.min
+
+    def test_cut_at_the_first_hit(self):
+        # inside the guard at index 1, back at about -1.2 at 2 and inside
+        # again at 3: the orbit ends at the first of the two
+        alpha, xi0 = 1e-305, 1.5
+        x1 = alpha * (xi0 - 1.0 / xi0)
+        x2 = alpha * (x1 - 1.0 / x1)
+        x3 = alpha * (x2 - 1.0 / x2)
+        assert abs(x1) < POLE_EPS and x2 == pytest.approx(-1.2) and abs(x3) < POLE_EPS
+        result = assert_same_orbit(alpha, xi0, 10)
+        assert result.truncated and result.last_index == 1
+
+    def test_clean_long_orbit(self):
+        result = assert_same_orbit(0.5, math.sqrt(2.0), 10**6)
+        assert not result.truncated and len(result.points) == 10**6 + 1
 
 
 class TestCauchyPrimitives:
