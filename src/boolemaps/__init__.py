@@ -47,7 +47,6 @@ from .geometry import (
     canonical_form_coefficient,
     christoffel,
     conformal_factor,
-    finite_difference_jacobian,
     fisher_metric,
     fisher_metric_quadrature,
     lie_derivative_metric,

@@ -27,7 +27,7 @@ same double, so identical runs diff cleanly; nan and the infinities are
 spelled as JSON or Python spell them.  Float64 and integer arrays and
 ranges are spelled by the numpy kernels of ``_numtext``, with no Python
 object per cell, and columns held as lists by json or a cell at a time.  A
-block of rows is one matrix of cell and separator bytes, laid out by one
+chunk of rows is one matrix of cell and separator bytes, laid out by one
 boolean index.  The exit status is 0 exactly when every tolerance check the
 command configured has passed; a numerical failure in the library gives
 exit 1 and a report with empty records and ``oracles.error``, and a chunk
@@ -48,7 +48,7 @@ import struct
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -66,7 +66,6 @@ from .density import (
 )
 from .errors import FitConvergenceError, PoleGuardError, QuadratureError, SingularInputError
 from .geometry import (
-    FD_STEP,
     KILLING_FIELD_NAMES,
     canonical_form_coefficient,
     conformal_factor,
@@ -86,9 +85,10 @@ from .halfplane import (
 from .orbit import POLE_EPS, check_alpha, iterate_orbit
 
 SUP_ERROR_TOL = 1e-10
-QUADRATURE_TOL = 1e-8
-PULLBACK_TOL = 1e-5
-LIE_TOL = 1e-6
+#: Geometry tolerances are relative to the metric, and for Lie derivatives to gamma.
+QUADRATURE_TOL = 1e-12
+PULLBACK_TOL = 1e-10
+LIE_TOL = 1e-9
 CANONICAL_TOL = 1e-14
 KS_TOL = 1e-2
 #: Points closer than this to (0, 1) have a vanishing conformal factor.
@@ -128,9 +128,11 @@ def validate(cfg: argparse.Namespace) -> None:
             raise ValueError(f"{name} must be >= 1, got {flags[name]}")
     if "gamma0" in flags and cfg.gamma0 <= 0:
         raise ValueError(f"gamma0 must be positive, got {cfg.gamma0}")
-    # The geometry oracles step both gamma and p = 1/(2*gamma) by FD_STEP.
-    if cfg.command == "geometry" and not FD_STEP < cfg.gamma0 < 0.5 / FD_STEP:
-        raise ValueError(f"gamma0 must lie in ({FD_STEP}, {0.5 / FD_STEP}), got {cfg.gamma0}")
+    if cfg.command == "geometry":
+        try:
+            fisher_metric(HPoint(cfg.nu0, cfg.gamma0))
+        except SingularInputError as exc:
+            raise ValueError(f"gamma0 must lie in the metric's domain: {exc}") from None
     if cfg.command == "verify-pf":
         if cfg.n < MIN_MONTE_CARLO_SIZE:
             raise ValueError(f"n must be >= {MIN_MONTE_CARLO_SIZE}, got {cfg.n}")
@@ -243,18 +245,9 @@ _LATTICE_GAMMA = (0.5, 1.0, 2.0, 3.0, 4.0)
 def _geometry_row(alpha: float, point: HPoint) -> dict:
     metric = fisher_metric(point)
     quad = fisher_metric_quadrature(point)
-    quad_err = max(
-        abs(quad.g_nn - metric.g_nn), abs(quad.g_ng), abs(quad.g_gg - metric.g_gg)
-    )
-    lie_g = float(
-        max(
-            max(abs(lie.g_nn), abs(lie.g_ng), abs(lie.g_gg))
-            for lie in (lie_derivative_metric(name, point) for name in KILLING_FIELD_NAMES)
-        )
-    )
-    lie_w = float(
-        max(abs(lie_derivative_two_form(name, point)) for name in KILLING_FIELD_NAMES)
-    )
+    gaps = (quad.g_nn - metric.g_nn, quad.g_ng, quad.g_gg - metric.g_gg)
+    lie_g = [astuple(lie_derivative_metric(name, point)) for name in KILLING_FIELD_NAMES]
+    lie_w = [lie_derivative_two_form(name, point) for name in KILLING_FIELD_NAMES]
     degenerate = math.hypot(point.nu, point.gamma - 1.0) < DEGENERACY_RADIUS
     return {
         "nu": point.nu,
@@ -262,9 +255,9 @@ def _geometry_row(alpha: float, point: HPoint) -> dict:
         "conformal_factor": conformal_factor(point),
         "degenerate": degenerate,
         "pullback_deviation": verify_conformal_pullback(alpha, point),
-        "quadrature_error": quad_err,
-        "lie_metric_max": lie_g,
-        "lie_two_form_max": lie_w,
+        "quadrature_error": max(map(abs, gaps)) / metric.g_nn,
+        "lie_metric_max": max(abs(value) for entries in lie_g for value in entries),
+        "lie_two_form_max": max(map(abs, lie_w)),
         "canonical_coefficient": canonical_form_coefficient(point),
         "symplectic_defect": symplectic_defect(alpha, to_canonical(point)),
     }
@@ -342,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CHUNK_ROWS = 1 << 16
+#: Rows per chunk, each one matrix of words: the text kernels' working
+#: arrays stay small.
+_CHUNK_ROWS = 1 << 13
 #: A frame on a worker's pipe: whether the chunk was encoded, then the length
 #: in bytes of what follows, the chunk's text or the failure that stopped it.
 _FRAME = struct.Struct("<?Q")
@@ -352,8 +347,6 @@ class ReportError(RuntimeError):
     """A worker failed to encode its records, so the report is incomplete."""
 
 
-#: Rows per sub-block of a chunk: the text kernels' working arrays stay small.
-_BLOCK_ROWS = 1 << 13
 #: How each format spells nan, inf and -inf.
 _NONFINITE = {"json": (b"NaN", b"Infinity", b"-Infinity"), "csv": (b"nan", b"inf", b"-inf")}
 
@@ -368,7 +361,7 @@ def _packed(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cells(part, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """The text of a column's cells in one block of rows, as (words, mask).
+    """The text of a column's cells in one chunk of rows, as (words, mask).
 
     Ranges and integer and float64 ndarrays go through the array kernels.
     Lists, and ndarrays of other types, are spelled by one json encoder
@@ -394,23 +387,20 @@ def _chunk(table: Table, start: int, fmt: str, lead: str, seps: list[str]) -> by
     """The UTF-8 text of one chunk of rows, from ``start``.
 
     Each row is ``lead``, then every cell followed by its column's
-    separator.  A block of rows is one matrix of words, made of the cells'
+    separator.  The chunk is one matrix of words, made of the cells'
     columns and constant separator columns, with a mask of the bytes that
     are text; one boolean index of the flattened pair lays it out.
     """
     stop = min(start + _CHUNK_ROWS, len(table))
     lead, *seps = (_packed([text]) for text in [lead, *seps])  # one row each, broadcast
-    texts = []
-    for lo in range(start, stop, _BLOCK_ROWS):
-        rows = min(lo + _BLOCK_ROWS, stop) - lo
-        parts = [lead]
-        for column, sep in zip(table.columns, seps):
-            parts += [_cells(column[lo:lo + rows], fmt), sep]
-        text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])
-                      for half in zip(*parts))
-        # ravel copies only if hstack chose a column-major layout
-        texts.append(text.ravel().view(np.uint8)[mask.ravel().view(bool)].tobytes())
-    return b"".join(texts)
+    parts = [lead]
+    for column, sep in zip(table.columns, seps):
+        parts += [_cells(column[start:stop], fmt), sep]
+    rows = stop - start
+    text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])
+                  for half in zip(*parts))
+    # ravel copies only if hstack chose a column-major layout
+    return text.ravel().view(np.uint8)[mask.ravel().view(bool)].tobytes()
 
 
 def _csv_chunk(table: Table, start: int) -> bytes:

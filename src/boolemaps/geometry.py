@@ -13,27 +13,34 @@ rotation J the metric induces the two-form omega(X, Y) = g(J X, Y)
 
 Every closed-form object here has a brute-force counterpart in this module
 (the metric's defining integral by a midpoint rule that is exact for it,
-finite differences for pullbacks, Lie derivatives, and Jacobian
+complex-step derivatives for pullbacks, Lie derivatives and Jacobian
 determinants) so the claims can be checked without trusting the algebra.
+Each oracle returns a dimensionless gap that holds at any finite nu
+wherever the metric is a normal double (gamma ~5.3e-155 to ~4.7e153).
 Like the rest of the package, it needs only numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureError, SingularInputError
-from .halfplane import CanonicalPoint, HPoint, canonical_step, parameter_step
+from .halfplane import (
+    CanonicalPoint,
+    HPoint,
+    _scaled_step,
+    canonical_step,
+    from_canonical,
+    parameter_step,
+)
 from .orbit import check_alpha
 
 Vec = tuple[float, float]
-
-#: Step of every central-difference oracle in this module.
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,26 +62,29 @@ class TwoForm:
     omega_ng: float
 
 
-def _half_inverse_square(gamma: float) -> float:
-    # 1/(2*gamma^2), which overflows below gamma ~5e-155, and whose
-    # denominator underflows to 0 below ~1e-162 (a ZeroDivisionError); both
-    # raise SingularInputError instead.  (0.5/gamma)/gamma would round the
-    # last bit differently for a third of all gamma.
-    square = 2.0 * gamma * gamma
-    out = 1.0 / square if square else math.inf
-    if out == math.inf:
-        raise SingularInputError(f"1/(2*gamma^2) is not a finite double at gamma = {gamma!r}")
-    return out
+def _checked(gamma: float, entries: tuple) -> tuple:
+    # Coefficients at a real point, the first +-1/(2*gamma^2), which must be a
+    # normal double: it overflows below gamma ~5.3e-155 and is subnormal, with
+    # fewer digits than the oracles need, above ~4.7e153.
+    if not sys.float_info.min <= abs(entries[0]) <= sys.float_info.max:
+        raise SingularInputError(f"1/(2*gamma^2) is not a normal double at gamma = {gamma!r}")
+    return entries
 
 
 def fisher_metric(x: HPoint) -> Metric2:
     """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2)).
 
-    Raises SingularInputError where the entries are not finite doubles
-    (gamma below about 5e-155).
+    Raises SingularInputError where the entries are not normal doubles
+    (gamma outside about 5.3e-155..4.7e153).
     """
-    half = _half_inverse_square(x.gamma)
-    return Metric2(half, 0.0, half)
+    return Metric2(*_checked(x.gamma, _metric_entries(x.nu, x.gamma)))
+
+
+def _metric_entries(nu, gamma) -> tuple:
+    # at a real or complex point; the first quotient of (0.5/gamma)/gamma is a
+    # normal double wherever the result is
+    half = 0.5 / gamma / gamma
+    return half, 0.0, half
 
 
 def _midpoint_entries(gamma: float, n: int) -> np.ndarray:
@@ -137,48 +147,46 @@ def conformal_factor(x: HPoint) -> float:
     return 1.0 - t * t
 
 
-def finite_difference_jacobian(
-    f: Callable[[float, float], tuple[float, float]],
-    a: float,
-    b: float,
-) -> np.ndarray:
-    """Central-difference Jacobian of a plane map at (a, b), step ``FD_STEP``."""
-    h = FD_STEP
-    jac = np.empty((2, 2))
-    for col, (da, db) in enumerate(((h, 0.0), (0.0, h))):
-        fp = f(a + da, b + db)
-        fm = f(a - da, b - db)
-        jac[0, col] = (fp[0] - fm[0]) / (2.0 * h)
-        jac[1, col] = (fp[1] - fm[1]) / (2.0 * h)
+def _complex_step(f: Callable, point: Vec, scales: Vec, sizes) -> np.ndarray:
+    """Entries d f_i / d x_k * scales[k] / sizes[i] of an analytic ``f``, by complex steps.
+
+    Each is Im f_i(point + i*h*scales[k]*e_k) / sizes[i] / h, with nothing
+    subtracted (Squire & Trapp, SIAM Review 40(1), 1998).  The relative step
+    h = 2**-20 keeps the truncation near h^2 ~ 1e-12, and leaves ten digits
+    in the derivative of a value as small as the least normal double.
+    """
+    h = 2.0**-20
+    jac = np.empty((len(sizes), len(point)))
+    for k, scale in enumerate(scales):
+        shifted = [complex(value) for value in point]
+        shifted[k] += complex(0.0, h * scale)
+        for i, (value, size) in enumerate(zip(f(*shifted), sizes)):
+            jac[i, k] = value.imag / size / h
     return jac
 
 
-def _step_xy(alpha: float) -> Callable[[float, float], tuple[float, float]]:
-    def f(nu: float, gamma: float) -> tuple[float, float]:
-        out = parameter_step(alpha, HPoint(nu, gamma))
-        return out.nu, out.gamma
-
-    return f
-
-
 def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
-    """Max entrywise gap between the finite-difference metric pullback and factor*g.
+    """Max entrywise gap between the pulled-back metric and factor*g, relative to g.
 
-    Differentiates the half-plane map numerically, pulls the metric back
-    through that Jacobian, and compares against conformal_factor(x) times
-    the metric at x.  Expected below ~1e-6 for the step ``FD_STEP`` away from
-    the degenerate point (0, 1).
+    M = J*gamma/gamma', the complex-step Jacobian of ``halfplane._scaled_step``
+    in the metric's units at x and at its image, pulls the metric back to
+    M^T M times the metric at x.  Returns max |M^T M - conformal_factor(x)*I|,
+    below about 2e-12 at every scale.
     """
     alpha = check_alpha(alpha)
-    jac = finite_difference_jacobian(_step_xy(alpha), x.nu, x.gamma)
-    target = parameter_step(alpha, x)
-    pulled = jac.T @ fisher_metric(target).as_array() @ jac
-    expected = conformal_factor(x) * fisher_metric(x).as_array()
-    return float(np.max(np.abs(pulled - expected)))
+    image = parameter_step(alpha, x)
+    s = max(abs(x.nu), x.gamma)
+    jac = _complex_step(
+        lambda nu, gamma: _scaled_step(alpha, nu, gamma, s),
+        (x.nu, x.gamma), (x.gamma, x.gamma), (image.gamma, image.gamma),
+    )
+    return float(np.max(np.abs(jac.T @ jac - conformal_factor(x) * np.eye(2))))
 
 
 # Isometry generators of the half-plane metric, keyed by what their flows do.
 # Components (K^nu, K^gamma) and their exact partials d K^a / d(nu, gamma).
+# Each is homogeneous, so at (nu, gamma)/s it is still an isometry generator,
+# divided by a power of s, whose components do not overflow.
 _KILLING: dict[str, tuple[Callable, Callable]] = {
     "special_conformal": (
         lambda nu, g: (nu * nu - g * g, 2.0 * nu * g),
@@ -198,57 +206,47 @@ _KILLING: dict[str, tuple[Callable, Callable]] = {
 KILLING_FIELD_NAMES = ("special_conformal", "dilation", "translation")
 
 
-def _metric_partials_fd(x: HPoint) -> np.ndarray:
-    # partials[c][a][b] = d g_ab / d coordinate c, by central differences
-    h = FD_STEP
-    out = np.empty((2, 2, 2))
-    for c, (dn, dg) in enumerate(((h, 0.0), (0.0, h))):
-        gp = fisher_metric(HPoint(x.nu + dn, x.gamma + dg)).as_array()
-        gm = fisher_metric(HPoint(x.nu - dn, x.gamma - dg)).as_array()
-        out[c] = (gp - gm) / (2.0 * h)
-    return out
+def _lie_terms(field: str, x: HPoint, entries: Callable, sizes: tuple):
+    # K(x/s), gamma times its partials in x, and gamma * d e_i/d x_c / sizes[i]
+    # for the coefficients e = entries(x): each term of gamma * L_K(.) / size
+    # is a product of these, at most 4 in size, and none divides by gamma/s.
+    comp, dcomp = _KILLING[field]
+    s = max(abs(x.nu), x.gamma)
+    u, v = x.nu / s, x.gamma / s
+    slopes = _complex_step(entries, (x.nu, x.gamma), (x.gamma, x.gamma), sizes)
+    return np.array(comp(u, v)), v * dcomp(u, v), slopes
 
 
 def lie_derivative_metric(field: str, x: HPoint) -> Metric2:
-    """(L_K g)_ab for one generator, mixing exact dK with finite-difference dg.
+    """gamma * (L_K g)_ab / g_nn for one generator K, scaled as in ``_KILLING``.
 
-    The generator components are polynomials, so their derivatives are exact;
-    only the metric derivative is numerical.  All entries vanish (to the
-    difference scheme's accuracy) exactly when the field is an isometry.
+    Complex steps of the metric coefficients, exact partials of the
+    generator.  All entries vanish, to about 1e-11 (1e-10 where the metric
+    nears the least normal double), exactly when the field is an isometry.
     """
-    comp, dcomp = _KILLING[field]
-    k = np.array(comp(x.nu, x.gamma))
-    dk = dcomp(x.nu, x.gamma)  # dk[a, c] = d K^a / d coord c
-    dg = _metric_partials_fd(x)
-    g = fisher_metric(x).as_array()
-    lie = np.einsum("c,cab->ab", k, dg) + dk.T @ g + g @ dk
-    return Metric2(float(lie[0, 0]), float(lie[0, 1]), float(lie[1, 1]))
+    half = fisher_metric(x).g_nn
+    k, dk, slopes = _lie_terms(field, x, _metric_entries, (half,) * 3)
+    sym = dk + dk.T
+    lie = slopes @ k + (sym[0, 0], sym[0, 1], sym[1, 1])
+    return Metric2(float(lie[0]), float(lie[1]), float(lie[2]))
 
 
 def lie_derivative_two_form(field: str, x: HPoint) -> float:
-    """(L_K omega)_{nu gamma}, finite differences on omega, exact dK."""
-    h = FD_STEP
-    comp, dcomp = _KILLING[field]
-    k = comp(x.nu, x.gamma)
-    dk = dcomp(x.nu, x.gamma)
-    d_omega_dn = (
-        symplectic_form(HPoint(x.nu + h, x.gamma)).omega_ng
-        - symplectic_form(HPoint(x.nu - h, x.gamma)).omega_ng
-    ) / (2.0 * h)
-    d_omega_dg = (
-        symplectic_form(HPoint(x.nu, x.gamma + h)).omega_ng
-        - symplectic_form(HPoint(x.nu, x.gamma - h)).omega_ng
-    ) / (2.0 * h)
-    advect = k[0] * d_omega_dn + k[1] * d_omega_dg
-    return float(advect + symplectic_form(x).omega_ng * (dk[0, 0] + dk[1, 1]))
+    """gamma * (L_K omega)_{nu gamma} / omega_{nu gamma}, as ``lie_derivative_metric``."""
+    k, dk, slopes = _lie_terms(field, x, _two_form_entries, (symplectic_form(x).omega_ng,))
+    return float(slopes[0] @ k + np.trace(dk))
+
+
+def _two_form_entries(nu, gamma) -> tuple:
+    return (-_metric_entries(nu, gamma)[0],)
 
 
 def symplectic_form(x: HPoint) -> TwoForm:
     """The induced two-form -1/(2*gamma^2) d_nu ^ d_gamma.
 
-    Raises SingularInputError where the coefficient is not a finite double.
+    Raises SingularInputError where the coefficient is not a normal double.
     """
-    return TwoForm(-_half_inverse_square(x.gamma))
+    return TwoForm(*_checked(x.gamma, _two_form_entries(x.nu, x.gamma)))
 
 
 def apply_complex_structure(v: Vec) -> Vec:
@@ -284,19 +282,23 @@ def canonical_form_coefficient(x: HPoint) -> float:
 
 
 def symplectic_defect(alpha: float, c: CanonicalPoint) -> float:
-    """|det(d canonical_step) - 1| by finite differences.
+    """|det(d canonical_step) - 1|, by complex steps.
 
-    The half-plane map is not symplectic: the determinant equals the
-    conformal factor at the corresponding half-plane point, which is < 1
-    everywhere on H.
+    Steps relative to gamma = 1/(2p) in q and to p in p, rows divided by
+    gamma' and p': a rescaling of determinant 1 that leaves entries of at
+    most 1.  The map is not symplectic: the determinant is the conformal
+    factor at the half-plane point, < 1 everywhere on H.
     """
     alpha = check_alpha(alpha)
+    image = canonical_step(alpha, c)
+    x = from_canonical(c)
+    s = max(abs(x.nu), x.gamma)
 
-    def f(q: float, p: float) -> tuple[float, float]:
-        out = canonical_step(alpha, CanonicalPoint(q, p))
-        return out.q, out.p
+    def f(q, p):
+        nu, gamma = _scaled_step(alpha, q, 0.5 / p, s)
+        return nu, 0.5 / gamma
 
-    jac = finite_difference_jacobian(f, c.q, c.p)
+    jac = _complex_step(f, (c.q, c.p), (x.gamma, c.p), (0.5 / image.p, image.p))
     return abs(float(np.linalg.det(jac)) - 1.0)
 
 

@@ -18,11 +18,11 @@ points are ``orbit.HPoint``: its unique fixed point (0, sqrt(alpha/(1-alpha))),
 the invariant law of the pointwise map; its linearization; canonical
 coordinates (q, p) = (nu, 1/(2*gamma)); and the transient convergence-rate
 diagnostics of the scale map.  ``picture_agreement`` checks the step against
-two independent routes: the real formula above and the scale map on the
-rotated variable gamma + i*nu.  ``canonical_step`` is ``parameter_step``
-conjugated by the coordinate change.  The edge gamma -> 0 (point masses)
-is not part of H: there the step tends to the pointwise map on nu, which is
-``orbit.boole_transform``.
+two independent routes: the real formula above (``_scaled_step``) and the
+scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
+``parameter_step`` conjugated by the coordinate change.  The edge gamma -> 0
+(point masses) is not part of H: there the step tends to the pointwise map
+on nu, which is ``orbit.boole_transform``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
 
         a = alpha * (1 + (nu^2 - gamma^2)/A^2),    b = 2*alpha*nu*gamma/A^2,
 
-    verified against central finite differences in the test suite.  At the
+    verified against complex-step derivatives in the test suite.  At the
     fixed point it reduces to diag(2*alpha - 1, 2*alpha - 1).  Raises
     SingularInputError where an entry is not a finite double.
     """
@@ -99,26 +99,33 @@ def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
     return np.array([[a, b], [-b, a]])
 
 
+def _scaled_step(alpha: float, nu, gamma, s: float):
+    """alpha*(nu*(A-1)/A, gamma*(A+1)/A) in real arithmetic, every term divided by s.
+
+    A/s^2 lies in [1, 2] for s = max(|nu|, gamma).  Rational in (nu, gamma)
+    for a fixed s, so the complex-step oracles of ``geometry`` may pass
+    complex arguments.
+    """
+    u, v = nu / s, gamma / s
+    q = u * u + v * v
+    return alpha * (nu - u / q / s), alpha * (gamma + v / q / s)
+
+
 def picture_agreement(alpha: float, x: HPoint) -> float:
     """Max absolute disagreement between three routes to (nu', gamma').
 
     Compares ``parameter_step`` (the pointwise map on s = nu - i*gamma)
-    against the real formula of the density step, written out here in terms
-    of A = nu^2 + gamma^2, and against the scale map's complex extension
-    z -> alpha*(z + 1/z) on the rotated variable gamma + i*nu, whose image
-    is gamma' + i*nu'; all three are algebraically equal.
+    against the real formula of the density step, ``_scaled_step``, and
+    against the scale map's complex extension z -> alpha*(z + 1/z) on the
+    rotated variable gamma + i*nu, whose image is gamma' + i*nu'; all three
+    are algebraically equal.
     """
     stepped = parameter_step(alpha, x)
-    big_a = x.nu * x.nu + x.gamma * x.gamma
     rot = complex(x.gamma, x.nu)
     rot_new = alpha * (rot + 1.0 / rot)
-    candidates = [
-        (alpha * x.nu * (big_a - 1.0) / big_a, alpha * x.gamma * (big_a + 1.0) / big_a),
-        (rot_new.imag, rot_new.real),
-    ]
-    return max(
-        max(abs(n - stepped.nu), abs(g - stepped.gamma)) for n, g in candidates
-    )
+    real = _scaled_step(alpha, x.nu, x.gamma, max(abs(x.nu), x.gamma))
+    candidates = (real, (rot_new.imag, rot_new.real))
+    return max(max(abs(n - stepped.nu), abs(g - stepped.gamma)) for n, g in candidates)
 
 
 def _half_reciprocal(x: float) -> float:

@@ -96,7 +96,8 @@ class TestValidation:
             ["orbit", "--xi0", "0"],
             ["orbit", "--xi0", "nan"],
             ["geometry", "--gamma0", "1e-200"],
-            ["geometry", "--gamma0", "1e6"],
+            # 1/(2*gamma0^2) underflows to 0
+            ["geometry", "--gamma0", "1e154"],
             # the density grid's nodes would collapse onto equal doubles
             ["verify-pf", "--nu0", "1", "--gamma0", "1e-300"],
             ["verify-pf", "--nu0", "1", "--gamma0", "1e-13"],
@@ -223,6 +224,20 @@ class TestVerifyPf:
         assert code == 0
         assert any("drift" in w for w in report["oracles"]["warnings"])
 
+    def test_warning_is_reported_not_printed(self, tmp_path):
+        # the coarse grid's drift warning goes to the report, not to stderr
+        out = tmp_path / "pf.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "boolemaps.cli", "verify-pf", "--n", "20000",
+             "--grid-size", "8", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        warned = json.loads(out.read_text())["oracles"]["warnings"]
+        assert any("drift" in w for w in warned)
+
 
 class TestGeometry:
     def test_reference_point(self, tmp_path):
@@ -237,19 +252,36 @@ class TestGeometry:
         assert report["oracles"]["canonical_pass"]
         assert report["oracles"]["warnings"] == []
 
-    def test_warning_is_reported_not_printed(self, tmp_path):
-        # at nu0 = 1e308 a finite difference of the metric overflows and the
-        # Lie derivative's matmul meets inf - inf
-        out = tmp_path / "g.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "boolemaps.cli", "geometry", "--nu0", "1e308", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert (proc.returncode, proc.stderr) == (1, "")
-        warned = json.loads(out.read_text())["oracles"]["warnings"]
-        assert "invalid value encountered in matmul" in warned
+    @pytest.mark.parametrize(
+        "nu0, gamma0",
+        [
+            # at the points below, central differences with a fixed step
+            # failed a check (or the gamma0 window rejected the input)
+            ("1e6", "1"), ("1e20", "1"), ("1e200", "1"), ("-1e300", "1"),
+            ("1", "0.03"), ("1", "1e-8"), ("1", "1e-150"), ("1", "1e150"),
+            # the far corners of the metric's domain
+            ("1e300", "1e-150"), ("-1e-300", "4.7e153"), ("1.7e308", "5.4e-155"),
+        ],
+    )
+    def test_passes_at_every_scale(self, tmp_path, nu0, gamma0):
+        code, report = run_json(tmp_path, ["geometry", f"--nu0={nu0}", f"--gamma0={gamma0}"])
+        oracles = report["oracles"]
+        assert [key for key, value in oracles.items() if key.endswith("_pass") and not value] == []
+        assert (code, oracles["warnings"]) == (0, [])
+
+    def test_tolerances_are_no_looser_than_the_absolute_ones(self):
+        # At a lattice point, a relative tolerance stands for an absolute one
+        # on what the checks once compared: times the metric for the
+        # quadrature and the pullback, and for the Lie derivatives also times
+        # s^k/gamma, with k the degree of a Killing field (2, 1 or 0) and
+        # s = max(|nu|, gamma) the scale it is divided by.
+        for nu in cli._LATTICE_NU:
+            for gamma in cli._LATTICE_GAMMA:
+                metric = 0.5 / gamma**2
+                s = max(abs(nu), gamma)
+                assert cli.QUADRATURE_TOL * metric <= 1e-8
+                assert cli.PULLBACK_TOL * metric <= 1e-5
+                assert cli.LIE_TOL * metric * max(s * s, s, 1.0) / gamma <= 1e-6
 
     def test_degenerate_point_is_flagged(self, tmp_path):
         code, report = run_json(tmp_path, ["geometry", "--nu0", "0", "--gamma0", "1"])
@@ -393,8 +425,8 @@ class TestStreamingWriter:
             ["geometry", "--nu0", "0", "--gamma0", "1"],
             ["orbit", "--n", "5"],
             ["orbit", "--alpha", "0.5", "--xi0", "1", "--n", "3"],  # truncated
-            ["orbit", "--alpha", "0.8", "--xi0", "0.3", "--n", "100000"],  # two chunks
-            ["orbit", "--n", "200000"],  # four chunks, the last of 3393 rows
+            ["orbit", "--alpha", "0.8", "--xi0", "0.3", "--n", "100000"],  # 13 chunks
+            ["orbit", "--n", "200000"],  # 25 chunks, the last of 3393 rows
         ],
         ids=["iterate-params", "verify-pf", "geometry", "orbit", "orbit-truncated", "orbit-1e5",
              "orbit-2e5"],
@@ -499,7 +531,8 @@ class TestStreamingWriter:
                               timeout=120, preexec_fn=_one_cpu if one_cpu else None)
         assert proc.returncode == 1
         assert proc.stderr == (
-            "boolemaps orbit: ReportError: rows from 65536 not encoded: ValueError: injected\n"
+            f"boolemaps orbit: ReportError: rows from {cli._CHUNK_ROWS} not encoded:"
+            " ValueError: injected\n"
         )
         assert proc.stdout == "no child left\n"
 
@@ -590,9 +623,9 @@ class TestNumericalFailure:
         assert report["meta"]["passed"] is False
 
     def test_metric_beyond_the_doubles_is_a_failed_report(self, tmp_path, capsys):
-        # at alpha = 1e-300 a step lands at gamma ~1e-300, where 1/(2*gamma^2)
-        # is not a double
-        code, report = run_json(tmp_path, ["geometry", "--alpha", "1e-300"])
+        # at alpha = 5e-324 a step lands at gamma ~1e-323, where neither
+        # 1/(2*gamma^2) nor the canonical momentum 1/(2*gamma) is a double
+        code, report = run_json(tmp_path, ["geometry", "--alpha", "5e-324"])
         assert code == 1
         assert report["oracles"]["error"].startswith("SingularInputError: ")
         assert report["oracles"]["warnings"] == []
@@ -659,7 +692,7 @@ _ANY_FLOAT = st.one_of(
     ),
 )
 # Small integers, around each command's own limits.  An orbit of fewer than
-# 2^16 steps, log-uniform, is a report of one chunk, encoded without forking.
+# 2^16 steps, log-uniform, is a report of at most eight chunks.
 _INTS = {
     ("verify-pf", "n"): st.one_of(st.integers(-2, 2), st.integers(10**4, 2 * 10**4)),
     ("orbit", "n"): st.one_of(
@@ -676,7 +709,9 @@ _INTS = {
 def test_every_flag_value_gives_an_exit_status(command, data):
     # 0, 1 or 2, never an exception; exit 2 says why in one line, and exit 1
     # in at most one.  A warning does not stop the run, as in the installed
-    # command; the suite's warnings-as-errors filter is set aside.
+    # command; the suite's warnings-as-errors filter is set aside.  Geometry
+    # at the default alpha holds at every --nu0 and --gamma0 it accepts: it
+    # passes every check, or exits 2 on a point outside the metric's domain.
     argv = [command]
     for flag in cli._COMMAND_FLAGS[command]:
         if data.draw(st.booleans(), label=f"set --{flag}"):
@@ -692,6 +727,8 @@ def test_every_flag_value_gives_an_exit_status(command, data):
             code = exc.code
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2), argv
+    if command == "geometry" and not any(arg.startswith("--alpha=") for arg in argv):
+        assert code in (0, 2), argv
     if code == 2:
         assert [line for line in lines if ": error: " in line] == lines[-1:], lines
         assert re.match(rf"boolemaps( {command})?: error: ", lines[-1]), lines

@@ -18,7 +18,6 @@ from boolemaps import (
     conformal_factor,
     convergence_bound_check,
     converge_to_fixed_point,
-    finite_difference_jacobian,
     fixed_point,
     from_canonical,
     g_transform,
@@ -28,6 +27,8 @@ from boolemaps import (
     picture_agreement,
     to_canonical,
 )
+from boolemaps.geometry import _complex_step
+from boolemaps.halfplane import _scaled_step
 from boolemaps.orbit import _boole
 
 alphas = st.floats(min_value=0.05, max_value=0.95)
@@ -37,6 +38,16 @@ gammas = st.floats(min_value=0.05, max_value=5.0)
 
 def interior_points():
     return st.builds(HPoint, nus, gammas)
+
+
+def complex_step_jacobian(alpha: float, x: HPoint) -> np.ndarray:
+    """J * gamma/gamma' of the real-arithmetic step, by complex steps."""
+    s = max(abs(x.nu), x.gamma)
+    image = parameter_step(alpha, x)
+    return _complex_step(
+        lambda nu, gamma: _scaled_step(alpha, nu, gamma, s),
+        (x.nu, x.gamma), (x.gamma, x.gamma), (image.gamma, image.gamma),
+    )
 
 
 class TestHPoint:
@@ -181,14 +192,24 @@ class TestJacobian:
         jac = jacobian_analytic(alpha, fixed_point(alpha))
         np.testing.assert_allclose(jac, np.eye(2) * expected_diag, atol=1e-12)
 
-    @given(alphas, st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=0.2, max_value=4.0))
-    def test_matches_finite_differences(self, alpha, nu, gamma):
-        def step(a, b):
-            out = parameter_step(alpha, HPoint(a, b))
-            return out.nu, out.gamma
-
-        fd = finite_difference_jacobian(step, nu, gamma)
-        np.testing.assert_allclose(jacobian_analytic(alpha, HPoint(nu, gamma)), fd, atol=1e-6)
+    @given(
+        alphas,
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.booleans(),
+        st.floats(min_value=-150.0, max_value=150.0),
+    )
+    @example(0.5, 200.0, False, 0.0).via("nu^2 + gamma^2 overflows")
+    @example(0.5, -150.0, False, -150.0).via("Jacobian entries of 2.5e299")
+    def test_matches_complex_step(self, alpha, log_nu, negative, log_gamma):
+        # oracle: complex steps of the real-arithmetic step, which shares no
+        # code with jacobian_analytic; both in units of gamma'/gamma, where
+        # the entries are at most 1 (J^T J = det(J) * Id, and det(J) times
+        # (gamma/gamma')^2 is the conformal factor)
+        nu, gamma = (-1.0 if negative else 1.0) * 10.0**log_nu, 10.0**log_gamma
+        x = HPoint(nu, gamma)
+        ratio = gamma / parameter_step(alpha, x).gamma
+        reference = complex_step_jacobian(alpha, x)
+        assert np.max(np.abs(jacobian_analytic(alpha, x) * ratio - reference)) <= 1e-10
 
     def test_far_field_is_alpha_identity(self):
         # the squares of 1/s lie far below the smallest double
@@ -278,6 +299,19 @@ class TestComplexForms:
     @given(alphas, interior_points())
     def test_all_pictures_agree(self, alpha, x):
         assert picture_agreement(alpha, x) <= 1e-12
+
+    @given(
+        alphas,
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.booleans(),
+        st.floats(min_value=-300.0, max_value=300.0),
+    )
+    @example(0.5, 200.0, False, 0.0).via("nu^2 + gamma^2 overflows")
+    def test_all_pictures_agree_at_every_scale(self, alpha, log_nu, negative, log_gamma):
+        # relative to the size alpha*(r + 1/r) of the terms, r = |nu - i*gamma|
+        x = HPoint((-1.0 if negative else 1.0) * 10.0**log_nu, 10.0**log_gamma)
+        r = math.hypot(x.nu, x.gamma)
+        assert picture_agreement(alpha, x) <= 1e-12 * alpha * (r + 1.0 / r)
 
 
 class TestCanonicalCoordinates:
