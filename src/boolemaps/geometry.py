@@ -147,7 +147,7 @@ def conformal_factor(x: HPoint) -> float:
     return 1.0 - t * t
 
 
-def _complex_step(f: Callable, point: Vec, scales: Vec, sizes) -> np.ndarray:
+def _complex_step(f: Callable, point: Vec, scales: Vec, sizes: tuple) -> np.ndarray:
     """Entries d f_i / d x_k * scales[k] / sizes[i] of an analytic ``f``, by complex steps.
 
     Each is Im f_i(point + i*h*scales[k]*e_k) / sizes[i] / h, with nothing
