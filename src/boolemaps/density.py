@@ -24,7 +24,13 @@ from warnings import warn
 
 import numpy as np
 
-from .errors import FitConvergenceError, GridResolutionWarning, OrbitTruncationError, PoleGuardError
+from .errors import (
+    FitConvergenceError,
+    GridResolutionWarning,
+    OrbitTruncationError,
+    PoleGuardError,
+    SingularInputError,
+)
 from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
 from .orbit import (
     POLE_EPS,
@@ -130,25 +136,29 @@ def transfer_values(alpha: float, density, nodes: np.ndarray) -> np.ndarray:
     return (density(lo) * np.abs(lo) + density(hi) * np.abs(hi)) / np.hypot(nodes, 2.0 * alpha)
 
 
-def _grid_density(rho: DensityGrid):
+def _grid_law(rho: DensityGrid):
+    """The density and the CDF that ``rho`` describes, as vectorized callables."""
     if rho.source is not None:
         src = rho.source
-        return lambda xi: cauchy_pdf(src, xi)
-    # Tabulated-only fallback: in the arctan parameter, the quintic through
-    # the six nodes around each interval, clamped at 0.  Column j of the
-    # table holds the Newton divided differences of the stencil that starts
-    # at node j, then the nodes that Horner's rule on the Newton form reads,
-    # so one gather serves a query.  Beyond the covered window the integrand
-    # in the arctan parameter stays at its value on the nearer edge node, the
-    # shape of every Cauchy tail, so long as the grid records tail mass at
-    # all.  The edge values, not the recorded tail mass, set that level: the
-    # tail mass absorbs each step's mass drift, and fed back through the
-    # edge values it would amplify the drift from step to step.
+        return (lambda xi: cauchy_pdf(src, xi)), (lambda xi: cauchy_cdf(src, xi))
+    # Tabulated-only fallback, in the arctan parameter t of ``rho.ref``.  The
+    # density is the quintic through the six nodes around each interval,
+    # clamped at 0: column j of the table holds the Newton divided
+    # differences of the stencil that starts at node j, then the nodes that
+    # Horner's rule on the Newton form reads, so one gather serves a query.
+    # The CDF is the trapezoid sum of the integrand, linear in t.  Beyond the
+    # window both take the integrand in t as flat out to +-pi/2, the shape of
+    # every Cauchy tail, if the grid records tail mass at all: at its edge
+    # value for the density, and at the recorded tail mass, split evenly
+    # between the sides (the grid does not remember the split), for the CDF.
+    # The density reads the edge values, not the tail mass, because the tail
+    # mass absorbs each step's mass drift, and fed back through the density
+    # it would amplify the drift from step to step.
     th = rho.theta()
     if np.any(np.diff(th) <= 0.0):
         raise ValueError("nodes must stay distinct in the arctan parameter")
-    f = rho._integrand() / rho.ref.gamma if rho.tail_mass > 0.0 else np.zeros(2)
-    below_level, above_level = f[0], f[-1]
+    f = rho._integrand()
+    below_level, above_level = f[[0, -1]] / rho.ref.gamma if rho.tail_mass > 0.0 else (0.0, 0.0)
     n = th.size
     width = min(STENCIL, n)
     rows = n - width + 1
@@ -158,9 +168,16 @@ def _grid_density(rho: DensityGrid):
         diffs = (diffs[1:] - diffs[:-1]) / (th[k:] - th[:-k])
         levels.append(diffs[:rows])
     table = np.array(levels + [th[k:k + rows] for k in range(width - 1)])
+    cum = np.cumsum(np.diff(th) * 0.5 * (f[1:] + f[:-1]))
+    half = 0.5 * rho.tail_mass
+    knots = np.concatenate([[-0.5 * np.pi], th, [0.5 * np.pi]])
+    masses = np.concatenate([[0.0, half], half + cum, [half + cum[-1] + half]])
+
+    def offset(xi):
+        return (np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma
 
     def density(xi):
-        s = (np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma
+        s = offset(xi)
         t = np.arctan(s)
         first = np.searchsorted(th, t, side="right") - width // 2
         stencil = np.take(table, first, axis=1, mode="clip")  # a copy, so reused in place
@@ -175,31 +192,10 @@ def _grid_density(rho: DensityGrid):
             out[side] = level / np.hypot(1.0, s[side]) ** 2
         return out
 
-    return density
-
-
-def _grid_cdf(rho: DensityGrid):
-    if rho.source is not None:
-        src = rho.source
-        return lambda xi: cauchy_cdf(src, xi)
-    # Empirical CDF from the grid, piecewise linear in the arctan parameter:
-    # trapezoid sums over the window, and beyond it the recorded tail mass,
-    # split evenly between the two sides (the grid does not remember the
-    # split), spread evenly out to +-pi/2, the tail shape ``_grid_density``
-    # also assumes.
-    th = rho.theta()
-    f = rho._integrand()
-    cum = np.cumsum(np.diff(th) * 0.5 * (f[1:] + f[:-1]))
-    half = 0.5 * rho.tail_mass
-    knots = np.concatenate([[-0.5 * np.pi], th, [0.5 * np.pi]])
-    levels = np.concatenate([[0.0, half], half + cum, [half + cum[-1] + half]])
-
     def cdf(xi):
-        return np.interp(
-            np.arctan((np.asarray(xi, dtype=float) - rho.ref.nu) / rho.ref.gamma), knots, levels
-        )
+        return np.interp(np.arctan(offset(xi)), knots, masses)
 
-    return cdf
+    return density, cdf
 
 
 def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
@@ -212,10 +208,8 @@ def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
     renormalized away.
     """
     alpha = check_alpha(alpha)
-    density = _grid_density(rho)
+    density, cdf = _grid_law(rho)
     new_values = transfer_values(alpha, density, rho.nodes)
-
-    cdf = _grid_cdf(rho)
     pre_lo, pre_hi = _preimages(alpha, np.array([rho.nodes[0], rho.nodes[-1]]))
     minus_l, minus_r = pre_lo
     plus_l, plus_r = pre_hi
@@ -284,14 +278,19 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     ``mle``: damped Newton on the mean log-likelihood, in the location and
     scale frame of the quantile fit and started there, declared converged
     when the gradient norm in that frame drops below 1e-10.  Moment fitting
-    is not offered; the Cauchy law has no moments.
+    is not offered; the Cauchy law has no moments.  Raises
+    SingularInputError where half the interquartile range is not a positive
+    double, as where the quartiles round to the same double.
     """
     points = np.asarray(points, dtype=float)
     if points.size < MIN_FIT_SIZE:
         raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {points.size}")
     ordered = np.sort(points)  # fixed reduction order; the likelihood fit reuses it
     q1, q2, q3 = np.quantile(ordered, [0.25, 0.5, 0.75], overwrite_input=True)
-    quartile_fit = HPoint(float(q2), float((q3 - q1) / 2.0))
+    scale = float((q3 - q1) / 2.0)
+    if not scale > 0.0:
+        raise SingularInputError(f"no scale fits a sample whose quartiles are {float(q1)!r} and {float(q3)!r}")
+    quartile_fit = HPoint(float(q2), scale)
     if method == "median_iqr":
         return quartile_fit
     if method == "mle":

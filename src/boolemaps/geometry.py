@@ -183,23 +183,15 @@ def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
     return float(np.max(np.abs(jac.T @ jac - conformal_factor(x) * np.eye(2))))
 
 
-# Isometry generators of the half-plane metric, keyed by what their flows do.
-# Components (K^nu, K^gamma) and their exact partials d K^a / d(nu, gamma).
-# Each is homogeneous, so at (nu, gamma)/s it is still an isometry generator,
-# divided by a power of s, whose components do not overflow.
-_KILLING: dict[str, tuple[Callable, Callable]] = {
-    "special_conformal": (
-        lambda nu, g: (nu * nu - g * g, 2.0 * nu * g),
-        lambda nu, g: np.array([[2.0 * nu, -2.0 * g], [2.0 * g, 2.0 * nu]]),
-    ),
-    "dilation": (
-        lambda nu, g: (nu, g),
-        lambda nu, g: np.eye(2),
-    ),
-    "translation": (
-        lambda nu, g: (1.0, 0.0),
-        lambda nu, g: np.zeros((2, 2)),
-    ),
+# Isometry generators of the half-plane metric, keyed by what their flows do:
+# the components (K^nu, K^gamma).  Each is a polynomial of degree at most 2,
+# whose partials complex steps give exactly.  Each is homogeneous, so at
+# (nu, gamma)/s it is still an isometry generator, divided by a power of s,
+# whose components do not overflow.
+_KILLING: dict[str, Callable] = {
+    "special_conformal": lambda nu, g: (nu * nu - g * g, 2.0 * nu * g),
+    "dilation": lambda nu, g: (nu, g),
+    "translation": lambda nu, g: (1.0, 0.0),
 }
 
 #: Generator names in the conventional order K1, K2, K3.
@@ -210,19 +202,21 @@ def _lie_terms(field: str, x: HPoint, entries: Callable, sizes: tuple):
     # K(x/s), gamma times its partials in x, and gamma * d e_i/d x_c / sizes[i]
     # for the coefficients e = entries(x): each term of gamma * L_K(.) / size
     # is a product of these, at most 4 in size, and none divides by gamma/s.
-    comp, dcomp = _KILLING[field]
+    generator = _KILLING[field]
     s = max(abs(x.nu), x.gamma)
     u, v = x.nu / s, x.gamma / s
+    dk = _complex_step(generator, (u, v), (v, v), (1.0, 1.0))
     slopes = _complex_step(entries, (x.nu, x.gamma), (x.gamma, x.gamma), sizes)
-    return np.array(comp(u, v)), v * dcomp(u, v), slopes
+    return np.array(generator(u, v)), dk, slopes
 
 
 def lie_derivative_metric(field: str, x: HPoint) -> Metric2:
     """gamma * (L_K g)_ab / g_nn for one generator K, scaled as in ``_KILLING``.
 
-    Complex steps of the metric coefficients, exact partials of the
-    generator.  All entries vanish, to about 1e-11 (1e-10 where the metric
-    nears the least normal double), exactly when the field is an isometry.
+    Complex steps of the metric coefficients and of the generator (exact for
+    its polynomial components).  All entries vanish, to about 1e-11 (1e-10
+    where the metric nears the least normal double), exactly when the field
+    is an isometry.
     """
     half = fisher_metric(x).g_nn
     k, dk, slopes = _lie_terms(field, x, _metric_entries, (half,) * 3)
@@ -311,7 +305,8 @@ def christoffel(x: HPoint) -> np.ndarray:
         Gamma_ng^n = Gamma_gn^n = -1/gamma,
         Gamma_nn^g = +1/gamma,   Gamma_gg^g = -1/gamma.
 
-    Tested against the metric-compatibility identity with finite differences.
+    Tested against the metric-compatibility identity with complex-step
+    derivatives of the metric.
     """
     inv = 1.0 / x.gamma
     out = np.zeros((2, 2, 2))

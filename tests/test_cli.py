@@ -622,6 +622,20 @@ class TestNumericalFailure:
         assert report["oracles"]["error"].startswith("PoleGuardError: ")
         assert report["meta"]["passed"] is False
 
+    def test_coinciding_quartiles_are_a_failed_report(self, tmp_path, capsys):
+        # two nodes 1.6e-16*pi apart pass the node-collapse rule at nu0 = 3,
+        # but the pushed sample's quartiles round to the same double
+        argv = ["verify-pf", "--nu0", "3", "--gamma0", "1.6e-16", "--grid-size", "2",
+                "--n", "10000"]
+        code, report = run_json(tmp_path, argv)
+        assert code == 1
+        assert report["records"] == []
+        assert report["oracles"]["error"].startswith("SingularInputError: ")
+        assert report["meta"]["passed"] is False
+        err = capsys.readouterr().err
+        assert err.startswith("boolemaps verify-pf: SingularInputError: ")
+        assert len(err.splitlines()) == 1
+
     def test_metric_beyond_the_doubles_is_a_failed_report(self, tmp_path, capsys):
         # at alpha = 5e-324 a step lands at gamma ~1e-323, where neither
         # 1/(2*gamma^2) nor the canonical momentum 1/(2*gamma) is a double

@@ -17,6 +17,7 @@ from boolemaps import (
     OrbitTruncationError,
     POLE_EPS,
     PoleGuardError,
+    SingularInputError,
     cauchy_cdf,
     cauchy_grid,
     cauchy_pdf,
@@ -32,7 +33,7 @@ from boolemaps import (
     pf_monte_carlo_check,
     sample_cauchy,
 )
-from boolemaps.density import _grid_density, _push_forward, transfer_values
+from boolemaps.density import _grid_law, _push_forward, transfer_values
 
 #: Relative error, against the peak, allowed after a 10-step chain on a
 #: tabulated-only grid (the benchmark's bound for the same chain).
@@ -183,7 +184,7 @@ class TestTransferStep:
             th = np.arctan((xi - ref.nu) / ref.gamma)
             return 4.0 + th - 0.3 * th**2 + 0.1 * th**5  # positive on (-pi/2, pi/2)
 
-        density = _grid_density(DensityGrid(nodes, poly(nodes), 0.0, ref=ref))
+        density, _ = _grid_law(DensityGrid(nodes, poly(nodes), 0.0, ref=ref))
         inside = rng.uniform(nodes[0], nodes[-1], 1000)
         np.testing.assert_allclose(density(inside), poly(inside), rtol=1e-9)
         outside = np.array([nodes[0] - 1.0, nodes[-1] + 1.0, np.nan])
@@ -235,6 +236,12 @@ class TestFitting:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             fit_cauchy(np.arange(2000, dtype=float), method="moments")
+
+    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
+    def test_coinciding_quartiles_raise(self, method):
+        # no scale fits a sample whose quartiles are the same double
+        with pytest.raises(SingularInputError):
+            fit_cauchy(np.full(2000, 3.0), method)
 
     def test_quantile_plugin_recovers_parameters(self):
         # the law's quartiles sit exactly at nu +/- gamma
