@@ -329,14 +329,33 @@ class TestSymplecticDefect:
         assert defect == pytest.approx(1.0 - conformal_factor(x), abs=1e-5)
 
 
+def _assert_metric_compatible(x, bound):
+    # d_c g_ab = Gamma_ca^d g_db + Gamma_cb^d g_ad, with d_c g by complex
+    # steps, both sides times gamma / g_nn so that they are dimensionless
+    metric = fisher_metric(x)
+    g = metric.as_array() / metric.g_nn
+    scaled = x.gamma * christoffel(x)
+    slopes = _complex_step(
+        _metric_entries, (x.nu, x.gamma), (x.gamma, x.gamma), (metric.g_nn,) * 3
+    )
+    for row, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+        for c in range(2):
+            expected = sum(
+                scaled[c, a, d] * g[d, b] + scaled[c, b, d] * g[a, d] for d in range(2)
+            )
+            assert abs(slopes[row, c] - expected) <= bound, (x, a, b, c)
+
+
 class TestConnection:
-    def test_metric_compatibility(self):
-        # d_c g_ab = Gamma_ca^d g_db + Gamma_cb^d g_ad, with d_c g by complex
-        # steps, both sides times gamma / g_nn so that they are dimensionless;
-        # at log-uniform points over the metric's domain, nu = 0 and both ends
-        # of the domain among them.  Where 2**-20 times the metric is
-        # subnormal (gamma above about 4.6e150), so is the step's imaginary
-        # part, which then carries fewer digits: the gap reaches ~1.2e-10.
+    @pytest.mark.parametrize("point", [(0.5, 1.0), (-1.0, 2.0), (3.0, 0.5)])
+    def test_metric_compatibility(self, point):
+        _assert_metric_compatible(HPoint(*point), 1e-10)
+
+    def test_metric_compatibility_over_domain(self):
+        # log-uniform points over the metric's domain, nu = 0 and both ends of
+        # the domain among them.  Where 2**-20 times the metric is subnormal
+        # (gamma above about 4.6e150), so is the step's imaginary part, which
+        # then carries fewer digits: the gap reaches ~1.2e-10.
         rng = np.random.default_rng(20261018)
         n = 3000
         gammas = 10.0 ** rng.uniform(*np.log10(_GAMMA_NORMAL), n)
@@ -345,19 +364,8 @@ class TestConnection:
         gammas[:2] = 5.28e-155, 4.74e153
         for nu, gamma in zip(nus, gammas):
             x = HPoint(float(nu), float(gamma))
-            metric = fisher_metric(x)
-            g = metric.as_array() / metric.g_nn
-            scaled = x.gamma * christoffel(x)
-            slopes = _complex_step(
-                _metric_entries, (x.nu, x.gamma), (x.gamma, x.gamma), (metric.g_nn,) * 3
-            )
-            bound = 1e-10 if 2.0**-20 * metric.g_nn >= sys.float_info.min else 2e-10
-            for row, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
-                for c in range(2):
-                    expected = sum(
-                        scaled[c, a, d] * g[d, b] + scaled[c, b, d] * g[a, d] for d in range(2)
-                    )
-                    assert abs(slopes[row, c] - expected) <= bound, (x, a, b, c)
+            g_nn = fisher_metric(x).g_nn
+            _assert_metric_compatible(x, 1e-10 if 2.0**-20 * g_nn >= sys.float_info.min else 2e-10)
 
     def test_symmetry_in_lower_indices(self):
         gamma_sym = christoffel(HPoint(1.0, 2.0))
