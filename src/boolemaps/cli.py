@@ -8,8 +8,9 @@ geometry         metric/symplectic verification at a point and on a lattice
 orbit            pointwise orbit trace with an ergodicity check for long runs
 
 Each command parses only the flags it reads (``_COMMAND_FLAGS``), plus
---out and --format; any other flag, or a value the command cannot run with,
-exits 2 with a one-line message.
+--out and --format; any other flag, a value the command cannot run with, or
+an --out that cannot be opened, exits 2 with a one-line message before the
+command runs.
 
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
@@ -20,8 +21,10 @@ the CPU count; ``oracles.warnings`` lists the warnings the command raised.
 Records are kept as columns and streamed to the output a chunk of rows at
 a time, as bytes, to the file or to the binary buffer under stdout.  The
 chunks are encoded round-robin on every CPU the process may run on, by the
-process itself and forked workers, and written in order; the bytes do not
-depend on the number of CPUs.  A float is written as
+process itself and forked workers, and written in order; a worker sends
+only chunk bytes, and the process encodes every chunk it did not receive,
+so a worker that fails or dies costs time, not the report.  The bytes do
+not depend on the number of CPUs.  A float is written as
 ``float.__repr__`` writes it, the shortest decimal that reads back to the
 same double, so identical runs diff cleanly; nan and the infinities are
 spelled as JSON or Python spell them.  Float64 and integer arrays and
@@ -31,14 +34,14 @@ chunk of rows is one matrix of cell and separator bytes, laid out by one
 boolean index.  The exit status is 0 exactly when every tolerance check the
 command configured has passed; a numerical failure in the library gives
 exit 1 and a report with empty records and ``oracles.error``, and a chunk
-that cannot be encoded gives exit 1 and one line on stderr.
+that cannot be encoded, or a write that fails, gives exit 1 and one line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
 import math
 import os
@@ -60,7 +63,7 @@ from .density import (
     KS_MIN_SAMPLES,
     MAX_SAMPLE_OFFSET,
     MIN_MONTE_CARLO_SIZE,
-    _orbit_ks,
+    ks_distance,
     pf_closed_form_check,
     pf_monte_carlo_check,
 )
@@ -296,15 +299,12 @@ def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
     }
     passed = True
     if cfg.n >= KS_MIN_SAMPLES:
-        check = _orbit_ks(cfg.alpha, result)
-        if check is None:
-            oracles["ks_pass"] = False
-        else:
-            oracles["ks_distance"] = check.ks
-            oracles["invariant_nu"] = check.invariant.nu
-            oracles["invariant_gamma"] = check.invariant.gamma
-            oracles["ks_pass"] = check.ks < KS_TOL
-        passed = bool(oracles["ks_pass"])
+        if not result.truncated:
+            target = fixed_point(cfg.alpha)
+            oracles["ks_distance"] = ks_distance(result.points, target)
+            oracles["invariant_nu"] = target.nu
+            oracles["invariant_gamma"] = target.gamma
+        oracles["ks_pass"] = passed = oracles.get("ks_distance", math.inf) < KS_TOL
     return {"records": records, "oracles": oracles}, passed
 
 
@@ -338,13 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 #: Rows per chunk, each one matrix of words: the text kernels' working
 #: arrays stay small.
 _CHUNK_ROWS = 1 << 13
-#: A frame on a worker's pipe: whether the chunk was encoded, then the length
-#: in bytes of what follows, the chunk's text or the failure that stopped it.
-_FRAME = struct.Struct("<?Q")
+#: A frame on a worker's pipe: the length in bytes of the chunk that follows.
+_FRAME = struct.Struct("<Q")
 
 
 class ReportError(RuntimeError):
-    """A worker failed to encode its records, so the report is incomplete."""
+    """A chunk of records could not be encoded, so the report is incomplete."""
 
 
 #: How each format spells nan, inf and -inf.
@@ -429,8 +428,8 @@ def _cpu_count() -> int:
 def _fork() -> int:
     # Python 3.12+ warns that forking a process with threads (numpy's BLAS
     # pool) can deadlock a child that needs a lock another thread held.  A
-    # worker takes none: it encodes with json and csv, writes to its pipe
-    # and leaves through os._exit.
+    # worker takes none: it encodes, writes to its pipe and leaves through
+    # os._exit.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
@@ -439,7 +438,7 @@ def _fork() -> int:
 
 
 def _encode(encode, table: Table, start: int) -> bytes:
-    # A failed chunk reads the same from any worker: one line, not a traceback.
+    # A chunk the command encodes itself; a failure is one line, not a traceback.
     try:
         return encode(table, start)
     except Exception as exc:
@@ -447,38 +446,30 @@ def _encode(encode, table: Table, start: int) -> bytes:
 
 
 def _serve(table: Table, encode, starts: range, pipe, readers: list) -> NoReturn:
-    # A forked worker: send each chunk, or the failure that stopped it, then
-    # leave through os._exit, so that no exit handler runs and no buffer
-    # copied from the parent (its unflushed report among them) is written.
-    # The parent learns of a failure from the pipe, not the exit status.
+    # A forked worker: send each chunk, then leave through os._exit, so that no
+    # exit handler runs and no buffer copied from the parent (its unflushed
+    # report among them) is written.  On any error it just stops; the parent
+    # encodes every chunk it did not receive.
     try:
         for reader in readers:  # the parent's ends, so that only it holds them
             reader.close()
         for start in starts:
-            try:
-                data, encoded = _encode(encode, table, start), True
-            except ReportError as exc:
-                data, encoded = str(exc).encode(), False
-            pipe.write(_FRAME.pack(encoded, len(data)))
+            data = encode(table, start)
+            pipe.write(_FRAME.pack(len(data)))
             pipe.write(data)
             pipe.flush()
-            if not encoded:
-                break
     finally:
         os._exit(0)
 
 
-def _receive(pipe, start: int) -> bytes:
-    # A worker's chunk from ``start``; ReportError if it sent its failure or died.
+def _receive(pipe) -> bytes | None:
+    # A worker's next chunk, or None if it stopped before sending it whole.
     header = pipe.read(_FRAME.size)
-    if len(header) == _FRAME.size:
-        encoded, size = _FRAME.unpack(header)
-        data = pipe.read(size)
-        if len(data) == size:
-            if encoded:
-                return data
-            raise ReportError(data.decode())
-    raise ReportError(f"rows from {start} not encoded: the worker exited")
+    if len(header) < _FRAME.size:
+        return None
+    (size,) = _FRAME.unpack(header)
+    data = pipe.read(size)
+    return data if len(data) == size else None
 
 
 def _write_chunks(table: Table, encode, handle) -> None:
@@ -488,7 +479,8 @@ def _write_chunks(table: Table, encode, handle) -> None:
     process may run on, at most the number of chunks.  Worker 0 is this
     process; the others are forked children, which send their chunks back
     through pipes.  A child blocks on its pipe until its chunk is read, so
-    no worker holds more than one chunk of text.
+    no worker holds more than one chunk of text.  This process encodes every
+    chunk a child did not send whole, because the child failed or died.
     """
     starts = range(0, len(table), _CHUNK_ROWS)
     workers = min(_cpu_count(), len(starts))
@@ -504,8 +496,8 @@ def _write_chunks(table: Table, encode, handle) -> None:
             pids.append(pid)
         for k, start in enumerate(starts):
             w = k % workers
-            chunk = _receive(pipes[w - 1], start) if w else _encode(encode, table, start)
-            handle.write(chunk)
+            chunk = _receive(pipes[w - 1]) if w else None
+            handle.write(_encode(encode, table, start) if chunk is None else chunk)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -516,10 +508,8 @@ def _write_chunks(table: Table, encode, handle) -> None:
 
 
 def _write_csv(table: Table, handle) -> None:
-    if table.header:
-        header = io.StringIO()
-        csv.writer(header, lineterminator="\n").writerow(table.header)
-        handle.write(header.getvalue().encode())
+    if table.header:  # names from the code: none needs quoting
+        handle.write(f"{','.join(table.header)}\n".encode())
     _write_chunks(table, _csv_chunk, handle)
 
 
@@ -588,7 +578,9 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
     try:
         validate(cfg)
-    except ValueError as exc:
+        # an output that cannot be opened is bad input too, found before the run
+        handle = open(cfg.output_path, "wb") if cfg.output_path else sys.stdout.buffer
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
     validated = time.perf_counter()
@@ -624,13 +616,15 @@ def main(argv=None) -> int:
         },
     }
     try:
-        if cfg.output_path:
-            with open(cfg.output_path, "wb") as handle:
-                render_report(report, cfg.format, handle)
-        else:
+        with handle if cfg.output_path else contextlib.nullcontext():
             sys.stdout.flush()  # any text printed so far goes out before the report
-            render_report(report, cfg.format, sys.stdout.buffer)
-    except ReportError as exc:
+            render_report(report, cfg.format, handle)
+            handle.flush()  # a write that fails, fails here and not at exit
+    except (ReportError, OSError) as exc:
+        if isinstance(exc, OSError) and not cfg.output_path:
+            # The interpreter flushes stdout at exit: let that write nowhere,
+            # so that no "Exception ignored" follows the one line below.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"boolemaps {cfg.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0 if passed else 1

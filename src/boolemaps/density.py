@@ -34,11 +34,11 @@ from .errors import (
 from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
 from .orbit import (
     POLE_EPS,
-    OrbitResult,
     _boole,
     _preimages,
     cauchy_cdf,
     cauchy_pdf,
+    cauchy_quantile,
     check_alpha,
     iterate_orbit,
 )
@@ -115,8 +115,7 @@ def cauchy_grid(
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     ref = params if ref is None else ref
-    u = np.linspace(TAIL_PROB, 1.0 - TAIL_PROB, n_nodes)
-    nodes = ref.nu + ref.gamma * np.tan(np.pi * (u - 0.5))
+    nodes = cauchy_quantile(ref, np.linspace(TAIL_PROB, 1.0 - TAIL_PROB, n_nodes))
     values = cauchy_pdf(params, nodes)
     tail = cauchy_cdf(params, nodes[0]) + 1.0 - cauchy_cdf(params, nodes[-1])
     return DensityGrid(nodes, values, float(tail), ref=ref, source=params)
@@ -512,14 +511,6 @@ class ErgodicReport:
     ks: float
 
 
-def _orbit_ks(alpha: float, orbit: OrbitResult) -> ErgodicReport | None:
-    # The orbit's KS distance to the invariant law; None if it was truncated.
-    if orbit.truncated:
-        return None
-    target = fixed_point(alpha)
-    return ErgodicReport(target, ks_distance(orbit.points, target))
-
-
 def ergodic_orbit_check(alpha: float, xi0: float, n: int) -> ErgodicReport:
     """Compare the empirical law of an n-step orbit with the invariant law.
 
@@ -530,10 +521,10 @@ def ergodic_orbit_check(alpha: float, xi0: float, n: int) -> ErgodicReport:
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"ergodic check needs n >= {KS_MIN_SAMPLES} steps")
     result = iterate_orbit(alpha, xi0, n)
-    report = _orbit_ks(alpha, result)
-    if report is None:
+    if result.truncated:
         raise OrbitTruncationError(
             f"orbit from {xi0} hit the pole guard at index {result.last_index}",
             result.last_index,
         )
-    return report
+    target = fixed_point(alpha)
+    return ErgodicReport(target, ks_distance(result.points, target))

@@ -198,7 +198,7 @@ def cauchy_cdf(p: HPoint, xi):
 def cauchy_quantile(p: HPoint, u):
     """Inverse CDF nu + gamma*tan(pi*(u - 1/2)) for u strictly inside (0, 1)."""
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     out = p.nu + p.gamma * np.tan(np.pi * (u_arr - 0.5))
     return float(out) if np.isscalar(u) else out

@@ -151,6 +151,21 @@ class TestValidation:
         args = cli.build_parser().parse_args([command])
         assert list(vars(args)) == ["command", *flags, "output_path", "format"]
 
+    @pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["missing-dir", "dir"])
+    def test_out_that_cannot_be_opened_exits_2_before_the_run(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        def unreachable(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "orbit", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit", "--out", str(tmp_path / where)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("boolemaps: error: ")
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -395,6 +410,23 @@ def _one_cpu():
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
+def _probe(setup, argv):
+    # A script that runs cli.main(argv) after the ``setup`` lines and exits
+    # with its status, or with 3 if a report worker is left unreaped.
+    return "\n".join([
+        "import os, signal, sys",
+        "from boolemaps import cli",
+        *setup,
+        f"code = cli.main({argv!r})",
+        "try:",
+        "    os.waitpid(-1, os.WNOHANG)",
+        "    code = 3",
+        "except ChildProcessError:",
+        "    pass",
+        "sys.exit(code)",
+    ])
+
+
 def _old_json(report):
     # Reference renderer: the whole report with one dict per record, dumped
     # by json's pure-Python indenting encoder.
@@ -535,6 +567,64 @@ class TestStreamingWriter:
             " ValueError: injected\n"
         )
         assert proc.stdout == "no child left\n"
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a forked worker")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_killed_worker_leaves_its_chunks_to_the_command(self, tmp_path, fmt):
+        # The worker that encodes the second chunk is SIGKILLed as it starts
+        # it; the command encodes that chunk and the worker's later ones.
+        killed = tmp_path / "killed"
+
+        def run(setup):
+            out = tmp_path / f"orbit.{fmt}"
+            argv = ["orbit", "--n", "200000", "--format", fmt, "--out", str(out)]
+            proc = subprocess.run([sys.executable, "-c", _probe(setup, argv)],
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            text = out.read_bytes()
+            # meta, the last section of a JSON report, holds the run's timings
+            return text.partition(b'\n  "meta": ')[0] if fmt == "json" else text
+
+        normal = run([])
+        dying = run([
+            "parent = os.getpid()",
+            f"encode = cli._{fmt}_chunk",
+            "def dying(table, start):",
+            "    if start == cli._CHUNK_ROWS and os.getpid() != parent:",
+            f"        open({str(killed)!r}, 'w').close()",
+            "        os.kill(os.getpid(), signal.SIGKILL)",
+            "    return encode(table, start)",
+            f"cli._{fmt}_chunk = dying",
+        ])
+        assert killed.exists()
+        assert dying == normal
+
+    def test_closed_stdout_is_one_line(self):
+        # A reader that stops early: exit 1, one line on stderr, and no
+        # "Exception ignored" from the interpreter's flush at exit.
+        probe = _probe([], ["orbit", "--n", "200000", "--format", "csv"])
+        proc = subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == "boolemaps orbit: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    @pytest.mark.parametrize("args", [["orbit", "--n", "200000", "--format", "csv"],
+                                      ["iterate-params"]], ids=["orbit", "iterate-params"])
+    def test_full_device_is_one_line(self, args, to_stdout):
+        # A report of many chunks fails mid-stream, a small one at its flush.
+        argv = args if to_stdout else args + ["--out", "/dev/full"]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-c", _probe([], argv)], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"boolemaps {args[0]}: OSError: [Errno 28] No space left on device\n"
+        )
 
     def test_fork_warning_is_not_shown(self, tmp_path, monkeypatch):
         # Python 3.12+ warns when a process with threads forks; a worker only

@@ -303,7 +303,7 @@ class TestCauchyPrimitives:
     def test_quantile(self, p, u, expected):
         assert cauchy_quantile(p, u) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_quantile_domain(self, u):
         with pytest.raises(ValueError):
             cauchy_quantile(HPoint(0, 1), u)
