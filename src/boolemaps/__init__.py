@@ -82,8 +82,6 @@ from .orbit import (
     cauchy_pdf,
     cauchy_quantile,
     check_alpha,
-    g_transform,
-    invariant_scale,
     iterate_orbit,
     preimages,
 )

@@ -362,15 +362,13 @@ def _packed(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def _cells(part, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """The text of a column's cells in one chunk of rows, as (words, mask).
 
-    Ranges and integer and float64 ndarrays go through the array kernels.
+    Ranges and float64 ndarrays go through the array kernels.
     Lists, and ndarrays of other types, are spelled by one json encoder
     call for JSON, or a cell at a time for CSV: small tables (every command
     but orbit) render faster so than through a kernel.
     """
     if isinstance(part, range):
         return int_text(np.arange(part.start, part.stop, part.step))
-    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
-        return int_text(part)
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
         return float_text(part, _NONFINITE[fmt])
     values = part.tolist() if isinstance(part, np.ndarray) else list(part)

@@ -5,13 +5,13 @@ The family is the one-parameter group of maps
     xi -> alpha * (xi - 1/xi),        0 < alpha < 1,
 
 acting on the real line minus the pole at 0.  Each member is chaotic with an
-invariant Cauchy law of location 0 and scale sqrt(alpha/(1-alpha)); its
-companion map gamma -> alpha * (gamma + 1/gamma) governs the scale dynamics
-on the positive axis.  This module provides the maps themselves, their
-two-branch preimages, guarded orbit iteration, and the Cauchy pdf/cdf/
-quantile trio that the density-level verifiers build on.  A Cauchy law is
-its parameter point ``HPoint`` of the upper half-plane, on which
-``halfplane`` states the derived map.
+invariant Cauchy law of location 0 and scale sqrt(alpha/(1-alpha)).  This
+module provides the map itself, its two-branch preimages, guarded orbit
+iteration, and the Cauchy pdf/cdf/quantile trio that the density-level
+verifiers build on.  A Cauchy law is its parameter point ``HPoint`` of the
+upper half-plane, on which ``halfplane`` applies the same map to
+nu - i*gamma; on the axis nu = 0 that step is the scale map
+gamma -> alpha * (gamma + 1/gamma).
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def invariant_scale(alpha: float) -> float:
-    """Scale of the invariant Cauchy law, sqrt(alpha / (1 - alpha))."""
-    alpha = check_alpha(alpha)
-    return math.sqrt(alpha / (1.0 - alpha))
-
-
 def _boole(alpha: float, x):
     # The map itself, unguarded: floats, complex numbers and ndarrays alike.
     return alpha * (x - 1.0 / x)
@@ -57,22 +51,6 @@ def boole_transform(alpha: float, xi: float) -> float:
     if not math.isfinite(xi) or abs(xi) < POLE_EPS:
         raise SingularInputError(f"point {xi!r} is inside the pole guard |xi| < {POLE_EPS}")
     return _boole(alpha, xi)
-
-
-def g_transform(alpha: float, gamma: float) -> float:
-    """Apply the companion scale map gamma -> alpha*(gamma + 1/gamma).
-
-    Defined for gamma > 0 only; the positive axis is invariant.  Raises
-    SingularInputError where the image is not a finite double (gamma below
-    about alpha/DBL_MAX).
-    """
-    alpha = check_alpha(alpha)
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise SingularInputError(f"scale map needs gamma > 0, got {gamma!r}")
-    image = alpha * (gamma + 1.0 / gamma)
-    if not math.isfinite(image):
-        raise SingularInputError(f"the image of gamma={gamma!r} is not a finite double")
-    return image
 
 
 def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:

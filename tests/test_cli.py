@@ -209,7 +209,13 @@ class TestVerifyPf:
         assert oracles["warnings"] == []
         assert all(math.isfinite(v) for v in oracles.values() if isinstance(v, float))
 
-    @pytest.mark.parametrize("gamma0", ["1", "1e200"])
+    @pytest.mark.parametrize("gamma0", ["1e-3", "1", "1e200"] + [
+        pytest.param(gamma0, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 2: the transfer sum forms each preimage near nu as a "
+            "double, and rounding of about 1e-16*|nu| against the width gamma "
+            "hides a 1% error in gamma at this scale")))
+        for gamma0 in ["1e-6", "1e-9"]
+    ])
     def test_wrong_step_fails_at_any_scale(self, tmp_path, monkeypatch, gamma0):
         # the transfer sum against a closed form off by 1% in gamma; an
         # absolute tolerance let this pass wherever the density is small
@@ -429,10 +435,10 @@ def _probe(setup, argv):
 
 def _old_json(report):
     # Reference renderer: the whole report with one dict per record, dumped
-    # by json's pure-Python indenting encoder.
+    # by json's pure-Python indenting encoder; numpy integers as ints.
     table = report["records"]
     records = [dict(zip(table.header, row)) for row in zip(*table.columns)]
-    return json.dumps({**report, "records": records}, indent=2) + "\n"
+    return json.dumps({**report, "records": records}, indent=2, default=int) + "\n"
 
 
 def _old_csv(report):
@@ -489,9 +495,10 @@ class TestStreamingWriter:
         edges = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1e-4, 1e-5,
                           1e16, 9999999999999998.0, 2.0**53 + 2, -1e-4, -1e-5, -1e16, -2.5e-300])
         table = cli.Table(
-            ("step", "flag", "count", "scalar", "edge", "mixed", "float"),
+            ("step", "index", "flag", "count", "scalar", "edge", "mixed", "float"),
             (
                 range(rows),
+                np.arange(rows, dtype=np.int64),
                 [i % 3 == 0 for i in range(rows)],
                 [7 * i - 3 for i in range(rows)],
                 [np.float64(i) / 7 for i in range(rows)],

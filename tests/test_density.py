@@ -61,7 +61,10 @@ class TestDensityGrid:
         assert np.all(np.diff(grid.nodes) > 0)
 
     def test_mass_with_mismatched_reference(self):
-        grid = cauchy_grid(HPoint(0.25, 0.75), ref=HPoint(1.0, 1.0))
+        law, ref = HPoint(0.25, 0.75), HPoint(1.0, 1.0)
+        nodes = cauchy_grid(ref).nodes
+        tail = cauchy_cdf(law, nodes[0]) + 1.0 - cauchy_cdf(law, nodes[-1])
+        grid = DensityGrid(nodes, cauchy_pdf(law, nodes), tail, ref=ref)
         assert grid.mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_mass_at_huge_reference_scale(self):

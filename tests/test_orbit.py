@@ -18,9 +18,9 @@ from boolemaps import (
     cauchy_pdf,
     cauchy_quantile,
     check_alpha,
-    g_transform,
-    invariant_scale,
+    fixed_point,
     iterate_orbit,
+    parameter_step,
     preimages,
 )
 
@@ -52,27 +52,24 @@ class TestBooleTransform:
 
 
 class TestGTransform:
+    """The scale map gamma -> alpha*(gamma + 1/gamma): the half-plane step on the axis nu = 0."""
+
     @pytest.mark.parametrize(
         "alpha, gamma, expected",
         [(0.5, 1.0, 1.0), (0.5, 2.0, 1.25), (0.8, 2.0, 2.0)],
     )
     def test_known_values(self, alpha, gamma, expected):
-        assert g_transform(alpha, gamma) == pytest.approx(expected, rel=1e-15)
-
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
-    def test_rejects_nonpositive(self, gamma):
-        with pytest.raises(SingularInputError):
-            g_transform(0.5, gamma)
+        assert parameter_step(alpha, HPoint(0.0, gamma)).gamma == pytest.approx(expected, rel=1e-15)
 
     @given(alphas, st.floats(min_value=1e-6, max_value=1e6))
     def test_stays_positive(self, alpha, gamma):
-        assert g_transform(alpha, gamma) > 0.0
+        assert parameter_step(alpha, HPoint(0.0, gamma)).gamma > 0.0
 
     @pytest.mark.parametrize("gamma", [1e-310, 5e-324])
     def test_unrepresentable_image_raises(self, gamma):
         # alpha/gamma exceeds DBL_MAX, so the image is not a finite double
         with pytest.raises(SingularInputError):
-            g_transform(0.5, gamma)
+            parameter_step(0.5, HPoint(0.0, gamma))
 
 
 class TestPreimages:
@@ -329,4 +326,4 @@ class TestCauchyPrimitives:
     "alpha, expected", [(0.5, 1.0), (0.8, 2.0), (0.1, 1.0 / 3.0)]
 )
 def test_invariant_scale(alpha, expected):
-    assert invariant_scale(alpha) == pytest.approx(expected, rel=1e-15)
+    assert fixed_point(alpha).gamma == pytest.approx(expected, rel=1e-15)
