@@ -61,7 +61,6 @@ from .halfplane import (
     CanonicalPoint,
     ConvergenceReport,
     FixedPointRun,
-    asymptotic_check,
     canonical_step,
     convergence_bound_check,
     converge_to_fixed_point,

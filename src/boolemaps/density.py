@@ -123,11 +123,20 @@ def transfer_values(alpha: float, density, nodes: np.ndarray) -> np.ndarray:
     two preimages weighted by the inverse derivative magnitude.  At either
     preimage xi of y, alpha*|xi + 1/xi| = hypot(y, 2*alpha), so that weight is
     |xi| / hypot(y, 2*alpha): no square forms, and it never exceeds 1/alpha.
+    A preimage beyond DBL_MAX contributes 0, the limit of density*|xi| for
+    any density of finite mass.
     """
     alpha = check_alpha(alpha)
     nodes = np.asarray(nodes, dtype=float)
+
+    def term(xi):
+        # masked before multiplying: density(inf) * inf would be NaN
+        weight = np.abs(xi)
+        return np.multiply(density(xi), weight, out=np.zeros_like(weight),
+                           where=np.isfinite(weight))
+
     lo, hi = _preimages(alpha, nodes)
-    return (density(lo) * np.abs(lo) + density(hi) * np.abs(hi)) / np.hypot(nodes, 2.0 * alpha)
+    return (term(lo) + term(hi)) / np.hypot(nodes, 2.0 * alpha)
 
 
 def _grid_law(rho: DensityGrid):

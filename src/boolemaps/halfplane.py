@@ -254,22 +254,3 @@ def convergence_bound_check(alpha: float, gamma0: float, n_max: int) -> Converge
         bound_holds_from_2=first_violation is None,
         first_violation=first_violation,
     )
-
-
-def asymptotic_check(alpha: float, x: HPoint) -> tuple[float, float]:
-    """Relative errors of the far-field linear approximation (nu, gamma) -> alpha*(nu, gamma).
-
-    Returns (|nu' - alpha*nu| / |alpha*nu|, |gamma' - alpha*gamma| / (alpha*gamma));
-    both equal 1/(nu^2 + gamma^2) exactly, so the approximation is good
-    precisely when the point is far from the unit circle's interior.  The nu
-    error is reported as 0 for nu = 0 (the axis is invariant).  Both ratios
-    are evaluated with alpha divided out of the stepped point, so a product
-    alpha*nu or alpha*gamma that underflows to 0 cannot divide by zero.
-    """
-    alpha = check_alpha(alpha)
-    stepped = parameter_step(alpha, x)
-    err_gamma = abs(stepped.gamma / alpha - x.gamma) / x.gamma
-    if x.nu == 0.0:
-        return 0.0, err_gamma
-    err_nu = abs(stepped.nu / alpha - x.nu) / abs(x.nu)
-    return err_nu, err_gamma

@@ -60,9 +60,11 @@ def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
     # product xi_minus * xi_plus = -1.  The naive formula loses all
     # significant digits for |y| >> alpha; hypot keeps y^2 from overflowing,
     # and halving before the sum keeps |y| + disc from overflowing near DBL_MAX.
+    # Above about alpha*DBL_MAX the larger root is +-inf, the other +-0.
     y = np.asarray(y, dtype=float)
     disc = np.hypot(y, 2.0 * alpha)
-    big = (0.5 * np.abs(y) + 0.5 * disc) / alpha
+    with np.errstate(over="ignore"):
+        big = (0.5 * np.abs(y) + 0.5 * disc) / alpha
     big = np.where(y >= 0.0, big, -big)
     other = -1.0 / big
     return np.minimum(big, other), np.maximum(big, other)
@@ -75,8 +77,7 @@ def preimages(alpha: float, xi_prime: float) -> tuple[float, float]:
     |xi_prime| above about alpha*DBL_MAX.
     """
     alpha = check_alpha(alpha)
-    with np.errstate(over="ignore"):
-        lo, hi = _preimages(alpha, xi_prime)
+    lo, hi = _preimages(alpha, xi_prime)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise SingularInputError(f"a preimage of {xi_prime!r} is not a finite double")
     return float(lo), float(hi)

@@ -209,6 +209,17 @@ class TestVerifyPf:
         assert oracles["warnings"] == []
         assert all(math.isfinite(v) for v in oracles.values() if isinstance(v, float))
 
+    def test_preimage_beyond_dbl_max_has_a_finite_report(self, tmp_path):
+        # at alpha = 1e-12 the outer nodes' larger preimages overflow to +-inf;
+        # they contribute 0 to the transfer sum, not inf * 0 = NaN
+        code, report = run_json(
+            tmp_path, ["verify-pf", "--alpha", "1e-12", "--gamma0", "1e292", "--n", "10000"]
+        )
+        oracles = report["oracles"]
+        assert code == 0
+        assert math.isfinite(oracles["sup_error"])
+        assert [w for w in oracles["warnings"] if "encountered in" in w] == []
+
     @pytest.mark.parametrize("gamma0", ["1e-3", "1", "1e200"] + [
         pytest.param(gamma0, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
             "ROADMAP item 2: the transfer sum forms each preimage near nu as a "
@@ -282,6 +293,8 @@ class TestGeometry:
             ("1", "0.03"), ("1", "1e-8"), ("1", "1e-150"), ("1", "1e150"),
             # the far corners of the metric's domain
             ("1e300", "1e-150"), ("-1e-300", "4.7e153"), ("1.7e308", "5.4e-155"),
+            # far from the unit scale in both coordinates at once
+            ("1e200", "1e-100"),
         ],
     )
     def test_passes_at_every_scale(self, tmp_path, nu0, gamma0):

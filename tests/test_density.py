@@ -107,11 +107,13 @@ class TestTransferStep:
         np.testing.assert_allclose(out, cauchy_pdf(HPoint(0.0, 0.74), nodes), rtol=1e-14)
 
     def test_tails_near_dbl_max_stay_finite(self):
-        # at +-1e308 and alpha = 0.9 the larger preimage, ~1.11e308, is finite
+        # at +-1e308 and alpha = 0.9 the larger preimage, ~1.11e308, is finite;
+        # at +-1.7e308 and alpha = 0.5 it is beyond DBL_MAX, and contributes 0
         p = HPoint(0.0, 1.0)
-        nodes = np.array([-1e308, 1e308])
-        out = transfer_values(0.9, lambda xi: cauchy_pdf(p, xi), nodes)
-        np.testing.assert_array_equal(out, cauchy_pdf(HPoint(0.0, 1.8), nodes))
+        for alpha, edge in [(0.9, 1e308), (0.5, 1.7e308)]:
+            nodes = np.array([-edge, edge])
+            out = transfer_values(alpha, lambda xi: cauchy_pdf(p, xi), nodes)
+            np.testing.assert_array_equal(out, cauchy_pdf(parameter_step(alpha, p), nodes))
 
     def test_matches_closed_form_pointwise(self):
         grid = cauchy_grid(HPoint(1.0, 1.0))

@@ -12,7 +12,6 @@ from boolemaps import (
     CanonicalPoint,
     HPoint,
     SingularInputError,
-    asymptotic_check,
     boole_transform,
     canonical_step,
     conformal_factor,
@@ -409,6 +408,24 @@ class TestConvergenceBound:
                 convergence_bound_check(0.5, gamma0, 10)
         with pytest.raises(ValueError):
             convergence_bound_check(0.5, 2.0, 2)
+
+
+def asymptotic_check(alpha, x):
+    """Relative errors of the far-field limit (nu, gamma) -> alpha*(nu, gamma) of the step.
+
+    Returns (|nu' - alpha*nu| / |alpha*nu|, |gamma' - alpha*gamma| / (alpha*gamma));
+    both equal 1/(nu^2 + gamma^2) exactly, so the limit is good precisely
+    when the point is far from the unit circle's interior.  The nu error is
+    0 for nu = 0 (the axis is invariant).  Both ratios divide alpha out of
+    the stepped point, so a product alpha*nu or alpha*gamma that underflows
+    to 0 cannot divide by zero.
+    """
+    stepped = parameter_step(alpha, x)
+    err_gamma = abs(stepped.gamma / alpha - x.gamma) / x.gamma
+    if x.nu == 0.0:
+        return 0.0, err_gamma
+    err_nu = abs(stepped.nu / alpha - x.nu) / abs(x.nu)
+    return err_nu, err_gamma
 
 
 class TestAsymptotics:
