@@ -34,7 +34,6 @@ from .errors import (
 from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
 from .orbit import (
     POLE_EPS,
-    _boole,
     _preimages,
     cauchy_cdf,
     cauchy_pdf,
@@ -275,18 +274,24 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
 
     ``median_iqr``: location = sample median, scale = half the interquartile
     range -- exact for the Cauchy CDF, whose quartiles sit at nu +/- gamma.
+    The quartiles are those of ``np.quantile``, bit for bit.
     ``mle``: damped Newton on the mean log-likelihood, in the location and
     scale frame of the quantile fit and started there, declared converged
-    when the gradient norm in that frame drops below 1e-10.  Moment fitting
-    is not offered; the Cauchy law has no moments.  Raises
-    SingularInputError where half the interquartile range is not a positive
-    double, as where the quartiles round to the same double.
+    when the gradient norm in that frame drops below 1e-10.  Its sums run
+    over the sorted points, so any permutation of a sample gives the same
+    fit.  Moment fitting is not offered; the Cauchy law has no moments.
+    Raises SingularInputError where half the interquartile range is not a
+    positive double, as where the quartiles round to the same double.
     """
     points = np.asarray(points, dtype=float)
     if points.size < MIN_FIT_SIZE:
         raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {points.size}")
-    ordered = np.sort(points)  # fixed reduction order; the likelihood fit reuses it
-    q1, q2, q3 = np.quantile(ordered, [0.25, 0.5, 0.75], overwrite_input=True)
+    return _fit_sorted(np.sort(points), method)  # a copy: the caller's order stays
+
+
+def _fit_sorted(ordered: np.ndarray, method: str) -> HPoint:
+    # ``fit_cauchy`` of a sorted sample, which the likelihood fit overwrites.
+    q1, q2, q3 = _quartiles(ordered)
     scale = float((q3 - q1) / 2.0)
     if not scale > 0.0:
         raise SingularInputError(f"no scale fits a sample whose quartiles are {float(q1)!r} and {float(q3)!r}")
@@ -298,9 +303,27 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     raise ValueError(f"unknown fit method {method!r}")
 
 
+def _quartiles(ordered: np.ndarray) -> np.ndarray:
+    # np.quantile(ordered, [0.25, 0.5, 0.75]) read from a sorted sample by
+    # index, with numpy's default rule: virtual index (n - 1)*q, then numpy's
+    # lerp, which takes b - (b - a)*(1 - t) where t >= 1/2.  A NaN sorts last
+    # and makes every quartile that NaN, as in np.quantile.
+    at = (ordered.size - 1) * np.array([0.25, 0.5, 0.75])
+    below = at.astype(np.intp)  # the floor: at >= 0
+    t = at - below
+    a, b = ordered[below], ordered[below + 1]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
+    if np.isnan(ordered[-1]):
+        out[:] = ordered[-1]
+    return out
+
+
 #: Sample-sized work runs in blocks of this many points (512 KiB of doubles),
-#: so that no temporary grows with the sample: a Monte Carlo check holds its
-#: sample and one sorted copy, and its peak memory does not depend on where
+#: through buffers of one block, so that no temporary grows with the sample:
+#: a Monte Carlo check holds one copy of its sample, which it pushes forward,
+#: sorts and fits in place, and its peak memory does not depend on where
 #: earlier large temporaries left the heap.
 _BLOCK = 1 << 16
 
@@ -309,29 +332,31 @@ def _blocks(points: np.ndarray):
     return (points[lo:lo + _BLOCK] for lo in range(0, points.size, _BLOCK))
 
 
-def _mean_log_q(points: np.ndarray, nu: float, gamma: float) -> float:
-    """Mean over the points of log(d^2 + gamma^2), d = points - nu."""
-    total = 0.0
-    for block in _blocks(points):
-        d = block - nu
-        total += float(np.sum(np.log(d * d + gamma * gamma)))
-    return total / points.size
-
-
-def _score_means(points: np.ndarray, nu: float, gamma: float) -> list[float]:
-    """Means over the points of 1/q, d/q, 1/q^2, d/q^2 and (d^2 - gamma^2)/q^2.
+def _loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[float, list[float]]:
+    """Mean log-likelihood log(gamma) - mean log(q), and the means over the
+    points of 1/q, d/q, 1/q^2, d/q^2 and (d^2 - gamma^2)/q^2, in one pass.
 
     Here d = points - nu and q = d^2 + gamma^2.
     """
     g2 = gamma * gamma
-    sums = np.zeros(5)
+    sums = [0.0] * 6
+    d_buf, q_buf, term_buf = np.empty((3, min(_BLOCK, points.size)))
     for block in _blocks(points):
-        d = block - nu
-        q = d * d + g2
-        q2 = q * q
-        sums += [np.sum(1.0 / q), np.sum(d / q), np.sum(1.0 / q2), np.sum(d / q2),
-                 np.sum((d * d - g2) / q2)]
-    return (sums / points.size).tolist()
+        d, q, term = d_buf[:block.size], q_buf[:block.size], term_buf[:block.size]
+        np.subtract(block, nu, out=d)
+        np.multiply(d, d, out=q)
+        q += g2
+        sums[0] += float(np.sum(np.log(q, out=term)))
+        sums[1] += float(np.sum(np.divide(1.0, q, out=term)))
+        sums[2] += float(np.sum(np.divide(d, q, out=term)))
+        np.multiply(q, q, out=q)  # q^2 from here on
+        sums[3] += float(np.sum(np.divide(1.0, q, out=term)))
+        sums[4] += float(np.sum(np.divide(d, q, out=term)))
+        np.multiply(d, d, out=d)
+        d -= g2
+        sums[5] += float(np.sum(np.divide(d, q, out=d)))
+    means = [total / points.size for total in sums]
+    return math.log(gamma) - means[0], means[1:]
 
 
 def _cauchy_mle(
@@ -344,21 +369,21 @@ def _cauchy_mle(
     # (m, s) is the quartile fit ``frame``, from C(0, 1); the fit of the
     # sample is C(m + s*nu, s*gamma).  Their mean log-likelihoods differ by
     # the constant log(s), so neither the gradient nor the stopping test
-    # depends on where the sample sits or on its scale.
+    # depends on where the sample sits or on its scale.  The score of the
+    # candidate that the line search accepts is that of the next iterate.
     points -= frame.nu
     points /= frame.gamma
     nu, gamma = 0.0, 1.0
-
-    def mean_loglik(nu_, gamma_):
-        return math.log(gamma_) - _mean_log_q(points, nu_, gamma_)
-
-    current = mean_loglik(nu, gamma)
-    for _ in range(max_iter):
-        mean_inv, mean_d_inv, mean_inv2, mean_d_inv2, mean_dd = _score_means(points, nu, gamma)
+    current, score = _loglik_score(points, nu, gamma)
+    for iteration in range(max_iter + 1):
+        mean_inv, mean_d_inv, mean_inv2, mean_d_inv2, mean_dd = score
         grad_nu = 2.0 * mean_d_inv
         grad_g = 1.0 / gamma - 2.0 * gamma * mean_inv
-        if math.hypot(grad_nu, grad_g) < tol:
+        grad_norm = math.hypot(grad_nu, grad_g)
+        if grad_norm < tol:
             return HPoint(frame.nu + frame.gamma * nu, frame.gamma * gamma)
+        if iteration == max_iter:
+            break
         h_nn = 2.0 * mean_dd
         h_gg = -1.0 / (gamma * gamma) - 2.0 * mean_inv + 4.0 * gamma * gamma * mean_inv2
         h_ng = -4.0 * gamma * mean_d_inv2
@@ -371,35 +396,50 @@ def _cauchy_mle(
         while scale > 1e-8:
             cand_nu, cand_g = nu - scale * step_nu, gamma - scale * step_g
             if cand_g > 0.0:
-                cand_ll = mean_loglik(cand_nu, cand_g)
+                cand_ll, cand_score = _loglik_score(points, cand_nu, cand_g)
                 if cand_ll >= current - 1e-15:
-                    nu, gamma, current = cand_nu, cand_g, cand_ll
+                    nu, gamma, current, score = cand_nu, cand_g, cand_ll, cand_score
                     break
             scale /= 2.0
         else:
             break
-    mean_inv, mean_d_inv = _score_means(points, nu, gamma)[:2]
-    grad_norm = math.hypot(2.0 * mean_d_inv, 1.0 / gamma - 2.0 * gamma * mean_inv)
-    if grad_norm >= tol:
-        raise FitConvergenceError(
-            f"likelihood fit stalled at gradient norm {grad_norm:.2e} after {max_iter} iterations"
-        )
-    return HPoint(frame.nu + frame.gamma * nu, frame.gamma * gamma)
+    raise FitConvergenceError(
+        f"likelihood fit stalled at gradient norm {grad_norm:.2e} after {max_iter} iterations"
+    )
 
 
 def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
     # Pointwise map applied to every sample, overwriting ``points`` block by
-    # block; pole hits are dropped with a count rather than resampled,
-    # preserving the push-forward's independence.
-    dropped = 0
+    # block, one pass a step: a block is mapped through one buffer in
+    # ``_boole``'s order alpha*(x - 1/x), and the points of it that the next
+    # step's pole guard passes are counted while it is in cache.  Before each
+    # step the points failing |x| >= POLE_EPS (zeros, NaN) are dropped with a
+    # count rather than resampled, preserving the push-forward's independence.
+    buf = np.empty(min(_BLOCK, points.size))
+    passed = np.empty(buf.size, dtype=bool)
+
+    def guarded(block):
+        magnitude = np.abs(block, out=buf[:block.size])
+        return int(np.count_nonzero(np.greater_equal(magnitude, POLE_EPS, out=passed[:block.size])))
+
     x = points
-    for _ in range(steps):
-        kept = sum(int(np.count_nonzero(np.abs(block) >= POLE_EPS)) for block in _blocks(x))
+    kept = sum(guarded(block) for block in _blocks(x))
+    dropped = 0
+    for step in range(steps):
         if kept < x.size:
             dropped += x.size - kept
-            x = x[np.abs(x) >= POLE_EPS]
+            end = 0  # the kept points move to the front, in order
+            for block in _blocks(x):
+                block = block[np.abs(block) >= POLE_EPS]
+                x[end:end + block.size] = block
+                end += block.size
+            x = x[:end]
+        kept = 0
         for block in _blocks(x):
-            block[...] = _boole(alpha, block)
+            inverse = np.divide(1.0, block, out=buf[:block.size])
+            np.multiply(alpha, np.subtract(block, inverse, out=inverse), out=block)
+            if step < steps - 1:
+                kept += guarded(block)
     return x, dropped
 
 
@@ -446,7 +486,8 @@ def pf_monte_carlo_check(
             f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
         )
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
-    measured = fit_cauchy(pushed, fit_method)
+    pushed.sort()  # in place: the check holds one copy of its sample
+    measured = _fit_sorted(pushed, fit_method)
     sup_error = max(abs(measured.nu - predicted.nu), abs(measured.gamma - predicted.gamma))
     se = fit_stderr(predicted.gamma, pushed.size)
     return PfReport(

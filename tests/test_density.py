@@ -33,7 +33,8 @@ from boolemaps import (
     pf_monte_carlo_check,
     sample_cauchy,
 )
-from boolemaps.density import _grid_law, _push_forward, transfer_values
+from boolemaps import density
+from boolemaps.density import _BLOCK, _grid_law, _push_forward, _quartiles, transfer_values
 
 #: Relative error, against the peak, allowed after a 10-step chain on a
 #: tabulated-only grid (the benchmark's bound for the same chain).
@@ -51,6 +52,59 @@ def spline_density(rho):
         return np.where(np.isnan(out), 0.0, np.maximum(out, 0.0))
 
     return density
+
+
+def loop_push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
+    """Reference oracle: the push-forward a step at a time, dropping and
+    counting the points that fail the pole guard before each step."""
+    x, dropped = np.array(points, dtype=float), 0
+    for _ in range(steps):
+        kept = x[np.abs(x) >= POLE_EPS]
+        dropped += x.size - kept.size
+        x = alpha * (kept - 1.0 / kept)
+    return x, dropped
+
+
+def assert_same_push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
+    """Assert that ``_push_forward`` gives the oracle's points, bit for bit,
+    and its count of dropped points; return the push-forward."""
+    expected, expected_dropped = loop_push_forward(alpha, points, steps)
+    pushed, dropped = _push_forward(alpha, np.array(points, dtype=float), steps)
+    assert pushed.tobytes() == expected.tobytes(), (alpha, points.size, steps)
+    assert dropped == expected_dropped, (alpha, points.size, steps)
+    return pushed, dropped
+
+
+def assert_same_quartiles(points: np.ndarray) -> None:
+    """Assert that ``_quartiles`` of the sorted points is ``np.quantile`` of the
+    points, bit for bit.  A zero quartile is compared by value: which of a
+    tied -0.0 and 0.0 np.quantile's partition leaves at an index is
+    arbitrary, and it differs between a sample and its sorted copy."""
+    expected = np.quantile(points, [0.25, 0.5, 0.75]) + 0.0  # -0.0 + 0.0 is 0.0
+    got = _quartiles(np.sort(points)) + 0.0
+    assert got.tobytes() == expected.tobytes(), (points.size, got, expected)
+
+
+def check_monte_carlo_kernels(count: int, seed: int) -> int:
+    """``assert_same_push_forward`` and ``assert_same_quartiles`` of the pushed
+    sample on ``count`` random cases drawn from ``seed``: n log-uniform in
+    1e3..3e5, steps uniform in 1..10, alpha uniform in 0.05..0.95, and a
+    Cauchy sample of random location and scale in which a few points are
+    replaced by 0, +-1 (a pole hit at the second step) or NaN.  Returns how
+    many points the pole guard dropped in all."""
+    rng = np.random.default_rng(seed)
+    dropped = 0
+    for _ in range(count):
+        n = int(math.exp(rng.uniform(math.log(1e3), math.log(3e5))))
+        steps = int(rng.integers(1, 10, endpoint=True))
+        alpha = float(rng.uniform(0.05, 0.95))
+        points = rng.normal() + math.exp(rng.uniform(-5.0, 5.0)) * rng.standard_cauchy(n)
+        hits = rng.integers(0, 3, endpoint=True)
+        points[rng.integers(0, n, hits)] = rng.choice([0.0, 1.0, -1.0, np.nan], hits)
+        pushed, hit = assert_same_push_forward(alpha, points, steps)
+        assert_same_quartiles(pushed)
+        dropped += hit
+    return dropped
 
 
 class TestDensityGrid:
@@ -248,6 +302,52 @@ class TestFitting:
         with pytest.raises(SingularInputError):
             fit_cauchy(np.full(2000, 3.0), method)
 
+    def test_quartiles_equal_numpy_quantile(self):
+        # np.quantile's default rule, bit for bit, at sizes of every residue
+        # mod 4 and around a block; ties, and -0.0 tied with 0.0, included
+        rng = np.random.default_rng(8)
+        for n in [*range(1000, 1101), 65535, 65536, 65537, 10**5, 10**6 + 3]:
+            assert_same_quartiles(rng.standard_cauchy(n))
+            assert_same_quartiles(rng.integers(-3, 4, n) * 0.7)
+            assert_same_quartiles(rng.choice([-0.0, 0.0, 1.5, -2.5], n, p=[0.4, 0.4, 0.1, 0.1]))
+
+    def test_quartiles_of_a_sample_with_nan_are_nan(self):
+        points = np.random.default_rng(9).standard_cauchy(5000)
+        points[17] = np.nan
+        assert_same_quartiles(points)
+        assert np.isnan(_quartiles(np.sort(points))).all()
+
+    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
+    def test_likelihood_fit_sums_over_the_sorted_sample(self, method, monkeypatch):
+        # both fitting routes hand the likelihood fit the sorted sample
+        calls = []
+        fit = density._cauchy_mle
+
+        def spy(points, frame, **kwargs):
+            calls.append(bool(np.all(points[1:] >= points[:-1])))
+            return fit(points, frame, **kwargs)
+
+        monkeypatch.setattr(density, "_cauchy_mle", spy)
+        sample = sample_cauchy(HPoint(0.4, 1.3), 12_345, seed=2)
+        fit_cauchy(sample, method)
+        pf_monte_carlo_check(0.5, HPoint(0.4, 1.3), 12_345, 3, seed=2, fit_method=method)
+        assert calls == ([True, True] if method == "mle" else [])
+
+    @pytest.mark.parametrize("n", [10_000, 12_345, 70_001])
+    def test_fit_does_not_depend_on_the_order_of_the_points(self, n):
+        sample = sample_cauchy(HPoint(-0.2, 0.8), n, seed=n)
+        shuffled = np.random.default_rng(n).permutation(sample)
+        for method in ("median_iqr", "mle"):
+            fit, fit_shuffled = fit_cauchy(sample, method), fit_cauchy(shuffled, method)
+            assert (np.array([fit.nu, fit.gamma]).tobytes()
+                    == np.array([fit_shuffled.nu, fit_shuffled.gamma]).tobytes())
+
+    def test_fit_leaves_the_points_in_their_order(self):
+        sample = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=4)
+        before = sample.copy()
+        fit_cauchy(sample, "mle")
+        assert sample.tobytes() == before.tobytes()
+
     def test_quantile_plugin_recovers_parameters(self):
         # the law's quartiles sit exactly at nu +/- gamma
         p = HPoint(0.0, 1.0)
@@ -333,17 +433,42 @@ class TestMonteCarloPushForward:
         points = rng.standard_cauchy(70_000)
         points[[5, 66_000]] = 0.0
         points[[65_535, 65_536]] = [1.0, -1.0]
-        expected = points.copy()
-        for _ in range(3):
-            expected = expected[np.abs(expected) >= POLE_EPS]
-            expected = 0.5 * (expected - 1.0 / expected)
-        pushed, dropped = _push_forward(0.5, points, 3)
-        assert dropped == 4
-        np.testing.assert_array_equal(pushed, expected)
+        assert assert_same_push_forward(0.5, points, 3)[1] == 4
+
+    @pytest.mark.parametrize("n", [1000, _BLOCK - 1, _BLOCK, 2 * _BLOCK])
+    def test_sizes_around_a_block(self, n):
+        # hits in the first, the last and (where there is one) the second block
+        points = np.random.default_rng(n).standard_cauchy(n)
+        points[[0, n - 1, n // 2]] = [0.0, 1.0, -1.0]
+        points[n // 3] = 0.0
+        assert assert_same_push_forward(0.3, points, 4)[1] == 4
+
+    def test_pole_hit_of_the_last_step_is_kept(self):
+        # the guard applies before a step: +-1 maps to 0 at the last step,
+        # which nothing steps from, so the zeros stay and are not counted
+        points = np.random.default_rng(5).standard_cauchy(3000)
+        points[[7, 2999]] = [1.0, -1.0]
+        pushed, dropped = assert_same_push_forward(0.5, points, 1)
+        assert dropped == 0
+        assert pushed[[7, 2999]].tolist() == [0.0, 0.0]
+        # one step more, and they are dropped and counted
+        assert assert_same_push_forward(0.5, points, 2)[1] == 2
+
+    def test_nan_is_dropped_and_counted(self):
+        # NaN fails |x| >= POLE_EPS, as before every step
+        points = np.random.default_rng(6).standard_cauchy(_BLOCK + 10)
+        points[[0, 100, _BLOCK + 9]] = np.nan
+        pushed, dropped = assert_same_push_forward(0.7, points, 3)
+        assert dropped == 3
+        assert np.isfinite(pushed).all()
+
+    def test_random_cases_equal_the_loop(self):
+        # some cases hold pole hits, so the drop and its count are checked too
+        assert check_monte_carlo_kernels(40, seed=12) > 0
 
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
-    def test_memory_holds_two_sample_copies(self, method):
-        # the sample (pushed in place) and the fit's sorted copy; no
+    def test_memory_holds_one_sample_copy(self, method):
+        # the sample, pushed forward, sorted and fitted in place; no
         # temporary of the sample's size, however many steps or iterations
         n = 10**6
         tracemalloc.start()
@@ -352,7 +477,19 @@ class TestMonteCarloPushForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * n
+        assert peak < 1.5 * 8 * n
+
+    def test_memory_with_pole_hits_holds_one_sample_copy(self):
+        # the dropped points are squeezed out in place, block by block
+        n = 10**6
+        tracemalloc.start()
+        try:
+            report = pf_monte_carlo_check(0.5, HPoint(0.0, 1e-296), n, 3, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_dropped > 0
+        assert peak < 1.5 * 8 * n
 
 
 class TestErgodicity:
