@@ -10,6 +10,8 @@ where ``mask`` holds 1, in order.  The bytes masked out are holes in a
 layout fixed per column, so every step works on whole columns and there is
 no Python object per value.  Integer arithmetic stays in uint64, so that
 no step is promoted to float64 under NumPy's type promotion rules.
+``table_text`` lays out whole rows of such columns between constant
+separators.
 """
 
 from __future__ import annotations
@@ -250,3 +252,33 @@ def float_text(values: np.ndarray, nonfinite: tuple[bytes, bytes, bytes]):
     if tails:
         text[:, -3:], mask[:, -3:] = (table.take(tail, axis=0) for table in _tails(nonfinite))
     return text, mask
+
+
+def _constant(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # One row of words holding ``text``, NUL-padded, and the mask of its bytes.
+    width = -(-max(len(text), 1) // 4) * 4
+    words = np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint32)
+    return words[None], (np.arange(width) < len(text)).view(np.uint32)[None]
+
+
+def table_text(columns: list, lead: bytes, seps: list[bytes], nonfinite) -> bytes:
+    """Rows of equal-length columns: ``lead``, then each cell and its separator.
+
+    A column is a range, spelled by ``int_text``, or a float64 ndarray,
+    spelled by ``float_text`` with ``nonfinite``.  The rows are one matrix
+    of words, made of the cells' columns and constant separator columns,
+    with a mask of the bytes that are text; one boolean index of the
+    flattened pair lays it out.
+    """
+    parts = [_constant(lead)]
+    for column, sep in zip(columns, seps):
+        if isinstance(column, range):
+            cells = int_text(np.arange(column.start, column.stop, column.step))
+        else:
+            cells = float_text(column, nonfinite)
+        parts += [cells, _constant(sep)]
+    rows = len(columns[0])
+    text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])
+                  for half in zip(*parts))
+    # ravel copies only if hstack chose a column-major layout
+    return text.ravel().view(np.uint8)[mask.ravel().view(bool)].tobytes()

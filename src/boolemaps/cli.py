@@ -12,36 +12,44 @@ Each command parses only the flags it reads (``_COMMAND_FLAGS``), plus
 an --out that cannot be opened, exits 2 with a one-line message before the
 command runs.
 
+Only ``verify-pf``, ``geometry`` and ``orbit`` load numpy, through the
+modules of ``_ARRAY_MODULES``, after their flags are validated;
+``iterate-params`` and bad input run on the standard library alone.
+
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
-(the records table).  ``meta.timings`` holds the seconds spent validating
-the flags, computing and rendering, ``meta.peak_rss_mb`` the run's memory
-high-water mark and ``meta.environment`` the Python and numpy versions and
-the CPU count; ``oracles.warnings`` lists the warnings the command raised.
+(the records table).  ``meta`` holds the argv and the platform
+(``os.uname``), ``meta.timings`` the seconds spent validating the flags,
+loading the array modules, computing and rendering, ``meta.peak_rss_mb``
+the run's memory high-water mark and ``meta.environment`` the Python
+version, the numpy version (null where the command loaded no numpy) and the
+CPU count; ``oracles.warnings`` lists the warnings the command raised.
 Records are kept as columns and streamed to the output a chunk of rows at
-a time, as bytes, to the file or to the binary buffer under stdout.  The
-chunks are encoded round-robin on every CPU the process may run on, by the
-process itself and forked workers, and written in order; a worker sends
-only chunk bytes, and the process encodes every chunk it did not receive,
-so a worker that fails or dies costs time, not the report.  The bytes do
-not depend on the number of CPUs.  A float is written as
-``float.__repr__`` writes it, the shortest decimal that reads back to the
-same double, so identical runs diff cleanly; nan and the infinities are
-spelled as JSON or Python spell them.  Float64 and integer arrays and
-ranges are spelled by the numpy kernels of ``_numtext``, with no Python
-object per cell, and columns held as lists by json or a cell at a time.  A
-chunk of rows is one matrix of cell and separator bytes, laid out by one
-boolean index.  The exit status is 0 exactly when every tolerance check the
-command configured has passed; a numerical failure in the library gives
-exit 1 and a report with empty records and ``oracles.error``, and a chunk
-that cannot be encoded, or a write that fails, gives exit 1 and one line on
-stderr.
+a time, as bytes, to the file or to the binary buffer under stdout.  A
+float is written as ``float.__repr__`` writes it, the shortest decimal that
+reads back to the same double, so identical runs diff cleanly; nan and the
+infinities are spelled as JSON or Python spell them.  A table of lists (the
+records of every command but ``orbit``) is spelled by one json encoder call
+per column for JSON, or a cell at a time for CSV, and its rows joined by
+``str.join``.  A table of ranges and float64 arrays (``orbit``'s) is
+spelled by the numpy kernels of ``_numtext``, with no Python object per
+cell, a chunk of rows as one matrix of cell and separator bytes laid out
+by one boolean index; its chunks are encoded round-robin on every CPU the
+process may run on, by the process itself and forked workers, and written
+in order.  A worker sends only chunk bytes, and the process encodes every
+chunk it did not receive, so a worker that fails or dies costs time, not
+the report.  The bytes do not depend on the number of CPUs.  The exit
+status is 0 exactly when every tolerance check the command configured has
+passed; a numerical failure in the library gives exit 1 and a report with
+empty records and ``oracles.error``, and a chunk that cannot be encoded, or
+a write that fails, gives exit 1 and one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import math
 import os
@@ -52,40 +60,24 @@ import sys
 import time
 import warnings
 from dataclasses import astuple, dataclass
+from itertools import chain, repeat
 from typing import NoReturn
 
-import numpy as np
-
 from . import __version__
-from ._numtext import float_text, int_text
-from .density import (
+from .errors import FitConvergenceError, PoleGuardError, QuadratureError, SingularInputError
+from .halfplane import (
     DEFAULT_GRID_SIZE,
-    KS_MIN_SAMPLES,
     MAX_SAMPLE_OFFSET,
     MIN_MONTE_CARLO_SIZE,
-    ks_distance,
-    pf_closed_form_check,
-    pf_monte_carlo_check,
-)
-from .errors import FitConvergenceError, PoleGuardError, QuadratureError, SingularInputError
-from .geometry import (
-    KILLING_FIELD_NAMES,
-    canonical_form_coefficient,
+    POLE_EPS,
+    HPoint,
+    check_alpha,
     conformal_factor,
     fisher_metric,
-    fisher_metric_quadrature,
-    lie_derivative_metric,
-    lie_derivative_two_form,
-    symplectic_defect,
-    verify_conformal_pullback,
-)
-from .halfplane import (
-    HPoint,
     fixed_point,
     iterate_parameter_map,
     to_canonical,
 )
-from .orbit import POLE_EPS, check_alpha, iterate_orbit
 
 SUP_ERROR_TOL = 1e-10
 #: Geometry tolerances are relative to the metric, and for Lie derivatives to gamma.
@@ -218,6 +210,8 @@ def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
+    from .density import pf_closed_form_check, pf_monte_carlo_check
+
     params = HPoint(cfg.nu0, cfg.gamma0)
     sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
     report = pf_monte_carlo_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
@@ -246,6 +240,16 @@ _LATTICE_GAMMA = (0.5, 1.0, 2.0, 3.0, 4.0)
 
 
 def _geometry_row(alpha: float, point: HPoint) -> dict:
+    from .geometry import (
+        KILLING_FIELD_NAMES,
+        canonical_form_coefficient,
+        fisher_metric_quadrature,
+        lie_derivative_metric,
+        lie_derivative_two_form,
+        symplectic_defect,
+        verify_conformal_pullback,
+    )
+
     metric = fisher_metric(point)
     quad = fisher_metric_quadrature(point)
     gaps = (quad.g_nn - metric.g_nn, quad.g_ng, quad.g_gg - metric.g_gg)
@@ -291,6 +295,9 @@ def cmd_geometry(cfg: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
+    from .density import KS_MIN_SAMPLES, ks_distance
+    from .orbit import iterate_orbit
+
     result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
     records = Table(("step", "xi"), (range(len(result.points)), result.points))
     oracles: dict = {
@@ -313,6 +320,15 @@ _COMMANDS = {
     "verify-pf": cmd_verify_pf,
     "geometry": cmd_geometry,
     "orbit": cmd_orbit,
+}
+
+#: The modules that bring numpy, loaded after validation, of each command
+#: that computes on arrays: all it imports, numpy's lazy ``random`` among
+#: them.  The others, and bad input, run on the standard library alone.
+_ARRAY_MODULES = {
+    "verify-pf": (".density", "numpy.random"),
+    "geometry": (".geometry",),
+    "orbit": (".orbit", ".density", "._numtext"),
 }
 
 
@@ -350,60 +366,57 @@ class ReportError(RuntimeError):
 _NONFINITE = {"json": (b"NaN", b"Infinity", b"-Infinity"), "csv": (b"nan", b"inf", b"-inf")}
 
 
-def _packed(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    # cells as words, one row each, and the mask of their bytes
-    encoded = list(map(str.encode, cells))
-    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    width = -(-max(int(lengths.max()), 1) // 4) * 4
-    text = np.array(encoded, dtype=f"S{width}").view(np.uint32).reshape(len(encoded), -1)
-    return text, (np.arange(width) < lengths[:, None]).view(np.uint32)
+def _by_kernels(table: Table) -> bool:
+    # Every column a range or a float64 ndarray (whose dtype compares equal
+    # to its name), as orbit's are.
+    return all(
+        isinstance(column, range) or getattr(column, "dtype", None) == "float64"
+        for column in table.columns
+    )
 
 
-def _cells(part, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """The text of a column's cells in one chunk of rows, as (words, mask).
+def _cells(part, fmt: str) -> list[str]:
+    """The text of a column's cells in one chunk of rows, by the standard library.
 
-    Ranges and float64 ndarrays go through the array kernels.
-    Lists, and ndarrays of other types, are spelled by one json encoder
-    call for JSON, or a cell at a time for CSV: small tables (every command
-    but orbit) render faster so than through a kernel.
+    One json encoder call for JSON; for CSV ``float.__repr__``, also of
+    numpy float scalars, whose own repr is not parseable, and ``str`` for
+    anything else.
     """
-    if isinstance(part, range):
-        return int_text(np.arange(part.start, part.stop, part.step))
-    if isinstance(part, np.ndarray) and part.dtype == np.float64:
-        return float_text(part, _NONFINITE[fmt])
-    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+    values = part.tolist() if hasattr(part, "tolist") else list(part)
     if fmt == "json":
-        # one C encoder call per column; no encoded value holds a raw newline
-        return _packed(json.dumps(values, separators=("\n", ":"))[1:-1].split("\n"))
-    # float.__repr__, also of numpy float scalars, whose own repr is not
-    # parseable; anything else as str writes it
-    return _packed([float.__repr__(v) if isinstance(v, float) else str(v) for v in values])
+        # no encoded value holds a raw newline
+        return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    return [float.__repr__(v) if isinstance(v, float) else str(v) for v in values]
 
 
-def _chunk(table: Table, start: int, fmt: str, lead: str, seps: list[str]) -> bytes:
+def _chunk(table: Table, start: int, fmt: str) -> bytes:
     """The UTF-8 text of one chunk of rows, from ``start``.
 
-    Each row is ``lead``, then every cell followed by its column's
-    separator.  The chunk is one matrix of words, made of the cells'
-    columns and constant separator columns, with a mask of the bytes that
-    are text; one boolean index of the flattened pair lays it out.
+    Each row is a lead, then every cell followed by its column's
+    separator.  A table of ranges and float64 arrays (``orbit``'s) is laid
+    out by the numpy kernels of ``_numtext``; any other, such as the lists
+    of every other command, is joined by the standard library.
     """
     stop = min(start + _CHUNK_ROWS, len(table))
-    lead, *seps = (_packed([text]) for text in [lead, *seps])  # one row each, broadcast
-    parts = [lead]
-    for column, sep in zip(table.columns, seps):
-        parts += [_cells(column[start:stop], fmt), sep]
-    rows = stop - start
-    text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])
-                  for half in zip(*parts))
-    # ravel copies only if hstack chose a column-major layout
-    return text.ravel().view(np.uint8)[mask.ravel().view(bool)].tobytes()
+    if fmt == "csv":
+        lead, seps = "", [","] * (len(table.columns) - 1) + ["\n"]
+    else:
+        first, *rest = (f"\n      {json.dumps(key)}: " for key in table.header)
+        lead, seps = ",\n    {" + first, ["," + text for text in rest] + ["\n    }"]
+    parts = [column[start:stop] for column in table.columns]
+    if _by_kernels(table):
+        from ._numtext import table_text
+
+        return table_text(parts, lead.encode(), [sep.encode() for sep in seps], _NONFINITE[fmt])
+    cells = [repeat(lead)]
+    for part, sep in zip(parts, seps):
+        cells += [_cells(part, fmt), repeat(sep)]
+    return "".join(chain.from_iterable(zip(*cells))).encode()
 
 
 def _csv_chunk(table: Table, start: int) -> bytes:
     """The CSV lines of one chunk of rows, from ``start``, in UTF-8."""
-    seps = [","] * (len(table.columns) - 1) + ["\n"]
-    return _chunk(table, start, "csv", "", seps)
+    return _chunk(table, start, "csv")
 
 
 def _json_chunk(table: Table, start: int) -> bytes:
@@ -412,9 +425,7 @@ def _json_chunk(table: Table, start: int) -> bytes:
     Each row is an object with its keys on indented lines; a chunk after
     the first begins with the separator before it.
     """
-    first, *rest = (f"\n      {json.dumps(key)}: " for key in table.header)
-    seps = ["," + lead for lead in rest] + ["\n    }"]
-    text = _chunk(table, start, "json", ",\n    {" + first, seps)
+    text = _chunk(table, start, "json")
     return text if start else text[2:]
 
 
@@ -474,14 +485,15 @@ def _write_chunks(table: Table, encode, handle) -> None:
     """Write ``encode(table, start)`` for every chunk of rows, in order.
 
     Chunk k is encoded by worker k % W, with W the number of CPUs this
-    process may run on, at most the number of chunks.  Worker 0 is this
-    process; the others are forked children, which send their chunks back
-    through pipes.  A child blocks on its pipe until its chunk is read, so
-    no worker holds more than one chunk of text.  This process encodes every
-    chunk a child did not send whole, because the child failed or died.
+    process may run on, at most the number of chunks, for a table the numpy
+    kernels encode, and 1 for any other.  Worker 0 is this process; the
+    others are forked children, which send their chunks back through pipes.
+    A child blocks on its pipe until its chunk is read, so no worker holds
+    more than one chunk of text.  This process encodes every chunk a child
+    did not send whole, because the child failed or died.
     """
     starts = range(0, len(table), _CHUNK_ROWS)
-    workers = min(_cpu_count(), len(starts))
+    workers = min(_cpu_count(), len(starts)) if _by_kernels(table) else 1
     pipes, pids = [], []
     try:
         for w in range(1, workers):
@@ -558,9 +570,9 @@ def _write_json(report: dict, handle) -> None:
 def render_report(report: dict, fmt: str, handle) -> None:
     """Write ``report`` to the binary ``handle``: all of it as JSON, or its records as CSV.
 
-    Rows are written in chunks straight from the record columns, encoded on
-    every CPU this process may run on, so the whole report is never held as
-    one string.  JSON sets ``meta.timings.render_s`` to the time spent up to
+    Rows are written in chunks straight from the record columns, those of
+    an array table encoded on every CPU this process may run on, so the
+    whole report is never held as one string.  JSON sets ``meta.timings.render_s`` to the time spent up to
     the tail that holds it, and ``meta.peak_rss_mb`` to the high-water mark
     by then.  ReportError means the records were cut short.
     """
@@ -572,6 +584,7 @@ def render_report(report: dict, fmt: str, handle) -> None:
 
 def main(argv=None) -> int:
     started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     cfg = parser.parse_args(argv)
     try:
@@ -581,7 +594,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
-    validated = time.perf_counter()
+    validated = loaded = time.perf_counter()
+    if cfg.command in _ARRAY_MODULES:
+        for module in _ARRAY_MODULES[cfg.command]:
+            importlib.import_module(module, __package__)
+        loaded = time.perf_counter()
     # A warning from the library belongs to the report, not to stderr.
     with warnings.catch_warnings(record=True) as grabbed:
         warnings.simplefilter("always")
@@ -593,20 +610,26 @@ def main(argv=None) -> int:
             print(f"boolemaps {cfg.command}: {error}", file=sys.stderr)
             body, passed = {"records": Table(), "oracles": {"error": error}}, False
     body["oracles"]["warnings"] = [str(w.message) for w in grabbed]
+    uname = os.uname()
     report = {
         "config": vars(cfg),
         "records": body["records"],
         "oracles": body["oracles"],
         "meta": {
             "version": __version__,
+            "argv": argv,
+            "platform": {"system": uname.sysname, "release": uname.release,
+                         "machine": uname.machine},
             "environment": {
                 "python": sys.version.split()[0],
-                "numpy": np.__version__,
+                # null where the command ran without numpy
+                "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
                 "nproc": _cpu_count(),
             },
             "timings": {
                 "validate_s": validated - started,
-                "compute_s": time.perf_counter() - validated,
+                "import_s": loaded - validated,
+                "compute_s": time.perf_counter() - loaded,
                 "render_s": 0.0,  # set by the JSON writer
             },
             "peak_rss_mb": 0.0,  # set by the JSON writer

@@ -31,22 +31,21 @@ from .errors import (
     PoleGuardError,
     SingularInputError,
 )
-from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
-from .orbit import (
+from .halfplane import (
+    DEFAULT_GRID_SIZE,
+    MAX_SAMPLE_OFFSET,
+    MIN_MONTE_CARLO_SIZE,
     POLE_EPS,
-    _preimages,
-    cauchy_cdf,
-    cauchy_pdf,
-    cauchy_quantile,
+    HPoint,
     check_alpha,
-    iterate_orbit,
+    fixed_point,
+    iterate_parameter_map,
+    parameter_step,
 )
+from .orbit import _preimages, cauchy_cdf, cauchy_pdf, cauchy_quantile, iterate_orbit
 
-DEFAULT_GRID_SIZE = 4096
 #: Probability left outside a ``cauchy_grid`` on each side.
 TAIL_PROB = 1e-6
-#: Smallest sample the Monte Carlo push-forward check accepts.
-MIN_MONTE_CARLO_SIZE = 10**4
 #: Largest share of a Monte Carlo sample that may hit the pole guard.
 MAX_DROP_FRACTION = 1e-4
 #: Nodes per interpolation stencil on a tabulated-only grid: a local quintic.
@@ -244,11 +243,6 @@ def pf_closed_form_check(alpha: float, p: HPoint, n_nodes: int = DEFAULT_GRID_SI
 
 
 MIN_FIT_SIZE = 1000
-
-
-#: The largest |tan(pi*(u - 1/2))| over the doubles u in [0, 1) that
-#: ``sample_cauchy`` draws, reached at u = 0: about 1.6e16.
-MAX_SAMPLE_OFFSET = float(abs(np.tan(-0.5 * np.pi)))
 
 
 def sample_cauchy(p: HPoint, n: int, seed: int) -> np.ndarray:

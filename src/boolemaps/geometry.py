@@ -17,42 +17,35 @@ complex-step derivatives for pullbacks, Lie derivatives and Jacobian
 determinants) so the claims can be checked without trusting the algebra.
 Each oracle returns a dimensionless gap that holds at any finite nu
 wherever the metric is a normal double (gamma ~5.3e-155 to ~4.7e153).
-Like the rest of the package, it needs only numpy.
+Like the rest of the package, it needs only numpy.  The closed-form metric
+``fisher_metric`` and the ``conformal_factor`` need no arrays: they belong
+to the scalar core in ``halfplane`` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, SingularInputError
+from .errors import QuadratureError
 from .halfplane import (
     CanonicalPoint,
     HPoint,
+    Metric2,
+    _checked,
+    _metric_entries,
     _scaled_step,
     canonical_step,
+    check_alpha,
+    conformal_factor,
+    fisher_metric,
     from_canonical,
     parameter_step,
 )
-from .orbit import check_alpha
 
 Vec = tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Metric2:
-    """Symmetric 2x2 metric components (nu-nu, nu-gamma, gamma-gamma)."""
-
-    g_nn: float
-    g_ng: float
-    g_gg: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.g_nn, self.g_ng], [self.g_ng, self.g_gg]])
 
 
 @dataclass(frozen=True)
@@ -60,31 +53,6 @@ class TwoForm:
     """Antisymmetric 2-form; ``omega_ng`` is its coefficient on d_nu ^ d_gamma."""
 
     omega_ng: float
-
-
-def _checked(gamma: float, entries: tuple) -> tuple:
-    # Coefficients at a real point, the first +-1/(2*gamma^2), which must be a
-    # normal double: it overflows below gamma ~5.3e-155 and is subnormal, with
-    # fewer digits than the oracles need, above ~4.7e153.
-    if not sys.float_info.min <= abs(entries[0]) <= sys.float_info.max:
-        raise SingularInputError(f"1/(2*gamma^2) is not a normal double at gamma = {gamma!r}")
-    return entries
-
-
-def fisher_metric(x: HPoint) -> Metric2:
-    """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2)).
-
-    Raises SingularInputError where the entries are not normal doubles
-    (gamma outside about 5.3e-155..4.7e153).
-    """
-    return Metric2(*_checked(x.gamma, _metric_entries(x.nu, x.gamma)))
-
-
-def _metric_entries(nu, gamma) -> tuple:
-    # at a real or complex point; the first quotient of (0.5/gamma)/gamma is a
-    # normal double wherever the result is
-    half = 0.5 / gamma / gamma
-    return half, 0.0, half
 
 
 def _midpoint_entries(gamma: float, n: int) -> np.ndarray:
@@ -131,20 +99,6 @@ def fisher_metric_quadrature(x: HPoint) -> Metric2:
             f"metric at ({x.nu}, {x.gamma}): error estimate {gap:.2e} against {scale:.2e}"
         )
     return Metric2(float(fine[0]), float(fine[1]), float(fine[2]))
-
-
-def conformal_factor(x: HPoint) -> float:
-    """Pullback factor of the metric under the half-plane map.
-
-    Equals 1 - 4*gamma^2/(1 + A)^2 with A = nu^2 + gamma^2; it lies in
-    [0, 1), vanishes only at (0, 1), and does not depend on alpha.  (The
-    numerator factors as (nu^2 + (gamma-1)^2) * (nu^2 + (gamma+1)^2).)
-    Evaluated as 1 - t^2 with t = 2*(gamma/r)/(r + 1/r), r = hypot(nu, gamma),
-    so that A never forms and the result stays in [0, 1] at any magnitude.
-    """
-    r = math.hypot(x.nu, x.gamma)
-    t = 2.0 * (x.gamma / r) / (r + 1.0 / r)
-    return 1.0 - t * t
 
 
 def _complex_step(f: Callable, point: Vec, scales: Vec, sizes: tuple) -> np.ndarray:

@@ -8,13 +8,13 @@ the two Cauchy parameters: with A = nu^2 + gamma^2,
 
 This is the pointwise map z -> alpha*(z - 1/z) itself, applied to the
 complex point s = nu - i*gamma: s' = nu' - i*gamma'.  ``parameter_step``
-evaluates it that way, through the one core in ``orbit``; CPython's complex
+evaluates it that way, through the one core ``_boole``; CPython's complex
 division is scaled (Smith's algorithm), so A never forms and the step stays
 finite and accurate across the whole float range.
 
 This module implements that map on the open half-plane
 H = {(nu, gamma): gamma > 0}, the statistical manifold of Cauchy laws, whose
-points are ``orbit.HPoint``: its unique fixed point (0, sqrt(alpha/(1-alpha))),
+points are ``HPoint``: its unique fixed point (0, sqrt(alpha/(1-alpha))),
 the invariant law of the pointwise map; its linearization; canonical
 coordinates (q, p) = (nu, 1/(2*gamma)); and the transient convergence-rate
 diagnostics of the scale map gamma -> alpha*(gamma + 1/gamma), which is the
@@ -25,17 +25,122 @@ scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
 ``parameter_step`` conjugated by the coordinate change.  The edge gamma -> 0
 (point masses) is not part of H: there the step tends to the pointwise map
 on nu, which is ``orbit.boole_transform``.
+
+This is the scalar core, and it imports no numpy: the map, ``HPoint``, the
+Fisher metric and the conformal factor (which ``geometry`` re-exports), and
+the limits the CLI checks its flags against, so that ``iterate-params`` and
+bad input never load numpy.  ``jacobian_analytic`` and
+``convergence_bound_check`` return arrays and load numpy when called.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SingularInputError
-from .orbit import HPoint, _boole, check_alpha
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Inputs closer to the pole at 0 than this are treated as singular.
+POLE_EPS = 1e-300
+
+# Limits of the density oracles, kept here so that the CLI checks its flags
+# without loading them.
+DEFAULT_GRID_SIZE = 4096
+#: Smallest sample the Monte Carlo push-forward check accepts.
+MIN_MONTE_CARLO_SIZE = 10**4
+#: The largest |tan(pi*(u - 1/2))| over the doubles u in [0, 1) that
+#: ``density.sample_cauchy`` draws, reached at u = 0: about 1.6e16.
+MAX_SAMPLE_OFFSET = abs(math.tan(-0.5 * math.pi))
+
+
+def check_alpha(alpha: float) -> float:
+    """Validate the map parameter; must lie strictly inside (0, 1)."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
+        raise ValueError(f"map parameter must satisfy 0 < alpha < 1, got {alpha!r}")
+    return alpha
+
+
+def _boole(alpha: float, x):
+    # The map itself, unguarded: floats, complex numbers and ndarrays alike.
+    return alpha * (x - 1.0 / x)
+
+
+@dataclass(frozen=True)
+class HPoint:
+    """A Cauchy law C(nu, gamma), and the point (nu, gamma) of the upper half-plane H.
+
+    Both fields are finite and gamma > 0.  A point mass (gamma = 0) is not a
+    point of H; it is stepped with the pointwise map ``orbit.boole_transform``,
+    the gamma -> 0 limit of ``parameter_step``.
+    """
+
+    nu: float
+    gamma: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.nu) and math.isfinite(self.gamma)):
+            raise ValueError("half-plane coordinates must be finite")
+        if self.gamma <= 0.0:
+            raise ValueError(f"half-plane points need gamma > 0, got {self.gamma!r}")
+
+
+@dataclass(frozen=True)
+class Metric2:
+    """Symmetric 2x2 metric components (nu-nu, nu-gamma, gamma-gamma)."""
+
+    g_nn: float
+    g_ng: float
+    g_gg: float
+
+    def as_array(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([[self.g_nn, self.g_ng], [self.g_ng, self.g_gg]])
+
+
+def _checked(gamma: float, entries: tuple) -> tuple:
+    # Coefficients at a real point, the first +-1/(2*gamma^2), which must be a
+    # normal double: it overflows below gamma ~5.3e-155 and is subnormal, with
+    # fewer digits than the oracles need, above ~4.7e153.
+    if not sys.float_info.min <= abs(entries[0]) <= sys.float_info.max:
+        raise SingularInputError(f"1/(2*gamma^2) is not a normal double at gamma = {gamma!r}")
+    return entries
+
+
+def fisher_metric(x: HPoint) -> Metric2:
+    """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2)).
+
+    Raises SingularInputError where the entries are not normal doubles
+    (gamma outside about 5.3e-155..4.7e153).
+    """
+    return Metric2(*_checked(x.gamma, _metric_entries(x.nu, x.gamma)))
+
+
+def _metric_entries(nu, gamma) -> tuple:
+    # at a real or complex point; the first quotient of (0.5/gamma)/gamma is a
+    # normal double wherever the result is
+    half = 0.5 / gamma / gamma
+    return half, 0.0, half
+
+
+def conformal_factor(x: HPoint) -> float:
+    """Pullback factor of the metric under the half-plane map.
+
+    Equals 1 - 4*gamma^2/(1 + A)^2 with A = nu^2 + gamma^2; it lies in
+    [0, 1), vanishes only at (0, 1), and does not depend on alpha.  (The
+    numerator factors as (nu^2 + (gamma-1)^2) * (nu^2 + (gamma+1)^2).)
+    Evaluated as 1 - t^2 with t = 2*(gamma/r)/(r + 1/r), r = hypot(nu, gamma),
+    so that A never forms and the result stays in [0, 1] at any magnitude.
+    """
+    r = math.hypot(x.nu, x.gamma)
+    t = 2.0 * (x.gamma / r) / (r + 1.0 / r)
+    return 1.0 - t * t
 
 
 @dataclass(frozen=True)
@@ -99,6 +204,8 @@ def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
     b = 2.0 * alpha * re * im
     if not (math.isfinite(a) and math.isfinite(b)):
         raise SingularInputError(f"the Jacobian at {x} is not finite")
+    import numpy as np
+
     return np.array([[a, b], [-b, a]])
 
 
@@ -229,6 +336,8 @@ def convergence_bound_check(alpha: float, gamma0: float, n_max: int) -> Converge
     transiently for small alpha when an iterate dips below
     sqrt(alpha*(1-alpha)); the report states what actually happened.
     """
+    import numpy as np
+
     alpha = check_alpha(alpha)
     if not 0.0 < gamma0 < math.inf:
         raise SingularInputError(f"scale iteration needs a finite gamma0 > 0, got {gamma0!r}")

@@ -6,12 +6,13 @@ The family is the one-parameter group of maps
 
 acting on the real line minus the pole at 0.  Each member is chaotic with an
 invariant Cauchy law of location 0 and scale sqrt(alpha/(1-alpha)).  This
-module provides the map itself, its two-branch preimages, guarded orbit
+module provides the guarded map, its two-branch preimages, guarded orbit
 iteration, and the Cauchy pdf/cdf/quantile trio that the density-level
-verifiers build on.  A Cauchy law is its parameter point ``HPoint`` of the
-upper half-plane, on which ``halfplane`` applies the same map to
-nu - i*gamma; on the axis nu = 0 that step is the scale map
-gamma -> alpha * (gamma + 1/gamma).
+verifiers build on.  The map itself, its pole guard and the Cauchy law
+``HPoint`` (its parameter point of the upper half-plane) belong to the
+scalar core in ``halfplane``, which applies the same map to nu - i*gamma;
+on the axis nu = 0 that step is the scale map
+gamma -> alpha * (gamma + 1/gamma).  They are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,22 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularInputError
-
-#: Inputs closer to the pole at 0 than this are treated as singular.
-POLE_EPS = 1e-300
-
-
-def check_alpha(alpha: float) -> float:
-    """Validate the map parameter; must lie strictly inside (0, 1)."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError(f"map parameter must satisfy 0 < alpha < 1, got {alpha!r}")
-    return alpha
-
-
-def _boole(alpha: float, x):
-    # The map itself, unguarded: floats, complex numbers and ndarrays alike.
-    return alpha * (x - 1.0 / x)
+from .halfplane import POLE_EPS, HPoint, _boole, check_alpha
 
 
 def boole_transform(alpha: float, xi: float) -> float:
@@ -131,25 +117,6 @@ def iterate_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
         last = int(inside.argmax())
         return OrbitResult(points[:last + 1].copy(), truncated=True, last_index=last)
     return OrbitResult(points, truncated=False, last_index=n)
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """A Cauchy law C(nu, gamma), and the point (nu, gamma) of the upper half-plane H.
-
-    Both fields are finite and gamma > 0.  A point mass (gamma = 0) is not a
-    point of H; it is stepped with the pointwise map ``boole_transform``, the
-    gamma -> 0 limit of ``halfplane.parameter_step``.
-    """
-
-    nu: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.nu) and math.isfinite(self.gamma)):
-            raise ValueError("half-plane coordinates must be finite")
-        if self.gamma <= 0.0:
-            raise ValueError(f"half-plane points need gamma > 0, got {self.gamma!r}")
 
 
 #: The earlier name of ``HPoint``, which the benchmark in ``perfbench/`` still uses.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolemaps import HPoint, cli, density
+from boolemaps import HPoint, cli, density, orbit
 from boolemaps.cli import main
 from boolemaps.density import ergodic_orbit_check
 from boolemaps.orbit import iterate_orbit
@@ -64,9 +64,16 @@ class TestIterateParams:
         code, report = run_json(tmp_path, ["iterate-params", "--steps", "2"])
         assert set(report) == {"config", "records", "oracles", "meta"}
         assert report["meta"]["version"]
-        assert set(report["meta"]["timings"]) == {"validate_s", "compute_s", "render_s"}
-        assert set(report["meta"]) == {"version", "environment", "timings", "peak_rss_mb",
-                                       "passed"}
+        assert set(report["meta"]["timings"]) == {"validate_s", "import_s", "compute_s",
+                                                  "render_s"}
+        assert set(report["meta"]) == {"version", "argv", "platform", "environment", "timings",
+                                       "peak_rss_mb", "passed"}
+        assert report["meta"]["argv"] == ["iterate-params", "--steps", "2", "--out",
+                                          str(tmp_path / "report.json")]
+        uname = os.uname()
+        assert report["meta"]["platform"] == {
+            "system": uname.sysname, "release": uname.release, "machine": uname.machine,
+        }
         assert "seed" not in report["meta"]
         assert report["config"]["command"] == "iterate-params"
 
@@ -361,8 +368,9 @@ class TestOrbit:
             calls.append(args)
             return iterate_orbit(*args, **kwargs)
 
-        # every module that binds the iterator, so a second pass cannot hide
-        monkeypatch.setattr(cli, "iterate_orbit", counting)
+        # every module that binds the iterator, so a second pass cannot hide;
+        # the command imports it from orbit when it runs
+        monkeypatch.setattr(orbit, "iterate_orbit", counting)
         monkeypatch.setattr(density, "iterate_orbit", counting)
         code, report = run_json(
             tmp_path, ["orbit", "--alpha", "0.8", "--xi0", "0.3", "--n", "100000"]
@@ -790,6 +798,87 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: Modules that only commands computing on arrays may load.
+ARRAY_MODULES = ["numpy", "boolemaps.density", "boolemaps._numtext"]
+
+
+def test_import_iterate_params_and_bad_input_leave_numpy_unloaded(tmp_path):
+    # The half-plane step is a scalar closed form, and bad input computes
+    # nothing: neither they nor the import may load numpy.
+    bad = [["verify-pf", "--n", "100"], ["verify-pf", "--grid-size", "1"],
+           ["orbit", "--xi0", "0"]]
+    out = str(tmp_path / "r")
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        f"loaded = lambda: [m for m in {ARRAY_MODULES!r} if m in sys.modules]",
+        "import boolemaps",
+        "assert loaded() == [], ('import boolemaps', loaded())",
+        "import boolemaps.cli",
+        "assert loaded() == [], ('import boolemaps.cli', loaded())",
+        "for fmt in ('json', 'csv'):",
+        f"    assert boolemaps.cli.main(['iterate-params', '--format', fmt, '--out', {out!r}]) == 0",
+        "    assert loaded() == [], (fmt, loaded())",
+        f"for argv in {bad!r}:",
+        "    try:",
+        "        with contextlib.redirect_stderr(io.StringIO()):",
+        "            boolemaps.cli.main(argv)",
+        "    except SystemExit as exc:",
+        "        assert exc.code == 2, argv",
+        "    assert loaded() == [], (argv, loaded())",
+        "print('unloaded')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "unloaded\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-pf", "--n", "10000"], ["geometry"], ["orbit", "--n", "1000"]],
+    ids=["verify-pf", "geometry", "orbit"],
+)
+def test_array_commands_load_numpy_before_they_compute(tmp_path, argv):
+    # numpy loads after validation, in import_s; computing and rendering
+    # load no further module.
+    out = tmp_path / "r.json"
+    probe = "\n".join([
+        "import sys, boolemaps.cli",
+        "cli = boolemaps.cli",
+        "run = cli._COMMANDS[sys.argv[1]]",
+        "def command(cfg):",
+        "    before = set(sys.modules)",
+        "    body = run(cfg)",
+        "    print(sorted(set(sys.modules) - before))",
+        "    return body",
+        "cli._COMMANDS[sys.argv[1]] = command",
+        f"assert cli.main(sys.argv[1:] + ['--out', {str(out)!r}]) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["environment"]["numpy"] == np.__version__
+    assert meta["timings"]["import_s"] > 0
+
+
+def test_meta_reads_no_numpy_where_the_command_loaded_none(tmp_path):
+    out = tmp_path / "r.json"
+    argv = [sys.executable, "-m", "boolemaps.cli", "iterate-params", "--out", str(out)]
+    subprocess.run(argv, check=True, timeout=120)
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["environment"] == {
+        "python": sys.version.split()[0],
+        "numpy": None,
+        "nproc": len(os.sched_getaffinity(0)),
+    }
+    assert meta["timings"]["import_s"] == 0.0
 
 
 def test_console_script_entry_point():
