@@ -12,9 +12,11 @@ Each command parses only the flags it reads (``_COMMAND_FLAGS``), plus
 an --out that cannot be opened, exits 2 with a one-line message before the
 command runs.
 
-Only ``verify-pf``, ``geometry`` and ``orbit`` load numpy, through the
-modules of ``_ARRAY_MODULES``, after their flags are validated;
-``iterate-params`` and bad input run on the standard library alone.
+Only ``verify-pf``, and ``orbit`` of at least ``KS_MIN_SAMPLES`` steps,
+whose orbit is checked against the invariant law, load numpy, through the
+modules of ``_ARRAY_MODULES``, after their flags are validated.
+``iterate-params``, ``geometry``, shorter orbits and bad input run on the
+standard library alone.
 
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
@@ -29,16 +31,18 @@ a time, as bytes, to the file or to the binary buffer under stdout.  A
 float is written as ``float.__repr__`` writes it, the shortest decimal that
 reads back to the same double, so identical runs diff cleanly; nan and the
 infinities are spelled as JSON or Python spell them.  A table of lists (the
-records of every command but ``orbit``) is spelled by one json encoder call
-per column for JSON, or a cell at a time for CSV, and its rows joined by
-``str.join``.  A table of ranges and float64 arrays (``orbit``'s) is
-spelled by the numpy kernels of ``_numtext``, with no Python object per
-cell, a chunk of rows as one matrix of cell and separator bytes laid out
-by one boolean index; its chunks are encoded round-robin on every CPU the
-process may run on, by the process itself and forked workers, and written
-in order.  A worker sends only chunk bytes, and the process encodes every
-chunk it did not receive, so a worker that fails or dies costs time, not
-the report.  The bytes do not depend on the number of CPUs.  The exit
+records of every command but a long ``orbit``) is spelled by one json
+encoder call per column for JSON, or a cell at a time for CSV, and its rows
+joined by ``str.join``.  A table of ranges and float64 arrays (a long
+``orbit``'s) is spelled by the numpy kernels of ``_numtext``, with no
+Python object per cell, a chunk of rows as one matrix of cell and separator
+bytes laid out by one boolean index; its chunks are encoded round-robin on
+every CPU the process may run on, by the process itself and forked
+workers, and written in order.  A worker sends only chunk bytes, and the
+process encodes every chunk it did not receive, so a worker that fails or
+dies costs time, not the report.  The bytes do not depend on the number of
+CPUs, nor on the route: a short orbit's list gives the bytes its array
+would.  The exit
 status is 0 exactly when every tolerance check the command configured has
 passed; a numerical failure in the library gives exit 1 and a report with
 empty records and ``oracles.error``, and a chunk that cannot be encoded, or
@@ -60,17 +64,20 @@ import sys
 import time
 import warnings
 from dataclasses import astuple, dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NoReturn
 
 from . import __version__
 from .errors import FitConvergenceError, PoleGuardError, QuadratureError, SingularInputError
 from .halfplane import (
     DEFAULT_GRID_SIZE,
+    KS_MIN_SAMPLES,
     MAX_SAMPLE_OFFSET,
     MIN_MONTE_CARLO_SIZE,
     POLE_EPS,
     HPoint,
+    _half_reciprocal,
+    _iterates,
     check_alpha,
     conformal_factor,
     fisher_metric,
@@ -175,38 +182,40 @@ def _table(rows: list[dict]) -> Table:
     return Table(header, tuple([row[key] for row in rows] for key in header))
 
 
-def _param_records(cfg: argparse.Namespace) -> list[dict]:
+def _param_columns(cfg: argparse.Namespace) -> dict:
+    # The trajectory's columns, by name; q = nu and p = 1/(2*gamma).
     target = fixed_point(cfg.alpha)
-    records = []
     trajectory = iterate_parameter_map(cfg.alpha, HPoint(cfg.nu0, cfg.gamma0), cfg.steps)
-    for step, point in enumerate(trajectory):
-        canonical = to_canonical(point)
-        records.append(
-            {
-                "step": step,
-                "nu": float(point.nu),
-                "gamma": float(point.gamma),
-                "q": float(canonical.q),
-                "p": float(canonical.p),
-                "conformal_factor": float(conformal_factor(point)),
-                "dist_to_fixed_point": math.hypot(
-                    point.nu - target.nu, point.gamma - target.gamma
-                ),
-            }
-        )
-    return records
+    nus = [point.nu for point in trajectory]
+    gammas = [point.gamma for point in trajectory]
+    return {
+        "step": range(len(trajectory)),
+        "nu": nus,
+        "gamma": gammas,
+        "q": nus,
+        "p": [_half_reciprocal(gamma) for gamma in gammas],
+        "conformal_factor": [conformal_factor(point) for point in trajectory],
+        "dist_to_fixed_point": [
+            math.hypot(nu - target.nu, gamma - target.gamma) for nu, gamma in zip(nus, gammas)
+        ],
+    }
+
+
+def _columns_table(columns: dict) -> Table:
+    return Table(tuple(columns), tuple(columns.values()))
 
 
 def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
-    records = _param_records(cfg)
+    columns = _param_columns(cfg)
     target = fixed_point(cfg.alpha)
     oracles = {
         "fixed_point_nu": float(target.nu),
         "fixed_point_gamma": float(target.gamma),
-        "final_dist_to_fixed_point": records[-1]["dist_to_fixed_point"],
-        "closure_gamma_positive": all(r["gamma"] > 0.0 for r in records),
+        "final_dist_to_fixed_point": columns["dist_to_fixed_point"][-1],
+        "closure_gamma_positive": all(gamma > 0.0 for gamma in columns["gamma"]),
     }
-    return {"records": _table(records), "oracles": oracles}, bool(oracles["closure_gamma_positive"])
+    passed = oracles["closure_gamma_positive"]
+    return {"records": _columns_table(columns), "oracles": oracles}, passed
 
 
 def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
@@ -215,9 +224,9 @@ def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
     params = HPoint(cfg.nu0, cfg.gamma0)
     sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
     report = pf_monte_carlo_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
-    records = _param_records(cfg)
+    columns = _param_columns(cfg)
     # the tolerance is relative to the peak 1/(pi*gamma) of the stepped law
-    peak = 1.0 / (math.pi * records[1]["gamma"])
+    peak = 1.0 / (math.pi * columns["gamma"][1])
     oracles = {
         "sup_error": sup_error,
         "sup_error_pass": sup_error < SUP_ERROR_TOL * peak,
@@ -232,7 +241,7 @@ def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
         "monte_carlo_pass": report.within_tolerance,
     }
     passed = bool(oracles["sup_error_pass"] and oracles["monte_carlo_pass"])
-    return {"records": _table(records), "oracles": oracles}, passed
+    return {"records": _columns_table(columns), "oracles": oracles}, passed
 
 
 _LATTICE_NU = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -294,21 +303,40 @@ def cmd_geometry(cfg: argparse.Namespace) -> tuple[dict, bool]:
     return {"records": _table(records), "oracles": oracles}, all(checks.values())
 
 
-def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
-    from .density import KS_MIN_SAMPLES, ks_distance
-    from .orbit import iterate_orbit
+def _short_orbit(alpha: float, xi0: float, n: int) -> tuple[list, bool, int]:
+    """``iterate_orbit``'s points, ``truncated`` and ``last_index``, with the points a list.
 
-    result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
-    records = Table(("step", "xi"), (range(len(result.points)), result.points))
+    The same iterates, cut by the same rule: the first point before the
+    last that lies within ``POLE_EPS`` of the pole ends the orbit.
+    """
+    points = list(_iterates(alpha, xi0, n))
+    for index, x in enumerate(islice(points, n)):
+        if abs(x) < POLE_EPS:
+            return points[:index + 1], True, index
+    return points, False, n
+
+
+def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
+    if cfg.n < KS_MIN_SAMPLES:
+        # no check of the invariant law: a list, on the standard library
+        points, truncated, last_index = _short_orbit(cfg.alpha, cfg.xi0, cfg.n)
+    else:
+        from .orbit import iterate_orbit
+
+        result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
+        points, truncated, last_index = result.points, result.truncated, result.last_index
+    records = Table(("step", "xi"), (range(len(points)), points))
     oracles: dict = {
-        "truncated": result.truncated,
-        "last_index": result.last_index,
+        "truncated": truncated,
+        "last_index": last_index,
     }
     passed = True
     if cfg.n >= KS_MIN_SAMPLES:
-        if not result.truncated:
+        from .density import ks_distance
+
+        if not truncated:
             target = fixed_point(cfg.alpha)
-            oracles["ks_distance"] = ks_distance(result.points, target)
+            oracles["ks_distance"] = ks_distance(points, target)
             oracles["invariant_nu"] = target.nu
             oracles["invariant_gamma"] = target.gamma
         oracles["ks_pass"] = passed = oracles.get("ks_distance", math.inf) < KS_TOL
@@ -324,12 +352,18 @@ _COMMANDS = {
 
 #: The modules that bring numpy, loaded after validation, of each command
 #: that computes on arrays: all it imports, numpy's lazy ``random`` among
-#: them.  The others, and bad input, run on the standard library alone.
+#: them.  The others, an orbit too short for the check of the invariant
+#: law, and bad input, run on the standard library alone.
 _ARRAY_MODULES = {
     "verify-pf": (".density", "numpy.random"),
-    "geometry": (".geometry",),
     "orbit": (".orbit", ".density", "._numtext"),
 }
+
+
+def _array_modules(cfg: argparse.Namespace) -> tuple[str, ...]:
+    if cfg.command == "orbit" and cfg.n < KS_MIN_SAMPLES:
+        return ()
+    return _ARRAY_MODULES.get(cfg.command, ())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,9 +629,8 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     validated = loaded = time.perf_counter()
-    if cfg.command in _ARRAY_MODULES:
-        for module in _ARRAY_MODULES[cfg.command]:
-            importlib.import_module(module, __package__)
+    for module in _array_modules(cfg):
+        importlib.import_module(module, __package__)
         loaded = time.perf_counter()
     # A warning from the library belongs to the report, not to stderr.
     with warnings.catch_warnings(record=True) as grabbed:

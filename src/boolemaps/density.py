@@ -33,6 +33,7 @@ from .errors import (
 )
 from .halfplane import (
     DEFAULT_GRID_SIZE,
+    KS_MIN_SAMPLES,
     MAX_SAMPLE_OFFSET,
     MIN_MONTE_CARLO_SIZE,
     POLE_EPS,
@@ -133,8 +134,8 @@ def transfer_values(alpha: float, density, nodes: np.ndarray) -> np.ndarray:
         return np.multiply(density(xi), weight, out=np.zeros_like(weight),
                            where=np.isfinite(weight))
 
-    lo, hi = _preimages(alpha, nodes)
-    return (term(lo) + term(hi)) / np.hypot(nodes, 2.0 * alpha)
+    lo, hi, slope = _preimages(alpha, nodes)
+    return (term(lo) + term(hi)) / slope
 
 
 def _grid_law(rho: DensityGrid):
@@ -211,7 +212,7 @@ def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
     alpha = check_alpha(alpha)
     density, cdf = _grid_law(rho)
     new_values = transfer_values(alpha, density, rho.nodes)
-    pre_lo, pre_hi = _preimages(alpha, np.array([rho.nodes[0], rho.nodes[-1]]))
+    pre_lo, pre_hi, _ = _preimages(alpha, np.array([rho.nodes[0], rho.nodes[-1]]))
     minus_l, minus_r = pre_lo
     plus_l, plus_r = pre_hi
     tail = float(1.0 + cdf(plus_l) - cdf(plus_r) + cdf(minus_l) - cdf(minus_r))
@@ -533,10 +534,6 @@ def ks_distance(samples: np.ndarray, p: HPoint) -> float:
     above = np.max(ramp[1:] - cdf)
     cdf -= ramp[:-1]
     return float(max(above, np.max(cdf)))
-
-
-#: Orbits of fewer steps than this are not checked against the invariant law.
-KS_MIN_SAMPLES = 10**5
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,18 @@ complex-step derivatives for pullbacks, Lie derivatives and Jacobian
 determinants) so the claims can be checked without trusting the algebra.
 Each oracle returns a dimensionless gap that holds at any finite nu
 wherever the metric is a normal double (gamma ~5.3e-155 to ~4.7e153).
-Like the rest of the package, it needs only numpy.  The closed-form metric
-``fisher_metric`` and the ``conformal_factor`` need no arrays: they belong
-to the scalar core in ``halfplane`` and are re-exported here.
+It needs only the standard library: the quadrature is a loop over 16 or 32
+nodes, and the Jacobians are 2x2, their products written out.  Only
+``christoffel`` returns an array, and loads numpy when called.  The
+closed-form metric ``fisher_metric`` and the ``conformal_factor`` belong to
+the scalar core in ``halfplane`` and are re-exported here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import QuadratureError
 from .halfplane import (
@@ -45,6 +46,9 @@ from .halfplane import (
     parameter_step,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 Vec = tuple[float, float]
 
 
@@ -55,23 +59,32 @@ class TwoForm:
     omega_ng: float
 
 
-def _midpoint_entries(gamma: float, n: int) -> np.ndarray:
+def _midpoint_entries(gamma: float, n: int) -> tuple[float, float, float]:
     # The (nu-nu, nu-gamma, gamma-gamma) integrals by the n-point midpoint rule
     # in t on (-pi/2, pi/2), with xi = nu + d and the offset d = gamma*tan(t).
     # Squares are formed of d/h, h = hypot(d, gamma), and the weight multiplies
     # first, so nothing overflows or underflows before the sum does.
-    t = (np.arange(n) + 0.5) * (np.pi / n) - np.pi / 2.0
-    d = gamma * np.tan(t)
-    h = np.hypot(d, gamma)
-    pdf = gamma / h / h / np.pi
-    weight = (np.pi / n) * pdf * (gamma / np.cos(t) ** 2)
-    score_nu = 2.0 * (d / h) / h
-    score_gamma = ((d - gamma) / h) * ((d + gamma) / h) / gamma
-    return np.array([
-        np.sum(weight * score_nu * score_nu),
-        np.sum(weight * score_nu * score_gamma),
-        np.sum(weight * score_gamma * score_gamma),
-    ])
+    step = math.pi / n
+    nn, ng, gg = [], [], []
+    for k in range(n):
+        t = (k + 0.5) * step - math.pi / 2.0
+        d = gamma * math.tan(t)
+        h = math.hypot(d, gamma)
+        pdf = gamma / h / h / math.pi
+        cos = math.cos(t)
+        weight = step * pdf * (gamma / (cos * cos))
+        score_nu = 2.0 * (d / h) / h
+        score_gamma = ((d - gamma) / h) * ((d + gamma) / h) / gamma
+        nn.append(weight * score_nu * score_nu)
+        ng.append(weight * score_nu * score_gamma)
+        gg.append(weight * score_gamma * score_gamma)
+    return sum(nn), sum(ng), sum(gg)
+
+
+def _max_abs(values) -> float:
+    # The largest magnitude, nan if any value is nan, as numpy's max gives it.
+    magnitudes = [abs(value) for value in values]
+    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
 
 
 def fisher_metric_quadrature(x: HPoint) -> Metric2:
@@ -90,32 +103,32 @@ def fisher_metric_quadrature(x: HPoint) -> Metric2:
     Raises QuadratureError where that exceeds 1e-9 or is not finite, as it
     is where the metric overflows (gamma below about 5e-155).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        coarse, fine = (_midpoint_entries(x.gamma, n) for n in (16, 32))
-        gap = float(np.max(np.abs(fine - coarse)))
-    scale = float(max(fine[0], fine[2]))
-    if not gap <= 1e-9 * scale:
+    coarse, fine = (_midpoint_entries(x.gamma, n) for n in (16, 32))
+    gap = _max_abs([a - b for a, b in zip(fine, coarse)])
+    scale = max(fine[0], fine[2])
+    if not gap <= 1e-9 * scale:  # an overflow is nan or inf here
         raise QuadratureError(
             f"metric at ({x.nu}, {x.gamma}): error estimate {gap:.2e} against {scale:.2e}"
         )
-    return Metric2(float(fine[0]), float(fine[1]), float(fine[2]))
+    return Metric2(*fine)
 
 
-def _complex_step(f: Callable, point: Vec, scales: Vec, sizes: tuple) -> np.ndarray:
+def _complex_step(f: Callable, point: Vec, scales: Vec, sizes: tuple) -> list[list[float]]:
     """Entries d f_i / d x_k * scales[k] / sizes[i] of an analytic ``f``, by complex steps.
 
-    Each is Im f_i(point + i*h*scales[k]*e_k) / sizes[i] / h, with nothing
+    Returned as rows, one per f_i.  Each entry is
+    Im f_i(point + i*h*scales[k]*e_k) / sizes[i] / h, with nothing
     subtracted (Squire & Trapp, SIAM Review 40(1), 1998).  The relative step
     h = 2**-20 keeps the truncation near h^2 ~ 1e-12, and leaves ten digits
     in the derivative of a value as small as the least normal double.
     """
     h = 2.0**-20
-    jac = np.empty((len(sizes), len(point)))
+    jac = [[0.0] * len(point) for _ in sizes]
     for k, scale in enumerate(scales):
         shifted = [complex(value) for value in point]
         shifted[k] += complex(0.0, h * scale)
         for i, (value, size) in enumerate(zip(f(*shifted), sizes)):
-            jac[i, k] = value.imag / size / h
+            jac[i][k] = value.imag / size / h
     return jac
 
 
@@ -130,11 +143,17 @@ def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
     alpha = check_alpha(alpha)
     image = parameter_step(alpha, x)
     s = max(abs(x.nu), x.gamma)
-    jac = _complex_step(
+    (m00, m01), (m10, m11) = _complex_step(
         lambda nu, gamma: _scaled_step(alpha, nu, gamma, s),
         (x.nu, x.gamma), (x.gamma, x.gamma), (image.gamma, image.gamma),
     )
-    return float(np.max(np.abs(jac.T @ jac - conformal_factor(x) * np.eye(2))))
+    factor = conformal_factor(x)
+    # the entries of the symmetric M^T M - factor*I
+    return _max_abs((
+        m00 * m00 + m10 * m10 - factor,
+        m00 * m01 + m10 * m11,
+        m01 * m01 + m11 * m11 - factor,
+    ))
 
 
 # Isometry generators of the half-plane metric, keyed by what their flows do:
@@ -161,7 +180,7 @@ def _lie_terms(field: str, x: HPoint, entries: Callable, sizes: tuple):
     u, v = x.nu / s, x.gamma / s
     dk = _complex_step(generator, (u, v), (v, v), (1.0, 1.0))
     slopes = _complex_step(entries, (x.nu, x.gamma), (x.gamma, x.gamma), sizes)
-    return np.array(generator(u, v)), dk, slopes
+    return generator(u, v), dk, slopes
 
 
 def lie_derivative_metric(field: str, x: HPoint) -> Metric2:
@@ -173,16 +192,19 @@ def lie_derivative_metric(field: str, x: HPoint) -> Metric2:
     is an isometry.
     """
     half = fisher_metric(x).g_nn
-    k, dk, slopes = _lie_terms(field, x, _metric_entries, (half,) * 3)
-    sym = dk + dk.T
-    lie = slopes @ k + (sym[0, 0], sym[0, 1], sym[1, 1])
-    return Metric2(float(lie[0]), float(lie[1]), float(lie[2]))
+    (k0, k1), ((d00, d01), (d10, d11)), slopes = _lie_terms(
+        field, x, _metric_entries, (half,) * 3
+    )
+    sym = (d00 + d00, d01 + d10, d11 + d11)  # the entries of dk + dk^T
+    return Metric2(*(s0 * k0 + s1 * k1 + term for (s0, s1), term in zip(slopes, sym)))
 
 
 def lie_derivative_two_form(field: str, x: HPoint) -> float:
     """gamma * (L_K omega)_{nu gamma} / omega_{nu gamma}, as ``lie_derivative_metric``."""
-    k, dk, slopes = _lie_terms(field, x, _two_form_entries, (symplectic_form(x).omega_ng,))
-    return float(slopes[0] @ k + np.trace(dk))
+    (k0, k1), ((d00, _), (_, d11)), ((s0, s1),) = _lie_terms(
+        field, x, _two_form_entries, (symplectic_form(x).omega_ng,)
+    )
+    return s0 * k0 + s1 * k1 + (d00 + d11)
 
 
 def _two_form_entries(nu, gamma) -> tuple:
@@ -246,8 +268,10 @@ def symplectic_defect(alpha: float, c: CanonicalPoint) -> float:
         nu, gamma = _scaled_step(alpha, q, 0.5 / p, s)
         return nu, 0.5 / gamma
 
-    jac = _complex_step(f, (c.q, c.p), (x.gamma, c.p), (0.5 / image.p, image.p))
-    return abs(float(np.linalg.det(jac)) - 1.0)
+    (m00, m01), (m10, m11) = _complex_step(
+        f, (c.q, c.p), (x.gamma, c.p), (0.5 / image.p, image.p)
+    )
+    return abs(m00 * m11 - m01 * m10 - 1.0)
 
 
 def christoffel(x: HPoint) -> np.ndarray:
@@ -262,6 +286,8 @@ def christoffel(x: HPoint) -> np.ndarray:
     Tested against the metric-compatibility identity with complex-step
     derivatives of the metric.
     """
+    import numpy as np
+
     inv = 1.0 / x.gamma
     out = np.zeros((2, 2, 2))
     out[0, 1, 0] = out[1, 0, 0] = -inv

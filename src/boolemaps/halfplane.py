@@ -27,14 +27,16 @@ scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
 on nu, which is ``orbit.boole_transform``.
 
 This is the scalar core, and it imports no numpy: the map, ``HPoint``, the
-Fisher metric and the conformal factor (which ``geometry`` re-exports), and
-the limits the CLI checks its flags against, so that ``iterate-params`` and
-bad input never load numpy.  ``jacobian_analytic`` and
+Fisher metric and the conformal factor (which ``geometry`` re-exports), the
+orbit generator ``_iterates`` (which ``orbit`` turns into an array), and
+the limits the CLI checks its flags against, so that ``iterate-params``, a
+short ``orbit`` and bad input never load numpy.  ``jacobian_analytic`` and
 ``convergence_bound_check`` return arrays and load numpy when called.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,14 +50,16 @@ if TYPE_CHECKING:
 #: Inputs closer to the pole at 0 than this are treated as singular.
 POLE_EPS = 1e-300
 
-# Limits of the density oracles, kept here so that the CLI checks its flags
-# without loading them.
+# Limits of the density oracles, kept here so that the CLI checks its flags,
+# and chooses its route, without loading them.
 DEFAULT_GRID_SIZE = 4096
 #: Smallest sample the Monte Carlo push-forward check accepts.
 MIN_MONTE_CARLO_SIZE = 10**4
 #: The largest |tan(pi*(u - 1/2))| over the doubles u in [0, 1) that
 #: ``density.sample_cauchy`` draws, reached at u = 0: about 1.6e16.
 MAX_SAMPLE_OFFSET = abs(math.tan(-0.5 * math.pi))
+#: Orbits of fewer steps than this are not checked against the invariant law.
+KS_MIN_SAMPLES = 10**5
 
 
 def check_alpha(alpha: float) -> float:
@@ -69,6 +73,20 @@ def check_alpha(alpha: float) -> float:
 def _boole(alpha: float, x):
     # The map itself, unguarded: floats, complex numbers and ndarrays alike.
     return alpha * (x - 1.0 / x)
+
+
+def _iterates(alpha: float, x: float, n: int):
+    # The seed and its n images, with the map inlined.  An exact 0 ends the
+    # orbit with the ZeroDivisionError of its image, which a float raises
+    # and a numpy scalar does not; any other point inside the guard is
+    # stepped on, and cut off by the caller.
+    yield x
+    try:
+        for _ in itertools.repeat(None, n):
+            x = alpha * (x - 1.0 / x)
+            yield x
+    except ZeroDivisionError:
+        return
 
 
 @dataclass(frozen=True)

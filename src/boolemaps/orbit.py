@@ -9,22 +9,22 @@ invariant Cauchy law of location 0 and scale sqrt(alpha/(1-alpha)).  This
 module provides the guarded map, its two-branch preimages, guarded orbit
 iteration, and the Cauchy pdf/cdf/quantile trio that the density-level
 verifiers build on.  The map itself, its pole guard and the Cauchy law
-``HPoint`` (its parameter point of the upper half-plane) belong to the
-scalar core in ``halfplane``, which applies the same map to nu - i*gamma;
-on the axis nu = 0 that step is the scale map
-gamma -> alpha * (gamma + 1/gamma).  They are re-exported here.
+``HPoint`` (its parameter point of the upper half-plane), and the orbit
+generator that ``iterate_orbit`` reads, belong to the scalar core in
+``halfplane``, which applies the same map to nu - i*gamma; on the axis
+nu = 0 that step is the scale map gamma -> alpha * (gamma + 1/gamma).  They
+are re-exported here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularInputError
-from .halfplane import POLE_EPS, HPoint, _boole, check_alpha
+from .halfplane import POLE_EPS, HPoint, _boole, _iterates, check_alpha
 
 
 def boole_transform(alpha: float, xi: float) -> float:
@@ -39,8 +39,9 @@ def boole_transform(alpha: float, xi: float) -> float:
     return _boole(alpha, xi)
 
 
-def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
-    # Both solutions of alpha*(xi - 1/xi) = y, elementwise, ordered low/high.
+def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Both solutions of alpha*(xi - 1/xi) = y, elementwise, ordered low/high,
+    # and hypot(y, 2*alpha), which is alpha*|xi + 1/xi| at either of them.
     # Cancellation-free: the root of larger magnitude (never below 1) comes
     # from the discriminant with the sign of y, the other from the exact
     # product xi_minus * xi_plus = -1.  The naive formula loses all
@@ -53,7 +54,7 @@ def _preimages(alpha: float, y) -> tuple[np.ndarray, np.ndarray]:
         big = (0.5 * np.abs(y) + 0.5 * disc) / alpha
     big = np.where(y >= 0.0, big, -big)
     other = -1.0 / big
-    return np.minimum(big, other), np.maximum(big, other)
+    return np.minimum(big, other), np.maximum(big, other), disc
 
 
 def preimages(alpha: float, xi_prime: float) -> tuple[float, float]:
@@ -63,7 +64,7 @@ def preimages(alpha: float, xi_prime: float) -> tuple[float, float]:
     |xi_prime| above about alpha*DBL_MAX.
     """
     alpha = check_alpha(alpha)
-    lo, hi = _preimages(alpha, xi_prime)
+    lo, hi, _ = _preimages(alpha, xi_prime)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise SingularInputError(f"a preimage of {xi_prime!r} is not a finite double")
     return float(lo), float(hi)
@@ -81,20 +82,6 @@ class OrbitResult:
     points: np.ndarray
     truncated: bool
     last_index: int
-
-
-def _iterates(alpha: float, x: float, n: int):
-    # The seed and its n images, with the map inlined.  An exact 0 ends the
-    # orbit with the ZeroDivisionError of its image, which a float raises
-    # and a numpy scalar does not; any other point inside the guard is
-    # stepped on, and cut off by the caller.
-    yield x
-    try:
-        for _ in itertools.repeat(None, n):
-            x = alpha * (x - 1.0 / x)
-            yield x
-    except ZeroDivisionError:
-        return
 
 
 def iterate_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from boolemaps import HPoint, cli, density, orbit
 from boolemaps.cli import main
 from boolemaps.density import ergodic_orbit_check
+from boolemaps.halfplane import KS_MIN_SAMPLES
 from boolemaps.orbit import iterate_orbit
 
 
@@ -507,6 +508,36 @@ class TestStreamingWriter:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
+        "args",
+        [["--n", "1"], ["--alpha", "0.5", "--xi0", "1", "--n", "3"], ["--n", "1000"],
+         ["--alpha", "0.8", "--xi0", "0.3", "--n", str(KS_MIN_SAMPLES - 1)]],
+        ids=["1", "truncated", "1000", "below-ks"],
+    )
+    def test_short_orbit_list_matches_the_array_route(self, args, fmt):
+        # Below the size of the KS check the command writes its orbit from a
+        # list, by the standard library; the same orbit as iterate_orbit's
+        # array, written by the kernels, gives the same bytes.
+        cfg = cli.build_parser().parse_args(["orbit", *args])
+        body, passed = cli.cmd_orbit(cfg)
+        result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
+        assert passed
+        assert body["oracles"] == {"truncated": result.truncated,
+                                   "last_index": result.last_index}
+        array = cli.Table(("step", "xi"), (range(len(result.points)), result.points))
+        assert cli._by_kernels(array) and not cli._by_kernels(body["records"])
+
+        def rendered(table):
+            out = io.BytesIO()
+            report = {"config": vars(cfg), "records": table, "oracles": body["oracles"],
+                      "meta": {"timings": {}}}
+            cli.render_report(report, fmt, out)
+            # the records and all before them; meta holds the render time
+            return out.getvalue().partition(b'"meta"')[0]
+
+        assert rendered(body["records"]) == rendered(array)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
         "rows", [1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1], ids=["1", "chunk", "chunk+1"]
     )
     def test_synthetic_table_matches_whole_report_renderers(self, fmt, rows):
@@ -805,8 +836,10 @@ ARRAY_MODULES = ["numpy", "boolemaps.density", "boolemaps._numtext"]
 
 
 def test_import_iterate_params_and_bad_input_leave_numpy_unloaded(tmp_path):
-    # The half-plane step is a scalar closed form, and bad input computes
-    # nothing: neither they nor the import may load numpy.
+    # The half-plane step, the geometry at a point and an orbit too short
+    # for the check of the invariant law are scalar work, and bad input
+    # computes nothing: neither they nor the import may load numpy.
+    scalar = [["geometry"], ["orbit", "--n", "1000"], ["orbit", "--n", "99999"]]
     bad = [["verify-pf", "--n", "100"], ["verify-pf", "--grid-size", "1"],
            ["orbit", "--xi0", "0"]]
     out = str(tmp_path / "r")
@@ -820,6 +853,9 @@ def test_import_iterate_params_and_bad_input_leave_numpy_unloaded(tmp_path):
         "for fmt in ('json', 'csv'):",
         f"    assert boolemaps.cli.main(['iterate-params', '--format', fmt, '--out', {out!r}]) == 0",
         "    assert loaded() == [], (fmt, loaded())",
+        f"for argv in {scalar!r}:",
+        f"    assert boolemaps.cli.main(argv + ['--out', {out!r}]) == 0, argv",
+        "    assert loaded() == [], (argv, loaded())",
         f"for argv in {bad!r}:",
         "    try:",
         "        with contextlib.redirect_stderr(io.StringIO()):",
@@ -838,8 +874,8 @@ def test_import_iterate_params_and_bad_input_leave_numpy_unloaded(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify-pf", "--n", "10000"], ["geometry"], ["orbit", "--n", "1000"]],
-    ids=["verify-pf", "geometry", "orbit"],
+    [["verify-pf", "--n", "10000"], ["orbit", "--n", str(KS_MIN_SAMPLES)]],
+    ids=["verify-pf", "orbit"],
 )
 def test_array_commands_load_numpy_before_they_compute(tmp_path, argv):
     # numpy loads after validation, in import_s; computing and rendering
@@ -868,17 +904,38 @@ def test_array_commands_load_numpy_before_they_compute(tmp_path, argv):
     assert meta["timings"]["import_s"] > 0
 
 
+def test_scalar_commands_run_where_numpy_cannot_be_imported(tmp_path):
+    # With numpy unimportable, as if it were not installed, the commands
+    # that compute no arrays still run and pass.
+    out = str(tmp_path / "r.json")
+    commands = [["iterate-params"], ["geometry"], ["orbit", "--n", "1000"]]
+    probe = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None",
+        "import boolemaps.cli",
+        f"for argv in {commands!r}:",
+        f"    assert boolemaps.cli.main(argv + ['--out', {out!r}]) == 0, argv",
+        "print('ran')",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ran\n"
+
+
 def test_meta_reads_no_numpy_where_the_command_loaded_none(tmp_path):
     out = tmp_path / "r.json"
-    argv = [sys.executable, "-m", "boolemaps.cli", "iterate-params", "--out", str(out)]
-    subprocess.run(argv, check=True, timeout=120)
-    meta = json.loads(out.read_text())["meta"]
-    assert meta["environment"] == {
-        "python": sys.version.split()[0],
-        "numpy": None,
-        "nproc": len(os.sched_getaffinity(0)),
-    }
-    assert meta["timings"]["import_s"] == 0.0
+    for command in (["iterate-params"], ["geometry"], ["orbit", "--n", "1000"]):
+        argv = [sys.executable, "-m", "boolemaps.cli", *command, "--out", str(out)]
+        subprocess.run(argv, check=True, timeout=120)
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["environment"] == {
+            "python": sys.version.split()[0],
+            "numpy": None,
+            "nproc": len(os.sched_getaffinity(0)),
+        }, command
+        assert meta["timings"]["import_s"] == 0.0, command
 
 
 def test_console_script_entry_point():

@@ -35,7 +35,7 @@ from boolemaps import (
     verify_conformal_pullback,
 )
 from boolemaps.cli import LIE_TOL, PULLBACK_TOL
-from boolemaps.geometry import _KILLING, _complex_step, _metric_entries
+from boolemaps.geometry import _KILLING, _complex_step, _metric_entries, _midpoint_entries
 
 points = st.builds(
     HPoint,
@@ -78,6 +78,26 @@ def _adaptive_metric(x: HPoint):
             for a, b in ((0, 0), (0, 1), (1, 1))
         ]
     return np.array([value for value, _ in results]), [err for _, err in results]
+
+
+def _numpy_midpoint_entries(gamma: float, n: int) -> np.ndarray:
+    """Oracle: ``geometry._midpoint_entries`` on arrays, as numpy evaluates it.
+
+    The same n-point midpoint rule in t, with numpy's tan, cos and hypot and
+    its pairwise sums.
+    """
+    t = (np.arange(n) + 0.5) * (np.pi / n) - np.pi / 2.0
+    d = gamma * np.tan(t)
+    h = np.hypot(d, gamma)
+    pdf = gamma / h / h / np.pi
+    weight = (np.pi / n) * pdf * (gamma / np.cos(t) ** 2)
+    score_nu = 2.0 * (d / h) / h
+    score_gamma = ((d - gamma) / h) * ((d + gamma) / h) / gamma
+    return np.array([
+        np.sum(weight * score_nu * score_nu),
+        np.sum(weight * score_nu * score_gamma),
+        np.sum(weight * score_gamma * score_gamma),
+    ])
 
 
 class TestFisherMetric:
@@ -137,6 +157,26 @@ class TestFisherQuadrature:
         g = fisher_metric_quadrature(x)
         gaps = np.abs(np.array([g.g_nn, g.g_ng, g.g_gg]) - values)
         assert np.max(gaps) < 1e-8
+
+    @given(
+        st.floats(min_value=math.log(_GAMMA_NORMAL[0]), max_value=math.log(_GAMMA_NORMAL[1]))
+        .map(math.exp)
+        .filter(lambda gamma: sys.float_info.min <= 0.5 / gamma / gamma <= sys.float_info.max)
+    )
+    @example(1.0)
+    @example(_GAMMA_NORMAL[0])
+    @example(_GAMMA_NORMAL[1])
+    def test_loop_matches_the_array_rule(self, gamma):
+        # The two sum the same terms in different orders, and their tan and
+        # cos may differ in the last bit: they agree to a few ulps (up to 6 in
+        # 40,000 log-uniform draws) of the larger diagonal entry, the scale
+        # of every entry.
+        for n in (16, 32):
+            expected = _numpy_midpoint_entries(gamma, n)
+            got = _midpoint_entries(gamma, n)
+            assert all(type(value) is float for value in got)
+            ulp = math.ulp(max(expected[0], expected[2]))
+            assert np.max(np.abs(np.array(got) - expected)) <= 16 * ulp, (gamma, n)
 
     def test_overflowing_metric_raises(self):
         with pytest.raises(QuadratureError):
@@ -335,9 +375,9 @@ def _assert_metric_compatible(x, bound):
     metric = fisher_metric(x)
     g = metric.as_array() / metric.g_nn
     scaled = x.gamma * christoffel(x)
-    slopes = _complex_step(
+    slopes = np.asarray(_complex_step(
         _metric_entries, (x.nu, x.gamma), (x.gamma, x.gamma), (metric.g_nn,) * 3
-    )
+    ))
     for row, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
         for c in range(2):
             expected = sum(

@@ -23,6 +23,8 @@ from boolemaps import (
     parameter_step,
     preimages,
 )
+from boolemaps.cli import _short_orbit
+from boolemaps.halfplane import KS_MIN_SAMPLES
 
 alphas = st.floats(min_value=0.01, max_value=0.99)
 safe_xi = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: abs(x) > 1e-200)
@@ -144,13 +146,22 @@ def loop_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
 
 
 def assert_same_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
-    """Assert that ``iterate_orbit`` gives the oracle's points, bit for bit,
-    and its ``truncated`` and ``last_index``; return the result."""
+    """Assert that ``iterate_orbit``, and below ``KS_MIN_SAMPLES`` the CLI's
+    list route ``_short_orbit`` too, give the oracle's points, bit for bit,
+    and its ``truncated`` and ``last_index``; return the array result."""
     got, expected = iterate_orbit(alpha, xi0, n), loop_orbit(alpha, xi0, n)
     assert got.points.tobytes() == expected.points.tobytes(), (alpha, xi0, n)
     assert (got.truncated, got.last_index) == (expected.truncated, expected.last_index), (
         alpha, xi0, n
     )
+    if n < KS_MIN_SAMPLES:
+        points, truncated, last_index = _short_orbit(alpha, xi0, n)
+        assert np.array(points, dtype=float).tobytes() == expected.points.tobytes(), (
+            alpha, xi0, n
+        )
+        assert (truncated, last_index) == (expected.truncated, expected.last_index), (
+            alpha, xi0, n
+        )
     return got
 
 
