@@ -26,23 +26,25 @@ loading the array modules, computing and rendering, ``meta.peak_rss_mb``
 the run's memory high-water mark and ``meta.environment`` the Python
 version, the numpy version (null where the command loaded no numpy) and the
 CPU count; ``oracles.warnings`` lists the warnings the command raised.
-Records are kept as columns and streamed to the output a chunk of rows at
-a time, as bytes, to the file or to the binary buffer under stdout.  A
-float is written as ``float.__repr__`` writes it, the shortest decimal that
-reads back to the same double, so identical runs diff cleanly; nan and the
-infinities are spelled as JSON or Python spell them.  A table of lists (the
-records of every command but a long ``orbit``) is spelled by one json
-encoder call per column for JSON, or a cell at a time for CSV, and its rows
-joined by ``str.join``.  A table of ranges and float64 arrays (a long
-``orbit``'s) is spelled by the numpy kernels of ``_numtext``, with no
-Python object per cell, a chunk of rows as one matrix of cell and separator
-bytes laid out by one boolean index; its chunks are encoded round-robin on
-every CPU the process may run on, by the process itself and forked
-workers, and written in order.  A worker sends only chunk bytes, and the
-process encodes every chunk it did not receive, so a worker that fails or
-dies costs time, not the report.  The bytes do not depend on the number of
-CPUs, nor on the route: a short orbit's list gives the bytes its array
-would.  The exit
+Records are a ``Table`` of named columns, and ``render_report`` alone
+writes a report: the CSV header, or the JSON around the records, and the
+rows streamed a chunk at a time, as bytes, to the file or to the binary
+buffer under stdout.  One encoder, ``_chunk``, spells a chunk of rows in
+either format, for the process and its workers alike.  A float is written
+as ``float.__repr__`` writes it, the shortest decimal that reads back to
+the same double, so identical runs diff cleanly; nan and the infinities
+are spelled as JSON or Python spell them.  A table of lists (the records
+of every command but a long ``orbit``) is spelled by one json encoder call
+per column for JSON, or a cell at a time for CSV, and its rows joined by
+``str.join``.  A table of ranges and float64 arrays (a long ``orbit``'s)
+is spelled by the numpy kernels of ``_numtext``, with no Python object per
+cell, a chunk of rows as one matrix of cell and separator bytes laid out
+by one boolean index; its chunks are encoded round-robin on every CPU the
+process may run on, by the process itself and forked workers, and written
+in order.  A worker sends only chunk bytes, and the process encodes every
+chunk it did not receive, so a worker that fails or dies costs time, not
+the report.  The bytes do not depend on the number of CPUs, nor on the
+route: a short orbit's list gives the bytes its array would.  The exit
 status is 0 exactly when every tolerance check the command configured has
 passed; a numerical failure in the library gives exit 1 and a report with
 empty records and ``oracles.error``, and a chunk that cannot be encoded, or
@@ -63,7 +65,7 @@ import struct
 import sys
 import time
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from itertools import chain, islice, repeat
 from typing import NoReturn
 
@@ -164,22 +166,16 @@ def validate(cfg: argparse.Namespace) -> None:
 
 @dataclass(frozen=True)
 class Table:
-    """A report's records: equal-length columns under a header.
+    """A report's records: equal-length columns by name.
 
     A column is any sliceable sequence (a list, a range, an ndarray), and
-    ``len`` gives the number of rows.
+    ``len`` gives the number of rows, not of columns.
     """
 
-    header: tuple[str, ...] = ()
-    columns: tuple = ()
+    columns: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
-
-
-def _table(rows: list[dict]) -> Table:
-    header = tuple(rows[0])
-    return Table(header, tuple([row[key] for row in rows] for key in header))
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _param_columns(cfg: argparse.Namespace) -> dict:
@@ -201,10 +197,6 @@ def _param_columns(cfg: argparse.Namespace) -> dict:
     }
 
 
-def _columns_table(columns: dict) -> Table:
-    return Table(tuple(columns), tuple(columns.values()))
-
-
 def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
     columns = _param_columns(cfg)
     target = fixed_point(cfg.alpha)
@@ -215,7 +207,7 @@ def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
         "closure_gamma_positive": all(gamma > 0.0 for gamma in columns["gamma"]),
     }
     passed = oracles["closure_gamma_positive"]
-    return {"records": _columns_table(columns), "oracles": oracles}, passed
+    return {"records": Table(columns), "oracles": oracles}, passed
 
 
 def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
@@ -241,7 +233,7 @@ def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
         "monte_carlo_pass": report.within_tolerance,
     }
     passed = bool(oracles["sup_error_pass"] and oracles["monte_carlo_pass"])
-    return {"records": _columns_table(columns), "oracles": oracles}, passed
+    return {"records": Table(columns), "oracles": oracles}, passed
 
 
 _LATTICE_NU = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -300,7 +292,8 @@ def cmd_geometry(cfg: argparse.Namespace) -> tuple[dict, bool]:
     }
     oracles = dict(checks)
     oracles["degenerate_points"] = sum(1 for r in records if r["degenerate"])
-    return {"records": _table(records), "oracles": oracles}, all(checks.values())
+    columns = {key: [r[key] for r in records] for key in records[0]}
+    return {"records": Table(columns), "oracles": oracles}, all(checks.values())
 
 
 def _short_orbit(alpha: float, xi0: float, n: int) -> tuple[list, bool, int]:
@@ -325,7 +318,7 @@ def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
 
         result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
         points, truncated, last_index = result.points, result.truncated, result.last_index
-    records = Table(("step", "xi"), (range(len(points)), points))
+    records = Table({"step": range(len(points)), "xi": points})
     oracles: dict = {
         "truncated": truncated,
         "last_index": last_index,
@@ -405,7 +398,7 @@ def _by_kernels(table: Table) -> bool:
     # to its name), as orbit's are.
     return all(
         isinstance(column, range) or getattr(column, "dtype", None) == "float64"
-        for column in table.columns
+        for column in table.columns.values()
     )
 
 
@@ -427,40 +420,30 @@ def _chunk(table: Table, start: int, fmt: str) -> bytes:
     """The UTF-8 text of one chunk of rows, from ``start``.
 
     Each row is a lead, then every cell followed by its column's
-    separator.  A table of ranges and float64 arrays (``orbit``'s) is laid
-    out by the numpy kernels of ``_numtext``; any other, such as the lists
-    of every other command, is joined by the standard library.
+    separator: a CSV line, or an item of the indented JSON records array,
+    an object with its keys on indented lines, led by the separator before
+    it, which the table's first row drops.  A table of ranges and float64
+    arrays (``orbit``'s) is laid out by the numpy kernels of ``_numtext``;
+    any other, such as the lists of every other command, is joined by the
+    standard library.
     """
     stop = min(start + _CHUNK_ROWS, len(table))
     if fmt == "csv":
         lead, seps = "", [","] * (len(table.columns) - 1) + ["\n"]
     else:
-        first, *rest = (f"\n      {json.dumps(key)}: " for key in table.header)
+        first, *rest = (f"\n      {json.dumps(key)}: " for key in table.columns)
         lead, seps = ",\n    {" + first, ["," + text for text in rest] + ["\n    }"]
-    parts = [column[start:stop] for column in table.columns]
+    parts = [column[start:stop] for column in table.columns.values()]
     if _by_kernels(table):
         from ._numtext import table_text
 
-        return table_text(parts, lead.encode(), [sep.encode() for sep in seps], _NONFINITE[fmt])
-    cells = [repeat(lead)]
-    for part, sep in zip(parts, seps):
-        cells += [_cells(part, fmt), repeat(sep)]
-    return "".join(chain.from_iterable(zip(*cells))).encode()
-
-
-def _csv_chunk(table: Table, start: int) -> bytes:
-    """The CSV lines of one chunk of rows, from ``start``, in UTF-8."""
-    return _chunk(table, start, "csv")
-
-
-def _json_chunk(table: Table, start: int) -> bytes:
-    """One chunk of rows, from ``start``, as items of the indented records array.
-
-    Each row is an object with its keys on indented lines; a chunk after
-    the first begins with the separator before it.
-    """
-    text = _chunk(table, start, "json")
-    return text if start else text[2:]
+        text = table_text(parts, lead.encode(), [sep.encode() for sep in seps], _NONFINITE[fmt])
+    else:
+        cells = [repeat(lead)]
+        for part, sep in zip(parts, seps):
+            cells += [_cells(part, fmt), repeat(sep)]
+        text = "".join(chain.from_iterable(zip(*cells))).encode()
+    return text[2:] if fmt == "json" and not start else text
 
 
 def _cpu_count() -> int:
@@ -480,15 +463,7 @@ def _fork() -> int:
         return os.fork()
 
 
-def _encode(encode, table: Table, start: int) -> bytes:
-    # A chunk the command encodes itself; a failure is one line, not a traceback.
-    try:
-        return encode(table, start)
-    except Exception as exc:
-        raise ReportError(f"rows from {start} not encoded: {type(exc).__name__}: {exc}") from exc
-
-
-def _serve(table: Table, encode, starts: range, pipe, readers: list) -> NoReturn:
+def _serve(table: Table, fmt: str, starts: range, pipe, readers: list) -> NoReturn:
     # A forked worker: send each chunk, then leave through os._exit, so that no
     # exit handler runs and no buffer copied from the parent (its unflushed
     # report among them) is written.  On any error it just stops; the parent
@@ -497,7 +472,7 @@ def _serve(table: Table, encode, starts: range, pipe, readers: list) -> NoReturn
         for reader in readers:  # the parent's ends, so that only it holds them
             reader.close()
         for start in starts:
-            data = encode(table, start)
+            data = _chunk(table, start, fmt)
             pipe.write(_FRAME.pack(len(data)))
             pipe.write(data)
             pipe.flush()
@@ -515,8 +490,8 @@ def _receive(pipe) -> bytes | None:
     return data if len(data) == size else None
 
 
-def _write_chunks(table: Table, encode, handle) -> None:
-    """Write ``encode(table, start)`` for every chunk of rows, in order.
+def _write_chunks(table: Table, fmt: str, handle) -> None:
+    """Write ``_chunk(table, start, fmt)`` for every chunk of rows, in order.
 
     Chunk k is encoded by worker k % W, with W the number of CPUs this
     process may run on, at most the number of chunks, for a table the numpy
@@ -524,7 +499,8 @@ def _write_chunks(table: Table, encode, handle) -> None:
     others are forked children, which send their chunks back through pipes.
     A child blocks on its pipe until its chunk is read, so no worker holds
     more than one chunk of text.  This process encodes every chunk a child
-    did not send whole, because the child failed or died.
+    did not send whole, because the child failed or died; a chunk it cannot
+    encode raises ReportError, one line, not a traceback.
     """
     starts = range(0, len(table), _CHUNK_ROWS)
     workers = min(_cpu_count(), len(starts)) if _by_kernels(table) else 1
@@ -536,12 +512,19 @@ def _write_chunks(table: Table, encode, handle) -> None:
             with open(write_end, "wb") as pipe:
                 pid = _fork()
                 if pid == 0:
-                    _serve(table, encode, starts[w::workers], pipe, pipes)
+                    _serve(table, fmt, starts[w::workers], pipe, pipes)
             pids.append(pid)
         for k, start in enumerate(starts):
             w = k % workers
             chunk = _receive(pipes[w - 1]) if w else None
-            handle.write(_encode(encode, table, start) if chunk is None else chunk)
+            if chunk is None:
+                try:
+                    chunk = _chunk(table, start, fmt)
+                except Exception as exc:
+                    raise ReportError(
+                        f"rows from {start} not encoded: {type(exc).__name__}: {exc}"
+                    ) from exc
+            handle.write(chunk)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -549,12 +532,6 @@ def _write_chunks(table: Table, encode, handle) -> None:
             # every chunk was read, or the report failed: no worker is needed now
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _write_csv(table: Table, handle) -> None:
-    if table.header:  # names from the code: none needs quoting
-        handle.write(f"{','.join(table.header)}\n".encode())
-    _write_chunks(table, _csv_chunk, handle)
 
 
 _RECORDS_SLOT = "\0records\0"
@@ -581,39 +558,35 @@ def _peak_rss_mb() -> float:
     return max(own, peak) / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes or KiB
 
 
-def _write_json(report: dict, handle) -> None:
-    # The same text as json.dumps(report, indent=2) with every record a dict.
-    # With indent set, json encodes in pure Python; here only the small
-    # remainder of the report goes that way.  The tail (oracles, meta) is
-    # encoded after the records, so that render_s counts them.
-    started = time.perf_counter()
-    table = report["records"]
-    head, _ = _around_records(report)
-    if len(table):
-        handle.write(f"{head}[\n".encode())
-        _write_chunks(table, _json_chunk, handle)
-        handle.write(b"\n  ]")
-    else:
-        handle.write(f"{head}[]".encode())
-    report["meta"]["timings"]["render_s"] = time.perf_counter() - started
-    report["meta"]["peak_rss_mb"] = _peak_rss_mb()
-    _, tail = _around_records(report)
-    handle.write(f"{tail}\n".encode())
-
-
 def render_report(report: dict, fmt: str, handle) -> None:
     """Write ``report`` to the binary ``handle``: all of it as JSON, or its records as CSV.
 
-    Rows are written in chunks straight from the record columns, those of
-    an array table encoded on every CPU this process may run on, so the
-    whole report is never held as one string.  JSON sets ``meta.timings.render_s`` to the time spent up to
-    the tail that holds it, and ``meta.peak_rss_mb`` to the high-water mark
-    by then.  ReportError means the records were cut short.
+    CSV is a header line of the column names, then the rows.  JSON is the
+    text of ``json.dumps(report, indent=2)`` with every record an object,
+    but only the small rest of the report goes through json's pure-Python
+    indenting encoder.  Rows are written in chunks straight from the record
+    columns, those of an array table encoded on every CPU this process may
+    run on, so the whole report is never held as one string.  JSON sets
+    ``meta.timings.render_s`` to the time spent up to the tail that holds
+    it, and ``meta.peak_rss_mb`` to the high-water mark by then, so the
+    tail (oracles, meta) is encoded after the records.  ReportError means
+    the records were cut short.
     """
+    started = time.perf_counter()
+    table = report["records"]
     if fmt == "csv":
-        _write_csv(report["records"], handle)
-    else:
-        _write_json(report, handle)
+        if table.columns:  # names from the code: none needs quoting
+            handle.write(f"{','.join(table.columns)}\n".encode())
+        _write_chunks(table, fmt, handle)
+        return
+    head, _ = _around_records(report)
+    opening, closing = ("[\n", "\n  ]") if len(table) else ("[", "]")
+    handle.write(f"{head}{opening}".encode())
+    _write_chunks(table, fmt, handle)
+    report["meta"]["timings"]["render_s"] = time.perf_counter() - started
+    report["meta"]["peak_rss_mb"] = _peak_rss_mb()
+    _, tail = _around_records(report)
+    handle.write(f"{closing}{tail}\n".encode())
 
 
 def main(argv=None) -> int:

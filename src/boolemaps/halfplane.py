@@ -317,13 +317,15 @@ def converge_to_fixed_point(alpha: float, x: HPoint) -> FixedPointRun:
 
     The contraction rate |2*alpha - 1| degrades toward the ends of (0, 1),
     hence the generous budget of 5000 steps; alpha in [0.1, 0.9] converges
-    from ordinary seeds in well under 500 steps.
+    from ordinary seeds in well under 500 steps.  ``point`` is the
+    ``steps``-th iterate of ``x``, also when the budget runs out.
     """
     target = fixed_point(alpha)
     for n in range(5001):
         if math.hypot(x.nu - target.nu, x.gamma - target.gamma) < 1e-8:
             return FixedPointRun(x, n, True)
-        x = parameter_step(alpha, x)
+        if n < 5000:
+            x = parameter_step(alpha, x)
     return FixedPointRun(x, n, False)
 
 

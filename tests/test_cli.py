@@ -459,7 +459,7 @@ def _old_json(report):
     # Reference renderer: the whole report with one dict per record, dumped
     # by json's pure-Python indenting encoder; numpy integers as ints.
     table = report["records"]
-    records = [dict(zip(table.header, row)) for row in zip(*table.columns)]
+    records = [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]
     return json.dumps({**report, "records": records}, indent=2, default=int) + "\n"
 
 
@@ -469,10 +469,26 @@ def _old_csv(report):
     table = report["records"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.header)
-    for row in zip(*table.columns):
+    writer.writerow(table.columns)
+    for row in zip(*table.columns.values()):
         writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()
+
+
+def _rendered_report(tmp_path, monkeypatch, argv):
+    # Run main(argv) into tmp_path / "report" and return the report that
+    # render_report was given, its records still a Table.
+    seen = []
+    render = cli.render_report
+
+    def capturing(report, *rest):
+        seen.append(report)
+        return render(report, *rest)
+
+    monkeypatch.setattr(cli, "render_report", capturing)
+    main(argv + ["--out", str(tmp_path / "report")])
+    (report,) = seen
+    return report
 
 
 class TestStreamingWriter:
@@ -492,19 +508,18 @@ class TestStreamingWriter:
              "orbit-2e5"],
     )
     def test_matches_whole_report_renderers(self, tmp_path, monkeypatch, args, fmt):
-        seen = []
-        render = cli.render_report
-
-        def capturing(report, *rest):
-            seen.append(report)
-            return render(report, *rest)
-
-        monkeypatch.setattr(cli, "render_report", capturing)
-        out = tmp_path / f"report.{fmt}"
-        main(args + ["--format", fmt, "--out", str(out)])
-        (report,) = seen
+        report = _rendered_report(tmp_path, monkeypatch, args + ["--format", fmt])
         expected = _old_json(report) if fmt == "json" else _old_csv(report)
-        assert out.read_text() == expected
+        assert (tmp_path / "report").read_text() == expected
+        # the row count that a tracer of render_report reads from the table
+        assert len(report["records"]) == len(json.loads(_old_json(report))["records"])
+
+    def test_failed_run_has_no_rows(self, tmp_path, monkeypatch):
+        # A numerical failure's empty table counts no rows (a pole-guard failure).
+        argv = ["verify-pf", "--nu0", "0", "--gamma0", "1e-300", "--n", "10000"]
+        report = _rendered_report(tmp_path, monkeypatch, argv)
+        assert report["oracles"]["error"].startswith("PoleGuardError: ")
+        assert len(report["records"]) == 0
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
@@ -523,7 +538,7 @@ class TestStreamingWriter:
         assert passed
         assert body["oracles"] == {"truncated": result.truncated,
                                    "last_index": result.last_index}
-        array = cli.Table(("step", "xi"), (range(len(result.points)), result.points))
+        array = cli.Table({"step": range(len(result.points)), "xi": result.points})
         assert cli._by_kernels(array) and not cli._by_kernels(body["records"])
 
         def rendered(table):
@@ -546,19 +561,16 @@ class TestStreamingWriter:
         # chunk the last chunk is a single row.
         edges = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1e-4, 1e-5,
                           1e16, 9999999999999998.0, 2.0**53 + 2, -1e-4, -1e-5, -1e16, -2.5e-300])
-        table = cli.Table(
-            ("step", "index", "flag", "count", "scalar", "edge", "mixed", "float"),
-            (
-                range(rows),
-                np.arange(rows, dtype=np.int64),
-                [i % 3 == 0 for i in range(rows)],
-                [7 * i - 3 for i in range(rows)],
-                [np.float64(i) / 7 for i in range(rows)],
-                np.resize(edges, rows),
-                [i / 3 if i % 2 else i for i in range(rows)],  # ints and floats
-                [(-1.0) ** i * i / 3 for i in range(rows)],
-            ),
-        )
+        table = cli.Table({
+            "step": range(rows),
+            "index": np.arange(rows, dtype=np.int64),
+            "flag": [i % 3 == 0 for i in range(rows)],
+            "count": [7 * i - 3 for i in range(rows)],
+            "scalar": [np.float64(i) / 7 for i in range(rows)],
+            "edge": np.resize(edges, rows),
+            "mixed": [i / 3 if i % 2 else i for i in range(rows)],  # ints and floats
+            "float": [(-1.0) ** i * i / 3 for i in range(rows)],
+        })
         report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
         out = io.BytesIO()
         cli.render_report(report, fmt, out)
@@ -569,7 +581,7 @@ class TestStreamingWriter:
     def test_cells_of_one_word_match_whole_report_renderers(self, fmt):
         # Every cell fits one 4-byte word, so each block's columns of cells
         # are as narrow as they can be.
-        table = cli.Table(("a", "b"), ([0.0] * 5, [1, 2, 3, 4, 5]))
+        table = cli.Table({"a": [0.0] * 5, "b": [1, 2, 3, 4, 5]})
         report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
         out = io.BytesIO()
         cli.render_report(report, fmt, out)
@@ -604,12 +616,12 @@ class TestStreamingWriter:
         probe = "\n".join([
             "import os, sys",
             "from boolemaps import cli",
-            f"encode = cli._{fmt}_chunk",
-            "def failing(table, start):",
+            "encode = cli._chunk",
+            "def failing(table, start, fmt):",
             "    if start:",
             "        raise ValueError('injected')",
-            "    return encode(table, start)",
-            f"cli._{fmt}_chunk = failing",
+            "    return encode(table, start, fmt)",
+            "cli._chunk = failing",
             f"argv = ['orbit', '--n', '200000', '--format', {fmt!r}, '--out', {str(out)!r}]",
             "code = cli.main(argv)",
             "try:",
@@ -647,13 +659,13 @@ class TestStreamingWriter:
         normal = run([])
         dying = run([
             "parent = os.getpid()",
-            f"encode = cli._{fmt}_chunk",
-            "def dying(table, start):",
+            "encode = cli._chunk",
+            "def dying(table, start, fmt):",
             "    if start == cli._CHUNK_ROWS and os.getpid() != parent:",
             f"        open({str(killed)!r}, 'w').close()",
             "        os.kill(os.getpid(), signal.SIGKILL)",
-            "    return encode(table, start)",
-            f"cli._{fmt}_chunk = dying",
+            "    return encode(table, start, fmt)",
+            "cli._chunk = dying",
         ])
         assert killed.exists()
         assert dying == normal

@@ -19,6 +19,7 @@ from boolemaps import (
     converge_to_fixed_point,
     fixed_point,
     from_canonical,
+    iterate_parameter_map,
     jacobian_analytic,
     parameter_step,
     picture_agreement,
@@ -180,6 +181,16 @@ class TestFixedPoint:
         run = converge_to_fixed_point(alpha, HPoint(5.0, 3.0))
         assert run.converged
         assert run.steps <= 500
+
+    def test_unconverged_run_stops_at_its_budget(self):
+        # At alpha = 0.9999 the map contracts by |2*alpha - 1| per step, too
+        # slowly for 5000 steps; the run ends on the 5000th iterate, with no
+        # step past the budget.
+        seed = HPoint(1.0, 1.0)
+        run = converge_to_fixed_point(0.9999, seed)
+        assert not run.converged
+        assert run.steps == 5000
+        assert run.point == iterate_parameter_map(0.9999, seed, 5000)[5000]
 
 
 class TestJacobian:
