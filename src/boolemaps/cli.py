@@ -78,6 +78,7 @@ from .halfplane import (
     MIN_MONTE_CARLO_SIZE,
     POLE_EPS,
     HPoint,
+    _cpu_count,
     _half_reciprocal,
     _iterates,
     check_alpha,
@@ -444,11 +445,6 @@ def _chunk(table: Table, start: int, fmt: str) -> bytes:
             cells += [_cells(part, fmt), repeat(sep)]
         text = "".join(chain.from_iterable(zip(*cells))).encode()
     return text[2:] if fmt == "json" and not start else text
-
-
-def _cpu_count() -> int:
-    # the CPUs this process may run on; one where the OS cannot say
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _fork() -> int:

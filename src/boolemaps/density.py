@@ -12,13 +12,20 @@ push-forward is recomputed by brute force in two independent ways:
   map and refitted by robust quantile (or maximum-likelihood) estimation.
 
 Both are then compared against the closed-form prediction.  The pointwise
-map and its preimages come from the one core in ``orbit``.  Sampling only
-draws points; fitting is a separate, explicit ``fit_cauchy`` call.
+map is the one core ``halfplane._boole``, which the push-forward applies in
+place in its order, and its preimages come from ``orbit._preimages``.
+Sampling only draws points; fitting is a separate, explicit ``fit_cauchy``
+call, and the Monte Carlo check fits its sorted sample through
+``_fit_sorted``, as ``fit_cauchy`` does.  Sample-sized work runs in blocks,
+on every CPU in the affinity where the blocks outnumber the CPUs, with the
+same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from warnings import warn
 
@@ -38,6 +45,7 @@ from .halfplane import (
     MIN_MONTE_CARLO_SIZE,
     POLE_EPS,
     HPoint,
+    _cpu_count,
     check_alpha,
     fixed_point,
     iterate_parameter_map,
@@ -249,19 +257,32 @@ MIN_FIT_SIZE = 1000
 def sample_cauchy(p: HPoint, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` points by inverse-CDF sampling from one counter-based stream.
 
-    Identical (seed, n) always reproduces the points bit for bit.  Every
-    point lies within ``p.gamma * MAX_SAMPLE_OFFSET`` of ``p.nu``.
+    Point i comes from the i-th double of one Philox stream keyed by
+    ``seed``.  Philox is a counter-based generator: each counter value gives
+    four 64-bit words, one word per double.  So the block of points from
+    lo = k*_BLOCK on is drawn by its own Philox with the seeded key,
+    advanced by lo // 4 counter values, and the blocks are drawn in
+    parallel.  Identical (seed, n) always reproduces the points bit for bit,
+    on any number of CPUs.  Every point lies within
+    ``p.gamma * MAX_SAMPLE_OFFSET`` of ``p.nu``.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     stream = np.random.SeedSequence(seed, spawn_key=(0,))
-    u = np.random.Generator(np.random.Philox(stream)).random(n)
-    # p.nu + p.gamma*tan(pi*(u - 1/2)), formed in u's own buffer
-    np.subtract(u, 0.5, out=u)
-    np.multiply(np.pi, u, out=u)
-    np.tan(u, out=u)
-    np.multiply(p.gamma, u, out=u)
-    return np.add(p.nu, u, out=u)
+    out = np.empty(n)
+
+    def draw(rows, lo):
+        u = out[lo:lo + _BLOCK]
+        np.random.Generator(np.random.Philox(stream).advance(lo // 4)).random(out=u)
+        # p.nu + p.gamma*tan(pi*(u - 1/2)), formed in u's own buffer
+        np.subtract(u, 0.5, out=u)
+        np.multiply(np.pi, u, out=u)
+        np.tan(u, out=u)
+        np.multiply(p.gamma, u, out=u)
+        np.add(p.nu, u, out=u)
+
+    _each_block(n, draw)
+    return out
 
 
 def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
@@ -279,9 +300,13 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     positive double, as where the quartiles round to the same double.
     """
     points = np.asarray(points, dtype=float)
+    _check_fit_size(points)
+    return _fit_sorted(np.sort(points), method)  # a copy: the caller's order stays
+
+
+def _check_fit_size(points: np.ndarray) -> None:
     if points.size < MIN_FIT_SIZE:
         raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {points.size}")
-    return _fit_sorted(np.sort(points), method)  # a copy: the caller's order stays
 
 
 def _fit_sorted(ordered: np.ndarray, method: str) -> HPoint:
@@ -323,33 +348,110 @@ def _quartiles(ordered: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
-def _blocks(points: np.ndarray):
-    return (points[lo:lo + _BLOCK] for lo in range(0, points.size, _BLOCK))
+def _concurrently(func, tasks, workers: int) -> list:
+    """``func(worker, task)`` for each of the sequence ``tasks`` on up to
+    ``workers`` threads, the results in task order.
+
+    The workers claim tasks one at a time, in order.  Worker 0 is the
+    calling thread; each of the others runs in a copy of the caller's
+    ``contextvars`` context, so that an ``np.errstate`` around the call
+    holds in every task.  A failure stops further claims, and the exception
+    of the first task, in task order, that failed is raised here, as a
+    serial loop would raise it.  Every thread is joined before this returns
+    or raises, so none is alive when the report writer forks.
+    """
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        return [func(0, task) for task in tasks]
+    results = [None] * len(tasks)
+    failures = {}
+    claims = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def work(worker):
+        while not failures:
+            with lock:
+                k = next(claims, None)
+            if k is None:
+                return
+            try:
+                results[k] = func(worker, tasks[k])
+            except BaseException as exc:  # raised below, in the caller
+                failures[k] = exc
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, worker))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _each_block(size: int, func, scratch=()) -> list:
+    """``func(rows, lo)`` for the block at each lo in range(0, size, _BLOCK) of
+    a sample of ``size`` doubles, the results in block order.
+
+    ``rows`` is the worker's own scratch: one row of min(size, _BLOCK) items
+    per dtype in ``scratch``.  The blocks run on every CPU in the affinity
+    where they outnumber the CPUs, and serially otherwise: on two CPUs,
+    threading the two blocks of a 1e5-point sample cost more than it saved.
+    numpy releases the GIL inside each ufunc, so the threads compute in
+    parallel, and each block computes what a serial loop would, so the
+    results are the same bit for bit on any number of CPUs.  The scratch of
+    all workers stays within a quarter of the sample's blocks, whatever the
+    CPU count, which caps the workers of a pass that needs much of it.  This
+    thread allocates it, as it does the sample: memory that a worker thread
+    allocates comes from that thread's own malloc arena and stays resident.
+    """
+    starts = range(0, size, _BLOCK)
+    cpus = _cpu_count()
+    workers = cpus if len(starts) > cpus else 1
+    width = min(size, _BLOCK)
+    worker_bytes = width * sum(np.dtype(dtype).itemsize for dtype in scratch)
+    if worker_bytes:
+        workers = max(1, min(workers, len(starts) * _BLOCK * 8 // 4 // worker_bytes))
+    rows = [[np.empty(width, dtype) for dtype in scratch] for _ in range(workers)]
+    return _concurrently(lambda worker, lo: func(rows[worker], lo), starts, workers)
 
 
 def _loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[float, list[float]]:
     """Mean log-likelihood log(gamma) - mean log(q), and the means over the
     points of 1/q, d/q, 1/q^2, d/q^2 and (d^2 - gamma^2)/q^2, in one pass.
 
-    Here d = points - nu and q = d^2 + gamma^2.
+    Here d = points - nu and q = d^2 + gamma^2.  Each block's sums are added
+    in block order, as one loop over the blocks adds them.
     """
     g2 = gamma * gamma
-    sums = [0.0] * 6
-    d_buf, q_buf, term_buf = np.empty((3, min(_BLOCK, points.size)))
-    for block in _blocks(points):
-        d, q, term = d_buf[:block.size], q_buf[:block.size], term_buf[:block.size]
-        np.subtract(block, nu, out=d)
+
+    def block_sums(rows, lo):
+        # two rows: q, and each term in turn, where d is formed afresh
+        x = points[lo:lo + _BLOCK]
+        term, q = (row[:x.size] for row in rows)
+        d = np.subtract(x, nu, out=term)
         np.multiply(d, d, out=q)
         q += g2
-        sums[0] += float(np.sum(np.log(q, out=term)))
-        sums[1] += float(np.sum(np.divide(1.0, q, out=term)))
-        sums[2] += float(np.sum(np.divide(d, q, out=term)))
+        d_q = np.sum(np.divide(d, q, out=term))
+        sums = [np.sum(np.log(q, out=term)), np.sum(np.divide(1.0, q, out=term)), d_q]
         np.multiply(q, q, out=q)  # q^2 from here on
-        sums[3] += float(np.sum(np.divide(1.0, q, out=term)))
-        sums[4] += float(np.sum(np.divide(d, q, out=term)))
+        sums.append(np.sum(np.divide(1.0, q, out=term)))
+        d = np.subtract(x, nu, out=term)
+        sums.append(np.sum(np.divide(d, q, out=term)))
+        d = np.subtract(x, nu, out=term)
         np.multiply(d, d, out=d)
         d -= g2
-        sums[5] += float(np.sum(np.divide(d, q, out=d)))
+        sums.append(np.sum(np.divide(d, q, out=d)))
+        return [float(total) for total in sums]
+
+    sums = [0.0] * 6
+    for block in _each_block(points.size, block_sums, (float, float)):
+        sums = [total + part for total, part in zip(sums, block)]
     means = [total / points.size for total in sums]
     return math.log(gamma) - means[0], means[1:]
 
@@ -404,38 +506,37 @@ def _cauchy_mle(
 
 
 def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-    # Pointwise map applied to every sample, overwriting ``points`` block by
-    # block, one pass a step: a block is mapped through one buffer in
-    # ``_boole``'s order alpha*(x - 1/x), and the points of it that the next
-    # step's pole guard passes are counted while it is in cache.  Before each
-    # step the points failing |x| >= POLE_EPS (zeros, NaN) are dropped with a
-    # count rather than resampled, preserving the push-forward's independence.
-    buf = np.empty(min(_BLOCK, points.size))
-    passed = np.empty(buf.size, dtype=bool)
+    # Pointwise map applied to every sample, overwriting ``points``: each
+    # block goes through every step while it is in cache, mapped through one
+    # buffer in ``_boole``'s order alpha*(x - 1/x).  Before each step the
+    # points failing |x| >= POLE_EPS (zeros, NaN) are dropped with a count
+    # rather than resampled, preserving the push-forward's independence, and
+    # the rest move to the front of their block, in order.  The blocks then
+    # move to the front of ``points``, in order.
+    def push(rows, lo):
+        x = points[lo:lo + _BLOCK]
+        buf, passed = rows
+        dropped = 0
+        for _ in range(steps):
+            magnitude = np.abs(x, out=buf[:x.size])
+            kept = np.greater_equal(magnitude, POLE_EPS, out=passed[:x.size])
+            count = int(np.count_nonzero(kept))
+            if count < x.size:
+                dropped += x.size - count
+                x[:count] = x[kept]
+                x = x[:count]
+            inverse = np.divide(1.0, x, out=buf[:x.size])
+            np.multiply(alpha, np.subtract(x, inverse, out=inverse), out=x)
+        return x.size, dropped
 
-    def guarded(block):
-        magnitude = np.abs(block, out=buf[:block.size])
-        return int(np.count_nonzero(np.greater_equal(magnitude, POLE_EPS, out=passed[:block.size])))
-
-    x = points
-    kept = sum(guarded(block) for block in _blocks(x))
-    dropped = 0
-    for step in range(steps):
-        if kept < x.size:
-            dropped += x.size - kept
-            end = 0  # the kept points move to the front, in order
-            for block in _blocks(x):
-                block = block[np.abs(block) >= POLE_EPS]
-                x[end:end + block.size] = block
-                end += block.size
-            x = x[:end]
-        kept = 0
-        for block in _blocks(x):
-            inverse = np.divide(1.0, block, out=buf[:block.size])
-            np.multiply(alpha, np.subtract(block, inverse, out=inverse), out=block)
-            if step < steps - 1:
-                kept += guarded(block)
-    return x, dropped
+    end = dropped = 0
+    blocks = _each_block(points.size, push, (float, bool))
+    for lo, (size, hits) in zip(range(0, points.size, _BLOCK), blocks):
+        if end < lo:
+            points[end:end + size] = points[lo:lo + size]
+        end += size
+        dropped += hits
+    return points[:end], dropped
 
 
 def fit_stderr(gamma: float, n: int) -> float:
@@ -500,15 +601,24 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
     For each seed a single stream of 2n points is drawn and pushed one step
     through the map; the first n of them form the half-size estimate, so the
     two levels share their randomness and the ratio concentrates near sqrt(2)
-    under the expected n^(-1/2) error scaling of the quantile fit.
+    under the expected n^(-1/2) error scaling of the quantile fit.  A copy of
+    the first n and the whole pushed sample are sorted concurrently, and
+    each is fitted as ``fit_cauchy`` fits it.  Raises ValueError on an empty
+    ``seeds``.
     """
     alpha = check_alpha(alpha)
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("the error ratio needs at least one seed")
     predicted = parameter_step(alpha, p)
     err_half, err_full = 0.0, 0.0
     for seed in seeds:
         pushed, _ = _push_forward(alpha, sample_cauchy(p, 2 * n, seed), 1)
-        half = fit_cauchy(pushed[:n])
-        full = fit_cauchy(pushed)
+        samples = [pushed[:n].copy(), pushed]
+        for sample in samples:
+            _check_fit_size(sample)
+        _concurrently(lambda worker, sample: sample.sort(), samples, _cpu_count())
+        half, full = (_fit_sorted(sample, "median_iqr") for sample in samples)
         err_half += (half.nu - predicted.nu) ** 2 + (half.gamma - predicted.gamma) ** 2
         err_full += (full.nu - predicted.nu) ** 2 + (full.gamma - predicted.gamma) ** 2
     return math.sqrt(err_half / err_full)

@@ -28,16 +28,19 @@ on nu, which is ``orbit.boole_transform``.
 
 This is the scalar core, and it imports no numpy: the map, ``HPoint``, the
 Fisher metric and the conformal factor (which ``geometry`` re-exports), the
-orbit generator ``_iterates`` (which ``orbit`` turns into an array), and
-the limits the CLI checks its flags against, so that ``iterate-params``, a
-short ``orbit`` and bad input never load numpy.  ``jacobian_analytic`` and
-``convergence_bound_check`` return arrays and load numpy when called.
+orbit generator ``_iterates`` (which ``orbit`` turns into an array), the
+limits the CLI checks its flags against, so that ``iterate-params``, a
+short ``orbit`` and bad input never load numpy, and ``_cpu_count``, the
+CPUs over which the report writer and the Monte Carlo oracle spread their
+work.  ``jacobian_analytic`` and ``convergence_bound_check`` return arrays
+and load numpy when called.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -60,6 +63,11 @@ MIN_MONTE_CARLO_SIZE = 10**4
 MAX_SAMPLE_OFFSET = abs(math.tan(-0.5 * math.pi))
 #: Orbits of fewer steps than this are not checked against the invariant law.
 KS_MIN_SAMPLES = 10**5
+
+
+def _cpu_count() -> int:
+    # the CPUs this process may run on; one where the OS cannot say
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def check_alpha(alpha: float) -> float:

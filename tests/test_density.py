@@ -1,6 +1,9 @@
 """Transfer-sum grid evolution, sampling, fitting, and ergodicity checks."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -27,6 +30,7 @@ from boolemaps import (
     fixed_point,
     iterate_parameter_map,
     ks_distance,
+    mc_error_ratio,
     parameter_step,
     pf_closed_form_check,
     pf_density_step,
@@ -34,7 +38,14 @@ from boolemaps import (
     sample_cauchy,
 )
 from boolemaps import density
-from boolemaps.density import _BLOCK, _grid_law, _push_forward, _quartiles, transfer_values
+from boolemaps.density import (
+    _BLOCK,
+    _each_block,
+    _grid_law,
+    _push_forward,
+    _quartiles,
+    transfer_values,
+)
 
 #: Relative error, against the peak, allowed after a 10-step chain on a
 #: tabulated-only grid (the benchmark's bound for the same chain).
@@ -105,6 +116,20 @@ def check_monte_carlo_kernels(count: int, seed: int) -> int:
         assert_same_quartiles(pushed)
         dropped += hit
     return dropped
+
+
+@pytest.fixture(params=[1, 2, 3, 8], ids=lambda n: f"{n}cpus")
+def cpus(request, monkeypatch):
+    """Blocks spread over this many CPUs, however many the machine has."""
+    monkeypatch.setattr(density, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+def serially(monkeypatch, func):
+    """``func()`` with every block on the calling thread."""
+    with monkeypatch.context() as patch:
+        patch.setattr(density, "_cpu_count", lambda: 1)
+        return func()
 
 
 class TestDensityGrid:
@@ -286,6 +311,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_cauchy(HPoint(0, 1), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocks_continue_one_stream(self, cpus, n):
+        # the single-stream formula: point i from the i-th double of one Philox
+        p = HPoint(0.3, 1.7)
+        stream = np.random.SeedSequence(11, spawn_key=(0,))
+        u = np.random.Generator(np.random.Philox(stream)).random(n)
+        expected = p.nu + p.gamma * np.tan(np.pi * (u - 0.5))
+        assert sample_cauchy(p, n, seed=11).tobytes() == expected.tobytes()
+
 
 class TestFitting:
     def test_minimum_size_enforced(self):
@@ -466,10 +500,43 @@ class TestMonteCarloPushForward:
         # some cases hold pole hits, so the drop and its count are checked too
         assert check_monte_carlo_kernels(40, seed=12) > 0
 
+    def test_pole_hits_on_every_cpu_equal_the_serial_push(self, cpus, monkeypatch):
+        # hits in the first, a middle and the last of ten blocks, at each step
+        points = np.random.default_rng(8).standard_cauchy(9 * _BLOCK + 17)
+        points[[0, 4 * _BLOCK + 3, 9 * _BLOCK + 16]] = [0.0, np.nan, 0.0]
+        points[[_BLOCK - 1, 5 * _BLOCK, 9 * _BLOCK]] = [1.0, -1.0, 1.0]
+        expected = serially(monkeypatch, lambda: _push_forward(0.5, points.copy(), 3))
+        pushed, dropped = assert_same_push_forward(0.5, points, 3)
+        assert dropped == expected[1] == 6
+        assert pushed.tobytes() == expected[0].tobytes()
+
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
-    def test_memory_holds_one_sample_copy(self, method):
+    def test_check_on_every_cpu_equals_the_serial_check(self, cpus, method, monkeypatch):
+        def check():
+            return pf_monte_carlo_check(0.4, HPoint(-0.7, 0.9), 9 * _BLOCK + 7, 3, seed=5,
+                                        fit_method=method)
+
+        assert check() == serially(monkeypatch, check)
+
+    def test_error_ratio_on_every_cpu_equals_the_serial_ratio(self, cpus, monkeypatch):
+        # 2n is ten blocks, more than any of the patched CPU counts
+        def ratio():
+            return mc_error_ratio(0.6, HPoint(0.2, 1.3), 5 * _BLOCK, seeds=[3, 4])
+
+        assert ratio() == serially(monkeypatch, ratio)
+
+    def test_error_ratio_needs_a_seed_and_enough_points(self):
+        with pytest.raises(ValueError, match="seed"):
+            mc_error_ratio(0.5, HPoint(1.0, 1.0), 10**4, seeds=[])
+        with pytest.raises(ValueError, match="at least 1000 points"):
+            mc_error_ratio(0.5, HPoint(1.0, 1.0), 999, seeds=[1])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
+    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
+    def test_memory_holds_one_sample_copy(self, cpus, method):
         # the sample, pushed forward, sorted and fitted in place; no
-        # temporary of the sample's size, however many steps or iterations
+        # temporary of the sample's size, however many steps or iterations,
+        # and no more scratch on more CPUs
         n = 10**6
         tracemalloc.start()
         try:
@@ -479,7 +546,8 @@ class TestMonteCarloPushForward:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n
 
-    def test_memory_with_pole_hits_holds_one_sample_copy(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
+    def test_memory_with_pole_hits_holds_one_sample_copy(self, cpus):
         # the dropped points are squeezed out in place, block by block
         n = 10**6
         tracemalloc.start()
@@ -490,6 +558,61 @@ class TestMonteCarloPushForward:
             tracemalloc.stop()
         assert report.n_dropped > 0
         assert peak < 1.5 * 8 * n
+
+
+class TestBlocks:
+    def test_results_come_in_block_order(self, cpus):
+        size = 9 * _BLOCK + 1
+        assert _each_block(size, lambda rows, lo: lo) == list(range(0, size, _BLOCK))
+
+    def test_every_block_is_claimed_once_under_frequent_switches(self, monkeypatch):
+        # eight workers on fewer cores, switching threads every microsecond
+        monkeypatch.setattr(density, "_cpu_count", lambda: 8)
+        claimed = []
+
+        def claim(rows, lo):
+            claimed.append(lo)
+            return lo
+
+        size = 400 * _BLOCK
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _each_block(size, claim)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == sorted(claimed) == list(range(0, size, _BLOCK))
+
+    def test_each_worker_gets_its_own_scratch_rows(self, cpus):
+        def fill(rows, lo):
+            floats, flags = rows
+            assert floats.dtype == float and flags.dtype == bool
+            floats.fill(lo)
+            return float(floats.min()) == float(floats.max()) == lo
+
+        assert all(_each_block(9 * _BLOCK, fill, (float, bool)))
+
+    def test_first_failing_block_raises_and_no_thread_outlives_the_call(self, cpus):
+        # block 3 fails after block 4 has failed on another thread
+        before = threading.active_count()
+
+        def func(rows, lo):
+            if lo == 3 * _BLOCK:
+                time.sleep(0.05)
+            if lo in (3 * _BLOCK, 4 * _BLOCK):
+                raise ZeroDivisionError(f"block {lo // _BLOCK}")
+            return lo
+
+        with pytest.raises(ZeroDivisionError, match="block 3"):
+            _each_block(10 * _BLOCK, func)
+        assert threading.active_count() == before
+
+    def test_callers_error_state_holds_in_every_block(self, cpus):
+        with np.errstate(all="raise"):
+            states = _each_block(10 * _BLOCK, lambda rows, lo: np.geterr())
+        assert states == [dict.fromkeys(["divide", "over", "under", "invalid"], "raise")] * 10
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _each_block(10 * _BLOCK, lambda rows, lo: np.divide(1.0, np.zeros(3)))
 
 
 class TestErgodicity:
