@@ -10,7 +10,8 @@ orbit            pointwise orbit trace with an ergodicity check for long runs
 Each command parses only the flags it reads (``_COMMAND_FLAGS``), plus
 --out and --format; any other flag, a value the command cannot run with, or
 an --out that cannot be opened, exits 2 with a one-line message before the
-command runs.
+command runs.  A negative value may follow its flag as its own argument in
+any form a float takes, such as ``--nu0 -5e-05``.
 
 Only ``verify-pf``, and ``orbit`` of at least ``KS_MIN_SAMPLES`` steps,
 whose orbit is checked against the invariant law, load numpy, through the
@@ -70,7 +71,7 @@ from itertools import chain, islice, repeat
 from typing import NoReturn
 
 from . import __version__
-from .errors import FitConvergenceError, PoleGuardError, QuadratureError, SingularInputError
+from .errors import PoleGuardError, QuadratureError, SingularInputError
 from .halfplane import (
     DEFAULT_GRID_SIZE,
     KS_MIN_SAMPLES,
@@ -406,15 +407,14 @@ def _by_kernels(table: Table) -> bool:
 def _cells(part, fmt: str) -> list[str]:
     """The text of a column's cells in one chunk of rows, by the standard library.
 
-    One json encoder call for JSON; for CSV ``float.__repr__``, also of
-    numpy float scalars, whose own repr is not parseable, and ``str`` for
-    anything else.
+    One json encoder call for JSON; ``str`` for CSV, which spells a float,
+    and a numpy float scalar too, as ``float.__repr__`` does.
     """
     values = part.tolist() if hasattr(part, "tolist") else list(part)
     if fmt == "json":
         # no encoded value holds a raw newline
         return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-    return [float.__repr__(v) if isinstance(v, float) else str(v) for v in values]
+    return list(map(str, values))
 
 
 def _chunk(table: Table, start: int, fmt: str) -> bytes:
@@ -585,11 +585,38 @@ def render_report(report: dict, fmt: str, handle) -> None:
     handle.write(f"{closing}{tail}\n".encode())
 
 
+def _joined_negatives(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--flag -value`` whose value reads as a float
+    joined into ``--flag=-value``.
+
+    argparse takes an argument that starts with "-" for an option unless it
+    looks like a plain negative number, so it would read -5e-05, -inf or
+    -nan after a flag as a flag.  --help and its abbreviations take no value.
+    """
+    joined = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and arg.startswith("-") and _reads_as_float(arg)):
+            joined[-1] = f"{flag}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    cfg = parser.parse_args(argv)
+    cfg = parser.parse_args(_joined_negatives(argv))
     try:
         validate(cfg)
         # an output that cannot be opened is bad input too, found before the run
@@ -606,7 +633,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             body, passed = _COMMANDS[cfg.command](cfg)
-        except (QuadratureError, FitConvergenceError, PoleGuardError, SingularInputError) as exc:
+        except (QuadratureError, PoleGuardError, SingularInputError) as exc:
             # A numerical failure is a failed run, reported like any other.
             error = f"{type(exc).__name__}: {exc}"
             print(f"boolemaps {cfg.command}: {error}", file=sys.stderr)

@@ -425,29 +425,27 @@ def _loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[float, l
     """Mean log-likelihood log(gamma) - mean log(q), and the means over the
     points of 1/q, d/q, 1/q^2, d/q^2 and (d^2 - gamma^2)/q^2, in one pass.
 
-    Here d = points - nu and q = d^2 + gamma^2.  Each block's sums are added
-    in block order, as one loop over the blocks adds them.
+    Here d = points - nu, q = d^2 + gamma^2, r = 1/q and u = d*r, and the
+    sums are -sum(log r), sum(r), sum(u), r.r, u.r and u.u - gamma^2 r.r: a
+    point whose q overflows adds 0 to all but the first.  Each block's sums
+    are added in block order, as one loop over the blocks adds them.
     """
     g2 = gamma * gamma
 
     def block_sums(rows, lo):
-        # two rows: q, and each term in turn, where d is formed afresh
+        # two rows, d then u, and q then r; einsum, unlike np.dot, calls no
+        # BLAS, whose own threads would contend with the blocks' threads
         x = points[lo:lo + _BLOCK]
-        term, q = (row[:x.size] for row in rows)
-        d = np.subtract(x, nu, out=term)
-        np.multiply(d, d, out=q)
-        q += g2
-        d_q = np.sum(np.divide(d, q, out=term))
-        sums = [np.sum(np.log(q, out=term)), np.sum(np.divide(1.0, q, out=term)), d_q]
-        np.multiply(q, q, out=q)  # q^2 from here on
-        sums.append(np.sum(np.divide(1.0, q, out=term)))
-        d = np.subtract(x, nu, out=term)
-        sums.append(np.sum(np.divide(d, q, out=term)))
-        d = np.subtract(x, nu, out=term)
-        np.multiply(d, d, out=d)
-        d -= g2
-        sums.append(np.sum(np.divide(d, q, out=d)))
-        return [float(total) for total in sums]
+        u, r = (row[:x.size] for row in rows)
+        d = np.subtract(x, nu, out=u)
+        np.multiply(d, d, out=r)
+        r += g2  # q, until it is inverted in place
+        np.divide(1.0, r, out=r)
+        np.multiply(d, r, out=u)
+        rr = np.einsum("i,i", r, r)
+        sums = [np.sum(r), np.sum(u), rr, np.einsum("i,i", u, r), np.einsum("i,i", u, u) - g2 * rr]
+        log_q = -np.sum(np.log(r, out=r))  # last: it overwrites r
+        return [float(total) for total in (log_q, *sums)]
 
     sums = [0.0] * 6
     for block in _each_block(points.size, block_sums, (float, float)):

@@ -174,6 +174,28 @@ class TestValidation:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("boolemaps: error: ")
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("iterate-params", "--nu0", "-5e-05"), ("orbit", "--xi0", "-2e300"),
+         ("geometry", "--nu0", "-inf"), ("orbit", "--n", "-1e5")],
+    )
+    def test_negative_value_after_its_flag_reads_as_with_equals(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        # argparse reads a lone argument such as -5e-05 as a flag of its own
+        def run(args):
+            out = tmp_path / "report.json"
+            try:
+                code = main([command, *args, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            report = out.read_text().split('"meta"')[0] if code != 2 else None
+            return code, report, capsys.readouterr().err
+
+        separate, joined = run([flag, value]), run([f"{flag}={value}"])
+        assert separate == joined
+        assert separate[0] == (0 if value in ("-5e-05", "-2e300") else 2)
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -999,7 +1021,11 @@ def test_every_flag_value_gives_an_exit_status(command, data):
         if data.draw(st.booleans(), label=f"set --{flag}"):
             kind = cli._FLAGS[flag][0]
             strategy = _ANY_FLOAT if kind is float else _INTS.get((command, flag), _INTS.get(flag))
-            argv.append(f"--{flag.replace('_', '-')}={data.draw(strategy, label=flag)!r}")
+            option, value = f"--{flag.replace('_', '-')}", repr(data.draw(strategy, label=flag))
+            if data.draw(st.booleans(), label=f"--{flag} value as its own argument"):
+                argv += [option, value]
+            else:
+                argv.append(f"{option}={value}")
     err = io.StringIO()
     with warnings.catch_warnings(record=True), contextlib.redirect_stderr(err):
         warnings.resetwarnings()

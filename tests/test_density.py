@@ -96,9 +96,32 @@ def assert_same_quartiles(points: np.ndarray) -> None:
     assert got.tobytes() == expected.tobytes(), (points.size, got, expected)
 
 
+def assert_exact_loglik_score(points: np.ndarray, nu: float, gamma: float) -> float:
+    """Assert that each of the six values of ``_loglik_score`` lies within
+    1e-13 of its term's scale of the exact mean that ``math.fsum`` gives;
+    return the largest such error.  The terms are formed through
+    h = hypot(d, gamma), so that none overflows where q = h^2 would."""
+    loglik, means = density._loglik_score(points, nu, gamma)
+    d = points - nu
+    h = np.hypot(d, gamma)
+    inv = 1.0 / h / h
+    d_inv = d / h / h
+    terms = [2.0 * np.log(h), inv, d_inv, inv * inv, d_inv * inv,
+             (d - gamma) / h * ((d + gamma) / h) * inv]
+    exact = [math.fsum(term.tolist()) / points.size for term in terms]
+    exact[0] = math.log(gamma) - exact[0]
+    scales = [float(np.mean(np.abs(term))) for term in terms]
+    scales[0] += abs(math.log(gamma))
+    errors = [abs(got - want) / scale
+              for got, want, scale in zip([loglik, *means], exact, scales)]
+    assert max(errors) <= 1e-13, (points.size, nu, gamma, errors)
+    return max(errors)
+
+
 def check_monte_carlo_kernels(count: int, seed: int) -> int:
-    """``assert_same_push_forward`` and ``assert_same_quartiles`` of the pushed
-    sample on ``count`` random cases drawn from ``seed``: n log-uniform in
+    """``assert_same_push_forward``, and ``assert_same_quartiles`` and
+    ``assert_exact_loglik_score`` at the quartile fit of the pushed sample, on
+    ``count`` random cases drawn from ``seed``: n log-uniform in
     1e3..3e5, steps uniform in 1..10, alpha uniform in 0.05..0.95, and a
     Cauchy sample of random location and scale in which a few points are
     replaced by 0, +-1 (a pole hit at the second step) or NaN.  Returns how
@@ -114,6 +137,8 @@ def check_monte_carlo_kernels(count: int, seed: int) -> int:
         points[rng.integers(0, n, hits)] = rng.choice([0.0, 1.0, -1.0, np.nan], hits)
         pushed, hit = assert_same_push_forward(alpha, points, steps)
         assert_same_quartiles(pushed)
+        q1, q2, q3 = np.quantile(pushed, [0.25, 0.5, 0.75])
+        assert_exact_loglik_score(pushed, q2, (q3 - q1) / 2.0)
         dropped += hit
     return dropped
 
@@ -415,6 +440,29 @@ class TestFitting:
 
         with pytest.raises(FitConvergenceError):
             _cauchy_mle(sample, HPoint(50.0, 100.0), max_iter=1)
+
+    @pytest.mark.parametrize("n", [1000, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_likelihood_sums_equal_exact_sums(self, n):
+        # outliers out to where q = d^2 + gamma^2 nears the largest double
+        rng = np.random.default_rng(n)
+        points = rng.standard_cauchy(n)
+        points[rng.integers(0, n, 6)] = [1e8, -1e8, 1e100, -1e150, 1e150, 3e153]
+        for nu, gamma in [(0.0, 1.0), (0.3, 0.5), (-2.0, 7.0), (1e3, 1e-3)]:
+            assert_exact_loglik_score(points, nu, gamma)
+
+    @pytest.mark.parametrize("outliers", [[1e160, -1e160], [1e300]])
+    def test_mle_fits_past_outliers_whose_q_overflows(self, outliers):
+        # such a point adds 0 to every likelihood sum but the log's, as one
+        # whose q is finite adds next to nothing; d^2 overflows on the way
+        sample = sample_cauchy(HPoint(0.0, 1.0), 10_000, seed=7)
+        far, near = sample.copy(), sample.copy()
+        far[:len(outliers)] = outliers
+        near[:len(outliers)] = np.sign(outliers) * 1e150
+        with np.errstate(over="ignore", divide="ignore"):
+            fit = fit_cauchy(far, "mle")
+        reference = fit_cauchy(near, "mle")
+        assert fit.nu == pytest.approx(reference.nu, rel=1e-12)
+        assert fit.gamma == pytest.approx(reference.gamma, rel=1e-12)
 
     @pytest.mark.parametrize(
         "nu, gamma", [(1e5, 1e-3), (1e3, 1e-6), (1e8, 1e-2), (1e300, 1e290)]
