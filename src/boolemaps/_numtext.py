@@ -1,17 +1,17 @@
 """Decimal text of float64 and integer arrays, as matrices of 4-byte words.
 
-``float_text`` spells each float64 as ``float.__repr__`` does, with the
-digits of Schubfach (R. Giulietti, "The Schubfach way to render doubles",
-2020): three 64x128-bit products and a fixed set of comparisons per value,
-with no digit loop, so it runs on whole uint64 arrays.  ``int_text`` spells
-integers as ``str`` does.  Each returns ``(text, mask)``, two ``(rows, n)``
-uint32 matrices; viewed as bytes, a row's text is the bytes of ``text``
-where ``mask`` holds 1, in order.  The bytes masked out are holes in a
-layout fixed per column, so every step works on whole columns and there is
-no Python object per value.  Integer arithmetic stays in uint64, so that
-no step is promoted to float64 under NumPy's type promotion rules.
-``table_text`` lays out whole rows of such columns between constant
-separators.
+``float_text`` spells each finite float64 as ``float.__repr__`` does, with
+the digits of Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020): three 64x128-bit products and a fixed set of comparisons
+per value, with no digit loop, so it runs on whole uint64 arrays.
+``int_text`` spells nonnegative integers as ``str`` does.  Each returns
+``(text, mask)``, two ``(rows, n)`` uint32 matrices; viewed as bytes, a
+row's text is the bytes of ``text`` where ``mask`` holds 1, in order.  The
+bytes masked out are holes in a layout fixed per column, so every step
+works on whole columns and there is no Python object per value.  Integer
+arithmetic stays in uint64, so that no step is promoted to float64 under
+NumPy's type promotion rules.  ``table_text`` lays out whole rows of such
+columns between constant separators.
 """
 
 from __future__ import annotations
@@ -145,75 +145,62 @@ def _count_digits(u: np.ndarray) -> np.ndarray:
     return np.maximum(np.searchsorted(_POW10, u, side="right"), 1)
 
 
-@functools.cache
-def _int_masks(quads: int) -> np.ndarray:
-    # The mask words of an integer's text, a sign word and the last
-    # ``quads`` digit words, by negative * 21 + the number of digits.
-    mask = np.zeros((2, 21, 24), dtype=bool)
-    mask[1, :, 3] = True
-    mask[:, :, 4:] = np.arange(20) >= 20 - np.arange(21)[:, None]
-    return mask.view(np.uint32).reshape(42, 6)[:, [0, *range(6 - quads, 6)]].copy()
-
-
 def int_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``str`` of each integer of an int or uint ndarray, as (text, mask)."""
-    negative = values < 0
+    """``str`` of each nonnegative integer of an int or uint ndarray, as (text, mask)."""
     magnitude = values.astype(_U)
-    np.negative(magnitude, out=magnitude, where=negative)
     count = _count_digits(magnitude)
     quads = -(-int(count.max()) // 4)
-    mask = _int_masks(quads).take(negative * 21 + count, axis=0)
+    # the last ``quads`` digit words, of which the last ``count`` bytes show
+    mask = (np.arange(4 * quads) >= 4 * quads - count[:, None]).view(np.uint32)
     text = np.empty_like(mask)
-    text[:, 0] = _SIGN
     for j, group in enumerate(_quads(magnitude)[5 - quads:]):
-        text[:, 1 + j] = _digit_tables()[0].take(group)
+        text[:, j] = _digit_tables()[0].take(group)
     return text, mask
 
 
 @functools.cache
-def _tails(nonfinite: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # Rows 0 .. 632 "e-324" .. "e+308", then the spellings of nan, inf and
-    # -inf, then nothing, NUL-padded to three words, and their masks.
-    words = [f"e{e:+03d}".encode() for e in range(-324, 309)] + [*nonfinite, b""]
-    text = np.frombuffer(b"".join(w.ljust(12, b"\0") for w in words), dtype=np.uint8)
-    return text.view(np.uint32).reshape(-1, 3), (text != 0).view(np.uint32).reshape(-1, 3)
+def _tails() -> tuple[np.ndarray, np.ndarray]:
+    # Rows 0 .. 632 "e-324" .. "e+308", then nothing, NUL-padded to two
+    # words, and their masks.
+    words = [f"e{e:+03d}".encode() for e in range(-324, 309)] + [b""]
+    text = np.frombuffer(b"".join(w.ljust(8, b"\0") for w in words), dtype=np.uint8)
+    return text.view(np.uint32).reshape(-1, 2), (text != 0).view(np.uint32).reshape(-1, 2)
 
 
 @functools.cache
 def _float_masks(whole: int, frac: int) -> np.ndarray:
-    # The mask words of a finite float's first two parts by the key of
-    # float_text, keeping their first ``whole`` and ``frac`` words; no byte
-    # of them shows for a value that is not finite.  Each part is a word
+    # The mask words of a float's first two parts by the key of float_text,
+    # keeping their first ``whole`` and ``frac`` words.  Each part is a word
     # with the sign (or the point) in its last byte, then the five digit
     # words of f * 10**(17 - digits): digit i is byte 7 + i of the part,
     # after three zeros.
-    mask = np.zeros((2, 20, 18, 2, 48), dtype=bool)
+    mask = np.zeros((2, 20, 18, 48), dtype=bool)
     point, end, digit = np.arange(-3, 17)[:, None], np.arange(18), np.arange(17)
-    shown = mask[..., 1, :]
-    shown[1, ..., 3] = True  # the sign
-    shown[..., 6] = point <= 0  # the "0" of "0."
-    shown[..., 7:24] = digit < point[..., None]
-    shown[..., 27] = end > point  # the point
-    shown[..., 28:31] = np.arange(3) < -point[..., None]  # the zeros after "0."
-    shown[..., 31:48] = (digit >= point[..., None]) & (digit < end[..., None])
+    mask[1, ..., 3] = True  # the sign
+    mask[..., 6] = point <= 0  # the "0" of "0."
+    mask[..., 7:24] = digit < point[..., None]
+    mask[..., 27] = end > point  # the point
+    mask[..., 28:31] = np.arange(3) < -point[..., None]  # the zeros after "0."
+    mask[..., 31:48] = (digit >= point[..., None]) & (digit < end[..., None])
     words = [*range(whole), *range(6, 6 + frac)]
     return mask.view(np.uint32).reshape(-1, 12)[:, words].copy()
 
 
-def float_text(values: np.ndarray, nonfinite: tuple[bytes, bytes, bytes]):
-    """``float.__repr__`` of each float64, as (text, mask).
+def float_text(values: np.ndarray):
+    """``float.__repr__`` of each finite float64, as (text, mask).
 
-    ``nonfinite`` spells nan, inf and -inf.  A row has three parts: the sign
-    and the digits before the point, or the "0" of "0."; the point, the
-    zeros after "0." and the digits after it; the exponent, or the spelling
-    of a value that is not finite.  Each part is as many words as the row
-    that needs most of it.
+    A row has three parts: the sign and the digits before the point, or the
+    "0" of "0."; the point, the zeros after "0." and the digits after it;
+    the exponent.  Each part is as many words as the row that needs most of
+    it.  Raises ValueError on a value that is not finite.
     """
     bits = values.view(_U)
     magnitude = bits & _U(2**63 - 1)
     finite = magnitude < _U(0x7FF << 52)
-    regular = finite & (magnitude != 0)
-    # zeros and non-finite values go as 1 = 5e-324, and come out as f = 0
+    if not finite.all():
+        raise ValueError(f"{float(values[~finite][0])!r} is not a finite float")
+    regular = magnitude != 0
+    # zeros go as 1 = 5e-324, and come out as f = 0
     f, k = _shortest(np.where(regular, magnitude, _U(1)))
     f[~regular] = 0
     k[~regular] = 0
@@ -229,15 +216,11 @@ def float_text(values: np.ndarray, nonfinite: tuple[bytes, bytes, bytes]):
     fixed = (decpt > -4) & (decpt <= 16)
     point = np.where(fixed, decpt, 1)  # digits before the point
     end = np.where(fixed, np.maximum(significant, point + 1), significant)
-    key = (((bits >> _U(63)).astype(np.intp) * 20 + point + 3) * 18 + end) * 2 + finite
-    tail = np.where(fixed, 636, decpt + 323)  # the row of _tails
-    infinite = magnitude == _U(0x7FF << 52)
-    tail[~finite] = 633
-    tail[infinite] = 634 + (bits[infinite] >> _U(63))
+    key = ((bits >> _U(63)).astype(np.intp) * 20 + point + 3) * 18 + end
     # words of the first part: the "0" of "0." is byte 6, so at least two
     whole = -(-(7 + max(int(point.max()), 0)) // 4)
     frac = -(-(7 + int(end.max())) // 4)
-    tails = 0 if (tail == 636).all() else 3
+    tails = 0 if fixed.all() else 2
     text = np.empty((len(bits), whole + frac + tails), dtype=np.uint32)
     mask = np.empty_like(text)
     mask[:, : whole + frac] = _float_masks(whole, frac).take(key, axis=0)
@@ -250,7 +233,9 @@ def float_text(values: np.ndarray, nonfinite: tuple[bytes, bytes, bytes]):
         if j < frac - 1:
             text[:, whole + 1 + j] = quad
     if tails:
-        text[:, -3:], mask[:, -3:] = (table.take(tail, axis=0) for table in _tails(nonfinite))
+        # the row of _tails: an exponent, or nothing
+        tail = np.where(fixed, 633, decpt + 323)
+        text[:, -2:], mask[:, -2:] = (table.take(tail, axis=0) for table in _tails())
     return text, mask
 
 
@@ -261,21 +246,21 @@ def _constant(text: bytes) -> tuple[np.ndarray, np.ndarray]:
     return words[None], (np.arange(width) < len(text)).view(np.uint32)[None]
 
 
-def table_text(columns: list, lead: bytes, seps: list[bytes], nonfinite) -> bytes:
+def table_text(columns: list, lead: bytes, seps: list[bytes]) -> bytes:
     """Rows of equal-length columns: ``lead``, then each cell and its separator.
 
-    A column is a range, spelled by ``int_text``, or a float64 ndarray,
-    spelled by ``float_text`` with ``nonfinite``.  The rows are one matrix
-    of words, made of the cells' columns and constant separator columns,
-    with a mask of the bytes that are text; one boolean index of the
-    flattened pair lays it out.
+    A column is a range of nonnegative integers, spelled by ``int_text``, or
+    a float64 ndarray of finite values, spelled by ``float_text``.  The rows
+    are one matrix of words, made of the cells' columns and constant
+    separator columns, with a mask of the bytes that are text; one boolean
+    index of the flattened pair lays it out.
     """
     parts = [_constant(lead)]
     for column, sep in zip(columns, seps):
         if isinstance(column, range):
             cells = int_text(np.arange(column.start, column.stop, column.step))
         else:
-            cells = float_text(column, nonfinite)
+            cells = float_text(column)
         parts += [cells, _constant(sep)]
     rows = len(columns[0])
     text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])

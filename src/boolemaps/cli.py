@@ -33,23 +33,23 @@ rows streamed a chunk at a time, as bytes, to the file or to the binary
 buffer under stdout.  One encoder, ``_chunk``, spells a chunk of rows in
 either format, for the process and its workers alike.  A float is written
 as ``float.__repr__`` writes it, the shortest decimal that reads back to
-the same double, so identical runs diff cleanly; nan and the infinities
-are spelled as JSON or Python spell them.  A table of lists (the records
-of every command but a long ``orbit``) is spelled by one json encoder call
-per column for JSON, or a cell at a time for CSV, and its rows joined by
-``str.join``.  A table of ranges and float64 arrays (a long ``orbit``'s)
-is spelled by the numpy kernels of ``_numtext``, with no Python object per
-cell, a chunk of rows as one matrix of cell and separator bytes laid out
-by one boolean index; its chunks are encoded round-robin on every CPU the
-process may run on, by the process itself and forked workers, and written
-in order.  A worker sends only chunk bytes, and the process encodes every
-chunk it did not receive, so a worker that fails or dies costs time, not
-the report.  The bytes do not depend on the number of CPUs, nor on the
-route: a short orbit's list gives the bytes its array would.  The exit
-status is 0 exactly when every tolerance check the command configured has
-passed; a numerical failure in the library gives exit 1 and a report with
-empty records and ``oracles.error``, and a chunk that cannot be encoded, or
-a write that fails, gives exit 1 and one line on stderr.
+the same double, so identical runs diff cleanly.  A table of lists (the
+records of every command but a long ``orbit``) is spelled by one json
+encoder call per column for JSON, or a cell at a time for CSV, nan and the
+infinities as JSON or Python spell them, and its rows joined by
+``str.join``.  A table of ranges from 0 and finite float64 arrays (a long
+``orbit``'s) is spelled by the numpy kernels of ``_numtext``, with no
+Python object per cell, a chunk of rows as one matrix of cell and
+separator bytes laid out by one boolean index; its chunks are encoded
+round-robin on every CPU the process may run on, by the process itself and
+forked workers, and written in order.  A worker sends only chunk bytes, and
+the process encodes every chunk it did not receive, so a worker that fails
+or dies costs time, not the report.  The bytes do not depend on the number
+of CPUs, nor on the route: a short orbit's list gives the bytes its array
+would.  The exit status is 0 exactly when every tolerance check the command
+configured has passed; a numerical failure in the library gives exit 1 and
+a report with empty records and ``oracles.error``, and a chunk that cannot
+be encoded, or a write that fails, gives exit 1 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -312,30 +312,24 @@ def _short_orbit(alpha: float, xi0: float, n: int) -> tuple[list, bool, int]:
 
 
 def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
+    check: dict = {}
     if cfg.n < KS_MIN_SAMPLES:
         # no check of the invariant law: a list, on the standard library
         points, truncated, last_index = _short_orbit(cfg.alpha, cfg.xi0, cfg.n)
     else:
+        from .density import ks_distance
         from .orbit import iterate_orbit
 
         result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
         points, truncated, last_index = result.points, result.truncated, result.last_index
-    records = Table({"step": range(len(points)), "xi": points})
-    oracles: dict = {
-        "truncated": truncated,
-        "last_index": last_index,
-    }
-    passed = True
-    if cfg.n >= KS_MIN_SAMPLES:
-        from .density import ks_distance
-
         if not truncated:
             target = fixed_point(cfg.alpha)
-            oracles["ks_distance"] = ks_distance(points, target)
-            oracles["invariant_nu"] = target.nu
-            oracles["invariant_gamma"] = target.gamma
-        oracles["ks_pass"] = passed = oracles.get("ks_distance", math.inf) < KS_TOL
-    return {"records": records, "oracles": oracles}, passed
+            check = {"ks_distance": ks_distance(points, target), "invariant_nu": target.nu,
+                     "invariant_gamma": target.gamma}
+        check["ks_pass"] = check.get("ks_distance", math.inf) < KS_TOL
+    records = Table({"step": range(len(points)), "xi": points})
+    oracles = {"truncated": truncated, "last_index": last_index, **check}
+    return {"records": records, "oracles": oracles}, check.get("ks_pass", True)
 
 
 _COMMANDS = {
@@ -391,10 +385,6 @@ class ReportError(RuntimeError):
     """A chunk of records could not be encoded, so the report is incomplete."""
 
 
-#: How each format spells nan, inf and -inf.
-_NONFINITE = {"json": (b"NaN", b"Infinity", b"-Infinity"), "csv": (b"nan", b"inf", b"-inf")}
-
-
 def _by_kernels(table: Table) -> bool:
     # Every column a range or a float64 ndarray (whose dtype compares equal
     # to its name), as orbit's are.
@@ -438,7 +428,7 @@ def _chunk(table: Table, start: int, fmt: str) -> bytes:
     if _by_kernels(table):
         from ._numtext import table_text
 
-        text = table_text(parts, lead.encode(), [sep.encode() for sep in seps], _NONFINITE[fmt])
+        text = table_text(parts, lead.encode(), [sep.encode() for sep in seps])
     else:
         cells = [repeat(lead)]
         for part, sep in zip(parts, seps):

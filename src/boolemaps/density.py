@@ -300,17 +300,13 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     positive double, as where the quartiles round to the same double.
     """
     points = np.asarray(points, dtype=float)
-    _check_fit_size(points)
     return _fit_sorted(np.sort(points), method)  # a copy: the caller's order stays
-
-
-def _check_fit_size(points: np.ndarray) -> None:
-    if points.size < MIN_FIT_SIZE:
-        raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {points.size}")
 
 
 def _fit_sorted(ordered: np.ndarray, method: str) -> HPoint:
     # ``fit_cauchy`` of a sorted sample, which the likelihood fit overwrites.
+    if ordered.size < MIN_FIT_SIZE:
+        raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {ordered.size}")
     q1, q2, q3 = _quartiles(ordered)
     scale = float((q3 - q1) / 2.0)
     if not scale > 0.0:
@@ -353,16 +349,14 @@ def _concurrently(func, tasks, workers: int) -> list:
     ``workers`` threads, the results in task order.
 
     The workers claim tasks one at a time, in order.  Worker 0 is the
-    calling thread; each of the others runs in a copy of the caller's
-    ``contextvars`` context, so that an ``np.errstate`` around the call
-    holds in every task.  A failure stops further claims, and the exception
+    calling thread, so one worker starts no thread; each of the others runs
+    in a copy of the caller's ``contextvars`` context, so that an
+    ``np.errstate`` around the call holds in every task.  A failure stops further claims, and the exception
     of the first task, in task order, that failed is raised here, as a
     serial loop would raise it.  Every thread is joined before this returns
     or raises, so none is alive when the report writer forks.
     """
     workers = min(workers, len(tasks))
-    if workers < 2:
-        return [func(0, task) for task in tasks]
     results = [None] * len(tasks)
     failures = {}
     claims = iter(range(len(tasks)))
@@ -421,13 +415,15 @@ def _each_block(size: int, func, scratch=()) -> list:
     return _concurrently(lambda worker, lo: func(rows[worker], lo), starts, workers)
 
 
+@np.errstate(over="ignore", divide="ignore")  # held in the blocks' threads too
 def _loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[float, list[float]]:
     """Mean log-likelihood log(gamma) - mean log(q), and the means over the
     points of 1/q, d/q, 1/q^2, d/q^2 and (d^2 - gamma^2)/q^2, in one pass.
 
     Here d = points - nu, q = d^2 + gamma^2, r = 1/q and u = d*r, and the
     sums are -sum(log r), sum(r), sum(u), r.r, u.r and u.u - gamma^2 r.r: a
-    point whose q overflows adds 0 to all but the first.  Each block's sums
+    point whose q overflows adds 0 to all but the first, which a block with
+    such a point sums as 2*log(hypot(d, gamma)) instead.  Each block's sums
     are added in block order, as one loop over the blocks adds them.
     """
     g2 = gamma * gamma
@@ -445,6 +441,9 @@ def _loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[float, l
         rr = np.einsum("i,i", r, r)
         sums = [np.sum(r), np.sum(u), rr, np.einsum("i,i", u, r), np.einsum("i,i", u, u) - g2 * rr]
         log_q = -np.sum(np.log(r, out=r))  # last: it overwrites r
+        if math.isinf(log_q):
+            h = np.hypot(np.subtract(x, nu, out=r), gamma, out=r)
+            log_q = 2.0 * np.sum(np.log(h, out=h))
         return [float(total) for total in (log_q, *sums)]
 
     sums = [0.0] * 6
@@ -537,6 +536,16 @@ def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndar
     return points[:end], dropped
 
 
+def _pushed_sample(alpha: float, p: HPoint, n: int, steps: int, seed: int):
+    # ``sample_cauchy(p, n, seed)`` pushed forward, and its pole-guard drops
+    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed), steps)
+    if dropped > MAX_DROP_FRACTION * n:
+        raise PoleGuardError(
+            f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
+        )
+    return pushed, dropped
+
+
 def fit_stderr(gamma: float, n: int) -> float:
     """pi * gamma / (2 * sqrt(n)): asymptotic s.e. of both the median and half-IQR."""
     return math.pi * gamma / (2.0 * math.sqrt(n))
@@ -574,11 +583,7 @@ def pf_monte_carlo_check(
         raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
     if steps < 1:
         raise ValueError("need at least one step")
-    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed), steps)
-    if dropped > MAX_DROP_FRACTION * n:
-        raise PoleGuardError(
-            f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
-        )
+    pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
     pushed.sort()  # in place: the check holds one copy of its sample
     measured = _fit_sorted(pushed, fit_method)
@@ -601,25 +606,25 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
     two levels share their randomness and the ratio concentrates near sqrt(2)
     under the expected n^(-1/2) error scaling of the quantile fit.  A copy of
     the first n and the whole pushed sample are sorted concurrently, and
-    each is fitted as ``fit_cauchy`` fits it.  Raises ValueError on an empty
-    ``seeds``.
+    each is fitted as ``fit_cauchy`` fits it, its error in units of the
+    predicted scale, so that no square overflows.  Raises ValueError on an
+    empty ``seeds``, and PoleGuardError as ``pf_monte_carlo_check`` does.
     """
     alpha = check_alpha(alpha)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("the error ratio needs at least one seed")
     predicted = parameter_step(alpha, p)
-    err_half, err_full = 0.0, 0.0
+    nu, gamma = predicted.nu, predicted.gamma
+    errors = [0.0, 0.0]  # squared, at n and at 2n
     for seed in seeds:
-        pushed, _ = _push_forward(alpha, sample_cauchy(p, 2 * n, seed), 1)
+        pushed, _ = _pushed_sample(alpha, p, 2 * n, 1, seed)
         samples = [pushed[:n].copy(), pushed]
-        for sample in samples:
-            _check_fit_size(sample)
         _concurrently(lambda worker, sample: sample.sort(), samples, _cpu_count())
-        half, full = (_fit_sorted(sample, "median_iqr") for sample in samples)
-        err_half += (half.nu - predicted.nu) ** 2 + (half.gamma - predicted.gamma) ** 2
-        err_full += (full.nu - predicted.nu) ** 2 + (full.gamma - predicted.gamma) ** 2
-    return math.sqrt(err_half / err_full)
+        for k, sample in enumerate(samples):
+            fit = _fit_sorted(sample, "median_iqr")
+            errors[k] += ((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2
+    return math.sqrt(errors[0] / errors[1])
 
 
 def ks_distance(samples: np.ndarray, p: HPoint) -> float:

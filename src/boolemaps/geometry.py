@@ -168,7 +168,7 @@ _KILLING: dict[str, Callable] = {
 }
 
 #: Generator names in the conventional order K1, K2, K3.
-KILLING_FIELD_NAMES = ("special_conformal", "dilation", "translation")
+KILLING_FIELD_NAMES = tuple(_KILLING)
 
 
 def _lie_terms(field: str, x: HPoint, entries: Callable, sizes: tuple):

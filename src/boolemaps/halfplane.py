@@ -124,11 +124,6 @@ class Metric2:
     g_ng: float
     g_gg: float
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[self.g_nn, self.g_ng], [self.g_ng, self.g_gg]])
-
 
 def _checked(gamma: float, entries: tuple) -> tuple:
     # Coefficients at a real point, the first +-1/(2*gamma^2), which must be a

@@ -600,6 +600,16 @@ class TestStreamingWriter:
         assert out.getvalue().decode() == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_in_an_array_table_is_a_report_error(self, fmt, value):
+        # The kernels spell finite floats only, as every point of an orbit is.
+        table = cli.Table({"step": range(3), "xi": np.array([0.5, value, 2.0])})
+        report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
+        with pytest.raises(cli.ReportError, match=r"rows from 0 not encoded: ValueError: "
+                                                  r".* is not a finite float"):
+            cli.render_report(report, fmt, io.BytesIO())
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_cells_of_one_word_match_whole_report_renderers(self, fmt):
         # Every cell fits one 4-byte word, so each block's columns of cells
         # are as narrow as they can be.

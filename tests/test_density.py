@@ -453,12 +453,15 @@ class TestFitting:
     @pytest.mark.parametrize("outliers", [[1e160, -1e160], [1e300]])
     def test_mle_fits_past_outliers_whose_q_overflows(self, outliers):
         # such a point adds 0 to every likelihood sum but the log's, as one
-        # whose q is finite adds next to nothing; d^2 overflows on the way
+        # whose q is finite adds next to nothing; the log's stays finite, and
+        # d^2 overflows on the way with no warning
         sample = sample_cauchy(HPoint(0.0, 1.0), 10_000, seed=7)
         far, near = sample.copy(), sample.copy()
         far[:len(outliers)] = outliers
         near[:len(outliers)] = np.sign(outliers) * 1e150
-        with np.errstate(over="ignore", divide="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_exact_loglik_score(far, 0.0, 1.0)
             fit = fit_cauchy(far, "mle")
         reference = fit_cauchy(near, "mle")
         assert fit.nu == pytest.approx(reference.nu, rel=1e-12)
@@ -572,6 +575,22 @@ class TestMonteCarloPushForward:
             return mc_error_ratio(0.6, HPoint(0.2, 1.3), 5 * _BLOCK, seeds=[3, 4])
 
         assert ratio() == serially(monkeypatch, ratio)
+
+    def test_error_ratio_of_a_wide_law(self):
+        # the fit errors near 1e157 overflowed once squared; at either scale
+        # each pushed point is 0.5 * x, rounded alike
+        def ratio(gamma):
+            return mc_error_ratio(0.5, HPoint(1.0, gamma), 10**4, seeds=range(4))
+
+        assert ratio(1e160) == pytest.approx(ratio(1e150), rel=1e-9)
+
+    def test_error_ratio_keeps_the_pole_guard_rule(self):
+        # 54 of the 10**4 points of C(0, 1e-298) drawn from seed 1 hit the
+        # pole guard, and 104 of the 2 * 10**4 of the ratio's sample
+        with pytest.raises(PoleGuardError, match="54 of 10000 samples"):
+            pf_monte_carlo_check(0.5, HPoint(0.0, 1e-298), 10**4, 1, seed=1)
+        with pytest.raises(PoleGuardError, match="104 of 20000 samples"):
+            mc_error_ratio(0.5, HPoint(0.0, 1e-298), 10**4, seeds=[1])
 
     def test_error_ratio_needs_a_seed_and_enough_points(self):
         with pytest.raises(ValueError, match="seed"):

@@ -373,7 +373,7 @@ def _assert_metric_compatible(x, bound):
     # d_c g_ab = Gamma_ca^d g_db + Gamma_cb^d g_ad, with d_c g by complex
     # steps, both sides times gamma / g_nn so that they are dimensionless
     metric = fisher_metric(x)
-    g = metric.as_array() / metric.g_nn
+    g = np.array([[metric.g_nn, metric.g_ng], [metric.g_ng, metric.g_gg]]) / metric.g_nn
     scaled = x.gamma * christoffel(x)
     slopes = np.asarray(_complex_step(
         _metric_entries, (x.nu, x.gamma), (x.gamma, x.gamma), (metric.g_nn,) * 3

@@ -5,11 +5,11 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from boolemaps import _numtext
-from boolemaps.cli import _NONFINITE
 
 #: How each format spells a float: float.__repr__ for CSV, json.dumps for JSON.
 REFERENCE = {"csv": float.__repr__, "json": json.dumps}
@@ -24,11 +24,13 @@ def spelled(text, mask) -> list[str]:
 
 
 def check(values: np.ndarray) -> None:
-    """Assert that float_text spells each float64 as CSV and JSON reports do."""
-    for fmt, reference in REFERENCE.items():
-        for lo in range(0, len(values), 1 << 16):
-            block = values[lo:lo + (1 << 16)]
-            got = spelled(*_numtext.float_text(block, _NONFINITE[fmt]))
+    """Assert that float_text spells each finite float64 of ``values`` as CSV
+    and JSON reports do."""
+    values = values[np.isfinite(values)]
+    for lo in range(0, len(values), 1 << 16):
+        block = values[lo:lo + (1 << 16)]
+        got = spelled(*_numtext.float_text(block))
+        for fmt, reference in REFERENCE.items():
             expected = list(map(reference, block.tolist()))
             wrong = [(g, e) for g, e in zip(got, expected) if g != e]
             assert (len(got), wrong[:5]) == (len(expected), []), fmt
@@ -43,11 +45,10 @@ def check_random_patterns(count: int, seed: int) -> None:
 
 
 def edges() -> np.ndarray:
-    """Zeros, nans, infinities, the smallest subnormals, every power of two
-    and of ten with its neighbours, the points where repr changes notation
-    and the ends of the exact integers, with both signs."""
-    nans = np.array([0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0_0000_0000_0001], dtype=np.uint64)
-    values = [0.0, math.inf, *nans.view(np.float64), *(k * 5e-324 for k in range(1, 65))]
+    """Zeros, the smallest subnormals, every power of two and of ten with its
+    neighbours, the points where repr changes notation and the ends of the
+    exact integers, with both signs."""
+    values = [0.0, *(k * 5e-324 for k in range(1, 65))]
     for power in [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]:
         values += [math.nextafter(power, 0), power, math.nextafter(power, math.inf)]
     values += [1e-4, 1e-5, 1e16, 9999999999999998.0, 2.0**53 - 1, 2.0**53, 2.0**53 + 2]
@@ -62,7 +63,7 @@ def test_edges_match_repr_and_json():
 def test_each_layout_alone_matches_repr_and_json():
     # A block's parts are as wide as its widest value needs, so each point
     # position and notation is checked in a block of its own as well.
-    values = [0.0, math.nan, math.inf, 5e-324, sys.float_info.max, 2.0**53 + 2]
+    values = [0.0, 5e-324, sys.float_info.max, 2.0**53 + 2]
     values += [m * 10.0**e for e in range(-6, 20) for m in (1, 5, 1.25, 9.99)]
     for value in values + [-v for v in values]:
         check(np.array([value]))
@@ -88,7 +89,14 @@ def test_any_bit_pattern_matches_repr_and_json(patterns):
     check(np.array(patterns, dtype=np.uint64).view(np.float64))
 
 
-@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=300))
+@pytest.mark.parametrize("value", [math.nan, -math.nan, math.inf, -math.inf])
+def test_non_finite_value_raises(value):
+    # no report holds one: the points of an orbit are finite
+    with pytest.raises(ValueError, match="is not a finite float"):
+        _numtext.float_text(np.array([1.5, value]))
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=300))
 def test_int64_matches_str(values):
     assert spelled(*_numtext.int_text(np.array(values, dtype=np.int64))) == list(map(str, values))
 
@@ -96,5 +104,3 @@ def test_int64_matches_str(values):
 def test_integer_edges_match_str():
     ends = [0, 9, 10, 2**63 - 1, 2**64 - 1] + [10**j + d for j in range(1, 20) for d in (-1, 0)]
     assert spelled(*_numtext.int_text(np.array(ends, dtype=np.uint64))) == list(map(str, ends))
-    signed = [-(2**63), -1, -10, -9999, 0, 1]
-    assert spelled(*_numtext.int_text(np.array(signed))) == list(map(str, signed))

@@ -148,8 +148,14 @@ def loop_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
 def assert_same_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
     """Assert that ``iterate_orbit``, and below ``KS_MIN_SAMPLES`` the CLI's
     list route ``_short_orbit`` too, give the oracle's points, bit for bit,
-    and its ``truncated`` and ``last_index``; return the array result."""
+    and its ``truncated`` and ``last_index``; return the array result.
+
+    Every point kept is finite, as the report kernels need: it is the seed,
+    finite with |xi0| >= POLE_EPS, or the image alpha*(x - 1/x) of a point
+    with |x| >= POLE_EPS, which is finite as |x - 1/x| < max(|x|, 1e300).
+    """
     got, expected = iterate_orbit(alpha, xi0, n), loop_orbit(alpha, xi0, n)
+    assert np.isfinite(got.points).all(), (alpha, xi0, n)
     assert got.points.tobytes() == expected.points.tobytes(), (alpha, xi0, n)
     assert (got.truncated, got.last_index) == (expected.truncated, expected.last_index), (
         alpha, xi0, n
