@@ -2,26 +2,26 @@
 
 Layout:
 
-* ``orbit``     -- the pointwise map, preimages, orbits, and the Cauchy law
-                   ``HPoint``, a point of the upper half-plane, with its
-                   pdf, cdf and quantile
-* ``halfplane`` -- the induced exact map on Cauchy parameters (the pointwise
-                   map on nu - i*gamma), its fixed point and Jacobian,
-                   canonical coordinates, convergence diagnostics
-* ``geometry``  -- Fisher metric, conformal pullback, Lie derivatives along
-                   the Killing fields, symplectic structure, with
-                   brute-force oracles
+* ``orbit``     -- the pointwise map, preimages, orbits, and the pdf, cdf
+                   and quantile of a Cauchy law
+* ``halfplane`` -- the Cauchy law ``HPoint``, a point of the upper
+                   half-plane, and the induced exact map on it (the
+                   pointwise map on nu - i*gamma), its fixed point and
+                   Jacobian, canonical coordinates, convergence diagnostics
+* ``geometry``  -- the Fisher metric ``Metric2`` and its conformal factor
+                   under the map, Lie derivatives along the Killing fields,
+                   symplectic structure, with brute-force oracles
 * ``density``   -- transfer-sum and Monte Carlo verification of the reduction
 * ``cli``       -- the ``boolemaps`` command
 
 The names below load their module on first use (PEP 562), so that
-``import boolemaps`` loads no numpy, and the scalar core in ``halfplane``
-none at all.
+``import boolemaps`` loads no numpy, nor does the first use of a name of
+``halfplane`` or ``geometry``.
 """
 
 __version__ = "0.1.0"
 
-#: Each public name, by the submodule that defines or re-exports it.
+#: Each public name, by the submodule that defines it.
 _EXPORTS = {
     "density": (
         "DensityGrid", "ErgodicReport", "PfReport", "cauchy_grid", "ergodic_orbit_check",
@@ -33,17 +33,17 @@ _EXPORTS = {
         "PoleGuardError", "QuadratureError", "SingularInputError",
     ),
     "geometry": (
-        "KILLING_FIELD_NAMES", "TwoForm", "apply_complex_structure",
-        "canonical_form_coefficient", "christoffel", "fisher_metric_quadrature",
-        "lie_derivative_metric", "lie_derivative_two_form", "metric_inner",
-        "symplectic_defect", "symplectic_form", "two_form_value", "verify_conformal_pullback",
+        "KILLING_FIELD_NAMES", "Metric2", "TwoForm", "apply_complex_structure",
+        "canonical_form_coefficient", "christoffel", "conformal_factor", "fisher_metric",
+        "fisher_metric_quadrature", "lie_derivative_metric", "lie_derivative_two_form",
+        "metric_inner", "symplectic_defect", "symplectic_form", "two_form_value",
+        "verify_conformal_pullback",
     ),
     "halfplane": (
         "POLE_EPS", "CanonicalPoint", "ConvergenceReport", "FixedPointRun", "HPoint",
-        "Metric2", "canonical_step", "check_alpha", "conformal_factor",
-        "convergence_bound_check", "converge_to_fixed_point", "fisher_metric", "fixed_point",
-        "from_canonical", "iterate_parameter_map", "jacobian_analytic", "parameter_step",
-        "picture_agreement", "to_canonical",
+        "canonical_step", "check_alpha", "convergence_bound_check", "converge_to_fixed_point",
+        "fixed_point", "from_canonical", "iterate_parameter_map", "jacobian_analytic",
+        "parameter_step", "picture_agreement", "to_canonical",
     ),
     "orbit": (
         "OrbitResult", "boole_transform", "cauchy_cdf", "cauchy_pdf", "cauchy_quantile",

@@ -15,7 +15,7 @@ any form a float takes, such as ``--nu0 -5e-05``.
 
 Only ``verify-pf``, and ``orbit`` of at least ``KS_MIN_SAMPLES`` steps,
 whose orbit is checked against the invariant law, load numpy, through the
-modules of ``_ARRAY_MODULES``, after their flags are validated.
+modules ``_array_modules`` names, after their flags are validated.
 ``iterate-params``, ``geometry``, shorter orbits and bad input run on the
 standard library alone.
 
@@ -72,6 +72,17 @@ from typing import NoReturn
 
 from . import __version__
 from .errors import PoleGuardError, QuadratureError, SingularInputError
+from .geometry import (
+    KILLING_FIELD_NAMES,
+    canonical_form_coefficient,
+    conformal_factor,
+    fisher_metric,
+    fisher_metric_quadrature,
+    lie_derivative_metric,
+    lie_derivative_two_form,
+    symplectic_defect,
+    verify_conformal_pullback,
+)
 from .halfplane import (
     DEFAULT_GRID_SIZE,
     KS_MIN_SAMPLES,
@@ -83,8 +94,6 @@ from .halfplane import (
     _half_reciprocal,
     _iterates,
     check_alpha,
-    conformal_factor,
-    fisher_metric,
     fixed_point,
     iterate_parameter_map,
     to_canonical,
@@ -243,16 +252,6 @@ _LATTICE_GAMMA = (0.5, 1.0, 2.0, 3.0, 4.0)
 
 
 def _geometry_row(alpha: float, point: HPoint) -> dict:
-    from .geometry import (
-        KILLING_FIELD_NAMES,
-        canonical_form_coefficient,
-        fisher_metric_quadrature,
-        lie_derivative_metric,
-        lie_derivative_two_form,
-        symplectic_defect,
-        verify_conformal_pullback,
-    )
-
     metric = fisher_metric(point)
     quad = fisher_metric_quadrature(point)
     gaps = (quad.g_nn - metric.g_nn, quad.g_ng, quad.g_gg - metric.g_gg)
@@ -298,6 +297,19 @@ def cmd_geometry(cfg: argparse.Namespace) -> tuple[dict, bool]:
     return {"records": Table(columns), "oracles": oracles}, all(checks.values())
 
 
+def _array_modules(cfg: argparse.Namespace) -> tuple[str, ...]:
+    """The modules that bring numpy, all that a run on arrays imports
+    (numpy's lazy ``random`` among them), for ``main`` to load after
+    validation, or none for a run on the standard library alone; an
+    orbit's route in ``cmd_orbit`` is picked by the same answer.
+    """
+    if cfg.command == "verify-pf":
+        return (".density", "numpy.random")
+    if cfg.command == "orbit" and cfg.n >= KS_MIN_SAMPLES:
+        return (".orbit", ".density", "._numtext")
+    return ()
+
+
 def _short_orbit(alpha: float, xi0: float, n: int) -> tuple[list, bool, int]:
     """``iterate_orbit``'s points, ``truncated`` and ``last_index``, with the points a list.
 
@@ -313,8 +325,8 @@ def _short_orbit(alpha: float, xi0: float, n: int) -> tuple[list, bool, int]:
 
 def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
     check: dict = {}
-    if cfg.n < KS_MIN_SAMPLES:
-        # no check of the invariant law: a list, on the standard library
+    if not _array_modules(cfg):
+        # too short for the check of the invariant law: a list, on the standard library
         points, truncated, last_index = _short_orbit(cfg.alpha, cfg.xi0, cfg.n)
     else:
         from .density import ks_distance
@@ -338,21 +350,6 @@ _COMMANDS = {
     "geometry": cmd_geometry,
     "orbit": cmd_orbit,
 }
-
-#: The modules that bring numpy, loaded after validation, of each command
-#: that computes on arrays: all it imports, numpy's lazy ``random`` among
-#: them.  The others, an orbit too short for the check of the invariant
-#: law, and bad input, run on the standard library alone.
-_ARRAY_MODULES = {
-    "verify-pf": (".density", "numpy.random"),
-    "orbit": (".orbit", ".density", "._numtext"),
-}
-
-
-def _array_modules(cfg: argparse.Namespace) -> tuple[str, ...]:
-    if cfg.command == "orbit" and cfg.n < KS_MIN_SAMPLES:
-        return ()
-    return _ARRAY_MODULES.get(cfg.command, ())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -85,6 +85,8 @@ class DensityGrid:
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.nodes.shape != self.values.shape:
             raise ValueError("nodes and values must be matching 1-D arrays")
+        if self.nodes.size < 2:
+            raise ValueError("need at least two nodes")
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         if self.tail_mass < 0.0:
@@ -632,10 +634,12 @@ def ks_distance(samples: np.ndarray, p: HPoint) -> float:
 
     The sorted copy of the samples becomes their CDF in place, and one ramp
     k/n, k = 0..n, serves both one-sided maxima, so three arrays of the
-    sample's size are alive at most.
+    sample's size are alive at most.  Raises ValueError on an empty sample.
     """
     cdf = np.sort(np.asarray(samples, dtype=float))
     n = cdf.size
+    if not n:
+        raise ValueError("the KS distance needs a sample of at least one point")
     # cauchy_cdf's 1/2 + arctan((xi - nu)/gamma)/pi, step by step
     cdf -= p.nu
     cdf /= p.gamma

@@ -19,29 +19,25 @@ Each oracle returns a dimensionless gap that holds at any finite nu
 wherever the metric is a normal double (gamma ~5.3e-155 to ~4.7e153).
 It needs only the standard library: the quadrature is a loop over 16 or 32
 nodes, and the Jacobians are 2x2, their products written out.  Only
-``christoffel`` returns an array, and loads numpy when called.  The
-closed-form metric ``fisher_metric`` and the ``conformal_factor`` belong to
-the scalar core in ``halfplane`` and are re-exported here.
+``christoffel`` returns an array, and loads numpy when called, so the CLI
+imports this module, the metric with it, for every command without numpy.
+Of ``halfplane`` it reads only the map, and its real form ``_scaled_step``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import QuadratureError
+from .errors import QuadratureError, SingularInputError
 from .halfplane import (
     CanonicalPoint,
     HPoint,
-    Metric2,
-    _checked,
-    _metric_entries,
     _scaled_step,
     canonical_step,
     check_alpha,
-    conformal_factor,
-    fisher_metric,
     from_canonical,
     parameter_step,
 )
@@ -50,6 +46,54 @@ if TYPE_CHECKING:
     import numpy as np
 
 Vec = tuple[float, float]
+
+
+@dataclass(frozen=True)
+class Metric2:
+    """Symmetric 2x2 metric components (nu-nu, nu-gamma, gamma-gamma)."""
+
+    g_nn: float
+    g_ng: float
+    g_gg: float
+
+
+def _checked(gamma: float, entries: tuple) -> tuple:
+    # Coefficients at a real point, the first +-1/(2*gamma^2), which must be a
+    # normal double: it overflows below gamma ~5.3e-155 and is subnormal, with
+    # fewer digits than the oracles need, above ~4.7e153.
+    if not sys.float_info.min <= abs(entries[0]) <= sys.float_info.max:
+        raise SingularInputError(f"1/(2*gamma^2) is not a normal double at gamma = {gamma!r}")
+    return entries
+
+
+def fisher_metric(x: HPoint) -> Metric2:
+    """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2)).
+
+    Raises SingularInputError where the entries are not normal doubles
+    (gamma outside about 5.3e-155..4.7e153).
+    """
+    return Metric2(*_checked(x.gamma, _metric_entries(x.nu, x.gamma)))
+
+
+def _metric_entries(nu, gamma) -> tuple:
+    # at a real or complex point; the first quotient of (0.5/gamma)/gamma is a
+    # normal double wherever the result is
+    half = 0.5 / gamma / gamma
+    return half, 0.0, half
+
+
+def conformal_factor(x: HPoint) -> float:
+    """Pullback factor of the metric under the half-plane map.
+
+    Equals 1 - 4*gamma^2/(1 + A)^2 with A = nu^2 + gamma^2; it lies in
+    [0, 1), vanishes only at (0, 1), and does not depend on alpha.  (The
+    numerator factors as (nu^2 + (gamma-1)^2) * (nu^2 + (gamma+1)^2).)
+    Evaluated as 1 - t^2 with t = 2*(gamma/r)/(r + 1/r), r = hypot(nu, gamma),
+    so that A never forms and the result stays in [0, 1] at any magnitude.
+    """
+    r = math.hypot(x.nu, x.gamma)
+    t = 2.0 * (x.gamma / r) / (r + 1.0 / r)
+    return 1.0 - t * t
 
 
 @dataclass(frozen=True)

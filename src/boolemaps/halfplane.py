@@ -27,13 +27,12 @@ scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
 on nu, which is ``orbit.boole_transform``.
 
 This is the scalar core, and it imports no numpy: the map, ``HPoint``, the
-Fisher metric and the conformal factor (which ``geometry`` re-exports), the
 orbit generator ``_iterates`` (which ``orbit`` turns into an array), the
 limits the CLI checks its flags against, so that ``iterate-params``, a
 short ``orbit`` and bad input never load numpy, and ``_cpu_count``, the
 CPUs over which the report writer and the Monte Carlo oracle spread their
-work.  ``jacobian_analytic`` and ``convergence_bound_check`` return arrays
-and load numpy when called.
+work.  The Fisher metric on H is ``geometry``'s.  ``jacobian_analytic`` and
+``convergence_bound_check`` return arrays and load numpy when called.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -114,54 +112,6 @@ class HPoint:
             raise ValueError("half-plane coordinates must be finite")
         if self.gamma <= 0.0:
             raise ValueError(f"half-plane points need gamma > 0, got {self.gamma!r}")
-
-
-@dataclass(frozen=True)
-class Metric2:
-    """Symmetric 2x2 metric components (nu-nu, nu-gamma, gamma-gamma)."""
-
-    g_nn: float
-    g_ng: float
-    g_gg: float
-
-
-def _checked(gamma: float, entries: tuple) -> tuple:
-    # Coefficients at a real point, the first +-1/(2*gamma^2), which must be a
-    # normal double: it overflows below gamma ~5.3e-155 and is subnormal, with
-    # fewer digits than the oracles need, above ~4.7e153.
-    if not sys.float_info.min <= abs(entries[0]) <= sys.float_info.max:
-        raise SingularInputError(f"1/(2*gamma^2) is not a normal double at gamma = {gamma!r}")
-    return entries
-
-
-def fisher_metric(x: HPoint) -> Metric2:
-    """Fisher metric of the Cauchy family: diag(1/(2*gamma^2), 1/(2*gamma^2)).
-
-    Raises SingularInputError where the entries are not normal doubles
-    (gamma outside about 5.3e-155..4.7e153).
-    """
-    return Metric2(*_checked(x.gamma, _metric_entries(x.nu, x.gamma)))
-
-
-def _metric_entries(nu, gamma) -> tuple:
-    # at a real or complex point; the first quotient of (0.5/gamma)/gamma is a
-    # normal double wherever the result is
-    half = 0.5 / gamma / gamma
-    return half, 0.0, half
-
-
-def conformal_factor(x: HPoint) -> float:
-    """Pullback factor of the metric under the half-plane map.
-
-    Equals 1 - 4*gamma^2/(1 + A)^2 with A = nu^2 + gamma^2; it lies in
-    [0, 1), vanishes only at (0, 1), and does not depend on alpha.  (The
-    numerator factors as (nu^2 + (gamma-1)^2) * (nu^2 + (gamma+1)^2).)
-    Evaluated as 1 - t^2 with t = 2*(gamma/r)/(r + 1/r), r = hypot(nu, gamma),
-    so that A never forms and the result stays in [0, 1] at any magnitude.
-    """
-    r = math.hypot(x.nu, x.gamma)
-    t = 2.0 * (x.gamma / r) / (r + 1.0 / r)
-    return 1.0 - t * t
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Pointwise dynamics of the generalized Boole transform family.
 
-The family is the one-parameter group of maps
+The family holds one map for each parameter,
 
     xi -> alpha * (xi - 1/xi),        0 < alpha < 1,
 
-acting on the real line minus the pole at 0.  Each member is chaotic with an
+acting on the real line minus the pole at 0; it is no group, since the
+composition of two members has degree 4.  Each member is chaotic with an
 invariant Cauchy law of location 0 and scale sqrt(alpha/(1-alpha)).  This
 module provides the guarded map, its two-branch preimages, guarded orbit
 iteration, and the Cauchy pdf/cdf/quantile trio that the density-level

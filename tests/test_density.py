@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -86,22 +87,23 @@ def assert_same_push_forward(alpha: float, points: np.ndarray, steps: int) -> tu
     return pushed, dropped
 
 
-def assert_same_quartiles(points: np.ndarray) -> None:
+def assert_same_quartiles(points: np.ndarray) -> np.ndarray:
     """Assert that ``_quartiles`` of the sorted points is ``np.quantile`` of the
-    points, bit for bit.  A zero quartile is compared by value: which of a
-    tied -0.0 and 0.0 np.quantile's partition leaves at an index is
-    arbitrary, and it differs between a sample and its sorted copy."""
+    points, bit for bit, and return the quartiles.  A zero quartile is
+    compared, and returned, as 0.0: which of a tied -0.0 and 0.0
+    np.quantile's partition leaves at an index is arbitrary, and it differs
+    between a sample and its sorted copy."""
     expected = np.quantile(points, [0.25, 0.5, 0.75]) + 0.0  # -0.0 + 0.0 is 0.0
     got = _quartiles(np.sort(points)) + 0.0
     assert got.tobytes() == expected.tobytes(), (points.size, got, expected)
+    return expected
 
 
-def assert_exact_loglik_score(points: np.ndarray, nu: float, gamma: float) -> float:
-    """Assert that each of the six values of ``_loglik_score`` lies within
-    1e-13 of its term's scale of the exact mean that ``math.fsum`` gives;
-    return the largest such error.  The terms are formed through
-    h = hypot(d, gamma), so that none overflows where q = h^2 would."""
-    loglik, means = density._loglik_score(points, nu, gamma)
+def exact_loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[list, list]:
+    """The exact means that ``math.fsum`` gives of the six values of
+    ``_loglik_score``, and the scale of each one's terms.  The terms are
+    formed through h = hypot(d, gamma), so that none overflows where q = h^2
+    would."""
     d = points - nu
     h = np.hypot(d, gamma)
     inv = 1.0 / h / h
@@ -112,21 +114,37 @@ def assert_exact_loglik_score(points: np.ndarray, nu: float, gamma: float) -> fl
     exact[0] = math.log(gamma) - exact[0]
     scales = [float(np.mean(np.abs(term))) for term in terms]
     scales[0] += abs(math.log(gamma))
+    return exact, scales
+
+
+def assert_exact_loglik_score(points: np.ndarray, nu: float, gamma: float,
+                              reference: tuple | None = None) -> float:
+    """Assert that each of the six values of ``_loglik_score`` lies within
+    1e-13 of its term's scale of the exact mean in ``reference``, by default
+    ``exact_loglik_score`` of the same arguments; return the largest such
+    error."""
+    loglik, means = density._loglik_score(points, nu, gamma)
+    exact, scales = reference or exact_loglik_score(points, nu, gamma)
     errors = [abs(got - want) / scale
               for got, want, scale in zip([loglik, *means], exact, scales)]
     assert max(errors) <= 1e-13, (points.size, nu, gamma, errors)
     return max(errors)
 
 
-def check_monte_carlo_kernels(count: int, seed: int) -> int:
-    """``assert_same_push_forward``, and ``assert_same_quartiles`` and
-    ``assert_exact_loglik_score`` at the quartile fit of the pushed sample, on
-    ``count`` random cases drawn from ``seed``: n log-uniform in
-    1e3..3e5, steps uniform in 1..10, alpha uniform in 0.05..0.95, and a
-    Cauchy sample of random location and scale in which a few points are
-    replaced by 0, +-1 (a pole hit at the second step) or NaN.  Returns how
-    many points the pole guard dropped in all."""
+def check_monte_carlo_kernels(count: int, seed: int) -> tuple[int, list[int]]:
+    """``_push_forward`` against ``loop_push_forward``, ``_quartiles`` against
+    ``np.quantile``, and ``_loglik_score`` at the quartile fit of the pushed
+    sample against ``exact_loglik_score``, on ``count`` random cases drawn
+    from ``seed``: n log-uniform in 1e3..3e5, steps uniform in 1..10, alpha
+    uniform in 0.05..0.95, and a Cauchy sample of random location and scale
+    in which a few points are replaced by 0, +-1 (a pole hit at the second
+    step) or NaN.  Each case's references are computed once, and the
+    kernels that spread blocks over CPUs are checked against them serially,
+    every block on the calling thread, and on every CPU in the affinity.
+    Returns how many points the pole guard dropped in all, and the CPU
+    counts checked."""
     rng = np.random.default_rng(seed)
+    settings = sorted({1, density._cpu_count()})
     dropped = 0
     for _ in range(count):
         n = int(math.exp(rng.uniform(math.log(1e3), math.log(3e5))))
@@ -135,12 +153,18 @@ def check_monte_carlo_kernels(count: int, seed: int) -> int:
         points = rng.normal() + math.exp(rng.uniform(-5.0, 5.0)) * rng.standard_cauchy(n)
         hits = rng.integers(0, 3, endpoint=True)
         points[rng.integers(0, n, hits)] = rng.choice([0.0, 1.0, -1.0, np.nan], hits)
-        pushed, hit = assert_same_push_forward(alpha, points, steps)
-        assert_same_quartiles(pushed)
-        q1, q2, q3 = np.quantile(pushed, [0.25, 0.5, 0.75])
-        assert_exact_loglik_score(pushed, q2, (q3 - q1) / 2.0)
+        expected, hit = loop_push_forward(alpha, points, steps)
+        q1, q2, q3 = assert_same_quartiles(expected)
+        fit = (q2, (q3 - q1) / 2.0)
+        reference = exact_loglik_score(expected, *fit)
+        for cpus in settings:
+            with mock.patch.object(density, "_cpu_count", return_value=cpus):
+                pushed, pushed_hit = _push_forward(alpha, points.copy(), steps)
+                assert pushed.tobytes() == expected.tobytes(), (alpha, n, steps, cpus)
+                assert pushed_hit == hit, (alpha, n, steps, cpus)
+                assert_exact_loglik_score(pushed, *fit, reference)
         dropped += hit
-    return dropped
+    return dropped, settings
 
 
 @pytest.fixture(params=[1, 2, 3, 8], ids=lambda n: f"{n}cpus")
@@ -188,6 +212,12 @@ class TestDensityGrid:
             DensityGrid(nodes, np.ones(3), 0.0, ref=HPoint(0, 1))
         with pytest.raises(ValueError):
             DensityGrid(np.array([0.0, 1.0]), np.ones(2), -0.1, ref=HPoint(0, 1))
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_fewer_than_two_nodes(self, size):
+        # no interval to integrate over, as cauchy_grid says of n_nodes
+        with pytest.raises(ValueError, match="at least two nodes"):
+            DensityGrid(np.arange(float(size)), np.ones(size), 0.0, ref=HPoint(0, 1))
 
 
 class TestTransferStep:
@@ -549,7 +579,7 @@ class TestMonteCarloPushForward:
 
     def test_random_cases_equal_the_loop(self):
         # some cases hold pole hits, so the drop and its count are checked too
-        assert check_monte_carlo_kernels(40, seed=12) > 0
+        assert check_monte_carlo_kernels(40, seed=12)[0] > 0
 
     def test_pole_hits_on_every_cpu_equal_the_serial_push(self, cpus, monkeypatch):
         # hits in the first, a middle and the last of ten blocks, at each step
@@ -696,6 +726,14 @@ class TestErgodicity:
         cdf = cauchy_cdf(p, ordered)
         expected = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n))
         assert ks_distance(samples, p) == float(expected)
+
+    @pytest.mark.parametrize("empty", [[], np.array([])])
+    def test_ks_of_an_empty_sample(self, empty):
+        # rejected before any arithmetic: no warning, no numpy reduction error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one point"):
+                ks_distance(empty, HPoint(0.0, 1.0))
 
     def test_long_orbit_matches_invariant_law(self):
         report = ergodic_orbit_check(0.5, math.sqrt(2.0), 2 * 10**5)

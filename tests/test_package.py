@@ -54,7 +54,6 @@ BENCHMARK_READS = [
 #: Names of the scalar core that their earlier modules still bind.
 MOVED = {
     "orbit": ("HPoint", "POLE_EPS", "check_alpha", "_boole"),
-    "geometry": ("Metric2", "conformal_factor", "fisher_metric", "_metric_entries"),
     "density": ("DEFAULT_GRID_SIZE", "MIN_MONTE_CARLO_SIZE", "MAX_SAMPLE_OFFSET"),
 }
 
@@ -121,6 +120,7 @@ def test_first_use_loads_only_the_module_that_defines_the_name():
         "loaded = lambda: 'numpy' in sys.modules",
         "before = loaded()",
         "boolemaps.HPoint(0.0, 1.0); boolemaps.parameter_step; boolemaps.conformal_factor",
+        "boolemaps.fisher_metric; boolemaps.Metric2",
         "scalar = loaded()",
         "boolemaps.iterate_orbit",
         "print(before, scalar, loaded())",
