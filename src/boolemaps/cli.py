@@ -106,7 +106,8 @@ PULLBACK_TOL = 1e-10
 LIE_TOL = 1e-9
 CANONICAL_TOL = 1e-14
 KS_TOL = 1e-2
-#: Points closer than this to (0, 1) have a vanishing conformal factor.
+#: Points closer than this to (0, 1), where the conformal factor vanishes, are
+#: flagged ``degenerate``; the flag marks them, and no check skips them.
 DEGENERACY_RADIUS = 0.1
 
 
@@ -279,11 +280,7 @@ def cmd_geometry(cfg: argparse.Namespace) -> tuple[dict, bool]:
             records.append(_geometry_row(cfg.alpha, HPoint(nu, gamma)))
     checks = {
         "quadrature_pass": all(r["quadrature_error"] < QUADRATURE_TOL for r in records),
-        "pullback_pass": all(
-            r["pullback_deviation"] < PULLBACK_TOL
-            for r in records
-            if not r["degenerate"]
-        ),
+        "pullback_pass": all(r["pullback_deviation"] < PULLBACK_TOL for r in records),
         "lie_pass": all(
             max(r["lie_metric_max"], r["lie_two_form_max"]) < LIE_TOL for r in records
         ),
@@ -607,7 +604,7 @@ def main(argv=None) -> int:
     try:
         validate(cfg)
         # an output that cannot be opened is bad input too, found before the run
-        handle = open(cfg.output_path, "wb") if cfg.output_path else sys.stdout.buffer
+        handle = open(cfg.output_path, "wb") if cfg.output_path is not None else sys.stdout.buffer
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
@@ -653,12 +650,12 @@ def main(argv=None) -> int:
         },
     }
     try:
-        with handle if cfg.output_path else contextlib.nullcontext():
+        with handle if cfg.output_path is not None else contextlib.nullcontext():
             sys.stdout.flush()  # any text printed so far goes out before the report
             render_report(report, cfg.format, handle)
             handle.flush()  # a write that fails, fails here and not at exit
     except (ReportError, OSError) as exc:
-        if isinstance(exc, OSError) and not cfg.output_path:
+        if isinstance(exc, OSError) and cfg.output_path is None:
             # The interpreter flushes stdout at exit: let that write nowhere,
             # so that no "Exception ignored" follows the one line below.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -15,13 +15,14 @@ Every closed-form object here has a brute-force counterpart in this module
 (the metric's defining integral by a midpoint rule that is exact for it,
 complex-step derivatives for pullbacks, Lie derivatives and Jacobian
 determinants) so the claims can be checked without trusting the algebra.
-Each oracle returns a dimensionless gap that holds at any finite nu
-wherever the metric is a normal double (gamma ~5.3e-155 to ~4.7e153).
+Each oracle returns a dimensionless gap that holds at any alpha and finite
+nu wherever the metric is a normal double (gamma ~5.3e-155 to ~4.7e153).
 It needs only the standard library: the quadrature is a loop over 16 or 32
 nodes, and the Jacobians are 2x2, their products written out.  Only
 ``christoffel`` returns an array, and loads numpy when called, so the CLI
 imports this module, the metric with it, for every command without numpy.
-Of ``halfplane`` it reads only the map, and its real form ``_scaled_step``.
+Of ``halfplane`` it reads the points, ``check_alpha`` and the map's real
+form ``_scaled_step``, which the map oracles step at alpha = 1 only.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import QuadratureError, SingularInputError
-from .halfplane import (
-    CanonicalPoint,
-    HPoint,
-    _scaled_step,
-    canonical_step,
-    check_alpha,
-    from_canonical,
-    parameter_step,
-)
+from .halfplane import CanonicalPoint, HPoint, _scaled_step, check_alpha, from_canonical
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,21 +169,29 @@ def _complex_step(f: Callable, point: Vec, scales: Vec, sizes: tuple) -> list[li
     return jac
 
 
+def _unit_step(x: HPoint) -> tuple[Callable, Vec]:
+    # The real form at alpha = 1, scaled by s = max(|nu|, gamma), and its finite
+    # image of x: alpha multiplies the step, so it cancels from rows divided by it.
+    s = max(abs(x.nu), x.gamma)
+    image = _scaled_step(1.0, x.nu, x.gamma, s)
+    if not all(map(math.isfinite, image)):
+        raise SingularInputError(f"the image of {x} is not a finite point of H")
+    return (lambda nu, gamma: _scaled_step(1.0, nu, gamma, s)), image
+
+
 def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
     """Max entrywise gap between the pulled-back metric and factor*g, relative to g.
 
     M = J*gamma/gamma', the complex-step Jacobian of ``halfplane._scaled_step``
     in the metric's units at x and at its image, pulls the metric back to
-    M^T M times the metric at x.  Returns max |M^T M - conformal_factor(x)*I|,
-    below about 2e-12 at every scale.
+    M^T M times the metric at x.  Alpha scales J and gamma' alike, so M is
+    that of the map at alpha = 1, stepped here.  Returns
+    max |M^T M - conformal_factor(x)*I|, below about 2e-12 at every alpha,
+    (0, 1) included, wherever the metric is a normal double.
     """
-    alpha = check_alpha(alpha)
-    image = parameter_step(alpha, x)
-    s = max(abs(x.nu), x.gamma)
-    (m00, m01), (m10, m11) = _complex_step(
-        lambda nu, gamma: _scaled_step(alpha, nu, gamma, s),
-        (x.nu, x.gamma), (x.gamma, x.gamma), (image.gamma, image.gamma),
-    )
+    check_alpha(alpha)
+    step, (_, gamma) = _unit_step(x)
+    (m00, m01), (m10, m11) = _complex_step(step, (x.nu, x.gamma), (x.gamma,) * 2, (gamma,) * 2)
     factor = conformal_factor(x)
     # the entries of the symmetric M^T M - factor*I
     return _max_abs((
@@ -300,21 +301,20 @@ def symplectic_defect(alpha: float, c: CanonicalPoint) -> float:
 
     Steps relative to gamma = 1/(2p) in q and to p in p, rows divided by
     gamma' and p': a rescaling of determinant 1 that leaves entries of at
-    most 1.  The map is not symplectic: the determinant is the conformal
-    factor at the half-plane point, < 1 everywhere on H.
+    most 1.  Alpha scales q' by alpha and p' by 1/alpha, so the rows are
+    those of the map at alpha = 1, stepped here.  The map is not
+    symplectic: the determinant is the conformal factor at the half-plane
+    point, < 1 everywhere on H.
     """
-    alpha = check_alpha(alpha)
-    image = canonical_step(alpha, c)
+    check_alpha(alpha)
     x = from_canonical(c)
-    s = max(abs(x.nu), x.gamma)
+    step, (_, gamma) = _unit_step(x)
 
     def f(q, p):
-        nu, gamma = _scaled_step(alpha, q, 0.5 / p, s)
-        return nu, 0.5 / gamma
+        nu, g = step(q, 0.5 / p)
+        return nu, 0.5 / g
 
-    (m00, m01), (m10, m11) = _complex_step(
-        f, (c.q, c.p), (x.gamma, c.p), (0.5 / image.p, image.p)
-    )
+    (m00, m01), (m10, m11) = _complex_step(f, (c.q, c.p), (x.gamma, c.p), (gamma, 0.5 / gamma))
     return abs(m00 * m11 - m01 * m10 - 1.0)
 
 

@@ -37,6 +37,7 @@ from boolemaps import (
     two_form_value,
     verify_conformal_pullback,
 )
+from boolemaps.cli import PULLBACK_TOL
 from boolemaps.density import cauchy_grid
 from boolemaps.geometry import KILLING_FIELD_NAMES
 from test_halfplane import complex_step_jacobian
@@ -137,13 +138,9 @@ def test_criterion_4_picture_equivalence():
 def test_criterion_5_conformality():
     rng = np.random.Generator(np.random.Philox(5))
     worst_pullback = 0.0
-    count = 0
-    while count < 100:
+    for _ in range(100):
         alpha = rng.uniform(0.05, 0.95)
         x = HPoint(rng.uniform(-3, 3), rng.uniform(0.2, 4))
-        if math.hypot(x.nu, x.gamma - 1.0) <= 0.1:
-            continue
-        count += 1
         worst_pullback = max(worst_pullback, verify_conformal_pullback(alpha, x))
     worst_spread = 0.0
     for _ in range(20):
@@ -155,13 +152,13 @@ def test_criterion_5_conformality():
             ratio = x.gamma / parameter_step(alpha, x).gamma
             factors.append(float(np.linalg.det(jacobian_analytic(alpha, x))) * ratio * ratio)
         worst_spread = max(worst_spread, max(factors) - min(factors))
-    ok = worst_pullback < 1e-5 and worst_spread < 1e-12
+    ok = worst_pullback < PULLBACK_TOL and worst_spread < 1e-12
     record_criterion(
         "5 conformality",
         ok,
-        f"max FD pullback gap {worst_pullback:.2e}, alpha spread {worst_spread:.2e}",
+        f"max pullback gap {worst_pullback:.2e}, alpha spread {worst_spread:.2e}",
     )
-    assert worst_pullback < 1e-5
+    assert worst_pullback < PULLBACK_TOL
     assert worst_spread < 1e-12
 
 

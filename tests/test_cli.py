@@ -174,6 +174,15 @@ class TestValidation:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("boolemaps: error: ")
 
+    def test_empty_out_exits_2_before_the_run(self, capsys):
+        # an empty path is an --out that cannot be opened, not stdout
+        with pytest.raises(SystemExit) as exc:
+            main(["iterate-params", "--format", "csv", "--out", ""])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "boolemaps: error: [Errno 2] No such file or directory: ''"
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [("iterate-params", "--nu0", "-5e-05"), ("orbit", "--xi0", "-2e300"),
@@ -346,6 +355,17 @@ class TestGeometry:
                 assert cli.QUADRATURE_TOL * metric <= 1e-8
                 assert cli.PULLBACK_TOL * metric <= 1e-5
                 assert cli.LIE_TOL * metric * max(s * s, s, 1.0) / gamma <= 1e-6
+
+    def test_passes_at_every_alpha(self, tmp_path, capsys):
+        # the checks do not depend on alpha; where they stepped the map at
+        # alpha, each of these failed, by a step's subnormal imaginary part
+        # or an image beyond the doubles
+        for args in (["--alpha", "5e-324"], ["--alpha", "1e-308"],
+                     ["--alpha", "1e-160", "--nu0", "1e100", "--gamma0", "1e-150"]):
+            code, report = run_json(tmp_path, ["geometry", *args])
+            oracles = report["oracles"]
+            assert [key for key, value in oracles.items() if key.endswith("_pass") and not value] == []
+            assert (code, oracles["warnings"], capsys.readouterr().err) == (0, [], ""), args
 
     def test_degenerate_point_is_flagged(self, tmp_path):
         code, report = run_json(tmp_path, ["geometry", "--nu0", "0", "--gamma0", "1"])
@@ -829,17 +849,6 @@ class TestNumericalFailure:
         assert err.startswith("boolemaps verify-pf: SingularInputError: ")
         assert len(err.splitlines()) == 1
 
-    def test_metric_beyond_the_doubles_is_a_failed_report(self, tmp_path, capsys):
-        # at alpha = 5e-324 a step lands at gamma ~1e-323, where neither
-        # 1/(2*gamma^2) nor the canonical momentum 1/(2*gamma) is a double
-        code, report = run_json(tmp_path, ["geometry", "--alpha", "5e-324"])
-        assert code == 1
-        assert report["oracles"]["error"].startswith("SingularInputError: ")
-        assert report["oracles"]["warnings"] == []
-        err = capsys.readouterr().err
-        assert err.startswith("boolemaps geometry: SingularInputError: ")
-        assert len(err.splitlines()) == 1
-
     @pytest.mark.parametrize("flag", ["--gamma0", "--alpha"])
     def test_singular_input_is_a_failed_report(self, tmp_path, capsys, flag):
         # the image of gamma0 = 5e-324, or of gamma0 = 1 at alpha = 5e-324,
@@ -1024,8 +1033,9 @@ def test_every_flag_value_gives_an_exit_status(command, data):
     # 0, 1 or 2, never an exception; exit 2 says why in one line, and exit 1
     # in at most one.  A warning does not stop the run, as in the installed
     # command; the suite's warnings-as-errors filter is set aside.  Geometry
-    # at the default alpha holds at every --nu0 and --gamma0 it accepts: it
-    # passes every check, or exits 2 on a point outside the metric's domain.
+    # holds at every --alpha, --nu0 and --gamma0 it accepts: it passes every
+    # check, or exits 2 on a flag out of range or a point outside the
+    # metric's domain.
     argv = [command]
     for flag in cli._COMMAND_FLAGS[command]:
         if data.draw(st.booleans(), label=f"set --{flag}"):
@@ -1045,7 +1055,7 @@ def test_every_flag_value_gives_an_exit_status(command, data):
             code = exc.code
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2), argv
-    if command == "geometry" and "--alpha" not in {arg.partition("=")[0] for arg in argv}:
+    if command == "geometry":
         assert code in (0, 2), argv
     if code == 2:
         assert [line for line in lines if ": error: " in line] == lines[-1:], lines

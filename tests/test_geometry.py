@@ -48,6 +48,50 @@ components = st.floats(min_value=-1.0, max_value=1.0)
 #: The scales at which 1/(2*gamma^2) is a normal double.
 _GAMMA_NORMAL = (math.sqrt(0.5 / sys.float_info.max), math.sqrt(0.5 / sys.float_info.min))
 
+#: Map parameters uniform in 0.05..0.95, or log-uniform from the least
+#: double 5e-324 to 0.1; the map oracles do not depend on alpha.
+map_alphas = st.one_of(
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=math.log10(5e-324), max_value=-1.0).map(lambda e: 10.0**e),
+)
+
+
+def check_geometry_oracles(count: int, seed: int) -> tuple[float, float]:
+    """The map oracles at ``count`` random points drawn from ``seed``.
+
+    Alpha is log-uniform in 1e-323..1 for 30% of them and uniform in
+    (1e-6, 0.999999) otherwise.  30% of the points lie within 0.1 of (0, 1),
+    where the conformal factor vanishes; the rest have |nu| log-uniform in
+    1e-300..1e300, of either sign, and gamma log-uniform over the scales
+    where the metric is a normal double.  Asserts at each a pullback below
+    ``PULLBACK_TOL`` and a symplectic defect within 1e-10 of
+    1 - conformal_factor; returns the worst pullback and the worst gap.
+    """
+    rng = np.random.default_rng(seed)
+    alphas = np.where(
+        rng.random(count) < 0.3,
+        10.0 ** rng.uniform(-323.0, math.log10(0.999999), count),
+        rng.uniform(1e-6, 0.999999, count),
+    )
+    radius, angle = 0.1 * np.sqrt(rng.random(count)), rng.uniform(0.0, 2.0 * math.pi, count)
+    near = rng.random(count) < 0.3
+    nus = np.where(
+        near,
+        radius * np.cos(angle),
+        rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-300.0, 300.0, count),
+    )
+    gammas = np.where(
+        near, 1.0 + radius * np.sin(angle), 10.0 ** rng.uniform(*np.log10(_GAMMA_NORMAL), count)
+    )
+    worst_pullback = worst_gap = 0.0
+    for alpha, nu, gamma in zip(alphas.tolist(), nus.tolist(), gammas.tolist()):
+        x = HPoint(nu, gamma)
+        pullback = verify_conformal_pullback(alpha, x)
+        gap = abs(symplectic_defect(alpha, to_canonical(x)) - (1.0 - conformal_factor(x)))
+        assert pullback < PULLBACK_TOL and gap < 1e-10, (alpha, x, pullback, gap)
+        worst_pullback, worst_gap = max(worst_pullback, pullback), max(worst_gap, gap)
+    return worst_pullback, worst_gap
+
 
 def _adaptive_metric(x: HPoint):
     """The metric integrals by scipy's adaptive quadrature, with its error estimates.
@@ -223,23 +267,26 @@ class TestConformalFactor:
 class TestConformalPullback:
     @pytest.mark.parametrize("alpha", [0.5, 0.9])
     def test_at_reference_point(self, alpha):
-        assert verify_conformal_pullback(alpha, HPoint(1.0, 1.0)) < 1e-6
+        assert verify_conformal_pullback(alpha, HPoint(1.0, 1.0)) < PULLBACK_TOL
 
     def test_on_scale_axis(self):
         x = HPoint(0.0, 2.0)
         assert conformal_factor(x) == pytest.approx(0.36, abs=1e-15)
-        assert verify_conformal_pullback(0.5, x) < 1e-6
+        assert verify_conformal_pullback(0.5, x) < PULLBACK_TOL
 
-    @given(st.floats(min_value=0.05, max_value=0.95), points)
-    def test_everywhere_away_from_degeneracy(self, alpha, x):
-        if math.hypot(x.nu, x.gamma - 1.0) < 0.1:
-            return
-        assert verify_conformal_pullback(alpha, x) < 1e-5
+    @given(map_alphas, points)
+    def test_everywhere(self, alpha, x):
+        # (0, 1), where the conformal factor vanishes, included
+        assert verify_conformal_pullback(alpha, x) < PULLBACK_TOL
+
+    def test_random_points_at_every_alpha(self):
+        worst_pullback, worst_gap = check_geometry_oracles(10**3, seed=1)
+        assert worst_pullback < PULLBACK_TOL and worst_gap < 1e-10
 
 
 class TestEveryScale:
     @given(
-        st.floats(min_value=0.05, max_value=0.95),
+        map_alphas,
         st.floats(min_value=-300.0, max_value=300.0),
         st.booleans(),
         st.floats(min_value=math.log10(_GAMMA_NORMAL[0]), max_value=math.log10(_GAMMA_NORMAL[1])),
@@ -249,13 +296,15 @@ class TestEveryScale:
     @example(0.5, 200.0, True, 0.0)
     @example(0.5, 0.0, False, math.log10(0.03))
     @example(0.5, 300.0, False, -150.0)
+    @example(1e-308, 0.0, False, 0.0)
+    @example(1e-160, 100.0, False, -150.0)
     def test_oracles_hold(self, alpha, log_nu, negative, log_gamma):
         # The complex-step oracles hold to their tolerances wherever the
-        # metric is a normal double, for any finite nu; with fixed-step
-        # central differences they failed at each example.
+        # metric is a normal double, for any finite nu and any alpha.  They
+        # failed at each of the first five examples with fixed-step central
+        # differences, and at the last two when they stepped the map at alpha.
         x = HPoint((-1.0 if negative else 1.0) * 10.0**log_nu, 10.0**log_gamma)
-        if math.hypot(x.nu, x.gamma - 1.0) >= 0.1:
-            assert verify_conformal_pullback(alpha, x) < PULLBACK_TOL
+        assert verify_conformal_pullback(alpha, x) < PULLBACK_TOL
         for name in KILLING_FIELD_NAMES:
             lie = lie_derivative_metric(name, x)
             assert max(abs(lie.g_nn), abs(lie.g_ng), abs(lie.g_gg)) < LIE_TOL
@@ -267,6 +316,22 @@ class TestEveryScale:
     def test_metric_outside_the_normal_doubles_raises(self, gamma):
         with pytest.raises(SingularInputError):
             fisher_metric(HPoint(0.0, gamma))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_map_oracles_reject_alpha_outside_the_open_interval(self, alpha):
+        # they step the map at alpha = 1, but check the alpha they are given
+        with pytest.raises(ValueError):
+            verify_conformal_pullback(alpha, HPoint(1.0, 1.0))
+        with pytest.raises(ValueError):
+            symplectic_defect(alpha, CanonicalPoint(1.0, 0.5))
+
+    def test_map_oracles_raise_where_the_image_is_beyond_the_doubles(self):
+        # gamma' ~ 1/gamma overflows below gamma ~5.6e-309, outside the
+        # metric's domain
+        with pytest.raises(SingularInputError):
+            verify_conformal_pullback(0.5, HPoint(0.0, 5e-309))
+        with pytest.raises(SingularInputError):
+            symplectic_defect(0.5, CanonicalPoint(0.0, 1e308))
 
 
 class TestKillingFields:
@@ -363,10 +428,10 @@ class TestSymplecticDefect:
         assert c == CanonicalPoint(0.0, 0.25)
         assert symplectic_defect(0.8, c) == pytest.approx(0.64, abs=1e-6)
 
-    @given(st.floats(min_value=0.1, max_value=0.9), points)
+    @given(map_alphas, points)
     def test_defect_equals_one_minus_conformal_factor(self, alpha, x):
         defect = symplectic_defect(alpha, to_canonical(x))
-        assert defect == pytest.approx(1.0 - conformal_factor(x), abs=1e-5)
+        assert defect == pytest.approx(1.0 - conformal_factor(x), abs=1e-10)
 
 
 def _assert_metric_compatible(x, bound):
