@@ -15,10 +15,13 @@ Both are then compared against the closed-form prediction.  The pointwise
 map is the one core ``halfplane._boole``, which the push-forward applies in
 place in its order, and its preimages come from ``orbit._preimages``.
 Sampling only draws points; fitting is a separate, explicit ``fit_cauchy``
-call, and the Monte Carlo check fits its sorted sample through
-``_fit_sorted``, as ``fit_cauchy`` does.  Sample-sized work runs in blocks,
-on every CPU in the affinity where the blocks outnumber the CPUs, with the
-same bits on any number of CPUs.
+call.  The Monte Carlo check's quantile fit streams its sample: each block
+is drawn, pushed and sorted on its own, and only the points near the
+quartiles are kept, so the check reads the quartiles of the whole pushed
+sample, as ``fit_cauchy`` does, without holding it.  Its likelihood fit
+sorts the whole pushed sample and fits it through ``_fit_sorted``.
+Sample-sized work runs in blocks, on every CPU in the affinity where the
+blocks outnumber the CPUs, with the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -270,21 +273,21 @@ def sample_cauchy(p: HPoint, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    stream = np.random.SeedSequence(seed, spawn_key=(0,))
     out = np.empty(n)
-
-    def draw(rows, lo):
-        u = out[lo:lo + _BLOCK]
-        np.random.Generator(np.random.Philox(stream).advance(lo // 4)).random(out=u)
-        # p.nu + p.gamma*tan(pi*(u - 1/2)), formed in u's own buffer
-        np.subtract(u, 0.5, out=u)
-        np.multiply(np.pi, u, out=u)
-        np.tan(u, out=u)
-        np.multiply(p.gamma, u, out=u)
-        np.add(p.nu, u, out=u)
-
-    _each_block(n, draw)
+    _each_block(n, lambda rows, lo: _draw_block(p, seed, lo, out[lo:lo + _BLOCK]))
     return out
+
+
+def _draw_block(p: HPoint, seed: int, lo: int, u: np.ndarray) -> None:
+    # points lo .. lo + u.size - 1 of ``sample_cauchy(p, n, seed)``, into u
+    stream = np.random.SeedSequence(seed, spawn_key=(0,))
+    np.random.Generator(np.random.Philox(stream).advance(lo // 4)).random(out=u)
+    # p.nu + p.gamma*tan(pi*(u - 1/2)), formed in u's own buffer
+    np.subtract(u, 0.5, out=u)
+    np.multiply(np.pi, u, out=u)
+    np.tan(u, out=u)
+    np.multiply(p.gamma, u, out=u)
+    np.add(p.nu, u, out=u)
 
 
 def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
@@ -301,48 +304,71 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     Raises SingularInputError where half the interquartile range is not a
     positive double, as where the quartiles round to the same double.
     """
+    _check_fit_method(method)
     points = np.asarray(points, dtype=float)
     return _fit_sorted(np.sort(points), method)  # a copy: the caller's order stays
 
 
+def _check_fit_method(method: str) -> None:
+    if method not in ("median_iqr", "mle"):
+        raise ValueError(f"unknown fit method {method!r}")
+
+
+def _check_fit_size(size: int) -> None:
+    if size < MIN_FIT_SIZE:
+        raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {size}")
+
+
 def _fit_sorted(ordered: np.ndarray, method: str) -> HPoint:
-    # ``fit_cauchy`` of a sorted sample, which the likelihood fit overwrites.
-    if ordered.size < MIN_FIT_SIZE:
-        raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {ordered.size}")
-    q1, q2, q3 = _quartiles(ordered)
+    # ``fit_cauchy`` of a sorted sample, which the likelihood fit overwrites
+    _check_fit_size(ordered.size)
+    quartile_fit = _quartile_fit(_quartiles(ordered))
+    return quartile_fit if method == "median_iqr" else _cauchy_mle(ordered, quartile_fit)
+
+
+def _quartile_fit(quartiles: np.ndarray) -> HPoint:
+    # the median, and half the interquartile range where that is a positive double
+    q1, q2, q3 = quartiles
     scale = float((q3 - q1) / 2.0)
     if not scale > 0.0:
         raise SingularInputError(f"no scale fits a sample whose quartiles are {float(q1)!r} and {float(q3)!r}")
-    quartile_fit = HPoint(float(q2), scale)
-    if method == "median_iqr":
-        return quartile_fit
-    if method == "mle":
-        return _cauchy_mle(ordered, quartile_fit)
-    raise ValueError(f"unknown fit method {method!r}")
+    return HPoint(float(q2), scale)
+
+
+def _quartile_ranks(size: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.quantile's default rule for the quartiles of ``size`` sorted
+    # points: virtual index (size - 1)*q, split into its floor and the
+    # fraction past it
+    at = (size - 1) * np.array([0.25, 0.5, 0.75])
+    below = at.astype(np.intp)  # the floor: at >= 0
+    return below, at - below
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # numpy's lerp, which takes b - (b - a)*(1 - t) where t >= 1/2
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def _quartiles(ordered: np.ndarray) -> np.ndarray:
     # np.quantile(ordered, [0.25, 0.5, 0.75]) read from a sorted sample by
-    # index, with numpy's default rule: virtual index (n - 1)*q, then numpy's
-    # lerp, which takes b - (b - a)*(1 - t) where t >= 1/2.  A NaN sorts last
-    # and makes every quartile that NaN, as in np.quantile.
-    at = (ordered.size - 1) * np.array([0.25, 0.5, 0.75])
-    below = at.astype(np.intp)  # the floor: at >= 0
-    t = at - below
-    a, b = ordered[below], ordered[below + 1]
-    diff = b - a
-    out = a + diff * t
-    np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
+    # index.  A NaN sorts last and makes every quartile that NaN, as in
+    # np.quantile.
+    below, t = _quartile_ranks(ordered.size)
+    out = _lerp(ordered[below], ordered[below + 1], t)
     if np.isnan(ordered[-1]):
         out[:] = ordered[-1]
     return out
 
 
 #: Sample-sized work runs in blocks of this many points (512 KiB of doubles),
-#: through buffers of one block, so that no temporary grows with the sample:
-#: a Monte Carlo check holds one copy of its sample, which it pushes forward,
-#: sorts and fits in place, and its peak memory does not depend on where
-#: earlier large temporaries left the heap.
+#: through buffers of one block, so that no temporary grows with the sample
+#: and peak memory does not depend on where earlier large temporaries left
+#: the heap.  The quantile fit's Monte Carlo check holds one block's scratch
+#: and the points near the quartiles; the likelihood fit's holds one copy of
+#: its sample, which it pushes forward, sorts and fits in place.
 _BLOCK = 1 << 16
 
 
@@ -505,28 +531,17 @@ def _cauchy_mle(
 
 
 def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-    # Pointwise map applied to every sample, overwriting ``points``: each
-    # block goes through every step while it is in cache, mapped through one
-    # buffer in ``_boole``'s order alpha*(x - 1/x).  Before each step the
-    # points failing |x| >= POLE_EPS (zeros, NaN) are dropped with a count
-    # rather than resampled, preserving the push-forward's independence, and
-    # the rest move to the front of their block, in order.  The blocks then
-    # move to the front of ``points``, in order.
+    # Pointwise map applied to every sample, overwriting ``points``, a block
+    # at a time through ``_push_block``.  The points each block keeps move to
+    # the front of the block, in order, and the blocks then to the front of
+    # ``points``, in order.
     def push(rows, lo):
         x = points[lo:lo + _BLOCK]
-        buf, passed = rows
-        dropped = 0
-        for _ in range(steps):
-            magnitude = np.abs(x, out=buf[:x.size])
-            kept = np.greater_equal(magnitude, POLE_EPS, out=passed[:x.size])
-            count = int(np.count_nonzero(kept))
-            if count < x.size:
-                dropped += x.size - count
-                x[:count] = x[kept]
-                x = x[:count]
-            inverse = np.divide(1.0, x, out=buf[:x.size])
-            np.multiply(alpha, np.subtract(x, inverse, out=inverse), out=x)
-        return x.size, dropped
+        buf, passed = (row[:x.size] for row in rows)
+        dropped = _push_block(alpha, x, steps, buf, passed)
+        if dropped:
+            x[:x.size - dropped] = x[passed]
+        return x.size - dropped, dropped
 
     end = dropped = 0
     blocks = _each_block(points.size, push, (float, bool))
@@ -538,14 +553,124 @@ def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndar
     return points[:end], dropped
 
 
-def _pushed_sample(alpha: float, p: HPoint, n: int, steps: int, seed: int):
-    # ``sample_cauchy(p, n, seed)`` pushed forward, and its pole-guard drops
-    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed), steps)
+def _push_block(alpha: float, x: np.ndarray, steps: int, buf: np.ndarray, passed: np.ndarray) -> int:
+    # ``x`` taken through every step in place while it is in cache, mapped
+    # through ``buf`` in ``_boole``'s order alpha*(x - 1/x).  Before each
+    # step the points failing |x| >= POLE_EPS (zeros, NaN) are dropped
+    # rather than resampled, preserving the push-forward's independence:
+    # they become NaN, which fails every later guard, and ``passed`` marks
+    # the rest.  A kept point never maps to NaN, so after the last step the
+    # dropped points are the NaN of ``x`` and the unmarked places of
+    # ``passed``; returns their count.
+    dropped = 0
+    for _ in range(steps):
+        kept = np.greater_equal(np.abs(x, out=buf), POLE_EPS, out=passed)
+        dropped = x.size - int(np.count_nonzero(kept))
+        if dropped:
+            np.copyto(x, np.nan, where=~kept)
+        inverse = np.divide(1.0, x, out=buf)
+        np.multiply(alpha, np.subtract(x, inverse, out=inverse), out=x)
+    return dropped
+
+
+def _check_drops(dropped: int, n: int) -> None:
     if dropped > MAX_DROP_FRACTION * n:
         raise PoleGuardError(
             f"{dropped} of {n} samples hit the pole guard (> {MAX_DROP_FRACTION:.2%})"
         )
+
+
+def _pushed_sample(alpha: float, p: HPoint, n: int, steps: int, seed: int):
+    # ``sample_cauchy(p, n, seed)`` pushed forward, and its pole-guard drops
+    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed), steps)
+    _check_drops(dropped, n)
     return pushed, dropped
+
+
+#: Half-width of the rank brackets of the streamed quartile fit, in units of
+#: the square root of the first block's size: 2.5 puts each edge at least
+#: 5 standard errors of a quartile's rank from it.
+_BRACKET_WIDTH = 2.5
+
+
+def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
+    """The size, the pole-guard drops and the quartiles of ``sample_cauchy(p,
+    n, seed)`` pushed forward, read without holding the sample; None where
+    a bracket misses a quartile's order statistics.
+
+    Each block is drawn, pushed and sorted in a worker's scratch row, and
+    then let go.  The sorted first block places a bracket of values around
+    each quartile, ``_BRACKET_WIDTH`` square roots of its size in ranks to
+    either side.  Of every block only the count of points below each
+    bracket is kept, and the points inside it, in buffers a quarter larger
+    than the first block's share predicts.  The order statistics that
+    ``_quartiles`` reads then lie in the merged brackets, at their rank less
+    the count below, so the quartiles are those of the whole sorted sample,
+    bit for bit, on any number of CPUs.  The blocks after the first split
+    its scratch between the workers, so the scratch is one block's on any
+    number of CPUs; this thread allocates it and the brackets.
+    """
+    def sorted_block(rows, lo):
+        # the kept points of the block from lo on, as wide as ``rows``,
+        # sorted in rows[0], and its drops
+        x, buf, passed = (row[:n - lo] for row in rows)
+        _draw_block(p, seed, lo, x)
+        dropped = _push_block(alpha, x, steps, buf, passed)
+        x.sort()  # the dropped points, NaN, sort last
+        return x[:x.size - dropped], dropped
+
+    rows = [np.empty(min(n, _BLOCK), dtype) for dtype in (float, float, bool)]
+    first, dropped = sorted_block(rows, 0)
+    if not first.size:  # no point to place a bracket at
+        return None
+    half = _BRACKET_WIDTH * math.sqrt(first.size)
+    at = [(first.size - 1) * q + side * half for side in (-1, 1) for q in (0.25, 0.5, 0.75)]
+    bounds = first[[min(max(round(rank), 0), first.size - 1) for rank in at]]
+    edges = np.searchsorted(first, bounds)
+    share = int(max(edges[3:] - edges[:3]))  # of the first block's points, in the widest bracket
+    inside = np.empty((3, 5 * share * n // (4 * first.size) + 1))
+    filled = [0, 0, 0]
+    lock = threading.Lock()
+
+    def collect(x):
+        # the counts of the sorted x below each bracket [low, high), its low
+        # in bounds[:3] and its high in bounds[3:]; the points inside go to
+        # ``inside``, where they fit
+        edges = np.searchsorted(x, bounds).tolist()
+        with lock:
+            ends = filled[:]
+            filled[:] = [end + hi - lo for end, lo, hi in zip(ends, edges, edges[3:])]
+        for row, end, lo, hi in zip(inside, ends, edges, edges[3:]):
+            if end + hi - lo <= row.size:
+                row[end:end + hi - lo] = x[lo:hi]
+        return edges[:3]
+
+    below, size = collect(first), first.size
+    cpus = _cpu_count()  # threads where the other blocks outnumber the CPUs, as in _each_block
+    workers = cpus if n - _BLOCK > cpus * _BLOCK else 1
+    width = _BLOCK // workers // 4 * 4  # whole Philox counter values
+    split = [[row[k * width:(k + 1) * width] for row in rows] for k in range(workers)]
+
+    def later_block(worker, lo):
+        x, hits = sorted_block(split[worker], lo)
+        return collect(x), hits, x.size
+
+    for counts, hits, kept in _concurrently(later_block, range(_BLOCK, n, width), workers):
+        below = [total + count for total, count in zip(below, counts)]
+        dropped += hits
+        size += kept
+    _check_drops(dropped, n)
+    _check_fit_size(size)
+    ranks, t = _quartile_ranks(size)
+    pairs = np.empty((2, 3))
+    for k, (row, rank, count, end) in enumerate(zip(inside, ranks.tolist(), below, filled)):
+        at = rank - count
+        if not (0 <= at < end - 1 and end <= row.size):
+            return None
+        row = row[:end]
+        row.partition((at, at + 1))
+        pairs[:, k] = row[at:at + 2]
+    return size, dropped, _lerp(*pairs, t)
 
 
 def fit_stderr(gamma: float, n: int) -> float:
@@ -578,19 +703,30 @@ def pf_monte_carlo_check(
     ``within_tolerance`` demands agreement within 5 asymptotic standard
     errors of the fit.  Pole-guard hits are dropped with accounting, and the
     check raises PoleGuardError if they exceed ``MAX_DROP_FRACTION`` of the
-    sample.
+    sample.  An unknown ``fit_method`` raises ValueError before any point is
+    drawn.  The ``median_iqr`` fit streams the sample through
+    ``_streamed_quartiles``, in one block's scratch and about 7% of the
+    sample's size; where a bracket misses, and for the ``mle`` fit, the
+    check pushes, sorts and fits the whole sample in place.  Either way the
+    report is the same, bit for bit.
     """
     alpha = check_alpha(alpha)
     if n < MIN_MONTE_CARLO_SIZE:
         raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
     if steps < 1:
         raise ValueError("need at least one step")
-    pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
+    _check_fit_method(fit_method)
+    streamed = fit_method == "median_iqr" and _streamed_quartiles(alpha, p, n, steps, seed)
+    if streamed:
+        size, dropped, quartiles = streamed
+    else:  # the likelihood fit, or a bracket missed
+        pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
+        pushed.sort()  # in place: the check holds one copy of its sample
+        size = pushed.size
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
-    pushed.sort()  # in place: the check holds one copy of its sample
-    measured = _fit_sorted(pushed, fit_method)
+    measured = _quartile_fit(quartiles) if streamed else _fit_sorted(pushed, fit_method)
     sup_error = max(abs(measured.nu - predicted.nu), abs(measured.gamma - predicted.gamma))
-    se = fit_stderr(predicted.gamma, pushed.size)
+    se = fit_stderr(predicted.gamma, size)
     return PfReport(
         predicted=predicted,
         measured=measured,

@@ -167,6 +167,70 @@ def check_monte_carlo_kernels(count: int, seed: int) -> tuple[int, list[int]]:
     return dropped, settings
 
 
+def report_bits(report) -> tuple:
+    """A ``PfReport`` as the bytes of its floats and its other fields, so
+    that two reports compare bit for bit."""
+    floats = [report.predicted.nu, report.predicted.gamma, report.measured.nu,
+              report.measured.gamma, report.stderr]
+    return np.array(floats).tobytes(), report.n_dropped, report.within_tolerance
+
+
+def full_sample_check(*args):
+    """``pf_monte_carlo_check(*args)`` by the path a bracket miss takes: the
+    whole pushed sample, sorted and fitted in place."""
+    with mock.patch.object(density, "_streamed_quartiles", return_value=None):
+        return pf_monte_carlo_check(*args)
+
+
+def streamed_check(*args) -> tuple:
+    """``pf_monte_carlo_check(*args)``, and whether it fell back to the
+    whole sample."""
+    with mock.patch.object(density, "_pushed_sample", wraps=density._pushed_sample) as spy:
+        return pf_monte_carlo_check(*args), spy.called
+
+
+def check_streamed_fits(count: int, seed: int) -> tuple[int, int, list[int]]:
+    """The streamed quantile fit of ``pf_monte_carlo_check`` against the
+    full-sample path, bit for bit in every report field or in the error
+    raised, on ``count`` random cases drawn from ``seed``: alpha uniform in
+    0.05..0.95, n log-uniform in 1e4..3e5, steps uniform in 1..10, any
+    seed, and C(nu, gamma) with nu normal and gamma log-uniform in
+    1e-2..1e2, or for a third of the cases C(0, gamma) with gamma
+    log-uniform in 1e-299..1e-295, whose points hit the pole guard, in some
+    cases more often than it allows.  Each case is checked with every block
+    on the calling thread and on every CPU in the affinity.  Returns how
+    many cases dropped points, how many fell back to the whole sample, and
+    the CPU counts checked."""
+    def outcome(check, args):
+        # report_bits, or the failure's type and text, and whether it fell back
+        try:
+            report, fell_back = check(*args)
+        except PoleGuardError as exc:
+            return ("PoleGuardError", str(exc)), False
+        return report_bits(report), fell_back
+
+    rng = np.random.default_rng(seed)
+    settings = sorted({1, density._cpu_count()})
+    hits = fallbacks = 0
+    for _ in range(count):
+        alpha = float(rng.uniform(0.05, 0.95))
+        n = int(math.exp(rng.uniform(math.log(1e4), math.log(3e5))))
+        steps = int(rng.integers(1, 10, endpoint=True))
+        if rng.random() < 1 / 3:
+            law = HPoint(0.0, 10.0 ** rng.uniform(-299.0, -295.0))
+        else:
+            law = HPoint(float(rng.normal()), 10.0 ** rng.uniform(-2.0, 2.0))
+        args = (alpha, law, n, steps, int(rng.integers(2**31)))
+        expected, _ = outcome(lambda *a: (full_sample_check(*a), True), args)
+        for cpus in settings:
+            with mock.patch.object(density, "_cpu_count", return_value=cpus):
+                got, fell_back = outcome(streamed_check, args)
+            assert got == expected, (args, cpus, got, expected)
+            fallbacks += fell_back
+        hits += expected[0] == "PoleGuardError" or expected[1] > 0
+    return hits, fallbacks, settings
+
+
 @pytest.fixture(params=[1, 2, 3, 8], ids=lambda n: f"{n}cpus")
 def cpus(request, monkeypatch):
     """Blocks spread over this many CPUs, however many the machine has."""
@@ -631,9 +695,10 @@ class TestMonteCarloPushForward:
     @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
     def test_memory_holds_one_sample_copy(self, cpus, method):
-        # the sample, pushed forward, sorted and fitted in place; no
-        # temporary of the sample's size, however many steps or iterations,
-        # and no more scratch on more CPUs
+        # mle: the sample, pushed forward, sorted and fitted in place; no
+        # temporary of the sample's size, however many steps or iterations.
+        # median_iqr: no sample at all, one block's scratch and the points
+        # near the quartiles.  Neither takes more scratch on more CPUs.
         n = 10**6
         tracemalloc.start()
         try:
@@ -641,11 +706,11 @@ class TestMonteCarloPushForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * n
+        assert peak < (1.5 if method == "mle" else 0.25) * 8 * n
 
     @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
     def test_memory_with_pole_hits_holds_one_sample_copy(self, cpus):
-        # the dropped points are squeezed out in place, block by block
+        # the streamed fit with dropped points, which sort last in each block
         n = 10**6
         tracemalloc.start()
         try:
@@ -654,7 +719,64 @@ class TestMonteCarloPushForward:
         finally:
             tracemalloc.stop()
         assert report.n_dropped > 0
-        assert peak < 1.5 * 8 * n
+        assert peak < 0.25 * 8 * n
+
+    def test_unknown_fit_method_fails_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(density, "_draw_block", mock.Mock(side_effect=AssertionError("drew")))
+        with pytest.raises(ValueError, match="unknown fit method 'bogus'"):
+            pf_monte_carlo_check(0.5, HPoint(1.0, 1.0), 10**6, 3, seed=1, fit_method="bogus")
+
+    @pytest.mark.parametrize("n", [10**4, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 10**6])
+    def test_streamed_fit_equals_the_full_sample_fit(self, cpus, n):
+        for steps in range(1, 11):
+            args = (0.35, HPoint(0.4, 1.7), n, steps, 100 + steps)
+            report, fell_back = streamed_check(*args)
+            assert not fell_back, (n, steps)
+            assert report_bits(report) == report_bits(full_sample_check(*args)), (n, steps)
+
+    def test_streamed_fit_with_pole_hits_equals_the_full_sample_fit(self, cpus):
+        args = (0.5, HPoint(0.0, 1e-296), 10**6, 3, 3)
+        report, fell_back = streamed_check(*args)
+        assert report.n_dropped > 0 and not fell_back
+        assert report_bits(report) == report_bits(full_sample_check(*args))
+
+    def test_streamed_fit_raises_the_full_sample_pole_guard_error(self, cpus, monkeypatch):
+        # 54 of the 10**4 points of C(0, 1e-298) drawn from seed 1 hit the guard
+        args = (0.5, HPoint(0.0, 1e-298), 10**4, 1, 1)
+        with pytest.raises(PoleGuardError) as full:
+            full_sample_check(*args)
+        monkeypatch.setattr(density, "_pushed_sample", mock.Mock(side_effect=AssertionError("fell back")))
+        with pytest.raises(PoleGuardError, match="54 of 10000 samples") as streamed:
+            pf_monte_carlo_check(*args)
+        assert str(streamed.value) == str(full.value)
+
+    def test_bracket_miss_falls_back_to_the_full_sample(self, cpus, monkeypatch):
+        # brackets of width 0 hold no point, so every quartile misses
+        monkeypatch.setattr(density, "_BRACKET_WIDTH", 0.0)
+        args = (0.4, HPoint(-0.7, 0.9), 10**6, 3, 5)
+        report, fell_back = streamed_check(*args)
+        assert fell_back
+        assert report_bits(report) == report_bits(full_sample_check(*args))
+
+    def test_brackets_lose_no_point_under_frequent_switches(self, monkeypatch):
+        # eight workers on fewer cores, switching threads every microsecond,
+        # share the bracket buffers; a lost update of their fill would shift
+        # the ranks and change the fit
+        monkeypatch.setattr(density, "_cpu_count", lambda: 8)
+        args = (0.6, HPoint(0.2, 1.3), 100 * _BLOCK + 3, 1, 9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report, fell_back = streamed_check(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not fell_back
+        assert report_bits(report) == report_bits(full_sample_check(*args))
+
+    def test_streamed_fit_equals_the_full_sample_fit_on_random_cases(self):
+        hits, fallbacks, _ = check_streamed_fits(40, seed=13)
+        assert hits > 0
+        assert fallbacks == 0
 
 
 class TestBlocks:
