@@ -22,9 +22,10 @@ standard library alone.
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
 (the records table).  ``meta`` holds the argv and the platform
-(``os.uname``), ``meta.timings`` the seconds spent validating the flags,
-loading the array modules, computing and rendering, ``meta.peak_rss_mb``
-the run's memory high-water mark and ``meta.environment`` the Python
+(``os.uname``), ``meta.timings`` the seconds spent validating the flags
+and opening --out (which truncates a file already there), loading the
+array modules, computing and rendering, ``meta.peak_rss_mb`` the run's
+memory high-water mark and ``meta.environment`` the Python
 version, the numpy version (null where the command loaded no numpy) and the
 CPU count; ``oracles.warnings`` lists the warnings the command raised.
 Records are a ``Table`` of named columns, and ``render_report`` alone
@@ -50,6 +51,13 @@ would.  The exit status is 0 exactly when every tolerance check the command
 configured has passed; a numerical failure in the library gives exit 1 and
 a report with empty records and ``oracles.error``, and a chunk that cannot
 be encoded, or a write that fails, gives exit 1 and one line on stderr.
+
+A command's process (``python -m boolemaps.cli``, or the ``boolemaps``
+script) enters through ``run``, which flushes stdout and stderr after
+``main`` and ends with ``os._exit``, skipping the interpreter's teardown:
+``main`` has written the report, joined every thread and reaped every
+worker by then.  Under Python's development mode (``-X dev``) it exits
+through SystemExit instead, as teardown is where a file left open warns.
 """
 
 from __future__ import annotations
@@ -656,13 +664,62 @@ def main(argv=None) -> int:
             handle.flush()  # a write that fails, fails here and not at exit
     except (ReportError, OSError) as exc:
         if isinstance(exc, OSError) and cfg.output_path is None:
-            # The interpreter flushes stdout at exit: let that write nowhere,
-            # so that no "Exception ignored" follows the one line below.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout)
         print(f"boolemaps {cfg.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0 if passed else 1
 
 
+def _to_devnull(stream) -> None:
+    # The interpreter flushes stdout and stderr at exit: let the stream's
+    # write go nowhere, so that no "Exception ignored" follows the one line
+    # that reports its failure.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+#: The BLAS and OpenMP pools, one thread each unless the environment says
+#: otherwise: no command calls BLAS, yet importing numpy starts its pool.
+_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def run() -> NoReturn:
+    """The process entry point of ``python -m boolemaps.cli`` and of the
+    ``boolemaps`` command: ``main`` on ``sys.argv``, then exit.
+
+    The status is what ``main`` returns, or the code of the SystemExit that
+    argparse raises, read by Python's rule: None is 0, and anything else
+    that is not an int is printed to stderr and gives 1.  stdout and stderr
+    are flushed, and a flush that fails gives 1 and one line on stderr.  The
+    process then ends with ``os._exit``, without the interpreter's teardown,
+    which only frees what no report reads: ``main`` has written and closed
+    the report, joined every thread and reaped every worker it started.
+    Under Python's development mode (``-X dev``) it exits through SystemExit
+    instead, so that teardown still warns of a file left open.  Any other
+    exception propagates, with its traceback.
+    """
+    for name in _POOL_VARS:
+        os.environ.setdefault(name, "1")
+    try:
+        status = main()
+    except SystemExit as exc:  # --help, or bad input
+        status = exc.code
+    if status is None:
+        status = 0
+    elif not isinstance(status, int):
+        print(status, file=sys.stderr)
+        status = 1
+    for stream in (sys.stdout, sys.stderr):  # stderr last, with any line about stdout
+        try:
+            stream.flush()
+        except OSError as exc:
+            _to_devnull(stream)
+            status = 1
+            with contextlib.suppress(OSError):  # a failing stderr goes to devnull in its turn
+                print(f"boolemaps: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if sys.flags.dev_mode:
+        raise SystemExit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -991,17 +992,156 @@ def test_meta_reads_no_numpy_where_the_command_loaded_none(tmp_path):
         assert meta["timings"]["import_s"] == 0.0, command
 
 
-def test_console_script_entry_point():
+@pytest.mark.parametrize("route", ["module", "script"])
+def test_console_script_entry_point(route):
+    # python -m boolemaps.cli, and the wrapper that installing the package
+    # writes for the script that pyproject.toml names
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    (entry,) = re.findall(r'^boolemaps = "boolemaps\.cli:(\w+)"$', pyproject, re.M)
+    assert entry == "run"
+    script = f"import sys; from boolemaps.cli import {entry}; sys.exit({entry}())"
+    start = ["-m", "boolemaps.cli"] if route == "module" else ["-c", script]
     proc = subprocess.run(
-        [sys.executable, "-m", "boolemaps.cli", "iterate-params", "--steps", "2"],
+        [sys.executable, *start, "iterate-params", "--steps", "2"],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0
+    assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)
     assert report["meta"]["passed"] is True
     assert report["config"]["steps"] == 2
+
+
+def _entry_probe(setup, argv):
+    # A script that runs cli.run() on ``argv`` after the ``setup`` lines, as
+    # the boolemaps command and python -m boolemaps.cli do.
+    return "\n".join([
+        "import sys",
+        "from boolemaps import cli",
+        *setup,
+        f"sys.argv = ['boolemaps', *{argv!r}]",
+        "cli.run()",
+    ])
+
+
+def _run_entry(setup, argv, dev=False, **kwargs):
+    # The probe in a process of its own, in development mode or not, with
+    # buffered streams and Python's default warning filters.
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONDEVMODE", "PYTHONWARNINGS", "PYTHONUNBUFFERED")}
+    flags = ["-X", "dev"] if dev else []
+    return subprocess.run([sys.executable, *flags, "-c", _entry_probe(setup, argv)], env=env,
+                          text=True, timeout=120, **kwargs)
+
+
+_WRONG_STEP = [
+    "from boolemaps import HPoint, density",
+    "exact = density.parameter_step",
+    "density.parameter_step = lambda a, x: HPoint(exact(a, x).nu, 1.01 * exact(a, x).gamma)",
+]
+
+
+class TestProcessEnd:
+    """``cli.run``: the status, the flushed streams, and ``os._exit`` but in dev mode."""
+
+    @pytest.mark.parametrize("dev", [False, True], ids=["exit", "dev"])
+    @pytest.mark.parametrize("setup, argv, status, err", [
+        ([], ["iterate-params", "--out", os.devnull], 0, []),
+        (_WRONG_STEP, ["verify-pf", "--n", "10000", "--out", os.devnull], 1, []),
+        ([], ["verify-pf", "--n", "100"], 2, ["boolemaps: error: n must be >= 10000, got 100"]),
+        ([], ["--help"], 0, []),
+        (["def main(): raise SystemExit('stopped')", "cli.main = main"], [], 1, ["stopped"]),
+        (["cli.main = lambda: None"], [], 0, []),
+    ], ids=["passed", "failed-check", "bad-input", "help", "text-code", "none"])
+    def test_exit_status(self, setup, argv, status, err, dev):
+        proc = _run_entry(setup, argv, dev, capture_output=True)
+        assert proc.returncode == status, proc.stderr
+        assert [line for line in proc.stderr.splitlines() if not line.startswith("usage: ")] == err
+        if argv == ["--help"]:
+            assert proc.stdout.startswith("usage: boolemaps ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("dev", [False, True], ids=["exit", "dev"])
+    def test_failed_flush_is_one_line(self, dev):
+        # --help leaves its text in stdout's buffer for the flush at the end
+        with open("/dev/full", "w") as full:
+            proc = _run_entry([], ["--help"], dev, stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 1
+        assert proc.stderr == "boolemaps: OSError: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("args", [
+        ["iterate-params"], ["geometry"], ["verify-pf", "--n", "10000"], ["orbit", "--n", "1000"],
+        ["orbit", "--n", "200000"],
+    ], ids=["iterate-params", "geometry", "verify-pf", "short-orbit", "long-orbit"])
+    def test_report_on_a_pipe_equals_the_out_file(self, tmp_path, args, fmt):
+        out = tmp_path / f"report.{fmt}"
+        argv = [sys.executable, "-m", "boolemaps.cli", *args, "--format", fmt]
+        piped = subprocess.run(argv, capture_output=True, timeout=120)
+        written = subprocess.run(argv + ["--out", str(out)], capture_output=True, timeout=120)
+        assert (piped.returncode, piped.stderr) == (written.returncode, written.stderr) == (0, b"")
+        # the config echoes --out, and meta, the last section of a JSON
+        # report, holds the argv and the timings
+        text = piped.stdout.replace(b'"output_path": null', b'"output_path": %s' % json.dumps(
+            str(out)).encode(), 1)
+        assert text.partition(b'\n  "meta": ')[0] == out.read_bytes().partition(b'\n  "meta": ')[0]
+
+    @pytest.mark.parametrize("dev", [False, True], ids=["exit", "dev"])
+    def test_teardown_runs_in_dev_mode_alone(self, dev):
+        setup = ["import atexit", "atexit.register(print, 'exit handler ran')"]
+        proc = _run_entry(setup, ["iterate-params", "--out", os.devnull], dev,
+                          capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("exit handler ran\n" if dev else "")
+
+    def test_file_left_open_warns_in_dev_mode(self):
+        setup = ["import os", "leaked = open(os.devnull)"]
+        proc = _run_entry(setup, ["iterate-params", "--out", os.devnull], dev=True,
+                          capture_output=True)
+        assert proc.returncode == 0
+        assert "ResourceWarning: unclosed file <_io.TextIOWrapper name='/dev/null'" in proc.stderr
+
+    @pytest.mark.parametrize("cpus", [None, 3], ids=["machine-cpus", "3cpus"])
+    def test_nothing_outlives_main(self, tmp_path, cpus):
+        # os._exit would end a live thread or child without a word, so main
+        # joins every Monte Carlo thread and reaps every report worker; both
+        # are started here, on this machine's CPUs and on 3 patched ones.
+        commands = [["iterate-params"], ["geometry"], ["verify-pf", "--n", "1000000"],
+                    ["orbit", "--n", "200000"], ["orbit", "--n", "200000", "--format", "csv"]]
+        out = str(tmp_path / "report")
+        probe = "\n".join([
+            "import os, threading, time",
+            "from boolemaps import cli, density",
+            *([f"cli._cpu_count = density._cpu_count = lambda: {cpus}"] if cpus else []),
+            "threads, forks = [], []",
+            "run, fork = threading.Thread.run, cli._fork",
+            "def lingering_run(thread):",
+            "    threads.append(thread)",
+            "    run(thread)",
+            "    time.sleep(0.05)  # ends well after its last task, as a thread may",
+            "def counted_fork():",
+            "    pid = fork()",
+            "    forks.append(pid)",
+            "    return pid",
+            "threading.Thread.run, cli._fork = lingering_run, counted_fork",
+            "before = threading.active_count()",
+            f"for argv in {commands!r}:",
+            f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv",
+            "    assert threading.active_count() == before, argv",
+            "    try:",
+            "        os.waitpid(-1, os.WNOHANG)",
+            "        raise AssertionError(f'{argv}: a child is left')",
+            "    except ChildProcessError:",
+            "        pass",
+            "print(len(threads), len(forks))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        threads, forks = map(int, proc.stdout.split())
+        if (cpus or len(os.sched_getaffinity(0))) > 1:
+            assert threads > 0 and forks > 0, (threads, forks)
 
 
 # Any float a flag may be given: magnitudes log-uniform over 5e-324..1e308,
