@@ -1,17 +1,17 @@
-"""Decimal text of float64 and integer arrays, as matrices of 4-byte words.
+"""Decimal text of float64 arrays and integer ranges, as matrices of 4-byte words.
 
 ``float_text`` spells each finite float64 as ``float.__repr__`` does, with
 the digits of Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020): three 64x128-bit products and a fixed set of comparisons
 per value, with no digit loop, so it runs on whole uint64 arrays.
-``int_text`` spells nonnegative integers as ``str`` does.  Each returns
-``(text, mask)``, two ``(rows, n)`` uint32 matrices; viewed as bytes, a
-row's text is the bytes of ``text`` where ``mask`` holds 1, in order.  The
-bytes masked out are holes in a layout fixed per column, so every step
-works on whole columns and there is no Python object per value.  Integer
-arithmetic stays in uint64, so that no step is promoted to float64 under
-NumPy's type promotion rules.  ``table_text`` lays out whole rows of such
-columns between constant separators.
+``int_text`` spells the integers of a range as ``str`` does.  Each returns
+one ``(rows, n)`` uint32 matrix; viewed as bytes, a row's text is its bytes
+that are not NUL, in order.  The NUL bytes are holes in a layout fixed per
+column, so every step works on whole columns and there is no Python object
+per value.  Integer arithmetic stays in uint64, so that no step is promoted
+to float64 under NumPy's type promotion rules.  ``table_text`` lays out
+whole rows of such columns between constant separators, and drops the
+holes with one ``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -110,8 +110,10 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(shorter, sp10 + _U(10) * wpin, s + above), k
 
 
-#: A sign and a point, each in the last byte of a word.
-_SIGN, _POINT = np.frombuffer(b"\0\0\0-\0\0\0.", dtype=np.uint32)
+#: XORed into a first digit word "000d": "-0.d" and ">00d", where ">"
+#: (0x3E) is "." (0x2E) or "0" (0x30) under a byte mask.
+_TO_SIGN, _TO_POINT = np.frombuffer(bytes([ord("0") ^ ord("-"), 0, ord("0") ^ ord("."), 0,
+                                           ord("0") ^ ord(">"), 0, 0, 0]), dtype=np.uint32)
 
 
 @functools.cache
@@ -127,17 +129,18 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return text, ends.astype(np.uint8)
 
 
+def _halves(eight: np.ndarray) -> list:
+    # x // 10**4 and x % 10**4 for every uint64 x < 10**8, by multiply and shift
+    upper = (eight * _U(109_951_163)) >> _U(40)
+    return [upper, eight - upper * _U(10**4)]
+
+
 def _quads(u: np.ndarray) -> list:
     # the five groups of four decimal digits of each uint64, the highest first
     top = u // _U(10**16)
     rest = u - top * _U(10**16)
     high = rest // _U(10**8)
-    groups = [top]
-    for eight in (high, rest - high * _U(10**8)):
-        # x // 10**4 for every x < 10**8, by multiply and shift
-        upper = (eight * _U(109_951_163)) >> _U(40)
-        groups += [upper, eight - upper * _U(10**4)]
-    return groups
+    return [top, *_halves(high), *_halves(rest - high * _U(10**8))]
 
 
 def _count_digits(u: np.ndarray) -> np.ndarray:
@@ -145,54 +148,70 @@ def _count_digits(u: np.ndarray) -> np.ndarray:
     return np.maximum(np.searchsorted(_POW10, u, side="right"), 1)
 
 
-def int_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``str`` of each nonnegative integer of an int or uint ndarray, as (text, mask)."""
-    magnitude = values.astype(_U)
-    count = _count_digits(magnitude)
-    quads = -(-int(count.max()) // 4)
-    # the last ``quads`` digit words, of which the last ``count`` bytes show
-    mask = (np.arange(4 * quads) >= 4 * quads - count[:, None]).view(np.uint32)
-    text = np.empty_like(mask)
-    for j, group in enumerate(_quads(magnitude)[5 - quads:]):
+def int_text(steps: range) -> np.ndarray:
+    """``str`` of each integer of ``steps``, a nonempty range of step 1 within 0 .. 2**64.
+
+    The digits come as the last few 4-digit groups, one word each; the
+    leading zeros are made NUL a run of rows at a time, since the digit
+    count only steps up at the powers of ten inside the range.
+    """
+    first, rows = steps.start, len(steps)
+    values = np.arange(rows, dtype=_U)
+    values += _U(first)
+    width = len(str(steps[-1]))
+    quads = -(-width // 4)
+    groups = _halves(values)[2 - quads:] if quads <= 2 else _quads(values)[5 - quads:]
+    text = np.empty((rows, quads), dtype=np.uint32)
+    for j, group in enumerate(groups):
         text[:, j] = _digit_tables()[0].take(group)
-    return text, mask
+    start = 0
+    for digits in range(len(str(first)), width + 1):
+        stop = min(10**digits - first, rows)
+        # keep the last ``digits`` bytes of these rows
+        text[start:stop] &= np.frombuffer(bytes(4 * quads - digits) + b"\xff" * digits, np.uint32)
+        start = stop
+    return text
 
 
 @functools.cache
-def _tails() -> tuple[np.ndarray, np.ndarray]:
-    # Rows 0 .. 632 "e-324" .. "e+308", then nothing, NUL-padded to two
-    # words, and their masks.
-    words = [f"e{e:+03d}".encode() for e in range(-324, 309)] + [b""]
-    text = np.frombuffer(b"".join(w.ljust(8, b"\0") for w in words), dtype=np.uint8)
-    return text.view(np.uint32).reshape(-1, 2), (text != 0).view(np.uint32).reshape(-1, 2)
+def _tails() -> np.ndarray:
+    # Rows 0 .. 632 "e-324" .. "e+308", NUL-padded to two words, with
+    # nothing in row 324, that of "e+00", which no repr writes.
+    words = [f"e{e:+03d}".encode() if e else b"" for e in range(-324, 309)]
+    return np.frombuffer(b"".join(w.ljust(8, b"\0") for w in words), np.uint32).reshape(-1, 2)
 
 
 @functools.cache
 def _float_masks(whole: int, frac: int) -> np.ndarray:
-    # The mask words of a float's first two parts by the key of float_text,
-    # keeping their first ``whole`` and ``frac`` words.  Each part is a word
-    # with the sign (or the point) in its last byte, then the five digit
-    # words of f * 10**(17 - digits): digit i is byte 7 + i of the part,
-    # after three zeros.
-    mask = np.zeros((2, 20, 18, 48), dtype=bool)
+    # The byte masks of a float's first two parts by the key of float_text,
+    # 0xFF where a byte is text and NUL where it is a hole, keeping their
+    # first ``whole`` and ``frac`` words.  Each part holds the digits of
+    # f * 10**(17 - digits), digit i in byte 3 + i, after "-0." in the first
+    # part and ">00" in the second, whose ">" the mask makes the point, or
+    # the first of three zeros after "0.".
+    mask = np.zeros((2, 20, 18, 40), dtype=bool)
     point, end, digit = np.arange(-3, 17)[:, None], np.arange(18), np.arange(17)
-    mask[1, ..., 3] = True  # the sign
-    mask[..., 6] = point <= 0  # the "0" of "0."
-    mask[..., 7:24] = digit < point[..., None]
-    mask[..., 27] = end > point  # the point
-    mask[..., 28:31] = np.arange(3) < -point[..., None]  # the zeros after "0."
-    mask[..., 31:48] = (digit >= point[..., None]) & (digit < end[..., None])
-    words = [*range(whole), *range(6, 6 + frac)]
-    return mask.view(np.uint32).reshape(-1, 12)[:, words].copy()
+    mask[1, ..., 0] = True  # the sign
+    mask[..., 1:3] = (point <= 0)[..., None]  # the "0." of "0.ddd"
+    mask[..., 3:20] = digit < point[..., None]
+    mask[..., 21:23] = np.arange(1, 3) >= 3 + point[..., None]  # the zeros after "0."
+    mask[..., 23:40] = (digit >= point[..., None]) & (digit < end[..., None])
+    mask = mask * np.uint8(0xFF)
+    mask[..., 20] = np.where((point > 0) & (end > point), ord("."), (point <= -3) * ord("0"))
+    words = [*range(whole), *range(5, 5 + frac)]
+    return mask.view(np.uint32).reshape(-1, 10)[:, words].copy()
 
 
-def float_text(values: np.ndarray):
-    """``float.__repr__`` of each finite float64, as (text, mask).
+def float_text(values: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each finite float64.
 
-    A row has three parts: the sign and the digits before the point, or the
-    "0" of "0."; the point, the zeros after "0." and the digits after it;
-    the exponent.  Each part is as many words as the row that needs most of
-    it.  Raises ValueError on a value that is not finite.
+    A row has three parts: the sign and the digits before the point, or
+    "0." with the sign; the point or the zeros after "0.", and the digits
+    after the point; the exponent.  Each part is as many words as the row
+    that needs most of it.  The digits are laid down in both of the first
+    two parts, and a mask by the point's place and the digit count makes
+    NUL what a row does not show.  Raises ValueError on a value that is not
+    finite.
     """
     bits = values.view(_U)
     magnitude = bits & _U(2**63 - 1)
@@ -217,53 +236,51 @@ def float_text(values: np.ndarray):
     point = np.where(fixed, decpt, 1)  # digits before the point
     end = np.where(fixed, np.maximum(significant, point + 1), significant)
     key = ((bits >> _U(63)).astype(np.intp) * 20 + point + 3) * 18 + end
-    # words of the first part: the "0" of "0." is byte 6, so at least two
-    whole = -(-(7 + max(int(point.max()), 0)) // 4)
-    frac = -(-(7 + int(end.max())) // 4)
-    tails = 0 if fixed.all() else 2
+    # the row of _tails: the exponent decpt - 1, or nothing
+    tail = np.where(fixed, 324, decpt + 323)
+    low, high = int(tail.min()), int(tail.max())
+    whole = -(-(3 + max(int(point.max()), 0)) // 4)
+    frac = -(-(3 + int(end.max())) // 4)
+    # the exponent's words: none, or one for "e-dd" .. "e+dd", or two
+    tails = 0 if low == high == 324 else 1 if low >= 225 and high <= 423 else 2
     text = np.empty((len(bits), whole + frac + tails), dtype=np.uint32)
-    mask = np.empty_like(text)
-    mask[:, : whole + frac] = _float_masks(whole, frac).take(key, axis=0)
-    text[:, 0] = _SIGN
-    text[:, whole] = _POINT
-    for j, group in enumerate(groups[: max(whole, frac) - 1]):
+    first = _digit_tables()[0].take(groups[0])
+    text[:, 0] = first ^ _TO_SIGN
+    text[:, whole] = first ^ _TO_POINT
+    for j, group in enumerate(groups[1: max(whole, frac)], 1):
         quad = _digit_tables()[0].take(group)
-        if j < whole - 1:
-            text[:, 1 + j] = quad
-        if j < frac - 1:
-            text[:, whole + 1 + j] = quad
+        if j < whole:
+            text[:, j] = quad
+        if j < frac:
+            text[:, whole + j] = quad
+    text[:, : whole + frac] &= _float_masks(whole, frac).take(key, axis=0)
     if tails:
-        # the row of _tails: an exponent, or nothing
-        tail = np.where(fixed, 633, decpt + 323)
-        text[:, -2:], mask[:, -2:] = (table.take(tail, axis=0) for table in _tails())
-    return text, mask
+        text[:, -tails:] = _tails()[:, :tails].take(tail, axis=0)
+    return text
 
 
-def _constant(text: bytes) -> tuple[np.ndarray, np.ndarray]:
-    # One row of words holding ``text``, NUL-padded, and the mask of its bytes.
-    width = -(-max(len(text), 1) // 4) * 4
-    words = np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint32)
-    return words[None], (np.arange(width) < len(text)).view(np.uint32)[None]
+def _constant(text: bytes) -> np.ndarray:
+    # One row of words holding ``text``, NUL-padded: a NUL of its own would
+    # be taken for padding.
+    if b"\0" in text:
+        raise ValueError(f"{text!r} holds a NUL")
+    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), dtype=np.uint32)[None]
 
 
 def table_text(columns: list, lead: bytes, seps: list[bytes]) -> bytes:
     """Rows of equal-length columns: ``lead``, then each cell and its separator.
 
-    A column is a range of nonnegative integers, spelled by ``int_text``, or
-    a float64 ndarray of finite values, spelled by ``float_text``.  The rows
+    A column is a range of step 1 from 0 up, spelled by ``int_text``, or a
+    float64 ndarray of finite values, spelled by ``float_text``.  The rows
     are one matrix of words, made of the cells' columns and constant
-    separator columns, with a mask of the bytes that are text; one boolean
-    index of the flattened pair lays it out.
+    separator columns, whose holes are NUL; as no text byte is NUL (a cell
+    holds digits, "-", ".", "e" and "+"), dropping every NUL of its bytes
+    lays it out.
     """
     parts = [_constant(lead)]
     for column, sep in zip(columns, seps):
-        if isinstance(column, range):
-            cells = int_text(np.arange(column.start, column.stop, column.step))
-        else:
-            cells = float_text(column)
-        parts += [cells, _constant(sep)]
+        parts += [int_text(column) if isinstance(column, range) else float_text(column),
+                  _constant(sep)]
     rows = len(columns[0])
-    text, mask = (np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in half])
-                  for half in zip(*parts))
-    # ravel copies only if hstack chose a column-major layout
-    return text.ravel().view(np.uint8)[mask.ravel().view(bool)].tobytes()
+    text = np.hstack([np.broadcast_to(words, (rows, words.shape[-1])) for words in parts])
+    return text.tobytes().translate(None, b"\0")

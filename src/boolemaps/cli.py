@@ -38,10 +38,11 @@ the same double, so identical runs diff cleanly.  A table of lists (the
 records of every command but a long ``orbit``) is spelled by one json
 encoder call per column for JSON, or a cell at a time for CSV, nan and the
 infinities as JSON or Python spell them, and its rows joined by
-``str.join``.  A table of ranges from 0 and finite float64 arrays (a long
-``orbit``'s) is spelled by the numpy kernels of ``_numtext``, with no
-Python object per cell, a chunk of rows as one matrix of cell and
-separator bytes laid out by one boolean index; its chunks are encoded
+``str.join``.  A table of ranges of step 1 from 0 up and finite float64
+arrays (a long ``orbit``'s) is spelled by the numpy kernels of
+``_numtext``, with no Python object per cell, a chunk of rows as one
+matrix of cell and separator words whose holes are NUL bytes, laid out by
+dropping them with one ``bytes.translate``; its chunks are encoded
 round-robin on every CPU the process may run on, by the process itself and
 forked workers, and written in order.  A worker sends only chunk bytes, and
 the process encodes every chunk it did not receive, so a worker that fails
@@ -56,8 +57,11 @@ A command's process (``python -m boolemaps.cli``, or the ``boolemaps``
 script) enters through ``run``, which flushes stdout and stderr after
 ``main`` and ends with ``os._exit``, skipping the interpreter's teardown:
 ``main`` has written the report, joined every thread and reaped every
-worker by then.  Under Python's development mode (``-X dev``) it exits
-through SystemExit instead, as teardown is where a file left open warns.
+worker by then.  A write to stdout or stderr that fails, in that flush or
+in argparse's own write of a help or usage text (which unbuffered streams
+do at once), exits 1 with one line on stderr.  Under Python's development
+mode (``-X dev``) it exits through SystemExit instead, as teardown is where
+a file left open warns.
 """
 
 from __future__ import annotations
@@ -357,8 +361,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a help or usage text that cannot be written
+    exits 1 with one line, as ``run`` does for a flush that fails.
+
+    argparse drops the OSError of that write: on an unbuffered stream the
+    text is lost then and there, and the command would exit 0 unseen.
+    """
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        try:
+            file.write(message)
+        except OSError as exc:
+            raise SystemExit(_lost(file, exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boolemaps",
         description="Boole-transform dynamics, half-plane parameter maps, and their verification oracles.",
     )
@@ -388,10 +408,11 @@ class ReportError(RuntimeError):
 
 
 def _by_kernels(table: Table) -> bool:
-    # Every column a range or a float64 ndarray (whose dtype compares equal
-    # to its name), as orbit's are.
+    # Every column a range of step 1 within 0 .. 2**64, or a float64 ndarray
+    # (whose dtype compares equal to its name), as orbit's are.
     return all(
-        isinstance(column, range) or getattr(column, "dtype", None) == "float64"
+        column.step == 1 and 0 <= column.start and column.stop <= 2**64
+        if isinstance(column, range) else getattr(column, "dtype", None) == "float64"
         for column in table.columns.values()
     )
 
@@ -415,10 +436,10 @@ def _chunk(table: Table, start: int, fmt: str) -> bytes:
     Each row is a lead, then every cell followed by its column's
     separator: a CSV line, or an item of the indented JSON records array,
     an object with its keys on indented lines, led by the separator before
-    it, which the table's first row drops.  A table of ranges and float64
-    arrays (``orbit``'s) is laid out by the numpy kernels of ``_numtext``;
-    any other, such as the lists of every other command, is joined by the
-    standard library.
+    it, which the table's first row drops.  A table of ranges of step 1
+    from 0 up and float64 arrays (``orbit``'s) is laid out by the numpy
+    kernels of ``_numtext``; any other, such as the lists of every other
+    command, is joined by the standard library.
     """
     stop = min(start + _CHUNK_ROWS, len(table))
     if fmt == "csv":
@@ -677,6 +698,12 @@ def _to_devnull(stream) -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
+def _lost(stream, exc: OSError) -> str:
+    # The one line for a write to ``stream`` that failed, which then goes nowhere.
+    _to_devnull(stream)
+    return f"boolemaps: {type(exc).__name__}: {exc}"
+
+
 #: The BLAS and OpenMP pools, one thread each unless the environment says
 #: otherwise: no command calls BLAS, yet importing numpy starts its pool.
 _POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -712,10 +739,9 @@ def run() -> NoReturn:
         try:
             stream.flush()
         except OSError as exc:
-            _to_devnull(stream)
             status = 1
             with contextlib.suppress(OSError):  # a failing stderr goes to devnull in its turn
-                print(f"boolemaps: {type(exc).__name__}: {exc}", file=sys.stderr)
+                print(_lost(stream, exc), file=sys.stderr)
     if sys.flags.dev_mode:
         raise SystemExit(status)
     os._exit(status)

@@ -595,6 +595,38 @@ class TestStreamingWriter:
         assert rendered(body["records"]) == rendered(array)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("first", [0, 10**8 - cli._CHUNK_ROWS], ids=["0", "1e8"])
+    @pytest.mark.parametrize("rows", [1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS,
+                                      cli._CHUNK_ROWS + 1])
+    def test_kernel_rows_match_the_list_route(self, rows, first, fmt):
+        # Every chunk of a table of a range and float64 arrays, by the
+        # kernels, against the same columns held as lists; the step numbers
+        # from 1e8 - 8192 cross 1e8 in the second chunk.
+        rng = np.random.default_rng(rows)
+        points = rng.standard_cauchy(rows) * 10.0 ** rng.integers(-8, 20, rows)
+        columns = {"step": range(first, first + rows), "xi": points,
+                   "edge": np.resize([-0.0, 5e-324, 1e-4, -1e-5, 1e16, 2.0**53 + 2, 0.1], rows)}
+        arrays = cli.Table(columns)
+        lists = cli.Table({key: list(column) if isinstance(column, range) else column.tolist()
+                           for key, column in columns.items()})
+        assert cli._by_kernels(arrays) and not cli._by_kernels(lists)
+        for start in range(0, rows, cli._CHUNK_ROWS):
+            assert cli._chunk(arrays, start, fmt) == cli._chunk(lists, start, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("steps", [range(-2, 2), range(0, 8, 2), range(3, -1, -1),
+                                       range(2**64 - 2, 2**64 + 2)],
+                             ids=["negative", "step-2", "descending", "past-2**64"])
+    def test_range_the_kernels_do_not_spell_takes_the_list_route(self, steps, fmt):
+        # Only ranges of step 1 within 0 .. 2**64 go to the kernels; any other
+        # gives the bytes of the same numbers held as a list.
+        xi = np.array([0.5, 1.5, 2.5, 3.5])
+        table = cli.Table({"step": steps, "xi": xi})
+        assert not cli._by_kernels(table)
+        assert cli._chunk(table, 0, fmt) == cli._chunk(
+            cli.Table({"step": list(steps), "xi": xi.tolist()}), 0, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
         "rows", [1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1], ids=["1", "chunk", "chunk+1"]
     )
@@ -1025,12 +1057,13 @@ def _entry_probe(setup, argv):
     ])
 
 
-def _run_entry(setup, argv, dev=False, **kwargs):
+def _run_entry(setup, argv, dev=False, unbuffered=False, **kwargs):
     # The probe in a process of its own, in development mode or not, with
-    # buffered streams and Python's default warning filters.
+    # buffered streams unless asked for unbuffered ones (python -u), and
+    # Python's default warning filters.
     env = {key: value for key, value in os.environ.items()
            if key not in ("PYTHONDEVMODE", "PYTHONWARNINGS", "PYTHONUNBUFFERED")}
-    flags = ["-X", "dev"] if dev else []
+    flags = (["-X", "dev"] if dev else []) + (["-u"] if unbuffered else [])
     return subprocess.run([sys.executable, *flags, "-c", _entry_probe(setup, argv)], env=env,
                           text=True, timeout=120, **kwargs)
 
@@ -1062,13 +1095,26 @@ class TestProcessEnd:
             assert proc.stdout.startswith("usage: boolemaps ")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("dev", [False, True], ids=["exit", "dev"])
-    def test_failed_flush_is_one_line(self, dev):
-        # --help leaves its text in stdout's buffer for the flush at the end
+    @pytest.mark.parametrize("dev, unbuffered", [(False, False), (True, False), (False, True),
+                                                 (True, True)],
+                             ids=["exit", "dev", "exit-unbuffered", "dev-unbuffered"])
+    def test_failed_flush_is_one_line(self, dev, unbuffered):
+        # --help leaves its text in stdout's buffer for the flush at the end;
+        # unbuffered, it fails in argparse's own write, which drops the error
         with open("/dev/full", "w") as full:
-            proc = _run_entry([], ["--help"], dev, stdout=full, stderr=subprocess.PIPE)
+            proc = _run_entry([], ["--help"], dev, unbuffered, stdout=full,
+                              stderr=subprocess.PIPE)
         assert proc.returncode == 1
         assert proc.stderr == "boolemaps: OSError: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_usage_lost_to_a_failing_stderr_exits_1(self, unbuffered):
+        # bad input whose usage and error lines cannot be written
+        with open("/dev/full", "w") as full:
+            proc = _run_entry([], ["verify-pf", "--n", "100"], unbuffered=unbuffered,
+                              stdout=subprocess.PIPE, stderr=full)
+        assert (proc.returncode, proc.stdout) == (1, "")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("args", [

@@ -9,18 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolemaps import _numtext
+from boolemaps import _numtext, cli
 
 #: How each format spells a float: float.__repr__ for CSV, json.dumps for JSON.
 REFERENCE = {"csv": float.__repr__, "json": json.dumps}
 
 
-def spelled(text, mask) -> list[str]:
-    # the rows of a kernel's (text, mask), one string each
-    newline = np.frombuffer(b"\n\0\0\0\1\0\0\0", dtype=np.uint32)
-    text = np.hstack([text, np.full((len(text), 1), newline[0])])
-    mask = np.hstack([mask, np.full((len(mask), 1), newline[1])])
-    return text.view(np.uint8).ravel()[mask.view(bool).ravel()].tobytes().decode().split("\n")[:-1]
+def spelled(text) -> list[str]:
+    # the rows of a kernel's word matrix, one string each, its NUL holes dropped
+    newline = np.full((len(text), 1), ord("\n"), dtype=np.uint32)
+    return np.hstack([text, newline]).tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 def check(values: np.ndarray) -> None:
@@ -29,7 +27,7 @@ def check(values: np.ndarray) -> None:
     values = values[np.isfinite(values)]
     for lo in range(0, len(values), 1 << 16):
         block = values[lo:lo + (1 << 16)]
-        got = spelled(*_numtext.float_text(block))
+        got = spelled(_numtext.float_text(block))
         for fmt, reference in REFERENCE.items():
             expected = list(map(reference, block.tolist()))
             wrong = [(g, e) for g, e in zip(got, expected) if g != e]
@@ -96,11 +94,62 @@ def test_non_finite_value_raises(value):
         _numtext.float_text(np.array([1.5, value]))
 
 
-@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=300))
-def test_int64_matches_str(values):
-    assert spelled(*_numtext.int_text(np.array(values, dtype=np.int64))) == list(map(str, values))
+def check_rows(count: int, seed: int) -> None:
+    """Assert that the finite values of ``count`` raw 64-bit patterns drawn
+    from ``seed``, with their step numbers, give the same JSON and CSV rows
+    through the kernels as through the list route, a chunk at a time."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64, endpoint=False)
+    xi = bits.view(np.float64)
+    xi = xi[np.isfinite(xi)]
+    arrays = cli.Table({"step": range(len(xi)), "xi": xi})
+    lists = cli.Table({"step": list(range(len(xi))), "xi": xi.tolist()})
+    assert cli._by_kernels(arrays) and not cli._by_kernels(lists)
+    for fmt in ("json", "csv"):
+        for start in range(0, len(xi), cli._CHUNK_ROWS):
+            assert cli._chunk(arrays, start, fmt) == cli._chunk(lists, start, fmt), (fmt, start)
 
 
-def test_integer_edges_match_str():
-    ends = [0, 9, 10, 2**63 - 1, 2**64 - 1] + [10**j + d for j in range(1, 20) for d in (-1, 0)]
-    assert spelled(*_numtext.int_text(np.array(ends, dtype=np.uint64))) == list(map(str, ends))
+def test_random_rows_match_the_list_route():
+    # the CI step "Float text equals float.__repr__" checks 10**6 of them
+    check_rows(2 * cli._CHUNK_ROWS + 3, seed=2)
+
+
+def int_rows(steps: range) -> list[str]:
+    return spelled(_numtext.int_text(steps))
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 300))
+def test_any_range_matches_str(first, rows):
+    steps = range(first, min(first + rows, 2**64))
+    assert int_rows(steps) == list(map(str, steps))
+
+
+@pytest.mark.parametrize("power", range(1, 20))
+def test_ranges_across_a_power_of_ten_match_str(power):
+    # a chunk's rows on both sides of 10**power, from 0 for the powers that
+    # one chunk of rows from 0 crosses
+    first = max(10**power - cli._CHUNK_ROWS // 2, 0)
+    steps = range(first, first + cli._CHUNK_ROWS)
+    assert int_rows(steps) == list(map(str, steps))
+
+
+@pytest.mark.parametrize("stop", [1, 2, 10, 11, 8191, 8192, 8193, 10**5 + 1])
+def test_ranges_from_zero_match_str(stop):
+    assert int_rows(range(stop)) == list(map(str, range(stop)))
+
+
+@pytest.mark.parametrize("value", [0, 1, 9, 10, 99, 100, 9999, 10**4, 10**8 - 1, 10**8,
+                                   10**16 - 1, 10**16, 10**19, 2**63, 2**64 - 1])
+def test_one_row_range_matches_str(value):
+    assert int_rows(range(value, value + 1)) == [str(value)]
+
+
+def test_range_up_to_the_bound_matches_str():
+    steps = range(2**64 - cli._CHUNK_ROWS, 2**64)
+    assert int_rows(steps) == list(map(str, steps))
+
+
+def test_constant_with_a_nul_is_refused():
+    # a NUL of a separator would be dropped as a hole
+    with pytest.raises(ValueError, match="holds a NUL"):
+        _numtext.table_text([range(2), np.array([0.5, 1.5])], b"", [b",", b"\0\n"])
