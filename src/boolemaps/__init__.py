@@ -13,6 +13,11 @@ Layout:
                    symplectic structure, with brute-force oracles
 * ``density``   -- transfer-sum and Monte Carlo verification of the reduction
 * ``cli``       -- the ``boolemaps`` command
+* ``_core``     -- the scalar core, with neither numpy nor ``dataclasses``:
+                   the map and the orbit generator, and the step, the fixed
+                   point's scale and the conformal factor on floats, which
+                   ``halfplane`` and ``geometry`` wrap, and the limits the
+                   CLI checks its flags against; the CLI starts on it alone
 
 The names below load their module on first use (PEP 562), so that
 ``import boolemaps`` loads no numpy, nor does the first use of a name of

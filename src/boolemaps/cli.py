@@ -9,15 +9,22 @@ orbit            pointwise orbit trace with an ergodicity check for long runs
 
 Each command parses only the flags it reads (``_COMMAND_FLAGS``), plus
 --out and --format; any other flag, a value the command cannot run with, or
-an --out that cannot be opened, exits 2 with a one-line message before the
-command runs.  A negative value may follow its flag as its own argument in
-any form a float takes, such as ``--nu0 -5e-05``.
+an --out that cannot be opened, exits 2 before the command runs, with the
+command's usage and a one-line message, ``boolemaps <command>: error: ...``.
+A negative value may follow its flag as its own argument in any form a
+float takes, such as ``--nu0 -5e-05``.
 
-Only ``verify-pf``, and ``orbit`` of at least ``KS_MIN_SAMPLES`` steps,
-whose orbit is checked against the invariant law, load numpy, through the
-modules ``_array_modules`` names, after their flags are validated.
-``iterate-params``, ``geometry``, shorter orbits and bad input run on the
-standard library alone.
+At start-up this module loads only the standard library and the scalar
+core, ``_core``, which imports neither numpy nor ``dataclasses``; every
+other module loads on the path that needs it.  ``iterate-params``, shorter
+orbits and bad input run on the core alone.  ``geometry`` loads the
+module ``geometry`` (and ``halfplane``, the points, with it) when it
+validates its flags, whose domain check it reads, so that load counts in
+``meta.timings.validate_s``; it too runs without numpy.  Only
+``verify-pf``, and ``orbit`` of at least ``KS_MIN_SAMPLES`` steps, whose
+orbit is checked against the invariant law, load numpy, through the
+modules ``_array_modules`` names (``halfplane`` with them), after their
+flags are validated.
 
 Reports carry ``config`` (the command and its flags), ``records``,
 ``oracles`` and ``meta`` sections and serialize to JSON (everything) or CSV
@@ -73,43 +80,29 @@ import json
 import math
 import os
 import resource
-import signal
 import struct
 import sys
 import time
 import warnings
-from dataclasses import astuple, dataclass, field
 from itertools import chain, islice, repeat
 from typing import NoReturn
 
 from . import __version__
-from .errors import PoleGuardError, QuadratureError, SingularInputError
-from .geometry import (
-    KILLING_FIELD_NAMES,
-    canonical_form_coefficient,
-    conformal_factor,
-    fisher_metric,
-    fisher_metric_quadrature,
-    lie_derivative_metric,
-    lie_derivative_two_form,
-    symplectic_defect,
-    verify_conformal_pullback,
-)
-from .halfplane import (
+from ._core import (
     DEFAULT_GRID_SIZE,
     KS_MIN_SAMPLES,
     MAX_SAMPLE_OFFSET,
     MIN_MONTE_CARLO_SIZE,
     POLE_EPS,
-    HPoint,
+    _conformal_factor,
     _cpu_count,
+    _fixed_scale,
     _half_reciprocal,
     _iterates,
+    _step,
     check_alpha,
-    fixed_point,
-    iterate_parameter_map,
-    to_canonical,
 )
+from .errors import PoleGuardError, QuadratureError, SingularInputError
 
 SUP_ERROR_TOL = 1e-10
 #: Geometry tolerances are relative to the metric, and for Lie derivatives to gamma.
@@ -157,6 +150,9 @@ def validate(cfg: argparse.Namespace) -> None:
     if "gamma0" in flags and cfg.gamma0 <= 0:
         raise ValueError(f"gamma0 must be positive, got {cfg.gamma0}")
     if cfg.command == "geometry":
+        from .geometry import fisher_metric
+        from .halfplane import HPoint
+
         try:
             fisher_metric(HPoint(cfg.nu0, cfg.gamma0))
         except SingularInputError as exc:
@@ -188,7 +184,6 @@ def validate(cfg: argparse.Namespace) -> None:
         raise ValueError(f"xi0 must be finite with |xi0| >= {POLE_EPS}, got {cfg.xi0}")
 
 
-@dataclass(frozen=True)
 class Table:
     """A report's records: equal-length columns by name.
 
@@ -196,37 +191,41 @@ class Table:
     ``len`` gives the number of rows, not of columns.
     """
 
-    columns: dict = field(default_factory=dict)
+    def __init__(self, columns: dict | None = None):
+        self.columns = {} if columns is None else columns
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
 
 def _param_columns(cfg: argparse.Namespace) -> dict:
-    # The trajectory's columns, by name; q = nu and p = 1/(2*gamma).
-    target = fixed_point(cfg.alpha)
-    trajectory = iterate_parameter_map(cfg.alpha, HPoint(cfg.nu0, cfg.gamma0), cfg.steps)
-    nus = [point.nu for point in trajectory]
-    gammas = [point.gamma for point in trajectory]
+    # The trajectory's columns, by name; q = nu and p = 1/(2*gamma).  The
+    # scalar core's float formulas: those of iterate_parameter_map,
+    # conformal_factor and fixed_point, with no HPoint built.
+    alpha = check_alpha(cfg.alpha)
+    nu, gamma = cfg.nu0, cfg.gamma0
+    nus, gammas = [nu], [gamma]
+    for _ in range(cfg.steps):
+        nu, gamma = _step(alpha, nu, gamma)
+        nus.append(nu)
+        gammas.append(gamma)
+    target = _fixed_scale(alpha)
     return {
-        "step": range(len(trajectory)),
+        "step": range(len(nus)),
         "nu": nus,
         "gamma": gammas,
         "q": nus,
         "p": [_half_reciprocal(gamma) for gamma in gammas],
-        "conformal_factor": [conformal_factor(point) for point in trajectory],
-        "dist_to_fixed_point": [
-            math.hypot(nu - target.nu, gamma - target.gamma) for nu, gamma in zip(nus, gammas)
-        ],
+        "conformal_factor": list(map(_conformal_factor, nus, gammas)),
+        "dist_to_fixed_point": [math.hypot(nu, gamma - target) for nu, gamma in zip(nus, gammas)],
     }
 
 
 def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
     columns = _param_columns(cfg)
-    target = fixed_point(cfg.alpha)
     oracles = {
-        "fixed_point_nu": float(target.nu),
-        "fixed_point_gamma": float(target.gamma),
+        "fixed_point_nu": 0.0,
+        "fixed_point_gamma": _fixed_scale(check_alpha(cfg.alpha)),
         "final_dist_to_fixed_point": columns["dist_to_fixed_point"][-1],
         "closure_gamma_positive": all(gamma > 0.0 for gamma in columns["gamma"]),
     }
@@ -236,6 +235,7 @@ def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
 
 def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
     from .density import pf_closed_form_check, pf_monte_carlo_check
+    from .halfplane import HPoint
 
     params = HPoint(cfg.nu0, cfg.gamma0)
     sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
@@ -264,28 +264,33 @@ _LATTICE_NU = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _LATTICE_GAMMA = (0.5, 1.0, 2.0, 3.0, 4.0)
 
 
-def _geometry_row(alpha: float, point: HPoint) -> dict:
-    metric = fisher_metric(point)
-    quad = fisher_metric_quadrature(point)
+def _geometry_row(alpha: float, point) -> dict:
+    from . import geometry as geo
+    from .halfplane import to_canonical
+
+    metric = geo.fisher_metric(point)
+    quad = geo.fisher_metric_quadrature(point)
     gaps = (quad.g_nn - metric.g_nn, quad.g_ng, quad.g_gg - metric.g_gg)
-    lie_g = [astuple(lie_derivative_metric(name, point)) for name in KILLING_FIELD_NAMES]
-    lie_w = [lie_derivative_two_form(name, point) for name in KILLING_FIELD_NAMES]
+    lie_g = [geo.lie_derivative_metric(name, point) for name in geo.KILLING_FIELD_NAMES]
+    lie_w = [geo.lie_derivative_two_form(name, point) for name in geo.KILLING_FIELD_NAMES]
     degenerate = math.hypot(point.nu, point.gamma - 1.0) < DEGENERACY_RADIUS
     return {
         "nu": point.nu,
         "gamma": point.gamma,
-        "conformal_factor": conformal_factor(point),
+        "conformal_factor": geo.conformal_factor(point),
         "degenerate": degenerate,
-        "pullback_deviation": verify_conformal_pullback(alpha, point),
+        "pullback_deviation": geo.verify_conformal_pullback(alpha, point),
         "quadrature_error": max(map(abs, gaps)) / metric.g_nn,
-        "lie_metric_max": max(abs(value) for entries in lie_g for value in entries),
+        "lie_metric_max": max(abs(value) for g in lie_g for value in (g.g_nn, g.g_ng, g.g_gg)),
         "lie_two_form_max": max(map(abs, lie_w)),
-        "canonical_coefficient": canonical_form_coefficient(point),
-        "symplectic_defect": symplectic_defect(alpha, to_canonical(point)),
+        "canonical_coefficient": geo.canonical_form_coefficient(point),
+        "symplectic_defect": geo.symplectic_defect(alpha, to_canonical(point)),
     }
 
 
 def cmd_geometry(cfg: argparse.Namespace) -> tuple[dict, bool]:
+    from .halfplane import HPoint
+
     records = [_geometry_row(cfg.alpha, HPoint(cfg.nu0, cfg.gamma0))]
     for gamma in _LATTICE_GAMMA:
         for nu in _LATTICE_NU:
@@ -339,6 +344,7 @@ def cmd_orbit(cfg: argparse.Namespace) -> tuple[dict, bool]:
         points, truncated, last_index = _short_orbit(cfg.alpha, cfg.xi0, cfg.n)
     else:
         from .density import ks_distance
+        from .halfplane import fixed_point
         from .orbit import iterate_orbit
 
         result = iterate_orbit(cfg.alpha, cfg.xi0, cfg.n)
@@ -367,6 +373,8 @@ class _Parser(argparse.ArgumentParser):
 
     argparse drops the OSError of that write: on an unbuffered stream the
     text is lost then and there, and the command would exit 0 unseen.
+    ``build_parser`` gives the top-level parser ``_commands``, the parser
+    of each command by name, which ``main`` reports bad input through.
     """
 
     def _print_message(self, message, file=None):
@@ -393,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     sub.choices["iterate-params"].set_defaults(steps=10)
+    parser._commands = sub.choices
     return parser
 
 
@@ -537,6 +546,8 @@ def _write_chunks(table: Table, fmt: str, handle) -> None:
     finally:
         for pipe in pipes:
             pipe.close()
+        if pids:
+            import signal
         for pid in pids:
             # every chunk was read, or the report failed: no worker is needed now
             os.kill(pid, signal.SIGKILL)
@@ -635,7 +646,8 @@ def main(argv=None) -> int:
         # an output that cannot be opened is bad input too, found before the run
         handle = open(cfg.output_path, "wb") if cfg.output_path is not None else sys.stdout.buffer
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        # the command's usage and name, as for a flag value it cannot parse
+        parser._commands[cfg.command].error(str(exc))
 
     validated = loaded = time.perf_counter()
     for module in _array_modules(cfg):

@@ -12,7 +12,7 @@ push-forward is recomputed by brute force in two independent ways:
   map and refitted by robust quantile (or maximum-likelihood) estimation.
 
 Both are then compared against the closed-form prediction.  The pointwise
-map is the one core ``halfplane._boole``, which the push-forward applies in
+map is the one core ``_core._boole``, which the push-forward applies in
 place in its order, and its preimages come from ``orbit._preimages``.
 Sampling only draws points; fitting is a separate, explicit ``fit_cauchy``
 call.  The Monte Carlo check's quantile fit streams its sample: each block

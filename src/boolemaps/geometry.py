@@ -19,10 +19,12 @@ Each oracle returns a dimensionless gap that holds at any alpha and finite
 nu wherever the metric is a normal double (gamma ~5.3e-155 to ~4.7e153).
 It needs only the standard library: the quadrature is a loop over 16 or 32
 nodes, and the Jacobians are 2x2, their products written out.  Only
-``christoffel`` returns an array, and loads numpy when called, so the CLI
-imports this module, the metric with it, for every command without numpy.
-Of ``halfplane`` it reads the points, ``check_alpha`` and the map's real
-form ``_scaled_step``, which the map oracles step at alpha = 1 only.
+``christoffel`` returns an array, and loads numpy when called, so the CLI's
+``geometry`` command runs without numpy; the CLI loads this module only
+for that command, when it validates the flags.  Of ``halfplane`` it reads
+the points, ``check_alpha`` and the map's real form ``_scaled_step``, which
+the map oracles step at alpha = 1 only; the conformal factor's formula is
+the scalar core's, which ``iterate-params`` reads without this module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from ._core import _conformal_factor
 from .errors import QuadratureError, SingularInputError
 from .halfplane import CanonicalPoint, HPoint, _scaled_step, check_alpha, from_canonical
 
@@ -84,9 +87,7 @@ def conformal_factor(x: HPoint) -> float:
     Evaluated as 1 - t^2 with t = 2*(gamma/r)/(r + 1/r), r = hypot(nu, gamma),
     so that A never forms and the result stays in [0, 1] at any magnitude.
     """
-    r = math.hypot(x.nu, x.gamma)
-    t = 2.0 * (x.gamma / r) / (r + 1.0 / r)
-    return 1.0 - t * t
+    return _conformal_factor(x.nu, x.gamma)
 
 
 @dataclass(frozen=True)

@@ -26,73 +26,41 @@ scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
 (point masses) is not part of H: there the step tends to the pointwise map
 on nu, which is ``orbit.boole_transform``.
 
-This is the scalar core, and it imports no numpy: the map, ``HPoint``, the
-orbit generator ``_iterates`` (which ``orbit`` turns into an array), the
-limits the CLI checks its flags against, so that ``iterate-params``, a
-short ``orbit`` and bad input never load numpy, and ``_cpu_count``, the
-CPUs over which the report writer and the Monte Carlo oracle spread their
-work.  The Fisher metric on H is ``geometry``'s.  ``jacobian_analytic`` and
+The float arithmetic of the step, of the fixed point's scale and of the
+conformal factor, the map ``_boole``, the orbit generator ``_iterates``,
+``check_alpha``, ``_cpu_count`` and the limits the CLI checks its flags
+against are the scalar core's (``_core``), which imports neither numpy nor
+``dataclasses``; this module binds the same objects, and wraps the
+formulas around ``HPoint``.  It imports no numpy itself: the Fisher metric
+on H is ``geometry``'s, and ``jacobian_analytic`` and
 ``convergence_bound_check`` return arrays and load numpy when called.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+# the scalar core's names, bound here as this module's own
+from ._core import (
+    DEFAULT_GRID_SIZE,
+    KS_MIN_SAMPLES,
+    MAX_SAMPLE_OFFSET,
+    MIN_MONTE_CARLO_SIZE,
+    POLE_EPS,
+    _boole,
+    _cpu_count,
+    _fixed_scale,
+    _half_reciprocal,
+    _iterates,
+    _step,
+    check_alpha,
+)
 from .errors import SingularInputError
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Inputs closer to the pole at 0 than this are treated as singular.
-POLE_EPS = 1e-300
-
-# Limits of the density oracles, kept here so that the CLI checks its flags,
-# and chooses its route, without loading them.
-DEFAULT_GRID_SIZE = 4096
-#: Smallest sample the Monte Carlo push-forward check accepts.
-MIN_MONTE_CARLO_SIZE = 10**4
-#: The largest |tan(pi*(u - 1/2))| over the doubles u in [0, 1) that
-#: ``density.sample_cauchy`` draws, reached at u = 0: about 1.6e16.
-MAX_SAMPLE_OFFSET = abs(math.tan(-0.5 * math.pi))
-#: Orbits of fewer steps than this are not checked against the invariant law.
-KS_MIN_SAMPLES = 10**5
-
-
-def _cpu_count() -> int:
-    # the CPUs this process may run on; one where the OS cannot say
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def check_alpha(alpha: float) -> float:
-    """Validate the map parameter; must lie strictly inside (0, 1)."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError(f"map parameter must satisfy 0 < alpha < 1, got {alpha!r}")
-    return alpha
-
-
-def _boole(alpha: float, x):
-    # The map itself, unguarded: floats, complex numbers and ndarrays alike.
-    return alpha * (x - 1.0 / x)
-
-
-def _iterates(alpha: float, x: float, n: int):
-    # The seed and its n images, with the map inlined.  An exact 0 ends the
-    # orbit with the ZeroDivisionError of its image, which a float raises
-    # and a numpy scalar does not; any other point inside the guard is
-    # stepped on, and cut off by the caller.
-    yield x
-    try:
-        for _ in itertools.repeat(None, n):
-            x = alpha * (x - 1.0 / x)
-            yield x
-    except ZeroDivisionError:
-        return
 
 
 @dataclass(frozen=True)
@@ -134,12 +102,7 @@ def parameter_step(alpha: float, x: HPoint) -> HPoint:
     finite point of H in floating point: gamma' overflows (|s| below about
     1/DBL_MAX) or underflows to 0.
     """
-    alpha = check_alpha(alpha)
-    stepped = _boole(alpha, complex(x.nu, -x.gamma))
-    nu, gamma = stepped.real, -stepped.imag
-    if not (math.isfinite(nu) and math.isfinite(gamma) and gamma > 0.0):
-        raise SingularInputError(f"the image of {x} is not a finite point of H")
-    return HPoint(nu, gamma)
+    return HPoint(*_step(check_alpha(alpha), x.nu, x.gamma))
 
 
 def fixed_point(alpha: float) -> HPoint:
@@ -147,8 +110,7 @@ def fixed_point(alpha: float) -> HPoint:
 
     It is also the invariant Cauchy law of the pointwise map.
     """
-    alpha = check_alpha(alpha)
-    return HPoint(0.0, math.sqrt(alpha / (1.0 - alpha)))
+    return HPoint(0.0, _fixed_scale(check_alpha(alpha)))
 
 
 def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
@@ -207,14 +169,6 @@ def picture_agreement(alpha: float, x: HPoint) -> float:
     real = _scaled_step(alpha, x.nu, x.gamma, max(abs(x.nu), x.gamma))
     candidates = (real, (rot_new.imag, rot_new.real))
     return max(max(abs(n - stepped.nu), abs(g - stepped.gamma)) for n, g in candidates)
-
-
-def _half_reciprocal(x: float) -> float:
-    # 0.5/x rather than 1/(2*x), whose 2*x overflows above DBL_MAX/2
-    out = 0.5 / x
-    if not 0.0 < out < math.inf:
-        raise SingularInputError(f"1/(2*{x!r}) is not a finite double")
-    return out
 
 
 def to_canonical(x: HPoint) -> CanonicalPoint:

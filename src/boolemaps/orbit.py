@@ -9,12 +9,12 @@ composition of two members has degree 4.  Each member is chaotic with an
 invariant Cauchy law of location 0 and scale sqrt(alpha/(1-alpha)).  This
 module provides the guarded map, its two-branch preimages, guarded orbit
 iteration, and the Cauchy pdf/cdf/quantile trio that the density-level
-verifiers build on.  The map itself, its pole guard and the Cauchy law
-``HPoint`` (its parameter point of the upper half-plane), and the orbit
-generator that ``iterate_orbit`` reads, belong to the scalar core in
-``halfplane``, which applies the same map to nu - i*gamma; on the axis
-nu = 0 that step is the scale map gamma -> alpha * (gamma + 1/gamma).  They
-are re-exported here.
+verifiers build on.  The map itself, its pole guard and the orbit
+generator that ``iterate_orbit`` reads belong to the scalar core,
+``_core``, and the Cauchy law ``HPoint`` (its parameter point of the upper
+half-plane) to ``halfplane``, which applies the same map to nu - i*gamma;
+on the axis nu = 0 that step is the scale map
+gamma -> alpha * (gamma + 1/gamma).  They are re-exported here.
 """
 
 from __future__ import annotations

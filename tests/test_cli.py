@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +20,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolemaps import HPoint, cli, density, orbit
+from boolemaps._core import _step
 from boolemaps.cli import main
+from boolemaps.errors import SingularInputError
+from boolemaps.geometry import conformal_factor
+from boolemaps.halfplane import fixed_point, iterate_parameter_map, parameter_step, to_canonical
 from boolemaps.density import ergodic_orbit_check
 from boolemaps.halfplane import KS_MIN_SAMPLES
 from boolemaps.orbit import iterate_orbit
@@ -78,6 +83,72 @@ class TestIterateParams:
         }
         assert "seed" not in report["meta"]
         assert report["config"]["command"] == "iterate-params"
+
+    def test_columns_equal_the_library_routes_bit_for_bit(self):
+        # The CLI steps floats through the scalar core; the library steps
+        # HPoints through parameter_step.  Seeds log-uniform over the float
+        # range, so that some trajectories leave H on the way.
+        rng = random.Random(20261020)
+        stepped = failed = 0
+        for _ in range(300):
+            alpha = rng.uniform(1e-6, 1.0 - 1e-6)
+            nu0 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+            gamma0 = 10.0 ** rng.uniform(-300.0, 300.0)
+            steps = rng.randint(1, 60)
+            cfg = cli.build_parser().parse_args(
+                ["iterate-params", "--alpha", repr(alpha), f"--nu0={nu0!r}",
+                 "--gamma0", repr(gamma0), "--steps", str(steps)]
+            )
+            try:
+                trajectory = iterate_parameter_map(alpha, HPoint(nu0, gamma0), steps)
+                target = fixed_point(alpha)
+                expected = {
+                    "step": range(steps + 1),
+                    "nu": [x.nu for x in trajectory],
+                    "gamma": [x.gamma for x in trajectory],
+                    "q": [to_canonical(x).q for x in trajectory],
+                    "p": [to_canonical(x).p for x in trajectory],
+                    "conformal_factor": [conformal_factor(x) for x in trajectory],
+                    "dist_to_fixed_point": [
+                        math.hypot(x.nu - target.nu, x.gamma - target.gamma) for x in trajectory
+                    ],
+                }
+            except SingularInputError as exc:
+                with pytest.raises(SingularInputError) as raised:
+                    cli._param_columns(cfg)
+                assert str(raised.value) == str(exc)
+                failed += 1
+                continue
+            columns = cli._param_columns(cfg)
+            assert list(columns) == ["step", "nu", "gamma", "q", "p", "conformal_factor",
+                                     "dist_to_fixed_point"]
+            assert columns["step"] == expected.pop("step")
+            for name, values in expected.items():
+                # float.hex tells -0.0 from 0.0
+                assert list(map(float.hex, columns[name])) == list(map(float.hex, values)), name
+            stepped += 1
+        assert stepped >= 200 and failed
+
+    def test_singular_step_names_the_point_as_parameter_step_does(self):
+        with pytest.raises(SingularInputError) as library:
+            parameter_step(0.5, HPoint(0.0, 1e-310))
+        with pytest.raises(SingularInputError) as core:
+            _step(0.5, 0.0, 1e-310)
+        assert str(core.value) == str(library.value) == (
+            "the image of HPoint(nu=0.0, gamma=1e-310) is not a finite point of H"
+        )
+
+    def test_singular_step_through_the_command(self, tmp_path):
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "boolemaps.cli", "iterate-params", "--nu0", "0",
+             "--gamma0", "1e-310", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        error = "SingularInputError: the image of HPoint(nu=0.0, gamma=1e-310) is not a finite point of H"
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"boolemaps iterate-params: {error}\n"
+        assert json.loads(out.read_text())["oracles"]["error"] == error
 
     def test_config_echo(self, tmp_path):
         _, report = run_json(tmp_path, ["iterate-params", "--steps", "2"])
@@ -138,14 +209,33 @@ class TestValidation:
             main(["verify-pf", "--nu0", "1", "--gamma0", "1e-300"])
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("boolemaps: error: grid nodes collapse")
+        assert err.splitlines()[-1].startswith("boolemaps verify-pf: error: grid nodes collapse")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["orbit", "--n", "-5"], "n must be >= 1, got -5"),
+            (["verify-pf", "--n", "100"], "n must be >= 10000, got 100"),
+            (["geometry", "--gamma0", "1e-200"], "gamma0 must lie in the metric's domain: "
+             "1/(2*gamma^2) is not a normal double at gamma = 1e-200"),
+            (["iterate-params", "--out", ""], "[Errno 2] No such file or directory: ''"),
+        ],
+    )
+    def test_rejected_value_shows_the_command_usage(self, capsys, args, message):
+        # as argparse reports a flag value it cannot parse: the command's
+        # usage, then its name before the message
+        with pytest.raises(SystemExit):
+            main(args)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: boolemaps {args[0]} [-h] ")
+        assert err.splitlines()[-1] == f"boolemaps {args[0]}: error: {message}"
 
     def test_non_finite_flag_message_is_one_line(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify-pf", "--gamma0", "inf"])
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1] == "boolemaps: error: gamma0 must be finite, got inf"
+        assert err.splitlines()[-1] == "boolemaps verify-pf: error: gamma0 must be finite, got inf"
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -173,7 +263,7 @@ class TestValidation:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("boolemaps: error: ")
+        assert err.splitlines()[-1].startswith("boolemaps orbit: error: ")
 
     def test_empty_out_exits_2_before_the_run(self, capsys):
         # an empty path is an --out that cannot be opened, not stdout
@@ -182,7 +272,9 @@ class TestValidation:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1] == "boolemaps: error: [Errno 2] No such file or directory: ''"
+        assert err.splitlines()[-1] == (
+            "boolemaps iterate-params: error: [Errno 2] No such file or directory: ''"
+        )
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -921,31 +1013,33 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 ARRAY_MODULES = ["numpy", "boolemaps.density", "boolemaps._numtext"]
 
 
-def test_import_iterate_params_and_bad_input_leave_numpy_unloaded(tmp_path):
-    # The half-plane step, the geometry at a point and an orbit too short
-    # for the check of the invariant law are scalar work, and bad input
-    # computes nothing: neither they nor the import may load numpy.
-    scalar = [["geometry"], ["orbit", "--n", "1000"], ["orbit", "--n", "99999"]]
-    bad = [["verify-pf", "--n", "100"], ["verify-pf", "--grid-size", "1"],
-           ["orbit", "--xi0", "0"]]
-    out = str(tmp_path / "r")
+#: Runs on the standard library: the half-plane step as JSON and as CSV, and
+#: orbits too short for the check of the invariant law.
+LIGHT_RUNS = [["iterate-params"], ["iterate-params", "--format", "csv"],
+              ["orbit", "--n", "1000"], ["orbit", "--n", "99999"]]
+#: Bad input, which computes nothing.
+BAD_RUNS = [["verify-pf", "--n", "100"], ["verify-pf", "--grid-size", "1"],
+            ["orbit", "--xi0", "0"]]
+
+
+def _assert_unloaded(modules, imports, runs, out):
+    # In a process of its own: after each of ``imports``, after main on each
+    # of ``runs`` (exit 0) and after main on each of BAD_RUNS (exit 2), none
+    # of ``modules`` is loaded.
     probe = "\n".join([
-        "import contextlib, io, sys",
-        f"loaded = lambda: [m for m in {ARRAY_MODULES!r} if m in sys.modules]",
-        "import boolemaps",
-        "assert loaded() == [], ('import boolemaps', loaded())",
-        "import boolemaps.cli",
-        "assert loaded() == [], ('import boolemaps.cli', loaded())",
-        "for fmt in ('json', 'csv'):",
-        f"    assert boolemaps.cli.main(['iterate-params', '--format', fmt, '--out', {out!r}]) == 0",
-        "    assert loaded() == [], (fmt, loaded())",
-        f"for argv in {scalar!r}:",
-        f"    assert boolemaps.cli.main(argv + ['--out', {out!r}]) == 0, argv",
+        "import contextlib, importlib, io, sys",
+        f"loaded = lambda: [m for m in {modules!r} if m in sys.modules]",
+        f"for name in {imports!r}:",
+        "    importlib.import_module(name)",
+        "    assert loaded() == [], (name, loaded())",
+        "cli = sys.modules['boolemaps.cli']",
+        f"for argv in {runs!r}:",
+        f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv",
         "    assert loaded() == [], (argv, loaded())",
-        f"for argv in {bad!r}:",
+        f"for argv in {BAD_RUNS!r}:",
         "    try:",
         "        with contextlib.redirect_stderr(io.StringIO()):",
-        "            boolemaps.cli.main(argv)",
+        "            cli.main(argv)",
         "    except SystemExit as exc:",
         "        assert exc.code == 2, argv",
         "    assert loaded() == [], (argv, loaded())",
@@ -956,6 +1050,20 @@ def test_import_iterate_params_and_bad_input_leave_numpy_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "unloaded\n"
+
+
+def test_import_iterate_params_and_bad_input_leave_numpy_unloaded(tmp_path):
+    # The geometry at a point is scalar work too: neither it, the runs on the
+    # standard library, bad input nor the import may load numpy.
+    _assert_unloaded(ARRAY_MODULES, ["boolemaps", "boolemaps.cli"],
+                     [["geometry"], *LIGHT_RUNS], str(tmp_path / "r"))
+
+
+def test_start_path_loads_neither_dataclasses_nor_halfplane_nor_geometry(tmp_path):
+    # The import, the half-plane step, a short orbit and bad input run on the
+    # scalar core alone.  A site hook that imports dataclasses would trip this.
+    heavy = ["dataclasses", "boolemaps.halfplane", "boolemaps.geometry", "numpy"]
+    _assert_unloaded(heavy, ["boolemaps.cli"], LIGHT_RUNS, str(tmp_path / "r"))
 
 
 @pytest.mark.parametrize(
@@ -1082,7 +1190,7 @@ class TestProcessEnd:
     @pytest.mark.parametrize("setup, argv, status, err", [
         ([], ["iterate-params", "--out", os.devnull], 0, []),
         (_WRONG_STEP, ["verify-pf", "--n", "10000", "--out", os.devnull], 1, []),
-        ([], ["verify-pf", "--n", "100"], 2, ["boolemaps: error: n must be >= 10000, got 100"]),
+        ([], ["verify-pf", "--n", "100"], 2, ["boolemaps verify-pf: error: n must be >= 10000, got 100"]),
         ([], ["--help"], 0, []),
         (["def main(): raise SystemExit('stopped')", "cli.main = main"], [], 1, ["stopped"]),
         (["cli.main = lambda: None"], [], 0, []),
@@ -1090,7 +1198,9 @@ class TestProcessEnd:
     def test_exit_status(self, setup, argv, status, err, dev):
         proc = _run_entry(setup, argv, dev, capture_output=True)
         assert proc.returncode == status, proc.stderr
-        assert [line for line in proc.stderr.splitlines() if not line.startswith("usage: ")] == err
+        # the usage text, its continuation lines indented, then the message
+        usage = ("usage: ", " ")
+        assert [line for line in proc.stderr.splitlines() if not line.startswith(usage)] == err
         if argv == ["--help"]:
             assert proc.stdout.startswith("usage: boolemaps ")
 

@@ -51,6 +51,12 @@ BENCHMARK_READS = [
     ("geometry", "conformal_factor"),
 ]
 
+#: The scalar core's names, which ``halfplane`` binds as its own.
+CORE = (
+    "POLE_EPS", "DEFAULT_GRID_SIZE", "MIN_MONTE_CARLO_SIZE", "MAX_SAMPLE_OFFSET",
+    "KS_MIN_SAMPLES", "check_alpha", "_cpu_count", "_boole", "_iterates", "_half_reciprocal",
+)
+
 #: Names of the scalar core that their earlier modules still bind.
 MOVED = {
     "orbit": ("HPoint", "POLE_EPS", "check_alpha", "_boole"),
@@ -101,7 +107,10 @@ def test_names_the_benchmark_reads_resolve():
 
 
 def test_moved_names_are_the_scalar_core_objects():
-    from boolemaps import halfplane
+    from boolemaps import _core, halfplane
+
+    for name in CORE:
+        assert getattr(halfplane, name) is getattr(_core, name), f"halfplane.{name}"
 
     for module, names in MOVED.items():
         submodule = importlib.import_module(f"boolemaps.{module}")
