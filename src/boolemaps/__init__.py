@@ -5,18 +5,18 @@ Layout:
 * ``orbit``     -- the pointwise map, preimages, orbits, and the pdf, cdf
                    and quantile of a Cauchy law
 * ``halfplane`` -- the Cauchy law ``HPoint``, a point of the upper
-                   half-plane, and the induced exact map on it (the
-                   pointwise map on nu - i*gamma), its fixed point and
-                   Jacobian, canonical coordinates, convergence diagnostics
+                   half-plane, and the induced exact map on it (the core's
+                   real form of the map on nu - i*gamma), its fixed point
+                   and Jacobian, canonical coordinates, convergence checks
 * ``geometry``  -- the Fisher metric ``Metric2`` and its conformal factor
                    under the map, Lie derivatives along the Killing fields,
                    symplectic structure, with brute-force oracles
 * ``density``   -- transfer-sum and Monte Carlo verification of the reduction
 * ``cli``       -- the ``boolemaps`` command
 * ``_core``     -- the scalar core, with neither numpy nor ``dataclasses``:
-                   the map and the orbit generator, and the step, the fixed
-                   point's scale and the conformal factor on floats, which
-                   ``halfplane`` and ``geometry`` wrap, and the limits the
+                   the map and the orbit generator, and the one step, the
+                   fixed point's scale and the conformal factor on floats,
+                   which ``halfplane`` and ``geometry`` wrap, and the limits the
                    CLI checks its flags against; the CLI starts on it alone
 
 The names below load their module on first use (PEP 562), so that

@@ -11,7 +11,8 @@ their work), and three float-level formulas: the half-plane step on
 (nu, gamma), the fixed point's scale and the conformal factor.
 ``halfplane`` re-binds these objects and wraps the formulas in
 ``parameter_step``, ``fixed_point`` and ``geometry.conformal_factor``, its
-points the frozen dataclass ``HPoint``; so each number has one route.
+points the frozen dataclass ``HPoint``; so each number has one route: the
+step's is ``_scaled_step``, which ``geometry``'s oracles complex-step too.
 """
 
 from __future__ import annotations
@@ -69,12 +70,20 @@ def _iterates(alpha: float, x: float, n: int):
         return
 
 
+def _scaled_step(alpha: float, nu, gamma, s: float):
+    # alpha*(nu*(A-1)/A, gamma*(A+1)/A), A = nu^2 + gamma^2, every term divided
+    # by s: A/s^2 lies in [1, 2] at s = max(|nu|, gamma), so A never forms.
+    # Rational in (nu, gamma), so geometry's complex steps may pass through it.
+    u, v = nu / s, gamma / s
+    q = u * u + v * v
+    return alpha * (nu - u / q / s), alpha * (gamma + v / q / s)
+
+
 def _step(alpha: float, nu: float, gamma: float) -> tuple[float, float]:
     # ``parameter_step`` on the coordinates of a point of H, for a checked
-    # alpha: the map on s = nu - i*gamma, and the SingularInputError, naming
-    # the point as its HPoint spells it, where the image leaves H.
-    stepped = _boole(alpha, complex(nu, -gamma))
-    nu_new, gamma_new = stepped.real, -stepped.imag
+    # alpha, and the SingularInputError, naming the point as its HPoint
+    # spells it, where the image leaves H.
+    nu_new, gamma_new = _scaled_step(alpha, nu, gamma, max(abs(nu), gamma))
     if not (math.isfinite(nu_new) and math.isfinite(gamma_new) and gamma_new > 0.0):
         raise SingularInputError(
             f"the image of HPoint(nu={nu!r}, gamma={gamma!r}) is not a finite point of H"

@@ -416,14 +416,19 @@ def _concurrently(func, tasks, workers: int) -> list:
     return results
 
 
+def _workers(size: int) -> int:
+    # the threads of a pass over ``size`` points: every CPU where its blocks outnumber
+    # them, else one (on 2 CPUs, threading 2 blocks of 1e5 points cost more than it saved)
+    cpus = _cpu_count()
+    return cpus if size > cpus * _BLOCK else 1
+
+
 def _each_block(size: int, func, scratch=()) -> list:
     """``func(rows, lo)`` for the block at each lo in range(0, size, _BLOCK) of
     a sample of ``size`` doubles, the results in block order.
 
     ``rows`` is the worker's own scratch: one row of min(size, _BLOCK) items
-    per dtype in ``scratch``.  The blocks run on every CPU in the affinity
-    where they outnumber the CPUs, and serially otherwise: on two CPUs,
-    threading the two blocks of a 1e5-point sample cost more than it saved.
+    per dtype in ``scratch``.  The blocks run on the threads of ``_workers``.
     numpy releases the GIL inside each ufunc, so the threads compute in
     parallel, and each block computes what a serial loop would, so the
     results are the same bit for bit on any number of CPUs.  The scratch of
@@ -433,8 +438,7 @@ def _each_block(size: int, func, scratch=()) -> list:
     allocates comes from that thread's own malloc arena and stays resident.
     """
     starts = range(0, size, _BLOCK)
-    cpus = _cpu_count()
-    workers = cpus if len(starts) > cpus else 1
+    workers = _workers(size)
     width = min(size, _BLOCK)
     worker_bytes = width * sum(np.dtype(dtype).itemsize for dtype in scratch)
     if worker_bytes:
@@ -646,8 +650,7 @@ def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
         return edges[:3]
 
     below, size = collect(first), first.size
-    cpus = _cpu_count()  # threads where the other blocks outnumber the CPUs, as in _each_block
-    workers = cpus if n - _BLOCK > cpus * _BLOCK else 1
+    workers = _workers(n - _BLOCK)  # of the other blocks
     width = _BLOCK // workers // 4 * 4  # whole Philox counter values
     split = [[row[k * width:(k + 1) * width] for row in rows] for k in range(workers)]
 

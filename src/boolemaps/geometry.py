@@ -22,9 +22,10 @@ nodes, and the Jacobians are 2x2, their products written out.  Only
 ``christoffel`` returns an array, and loads numpy when called, so the CLI's
 ``geometry`` command runs without numpy; the CLI loads this module only
 for that command, when it validates the flags.  Of ``halfplane`` it reads
-the points, ``check_alpha`` and the map's real form ``_scaled_step``, which
-the map oracles step at alpha = 1 only; the conformal factor's formula is
-the scalar core's, which ``iterate-params`` reads without this module.
+the points and ``check_alpha``.  Of the scalar core (``_core``) it reads
+the conformal factor's formula and the step ``_scaled_step``, which the
+map oracles step at alpha = 1 only: the one step that ``parameter_step``
+and ``iterate-params`` read too.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ._core import _conformal_factor
+from ._core import _conformal_factor, _scaled_step, _step
 from .errors import QuadratureError, SingularInputError
-from .halfplane import CanonicalPoint, HPoint, _scaled_step, check_alpha, from_canonical
+from .halfplane import CanonicalPoint, HPoint, check_alpha, from_canonical
 
 if TYPE_CHECKING:
     import numpy as np
@@ -174,16 +175,13 @@ def _unit_step(x: HPoint) -> tuple[Callable, Vec]:
     # The real form at alpha = 1, scaled by s = max(|nu|, gamma), and its finite
     # image of x: alpha multiplies the step, so it cancels from rows divided by it.
     s = max(abs(x.nu), x.gamma)
-    image = _scaled_step(1.0, x.nu, x.gamma, s)
-    if not all(map(math.isfinite, image)):
-        raise SingularInputError(f"the image of {x} is not a finite point of H")
-    return (lambda nu, gamma: _scaled_step(1.0, nu, gamma, s)), image
+    return (lambda nu, gamma: _scaled_step(1.0, nu, gamma, s)), _step(1.0, x.nu, x.gamma)
 
 
 def verify_conformal_pullback(alpha: float, x: HPoint) -> float:
     """Max entrywise gap between the pulled-back metric and factor*g, relative to g.
 
-    M = J*gamma/gamma', the complex-step Jacobian of ``halfplane._scaled_step``
+    M = J*gamma/gamma', the complex-step Jacobian of ``_core._scaled_step``
     in the metric's units at x and at its image, pulls the metric back to
     M^T M times the metric at x.  Alpha scales J and gamma' alike, so M is
     that of the map at alpha = 1, stepped here.  Returns

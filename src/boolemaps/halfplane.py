@@ -8,9 +8,9 @@ the two Cauchy parameters: with A = nu^2 + gamma^2,
 
 This is the pointwise map z -> alpha*(z - 1/z) itself, applied to the
 complex point s = nu - i*gamma: s' = nu' - i*gamma'.  ``parameter_step``
-evaluates it that way, through the one core ``_boole``; CPython's complex
-division is scaled (Smith's algorithm), so A never forms and the step stays
-finite and accurate across the whole float range.
+evaluates the real formula above, the scalar core's ``_scaled_step``, with
+every term divided by s = max(|nu|, gamma), so A never forms and the step
+stays finite and accurate across the whole float range.
 
 This module implements that map on the open half-plane
 H = {(nu, gamma): gamma > 0}, the statistical manifold of Cauchy laws, whose
@@ -18,10 +18,10 @@ points are ``HPoint``: its unique fixed point (0, sqrt(alpha/(1-alpha))),
 the invariant law of the pointwise map; its linearization; canonical
 coordinates (q, p) = (nu, 1/(2*gamma)); and the transient convergence-rate
 diagnostics of the scale map gamma -> alpha*(gamma + 1/gamma), which is the
-step on the invariant axis nu = 0 (there the step is exact: 1/(-i*gamma) is
-i/gamma to the last bit).  ``picture_agreement`` checks the step against
-two independent routes: the real formula above (``_scaled_step``) and the
-scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
+step on the invariant axis nu = 0 (there the step is exact: alpha*(gamma +
+1/gamma) to the last bit).  ``picture_agreement`` checks the step against
+two routes in complex arithmetic: the map ``_boole`` on nu - i*gamma and
+the scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
 ``parameter_step`` conjugated by the coordinate change.  The edge gamma -> 0
 (point masses) is not part of H: there the step tends to the pointwise map
 on nu, which is ``orbit.boole_transform``.
@@ -142,32 +142,21 @@ def jacobian_analytic(alpha: float, x: HPoint) -> np.ndarray:
     return np.array([[a, b], [-b, a]])
 
 
-def _scaled_step(alpha: float, nu, gamma, s: float):
-    """alpha*(nu*(A-1)/A, gamma*(A+1)/A) in real arithmetic, every term divided by s.
-
-    A/s^2 lies in [1, 2] for s = max(|nu|, gamma).  Rational in (nu, gamma)
-    for a fixed s, so the complex-step oracles of ``geometry`` may pass
-    complex arguments.
-    """
-    u, v = nu / s, gamma / s
-    q = u * u + v * v
-    return alpha * (nu - u / q / s), alpha * (gamma + v / q / s)
-
-
 def picture_agreement(alpha: float, x: HPoint) -> float:
     """Max absolute disagreement between three routes to (nu', gamma').
 
-    Compares ``parameter_step`` (the pointwise map on s = nu - i*gamma)
-    against the real formula of the density step, ``_scaled_step``, and
-    against the scale map's complex extension z -> alpha*(z + 1/z) on the
+    Compares ``parameter_step`` (the real formula, ``_core._scaled_step``)
+    against the map ``_boole`` on s = nu - i*gamma, whose image is
+    nu' - i*gamma', and against the scale map z -> alpha*(z + 1/z) on the
     rotated variable gamma + i*nu, whose image is gamma' + i*nu'; all three
-    are algebraically equal.
+    are algebraically equal.  Neither complex route forms A: CPython's
+    complex division is scaled (Smith's algorithm).
     """
     stepped = parameter_step(alpha, x)
+    image = _boole(alpha, complex(x.nu, -x.gamma))
     rot = complex(x.gamma, x.nu)
     rot_new = alpha * (rot + 1.0 / rot)
-    real = _scaled_step(alpha, x.nu, x.gamma, max(abs(x.nu), x.gamma))
-    candidates = (real, (rot_new.imag, rot_new.real))
+    candidates = ((image.real, -image.imag), (rot_new.imag, rot_new.real))
     return max(max(abs(n - stepped.nu), abs(g - stepped.gamma)) for n, g in candidates)
 
 

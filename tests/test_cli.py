@@ -469,6 +469,34 @@ class TestGeometry:
         assert report["oracles"]["degenerate_points"] >= 1
 
 
+def test_a_wrong_step_reaches_every_command_that_reads_it(tmp_path, monkeypatch):
+    # gamma' 1% off in the one step, at every module binding of it, as the
+    # benchmark's tracer wraps a name: geometry's oracles, iterate-params'
+    # trajectory and verify-pf's prediction all carry the factor
+    from boolemaps import _core, geometry
+
+    assert geometry._scaled_step is _core._scaled_step
+    exact = _core._scaled_step
+    argvs = {"iterate-params": ["iterate-params", "--steps", "1"],
+             "verify-pf": ["verify-pf", "--n", "10000", "--steps", "1"]}
+    before = {command: run_json(tmp_path, argv)[1] for command, argv in argvs.items()}
+
+    def wrong(*args):
+        nu, gamma = exact(*args)
+        return nu, 1.01 * gamma
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "boolemaps" and getattr(module, "_scaled_step", None) is exact:
+            monkeypatch.setattr(module, "_scaled_step", wrong)
+    code, report = run_json(tmp_path, ["geometry"])
+    assert (code, report["oracles"]["pullback_pass"]) == (1, False)
+    _, report = run_json(tmp_path, argvs["iterate-params"])
+    assert report["records"][1]["gamma"] == 1.01 * before["iterate-params"]["records"][1]["gamma"]
+    _, report = run_json(tmp_path, argvs["verify-pf"])
+    expected = 1.01 * before["verify-pf"]["oracles"]["predicted_gamma"]
+    assert report["oracles"]["predicted_gamma"] == expected
+
+
 class TestOrbit:
     def test_short_trace(self, tmp_path):
         code, report = run_json(
