@@ -16,10 +16,11 @@ float takes, such as ``--nu0 -5e-05``.
 
 At start-up this module loads only the standard library and the scalar
 core, ``_core``, which imports neither numpy nor ``dataclasses``; every
-other module loads on the path that needs it.  ``iterate-params``, shorter
-orbits and bad input run on the core alone.  ``geometry`` loads the
-module ``geometry`` (and ``halfplane``, the points, with it) when it
-validates its flags, whose domain check it reads, so that load counts in
+other module loads on the path that needs it, ``json`` only where a report
+is written as JSON.  ``iterate-params``, shorter orbits and bad input run
+on the core alone.  ``geometry`` loads the module ``geometry`` (and
+``halfplane``, the points, with it) when it validates its flags, whose
+domain check it reads, so that load counts in
 ``meta.timings.validate_s``; it too runs without numpy.  Only
 ``verify-pf``, and ``orbit`` of at least ``KS_MIN_SAMPLES`` steps, whose
 orbit is checked against the invariant law, load numpy, through the
@@ -76,7 +77,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib
-import json
 import math
 import os
 import resource
@@ -434,6 +434,8 @@ def _cells(part, fmt: str) -> list[str]:
     """
     values = part.tolist() if hasattr(part, "tolist") else list(part)
     if fmt == "json":
+        import json
+
         # no encoded value holds a raw newline
         return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
     return list(map(str, values))
@@ -454,6 +456,8 @@ def _chunk(table: Table, start: int, fmt: str) -> bytes:
     if fmt == "csv":
         lead, seps = "", [","] * (len(table.columns) - 1) + ["\n"]
     else:
+        import json
+
         first, *rest = (f"\n      {json.dumps(key)}: " for key in table.columns)
         lead, seps = ",\n    {" + first, ["," + text for text in rest] + ["\n    }"]
     parts = [column[start:stop] for column in table.columns.values()]
@@ -559,6 +563,8 @@ _RECORDS_SLOT = "\0records\0"
 
 def _around_records(report: dict) -> tuple[str, str]:
     # The JSON text before and after the records of json.dumps(report, indent=2).
+    import json
+
     head, _, tail = json.dumps({**report, "records": _RECORDS_SLOT}, indent=2).partition(
         json.dumps(_RECORDS_SLOT)
     )

@@ -12,14 +12,17 @@ push-forward is recomputed by brute force in two independent ways:
   map and refitted by robust quantile (or maximum-likelihood) estimation.
 
 Both are then compared against the closed-form prediction.  The pointwise
-map is the one core ``_core._boole``, which the push-forward applies in
-place in its order, and its preimages come from ``orbit._preimages``.
+map is ``_core._boole``, alpha*(x - 1/x); the push-forward writes that
+formula out in place, a ufunc at a time, and the tests hold it to
+``_boole`` bit for bit.  Its preimages come from ``orbit._preimages``.
 Sampling only draws points; fitting is a separate, explicit ``fit_cauchy``
-call.  The Monte Carlo check's quantile fit streams its sample: each block
-is drawn, pushed and sorted on its own, and only the points near the
-quartiles are kept, so the check reads the quartiles of the whole pushed
-sample, as ``fit_cauchy`` does, without holding it.  Its likelihood fit
-sorts the whole pushed sample and fits it through ``_fit_sorted``.
+call.  A point the pole guard drops stays in its place as NaN, which sorts
+last, and every consumer cuts the dropped points off after sorting.  The
+Monte Carlo check's quantile fit streams its sample: each block is drawn,
+pushed and sorted on its own, and only the points near the quartiles are
+kept, so the check reads the quartiles of the whole pushed sample, as
+``fit_cauchy`` does, without holding it.  Its likelihood fit sorts the
+whole pushed sample and fits its kept points through ``_fit_sorted``.
 Sample-sized work runs in blocks, on every CPU in the affinity where the
 blocks outnumber the CPUs, with the same bits on any number of CPUs.
 """
@@ -535,37 +538,25 @@ def _cauchy_mle(
 
 
 def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-    # Pointwise map applied to every sample, overwriting ``points``, a block
-    # at a time through ``_push_block``.  The points each block keeps move to
-    # the front of the block, in order, and the blocks then to the front of
-    # ``points``, in order.
+    # Pointwise map applied to every sample in place, a block at a time
+    # through ``_push_block``; returns ``points`` and the count of dropped
+    # points, which stay in their places as NaN.
     def push(rows, lo):
         x = points[lo:lo + _BLOCK]
-        buf, passed = (row[:x.size] for row in rows)
-        dropped = _push_block(alpha, x, steps, buf, passed)
-        if dropped:
-            x[:x.size - dropped] = x[passed]
-        return x.size - dropped, dropped
+        return _push_block(alpha, x, steps, *(row[:x.size] for row in rows))
 
-    end = dropped = 0
-    blocks = _each_block(points.size, push, (float, bool))
-    for lo, (size, hits) in zip(range(0, points.size, _BLOCK), blocks):
-        if end < lo:
-            points[end:end + size] = points[lo:lo + size]
-        end += size
-        dropped += hits
-    return points[:end], dropped
+    return points, sum(_each_block(points.size, push, (float, bool)))
 
 
 def _push_block(alpha: float, x: np.ndarray, steps: int, buf: np.ndarray, passed: np.ndarray) -> int:
     # ``x`` taken through every step in place while it is in cache, mapped
-    # through ``buf`` in ``_boole``'s order alpha*(x - 1/x).  Before each
-    # step the points failing |x| >= POLE_EPS (zeros, NaN) are dropped
-    # rather than resampled, preserving the push-forward's independence:
-    # they become NaN, which fails every later guard, and ``passed`` marks
-    # the rest.  A kept point never maps to NaN, so after the last step the
-    # dropped points are the NaN of ``x`` and the unmarked places of
-    # ``passed``; returns their count.
+    # through ``buf`` as ``_boole`` maps it, alpha*(x - 1/x).  Before each
+    # step the points failing |x| >= POLE_EPS (zeros, NaN), which ``passed``
+    # leaves unmarked, are dropped rather than resampled, preserving the
+    # push-forward's independence: they become NaN, which fails every later
+    # guard.  A kept point never maps to NaN, so after the last step the
+    # dropped points are the NaN of ``x``, which sort last; returns their
+    # count.
     dropped = 0
     for _ in range(steps):
         kept = np.greater_equal(np.abs(x, out=buf), POLE_EPS, out=passed)
@@ -605,14 +596,14 @@ def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
     Each block is drawn, pushed and sorted in a worker's scratch row, and
     then let go.  The sorted first block places a bracket of values around
     each quartile, ``_BRACKET_WIDTH`` square roots of its size in ranks to
-    either side.  Of every block only the count of points below each
-    bracket is kept, and the points inside it, in buffers a quarter larger
-    than the first block's share predicts.  The order statistics that
-    ``_quartiles`` reads then lie in the merged brackets, at their rank less
-    the count below, so the quartiles are those of the whole sorted sample,
-    bit for bit, on any number of CPUs.  The blocks after the first split
-    its scratch between the workers, so the scratch is one block's on any
-    number of CPUs; this thread allocates it and the brackets.
+    either side.  Each block returns only its count of points below each
+    bracket and copies of the points inside it, which are joined a bracket
+    at a time after the pass, once the scratch is let go.  The order
+    statistics that ``_quartiles`` reads then lie in the joined brackets,
+    at their rank less the count below, so the quartiles are those of the
+    whole sorted sample, bit for bit, on any number of CPUs.  The blocks
+    after the first split its scratch between the workers, so the scratch
+    is one block's on any number of CPUs; this thread allocates it.
     """
     def sorted_block(rows, lo):
         # the kept points of the block from lo on, as wide as ``rows``,
@@ -623,6 +614,13 @@ def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
         x.sort()  # the dropped points, NaN, sort last
         return x[:x.size - dropped], dropped
 
+    def collect(x):
+        # the counts of the sorted x below each bracket [low, high), its low
+        # in bounds[:3] and its high in bounds[3:], and copies of the points
+        # inside each
+        edges = np.searchsorted(x, bounds).tolist()
+        return edges[:3], [x[lo:hi].copy() for lo, hi in zip(edges, edges[3:])]
+
     rows = [np.empty(min(n, _BLOCK), dtype) for dtype in (float, float, bool)]
     first, dropped = sorted_block(rows, 0)
     if not first.size:  # no point to place a bracket at
@@ -630,26 +628,8 @@ def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
     half = _BRACKET_WIDTH * math.sqrt(first.size)
     at = [(first.size - 1) * q + side * half for side in (-1, 1) for q in (0.25, 0.5, 0.75)]
     bounds = first[[min(max(round(rank), 0), first.size - 1) for rank in at]]
-    edges = np.searchsorted(first, bounds)
-    share = int(max(edges[3:] - edges[:3]))  # of the first block's points, in the widest bracket
-    inside = np.empty((3, 5 * share * n // (4 * first.size) + 1))
-    filled = [0, 0, 0]
-    lock = threading.Lock()
-
-    def collect(x):
-        # the counts of the sorted x below each bracket [low, high), its low
-        # in bounds[:3] and its high in bounds[3:]; the points inside go to
-        # ``inside``, where they fit
-        edges = np.searchsorted(x, bounds).tolist()
-        with lock:
-            ends = filled[:]
-            filled[:] = [end + hi - lo for end, lo, hi in zip(ends, edges, edges[3:])]
-        for row, end, lo, hi in zip(inside, ends, edges, edges[3:]):
-            if end + hi - lo <= row.size:
-                row[end:end + hi - lo] = x[lo:hi]
-        return edges[:3]
-
-    below, size = collect(first), first.size
+    below, parts = collect(first)
+    inside, size = [[part] for part in parts], first.size  # each bracket's parts
     workers = _workers(n - _BLOCK)  # of the other blocks
     width = _BLOCK // workers // 4 * 4  # whole Philox counter values
     split = [[row[k * width:(k + 1) * width] for row in rows] for k in range(workers)]
@@ -658,19 +638,22 @@ def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
         x, hits = sorted_block(split[worker], lo)
         return collect(x), hits, x.size
 
-    for counts, hits, kept in _concurrently(later_block, range(_BLOCK, n, width), workers):
+    for (counts, parts), hits, kept in _concurrently(later_block, range(_BLOCK, n, width), workers):
         below = [total + count for total, count in zip(below, counts)]
+        for bracket, part in zip(inside, parts):
+            bracket.append(part)
         dropped += hits
         size += kept
+    del rows, first, split  # the scratch, let go before the brackets are joined
     _check_drops(dropped, n)
     _check_fit_size(size)
     ranks, t = _quartile_ranks(size)
     pairs = np.empty((2, 3))
-    for k, (row, rank, count, end) in enumerate(zip(inside, ranks.tolist(), below, filled)):
+    for k, (rank, count) in enumerate(zip(ranks.tolist(), below)):
         at = rank - count
-        if not (0 <= at < end - 1 and end <= row.size):
+        row, inside[k] = np.concatenate(inside[k]), None  # its parts, let go
+        if not 0 <= at < row.size - 1:
             return None
-        row = row[:end]
         row.partition((at, at + 1))
         pairs[:, k] = row[at:at + 2]
     return size, dropped, _lerp(*pairs, t)
@@ -708,10 +691,11 @@ def pf_monte_carlo_check(
     check raises PoleGuardError if they exceed ``MAX_DROP_FRACTION`` of the
     sample.  An unknown ``fit_method`` raises ValueError before any point is
     drawn.  The ``median_iqr`` fit streams the sample through
-    ``_streamed_quartiles``, in one block's scratch and about 7% of the
+    ``_streamed_quartiles``, in one block's scratch and about 8% of the
     sample's size; where a bracket misses, and for the ``mle`` fit, the
-    check pushes, sorts and fits the whole sample in place.  Either way the
-    report is the same, bit for bit.
+    check pushes and sorts the whole sample in place, cuts off the dropped
+    points and fits the rest.  Either way the report is the same, bit for
+    bit.
     """
     alpha = check_alpha(alpha)
     if n < MIN_MONTE_CARLO_SIZE:
@@ -725,6 +709,7 @@ def pf_monte_carlo_check(
     else:  # the likelihood fit, or a bracket missed
         pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
         pushed.sort()  # in place: the check holds one copy of its sample
+        pushed = pushed[:n - dropped]  # the dropped points, NaN, sort last
         size = pushed.size
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
     measured = _quartile_fit(quartiles) if streamed else _fit_sorted(pushed, fit_method)
@@ -743,13 +728,15 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
     """RMS fit-error ratio between sample sizes n and 2n (nested draws).
 
     For each seed a single stream of 2n points is drawn and pushed one step
-    through the map; the first n of them form the half-size estimate, so the
-    two levels share their randomness and the ratio concentrates near sqrt(2)
-    under the expected n^(-1/2) error scaling of the quantile fit.  A copy of
-    the first n and the whole pushed sample are sorted concurrently, and
-    each is fitted as ``fit_cauchy`` fits it, its error in units of the
-    predicted scale, so that no square overflows.  Raises ValueError on an
-    empty ``seeds``, and PoleGuardError as ``pf_monte_carlo_check`` does.
+    through the map; the kept points among the first n draws form the
+    half-size estimate, so the two levels share their randomness and the
+    ratio concentrates near sqrt(2) under the expected n^(-1/2) error
+    scaling of the quantile fit.  A copy of the first n and the whole pushed
+    sample are sorted concurrently, the dropped points, NaN, last, and the
+    kept points of each are fitted as ``fit_cauchy`` fits them, the error in
+    units of the predicted scale, so that no square overflows.  Raises
+    ValueError on an empty ``seeds``, and PoleGuardError as
+    ``pf_monte_carlo_check`` does.
     """
     alpha = check_alpha(alpha)
     seeds = list(seeds)
@@ -763,7 +750,7 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
         samples = [pushed[:n].copy(), pushed]
         _concurrently(lambda worker, sample: sample.sort(), samples, _cpu_count())
         for k, sample in enumerate(samples):
-            fit = _fit_sorted(sample, "median_iqr")
+            fit = _fit_sorted(sample[:np.searchsorted(sample, np.nan)], "median_iqr")
             errors[k] += ((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2
     return math.sqrt(errors[0] / errors[1])
 

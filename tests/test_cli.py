@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -1094,6 +1095,13 @@ def test_start_path_loads_neither_dataclasses_nor_halfplane_nor_geometry(tmp_pat
     _assert_unloaded(heavy, ["boolemaps.cli"], LIGHT_RUNS, str(tmp_path / "r"))
 
 
+def test_json_loads_only_where_a_report_is_written_as_json(tmp_path):
+    # The import, bad input and CSV reports of the standard library's routes
+    # write no JSON, so they do not load the json package.
+    csv_runs = [["iterate-params", "--format", "csv"], ["orbit", "--n", "1000", "--format", "csv"]]
+    _assert_unloaded(["json"], ["boolemaps.cli"], csv_runs, str(tmp_path / "r"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify-pf", "--n", "10000"], ["orbit", "--n", str(KS_MIN_SAMPLES)]],
@@ -1386,3 +1394,77 @@ def test_every_flag_value_gives_an_exit_status(command, data):
         assert re.match(rf"boolemaps( {command})?: error: ", lines[-1]), lines
     else:
         assert len(lines) <= (1 if code == 1 else 0), lines
+
+
+#: Commands whose report bytes ``report_digests.json`` pins, each run on the
+#: standard library alone: ``iterate-params`` at its defaults and at the
+#: edges of the float range, short orbits (one truncated at the pole),
+#: ``geometry``, and bad input, the four invalid argvs of the benchmark's
+#: ``cli-sweep`` among it.  ``geometry`` reads libm's tan and cos.
+DIGEST_ARGVS = [
+    ["iterate-params"],
+    ["iterate-params", "--format", "csv"],
+    ["iterate-params", "--steps", "1000", "--format", "csv"],
+    ["iterate-params", "--alpha", "0.9", "--nu0", "-3", "--gamma0", "0.2", "--steps", "40"],
+    ["iterate-params", "--alpha", "0.5", "--nu0", "1e3", "--gamma0", "1e-200", "--steps", "100"],
+    ["iterate-params", "--nu0", "1e300", "--gamma0", "1e-300", "--steps", "50"],
+    ["iterate-params", "--nu0", "0", "--gamma0", "1e-310"],
+    ["iterate-params", "--nu0", "0", "--gamma0", "1e-310", "--format", "csv"],
+    ["iterate-params", "--gamma0", "5e-324"],
+    ["iterate-params", "--alpha", "5e-324"],
+    ["iterate-params", "--nu0", "-5e-05", "--steps", "3", "--format", "csv"],
+    ["orbit", "--n", "1000"],
+    ["orbit", "--n", "1000", "--format", "csv"],
+    ["orbit", "--xi0", "1", "--n", "10"],
+    ["orbit", "--xi0", "1", "--n", "10", "--format", "csv"],
+    ["orbit", "--alpha", "0.3", "--xi0", "-2.5", "--n", "5000", "--format", "csv"],
+    ["orbit", "--alpha", "0.9", "--xi0", "1e300", "--n", "300"],
+    ["geometry"],
+    ["geometry", "--format", "csv"],
+    ["geometry", "--nu0", "0.3", "--gamma0", "1e-100"],
+    ["geometry", "--nu0", "0.7", "--gamma0", "1e6"],
+    ["geometry", "--nu0", "0", "--gamma0", "1"],
+    ["verify-pf", "--n", "100"],
+    ["orbit", "--xi0", "0"],
+    ["geometry", "--gamma0", "1e-200"],
+    ["verify-pf", "--grid-size", "1"],
+    ["orbit", "--n", "0"],
+    ["orbit", "--xi0", "nan"],
+    ["iterate-params", "--steps", "-1"],
+    ["iterate-params", "--bogus", "1"],
+]
+DIGESTS = Path(__file__).with_name("report_digests.json")
+
+
+def report_digest(argv: list[str]) -> dict:
+    """``main(argv)`` in this process, writing to stdout: the sha256 of the
+    report (of a JSON report only its text before ``"meta"``, which holds
+    timings), the exit status and the last line of stderr.  The rest of
+    stderr is argparse's usage, which Python versions word differently."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    stdout.flush()
+    report = stdout.buffer.getvalue().partition(b'\n  "meta": ')[0]
+    return {"sha256": hashlib.sha256(report).hexdigest(), "status": status,
+            "stderr": (stderr.getvalue().splitlines() or [""])[-1]}
+
+
+def write_report_digests() -> None:
+    """Rewrite ``report_digests.json`` from the reports of this tree:
+    ``PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_report_digests()"``.
+    A change that means to change report bytes shows the table's diff."""
+    table = {" ".join(argv): report_digest(argv) for argv in DIGEST_ARGVS}
+    DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
+
+
+def test_digest_table_lists_every_argv():
+    assert list(json.loads(DIGESTS.read_text())) == [" ".join(argv) for argv in DIGEST_ARGVS]
+
+
+@pytest.mark.parametrize("argv", DIGEST_ARGVS, ids=" ".join)
+def test_report_bytes_equal_the_digest_table(argv):
+    assert report_digest(argv) == json.loads(DIGESTS.read_text())[" ".join(argv)]

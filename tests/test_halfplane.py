@@ -361,11 +361,15 @@ class TestComplexForms:
 
     @given(alphas, nus, gammas)
     def test_component_form_matches_complex_arithmetic(self, alpha, xi1, xi2):
-        # oracle: the real formula, alpha*(nu*(A-1)/A, gamma*(A+1)/A)
+        # oracles: the real formula, alpha*(nu*(A-1)/A, gamma*(A+1)/A), and the
+        # map in complex arithmetic on nu - i*gamma, whose image is nu' - i*gamma'
         out = parameter_step(alpha, HPoint(xi1, xi2))
         big_a = xi1 * xi1 + xi2 * xi2
         assert out.nu == pytest.approx(alpha * xi1 * (big_a - 1.0) / big_a, abs=1e-12)
         assert out.gamma == pytest.approx(alpha * xi2 * (big_a + 1.0) / big_a, abs=1e-12)
+        image = _boole(alpha, complex(xi1, -xi2))
+        assert out.nu == pytest.approx(image.real, abs=1e-12)
+        assert out.gamma == pytest.approx(-image.imag, abs=1e-12)
 
     @given(alphas, interior_points())
     def test_all_pictures_agree(self, alpha, x):

@@ -23,6 +23,7 @@ from boolemaps import (
     parameter_step,
     preimages,
 )
+from boolemaps._core import _boole
 from boolemaps.cli import _short_orbit
 from boolemaps.halfplane import KS_MIN_SAMPLES
 
@@ -128,8 +129,8 @@ class TestPreimages:
 
 
 def loop_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
-    """Reference oracle: the orbit a step at a time, each point guarded
-    before it is stepped from."""
+    """Reference oracle: the orbit a step at a time through the map
+    ``_boole``, each point guarded before it is stepped from."""
     alpha = check_alpha(alpha)
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
@@ -140,7 +141,7 @@ def loop_orbit(alpha: float, xi0: float, n: int) -> OrbitResult:
     for i in range(1, n + 1):
         if abs(x) < POLE_EPS:
             return OrbitResult(points[:i].copy(), truncated=True, last_index=i - 1)
-        x = alpha * (x - 1.0 / x)
+        x = _boole(alpha, x)
         points[i] = x
     return OrbitResult(points, truncated=False, last_index=n)
 
