@@ -22,7 +22,9 @@ Monte Carlo check's quantile fit streams its sample: each block is drawn,
 pushed and sorted on its own, and only the points near the quartiles are
 kept, so the check reads the quartiles of the whole pushed sample, as
 ``fit_cauchy`` does, without holding it.  Its likelihood fit sorts the
-whole pushed sample and fits its kept points through ``_fit_sorted``.
+whole pushed sample and fits its kept points through ``_fit_sorted``: the
+law theta = nu + i*gamma at which the mean of zeta = (x - theta)/(x -
+conj(theta)) over the points is zero, reached by Moebius steps.
 Sample-sized work runs in blocks, on every CPU in the affinity where the
 blocks outnumber the CPUs, with the same bits on any number of CPUs.
 """
@@ -37,6 +39,9 @@ from warnings import warn
 
 import numpy as np
 
+from ._core import (
+    DEFAULT_GRID_SIZE, KS_MIN_SAMPLES, MIN_MONTE_CARLO_SIZE, POLE_EPS, _cpu_count, check_alpha,
+)
 from .errors import (
     FitConvergenceError,
     GridResolutionWarning,
@@ -44,19 +49,7 @@ from .errors import (
     PoleGuardError,
     SingularInputError,
 )
-from .halfplane import (
-    DEFAULT_GRID_SIZE,
-    KS_MIN_SAMPLES,
-    MAX_SAMPLE_OFFSET,
-    MIN_MONTE_CARLO_SIZE,
-    POLE_EPS,
-    HPoint,
-    _cpu_count,
-    check_alpha,
-    fixed_point,
-    iterate_parameter_map,
-    parameter_step,
-)
+from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
 from .orbit import _preimages, cauchy_cdf, cauchy_pdf, cauchy_quantile, iterate_orbit
 
 #: Probability left outside a ``cauchy_grid`` on each side.
@@ -299,12 +292,17 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     ``median_iqr``: location = sample median, scale = half the interquartile
     range -- exact for the Cauchy CDF, whose quartiles sit at nu +/- gamma.
     The quartiles are those of ``np.quantile``, bit for bit.
-    ``mle``: damped Newton on the mean log-likelihood, in the location and
-    scale frame of the quantile fit and started there, declared converged
-    when the gradient norm in that frame drops below 1e-10.  Its sums run
-    over the sorted points, so any permutation of a sample gives the same
-    fit.  Moment fitting is not offered; the Cauchy law has no moments.
-    Raises SingularInputError where half the interquartile range is not a
+    ``mle``: the maximum-likelihood law, the one theta = nu + i*gamma at
+    which the mean of zeta = (x - theta)/(x - conj(theta)) is zero
+    (McCullagh, Ann. Statist. 1996; unique by Copas, Biometrika 1975).  It
+    steps from the quantile fit, in that fit's location and scale frame, to
+    the law of which the current mean would be the exact mean, and is
+    declared converged when the gradient norm of the mean log-likelihood in
+    that frame drops below 1e-10; it raises FitConvergenceError where 100
+    passes over the points do not get there.  Its sums run over the sorted
+    points, so any permutation of a sample gives the same fit.  Moment
+    fitting is not offered; the Cauchy law has no moments.  Raises
+    SingularInputError where half the interquartile range is not a
     positive double, as where the quartiles round to the same double.
     """
     _check_fit_method(method)
@@ -371,7 +369,8 @@ def _quartiles(ordered: np.ndarray) -> np.ndarray:
 #: and peak memory does not depend on where earlier large temporaries left
 #: the heap.  The quantile fit's Monte Carlo check holds one block's scratch
 #: and the points near the quartiles; the likelihood fit's holds one copy of
-#: its sample, which it pushes forward, sorts and fits in place.
+#: its sample, which it pushes forward, sorts and standardizes in place, and
+#: each pass of the fit sums a block at a time through two rows of scratch.
 _BLOCK = 1 << 16
 
 
@@ -451,90 +450,60 @@ def _each_block(size: int, func, scratch=()) -> list:
 
 
 @np.errstate(over="ignore", divide="ignore")  # held in the blocks' threads too
-def _loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[float, list[float]]:
-    """Mean log-likelihood log(gamma) - mean log(q), and the means over the
-    points of 1/q, d/q, 1/q^2, d/q^2 and (d^2 - gamma^2)/q^2, in one pass.
+def _circle_mean(points: np.ndarray, nu: float, gamma: float) -> complex:
+    """The mean over the points of zeta = (x - theta)/(x - conj(theta)),
+    theta = nu + i*gamma, from the two sums of 1/q and d/q in one pass.
 
-    Here d = points - nu, q = d^2 + gamma^2, r = 1/q and u = d*r, and the
-    sums are -sum(log r), sum(r), sum(u), r.r, u.r and u.u - gamma^2 r.r: a
-    point whose q overflows adds 0 to all but the first, which a block with
-    such a point sums as 2*log(hypot(d, gamma)) instead.  Each block's sums
-    are added in block order, as one loop over the blocks adds them.
+    Here d = x - nu and q = d^2 + gamma^2, so zeta = 1 - 2*gamma^2/q -
+    2i*gamma*d/q.  A point whose q overflows adds 0 to both sums, the limit
+    zeta = 1.  The blocks' sums are added by ``math.fsum``, so the mean is
+    the same bit for bit on any number of CPUs.
     """
     g2 = gamma * gamma
 
     def block_sums(rows, lo):
-        # two rows, d then u, and q then r; einsum, unlike np.dot, calls no
-        # BLAS, whose own threads would contend with the blocks' threads
+        # two rows, d and then q, inverted in place; einsum, unlike np.dot,
+        # calls no BLAS, whose own threads would contend with the blocks'
         x = points[lo:lo + _BLOCK]
-        u, r = (row[:x.size] for row in rows)
-        d = np.subtract(x, nu, out=u)
+        d, r = (row[:x.size] for row in rows)
+        np.subtract(x, nu, out=d)
         np.multiply(d, d, out=r)
-        r += g2  # q, until it is inverted in place
+        r += g2
         np.divide(1.0, r, out=r)
-        np.multiply(d, r, out=u)
-        rr = np.einsum("i,i", r, r)
-        sums = [np.sum(r), np.sum(u), rr, np.einsum("i,i", u, r), np.einsum("i,i", u, u) - g2 * rr]
-        log_q = -np.sum(np.log(r, out=r))  # last: it overwrites r
-        if math.isinf(log_q):
-            h = np.hypot(np.subtract(x, nu, out=r), gamma, out=r)
-            log_q = 2.0 * np.sum(np.log(h, out=h))
-        return [float(total) for total in (log_q, *sums)]
+        return float(np.sum(r)), float(np.einsum("i,i", d, r))
 
-    sums = [0.0] * 6
-    for block in _each_block(points.size, block_sums, (float, float)):
-        sums = [total + part for total, part in zip(sums, block)]
-    means = [total / points.size for total in sums]
-    return math.log(gamma) - means[0], means[1:]
+    blocks = _each_block(points.size, block_sums, (float, float))
+    mean_r, mean_dr = (math.fsum(sums) / points.size for sums in zip(*blocks))
+    return complex(1.0 - 2.0 * g2 * mean_r, -2.0 * gamma * mean_dr)
 
 
-def _cauchy_mle(
-    points: np.ndarray,
-    frame: HPoint,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> HPoint:
-    # Newton on the standardized points (x - m)/s, formed in place, where
-    # (m, s) is the quartile fit ``frame``, from C(0, 1); the fit of the
-    # sample is C(m + s*nu, s*gamma).  Their mean log-likelihoods differ by
-    # the constant log(s), so neither the gradient nor the stopping test
-    # depends on where the sample sits or on its scale.  The score of the
-    # candidate that the line search accepts is that of the next iterate.
+#: Passes over the sample that the likelihood fit may take.
+_MLE_PASSES = 100
+
+
+def _cauchy_mle(points: np.ndarray, frame: HPoint) -> HPoint:
+    # The zero of the circle mean m of the standardized points (x - m0)/s,
+    # formed in place, where (m0, s) is the quartile fit ``frame``, from
+    # C(0, 1); the fit of the sample is C(m0 + s*nu, s*gamma).  There
+    # Re m = gamma*dl/dgamma and Im m = -gamma*dl/dnu for the mean
+    # log-likelihood l, so |m| < 1e-10*gamma is a gradient norm below 1e-10,
+    # whatever the sample's place and scale; its stationary point is unique
+    # (Copas 1975).  Each step moves theta = nu + i*gamma to the law whose
+    # mean of zeta is m, (theta - m*conj(theta))/(1 - m) (McCullagh 1996):
+    # to first order Fisher scoring.  A mean on or outside the unit circle,
+    # or NaN where a step left the doubles, is the mean of no law of H.
     points -= frame.nu
     points /= frame.gamma
     nu, gamma = 0.0, 1.0
-    current, score = _loglik_score(points, nu, gamma)
-    for iteration in range(max_iter + 1):
-        mean_inv, mean_d_inv, mean_inv2, mean_d_inv2, mean_dd = score
-        grad_nu = 2.0 * mean_d_inv
-        grad_g = 1.0 / gamma - 2.0 * gamma * mean_inv
-        grad_norm = math.hypot(grad_nu, grad_g)
-        if grad_norm < tol:
+    for _ in range(_MLE_PASSES):
+        m = _circle_mean(points, nu, gamma)
+        if abs(m) < 1e-10 * gamma:
             return HPoint(frame.nu + frame.gamma * nu, frame.gamma * gamma)
-        if iteration == max_iter:
-            break
-        h_nn = 2.0 * mean_dd
-        h_gg = -1.0 / (gamma * gamma) - 2.0 * mean_inv + 4.0 * gamma * gamma * mean_inv2
-        h_ng = -4.0 * gamma * mean_d_inv2
-        det = h_nn * h_gg - h_ng * h_ng
-        if det == 0.0:
-            break
-        step_nu = (h_gg * grad_nu - h_ng * grad_g) / det
-        step_g = (h_nn * grad_g - h_ng * grad_nu) / det
-        scale = 1.0
-        while scale > 1e-8:
-            cand_nu, cand_g = nu - scale * step_nu, gamma - scale * step_g
-            if cand_g > 0.0:
-                cand_ll, cand_score = _loglik_score(points, cand_nu, cand_g)
-                if cand_ll >= current - 1e-15:
-                    nu, gamma, current, score = cand_nu, cand_g, cand_ll, cand_score
-                    break
-            scale /= 2.0
-        else:
-            break
-    raise FitConvergenceError(
-        f"likelihood fit stalled at gradient norm {grad_norm:.2e} after {max_iter} iterations"
-    )
+        if not abs(m) < 1.0:
+            raise FitConvergenceError(f"likelihood fit left the half-plane at circle mean {m}")
+        w = gamma / ((1.0 - m.real) ** 2 + m.imag ** 2)
+        nu, gamma = nu - 2.0 * w * m.imag, w * (1.0 - abs(m) ** 2)
+    raise FitConvergenceError(f"likelihood fit did not converge in {_MLE_PASSES} passes")
 
 
 def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:

@@ -27,13 +27,13 @@ the scale map on the rotated variable gamma + i*nu.  ``canonical_step`` is
 on nu, which is ``orbit.boole_transform``.
 
 The float arithmetic of the step, of the fixed point's scale and of the
-conformal factor, the map ``_boole``, the orbit generator ``_iterates``,
-``check_alpha``, ``_cpu_count`` and the limits the CLI checks its flags
-against are the scalar core's (``_core``), which imports neither numpy nor
-``dataclasses``; this module binds the same objects, and wraps the
-formulas around ``HPoint``.  It imports no numpy itself: the Fisher metric
-on H is ``geometry``'s, and ``jacobian_analytic`` and
-``convergence_bound_check`` return arrays and load numpy when called.
+canonical coordinate p = 1/(2*gamma), the map ``_boole``, ``check_alpha``
+and the pole guard ``POLE_EPS`` are the scalar core's (``_core``), which
+imports neither numpy nor ``dataclasses``; this module binds the objects it
+uses or exports, and wraps the formulas around ``HPoint``.  It imports no
+numpy itself: the Fisher metric on H is ``geometry``'s, and
+``jacobian_analytic`` and ``convergence_bound_check`` return arrays and load
+numpy when called.
 """
 
 from __future__ import annotations
@@ -43,20 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # the scalar core's names, bound here as this module's own
-from ._core import (
-    DEFAULT_GRID_SIZE,
-    KS_MIN_SAMPLES,
-    MAX_SAMPLE_OFFSET,
-    MIN_MONTE_CARLO_SIZE,
-    POLE_EPS,
-    _boole,
-    _cpu_count,
-    _fixed_scale,
-    _half_reciprocal,
-    _iterates,
-    _step,
-    check_alpha,
-)
+from ._core import POLE_EPS, _boole, _fixed_scale, _half_reciprocal, _step, check_alpha
 from .errors import SingularInputError
 
 if TYPE_CHECKING:

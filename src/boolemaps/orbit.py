@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._core import POLE_EPS, _boole, _iterates, check_alpha
 from .errors import SingularInputError
-from .halfplane import POLE_EPS, HPoint, _boole, _iterates, check_alpha
+from .halfplane import HPoint
 
 
 def boole_transform(alpha: float, xi: float) -> float:

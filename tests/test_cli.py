@@ -21,13 +21,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolemaps import HPoint, cli, density, orbit
-from boolemaps._core import _step
+from boolemaps._core import KS_MIN_SAMPLES, _step
 from boolemaps.cli import main
 from boolemaps.errors import SingularInputError
 from boolemaps.geometry import conformal_factor
 from boolemaps.halfplane import fixed_point, iterate_parameter_map, parameter_step, to_canonical
 from boolemaps.density import ergodic_orbit_check
-from boolemaps.halfplane import KS_MIN_SAMPLES
 from boolemaps.orbit import iterate_orbit
 
 

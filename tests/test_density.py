@@ -109,42 +109,86 @@ def assert_same_quartiles(points: np.ndarray) -> np.ndarray:
     return expected
 
 
-def exact_loglik_score(points: np.ndarray, nu: float, gamma: float) -> tuple[list, list]:
-    """The exact means that ``math.fsum`` gives of the six values of
-    ``_loglik_score``, and the scale of each one's terms.  The terms are
-    formed through h = hypot(d, gamma), so that none overflows where q = h^2
-    would."""
+def exact_circle_mean(points: np.ndarray, nu: float, gamma: float) -> tuple[complex, tuple]:
+    """The circle mean that ``_circle_mean`` takes, (1 - 2*gamma^2*mean r) -
+    2i*gamma*mean(d*r), from the exact means that ``math.fsum`` gives of
+    r = 1/q and d*r, and the scale of the terms of its real and imaginary
+    parts.  The terms are formed through h = hypot(d, gamma), so that none
+    overflows where q = h^2 would."""
     d = points - nu
     h = np.hypot(d, gamma)
-    inv = 1.0 / h / h
-    d_inv = d / h / h
-    terms = [2.0 * np.log(h), inv, d_inv, inv * inv, d_inv * inv,
-             (d - gamma) / h * ((d + gamma) / h) * inv]
-    exact = [math.fsum(term.tolist()) / points.size for term in terms]
-    exact[0] = math.log(gamma) - exact[0]
-    scales = [float(np.mean(np.abs(term))) for term in terms]
-    scales[0] += abs(math.log(gamma))
+    r, dr = 1.0 / h / h, d / h / h
+    mean_r, mean_dr = (math.fsum(term.tolist()) / points.size for term in (r, dr))
+    exact = complex(1.0 - 2.0 * gamma * gamma * mean_r, -2.0 * gamma * mean_dr)
+    real_terms = (d - gamma) / h * ((d + gamma) / h)  # 1 - 2*gamma^2*r
+    scales = float(np.mean(np.abs(real_terms))), float(np.mean(np.abs(2.0 * gamma * dr)))
     return exact, scales
 
 
-def assert_exact_loglik_score(points: np.ndarray, nu: float, gamma: float,
-                              reference: tuple | None = None) -> float:
-    """Assert that each of the six values of ``_loglik_score`` lies within
-    1e-13 of its term's scale of the exact mean in ``reference``, by default
-    ``exact_loglik_score`` of the same arguments; return the largest such
-    error."""
-    loglik, means = density._loglik_score(points, nu, gamma)
-    exact, scales = reference or exact_loglik_score(points, nu, gamma)
-    errors = [abs(got - want) / scale
-              for got, want, scale in zip([loglik, *means], exact, scales)]
+def assert_exact_circle_mean(points: np.ndarray, nu: float, gamma: float,
+                             reference: tuple | None = None) -> float:
+    """Assert that the real and imaginary parts of ``_circle_mean`` each lie
+    within 1e-13 of their terms' scale of the exact mean in ``reference``, by
+    default ``exact_circle_mean`` of the same arguments; return the larger
+    such error."""
+    got = density._circle_mean(points, nu, gamma)
+    exact, scales = reference or exact_circle_mean(points, nu, gamma)
+    errors = [abs(got.real - exact.real) / scales[0], abs(got.imag - exact.imag) / scales[1]]
     assert max(errors) <= 1e-13, (points.size, nu, gamma, errors)
     return max(errors)
 
 
+def assert_stationary(points: np.ndarray, fit: HPoint) -> float:
+    """Assert that |m|, the circle mean by ``math.fsum`` at the likelihood
+    fit ``fit`` of ``points``, in the quartile frame (m0, s) in which the fit
+    runs, is below 2e-10, beyond what rounding ``fit`` to doubles can add;
+    return |m| in units of that bound.
+
+    The points are standardized as the fit standardizes them, (x - m0)/s,
+    and the fit is taken to (nu - m0)/s + i*gamma/s.  |m| is the gradient
+    norm of the mean log-likelihood there times the scale, and by Copas
+    (Biometrika 1975) the stationary point is the maximum-likelihood fit.
+    Rounding each of nu and gamma to a double moves theta by at most half
+    an ulp, and m by at most 2*|dtheta|/gamma, since |d zeta/d theta| and
+    |d zeta/d conj(theta)| are 1/|x - conj(theta)| <= 1/gamma."""
+    ordered = np.sort(points)
+    frame = fit_cauchy(ordered)
+    ordered -= frame.nu
+    ordered /= frame.gamma
+    m, _ = exact_circle_mean(ordered, (fit.nu - frame.nu) / frame.gamma, fit.gamma / frame.gamma)
+    bound = 2e-10 + (math.ulp(fit.nu) + math.ulp(fit.gamma)) / fit.gamma
+    assert abs(m) < bound, (points.size, fit, abs(m), bound)
+    return abs(m) / bound
+
+
+def check_likelihood_fits(count: int, seed: int) -> tuple[float, list[int]]:
+    """The likelihood fit of ``fit_cauchy`` against the stationarity oracle
+    on ``count`` random samples drawn from ``seed``: n log-uniform in
+    1e3..3e5, C(nu, gamma) with |nu| log-uniform in 1e-3..1e8 of either
+    sign and gamma log-uniform in 1e-6..1e6, and up to three points replaced
+    by 1e150, -1e200, 1e300 or 3e153.  Returns the largest circle mean in
+    units of its bound and each fit's count of passes over the sample."""
+    rng = np.random.default_rng(seed)
+    passes = []
+    worst = 0.0
+    for _ in range(count):
+        n = int(math.exp(rng.uniform(math.log(1e3), math.log(3e5))))
+        nu = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 8.0))
+        gamma = float(10.0 ** rng.uniform(-6.0, 6.0))
+        points = nu + gamma * rng.standard_cauchy(n)
+        hits = rng.integers(0, 3, endpoint=True)
+        points[rng.integers(0, n, hits)] = rng.choice([1e150, -1e200, 1e300, 3e153], hits)
+        with mock.patch.object(density, "_circle_mean", wraps=density._circle_mean) as spy:
+            fit = fit_cauchy(points, "mle")
+        passes.append(spy.call_count)
+        worst = max(worst, assert_stationary(points, fit))
+    return worst, passes
+
+
 def check_monte_carlo_kernels(count: int, seed: int) -> tuple[int, list[int]]:
     """``_push_forward`` against ``loop_push_forward``, ``_quartiles`` against
-    ``np.quantile``, and ``_loglik_score`` at the quartile fit of the pushed
-    sample against ``exact_loglik_score``, on ``count`` random cases drawn
+    ``np.quantile``, and ``_circle_mean`` at the quartile fit of the pushed
+    sample against ``exact_circle_mean``, on ``count`` random cases drawn
     from ``seed``: n log-uniform in 1e3..3e5, steps uniform in 1..10, alpha
     uniform in 0.05..0.95, and a Cauchy sample of random location and scale
     in which a few points are replaced by 0, +-1 (a pole hit at the second
@@ -166,14 +210,14 @@ def check_monte_carlo_kernels(count: int, seed: int) -> tuple[int, list[int]]:
         expected, hit = loop_push_forward(alpha, points, steps)
         q1, q2, q3 = assert_same_quartiles(expected)
         fit = (q2, (q3 - q1) / 2.0)
-        reference = exact_loglik_score(expected, *fit)
+        reference = exact_circle_mean(expected, *fit)
         for cpus in settings:
             with mock.patch.object(density, "_cpu_count", return_value=cpus):
                 pushed, pushed_hit = _push_forward(alpha, points.copy(), steps)
                 pushed = kept_points(pushed)
                 assert pushed.tobytes() == expected.tobytes(), (alpha, n, steps, cpus)
                 assert pushed_hit == hit, (alpha, n, steps, cpus)
-                assert_exact_loglik_score(pushed, *fit, reference)
+                assert_exact_circle_mean(pushed, *fit, reference)
         dropped += hit
     return dropped, settings
 
@@ -247,6 +291,12 @@ def cpus(request, monkeypatch):
     """Blocks spread over this many CPUs, however many the machine has."""
     monkeypatch.setattr(density, "_cpu_count", lambda: request.param)
     return request.param
+
+
+def warm_up() -> None:
+    """Draw once, so that numpy's lazy import of ``numpy.random`` lands
+    before a ``tracemalloc`` measurement rather than inside it."""
+    sample_cauchy(HPoint(0.0, 1.0), 1, seed=0)
 
 
 def serially(monkeypatch, func):
@@ -539,12 +589,27 @@ class TestFitting:
             sq_mle += (mle_fit.nu - 3.0) ** 2 + (mle_fit.gamma - 2.0) ** 2
         assert sq_mle < sq_quantile
 
-    def test_mle_iteration_budget(self):
+    def test_mle_iteration_budget(self, monkeypatch):
         sample = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=3)
-        from boolemaps.density import _cauchy_mle
-
+        monkeypatch.setattr(density, "_MLE_PASSES", 1)
         with pytest.raises(FitConvergenceError):
-            _cauchy_mle(sample, HPoint(50.0, 100.0), max_iter=1)
+            density._cauchy_mle(sample, HPoint(50.0, 100.0))
+
+    def test_mle_converges_from_a_far_frame(self):
+        # from the frame C(50, 100) a C(0, 1) sample sits near one point of
+        # the circle, |m| about 0.98 at the start, and the fit still reaches
+        # the one stationary point within the default budget
+        sample = np.sort(sample_cauchy(HPoint(0.0, 1.0), 5000, seed=3))
+        fit = density._cauchy_mle(sample.copy(), HPoint(50.0, 100.0))
+        reference = fit_cauchy(sample, "mle")
+        assert fit.nu == pytest.approx(reference.nu, abs=1e-9)
+        assert fit.gamma == pytest.approx(reference.gamma, rel=1e-9)
+        assert_stationary(sample, fit)
+
+    def test_mle_raises_where_the_circle_mean_leaves_the_disk(self):
+        # every q overflows, so every zeta is 1: no law of H has that mean
+        with pytest.raises(FitConvergenceError, match="left the half-plane"):
+            density._cauchy_mle(np.full(2000, 1e300), HPoint(0.0, 1.0))
 
     @pytest.mark.parametrize("n", [1000, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_likelihood_sums_equal_exact_sums(self, n):
@@ -553,20 +618,28 @@ class TestFitting:
         points = rng.standard_cauchy(n)
         points[rng.integers(0, n, 6)] = [1e8, -1e8, 1e100, -1e150, 1e150, 3e153]
         for nu, gamma in [(0.0, 1.0), (0.3, 0.5), (-2.0, 7.0), (1e3, 1e-3)]:
-            assert_exact_loglik_score(points, nu, gamma)
+            assert_exact_circle_mean(points, nu, gamma)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mle_fit_is_the_stationary_point(self, seed):
+        # the fsum circle mean at the fit, over samples across the float
+        # range with outliers whose q overflows
+        worst, passes = check_likelihood_fits(10, seed)
+        assert worst < 1.0
+        assert max(passes) <= 10
 
     @pytest.mark.parametrize("outliers", [[1e160, -1e160], [1e300]])
     def test_mle_fits_past_outliers_whose_q_overflows(self, outliers):
-        # such a point adds 0 to every likelihood sum but the log's, as one
-        # whose q is finite adds next to nothing; the log's stays finite, and
-        # d^2 overflows on the way with no warning
+        # such a point adds 0 to both circle sums, the limit zeta = 1, as one
+        # whose q is finite adds next to nothing; d^2 overflows on the way
+        # with no warning
         sample = sample_cauchy(HPoint(0.0, 1.0), 10_000, seed=7)
         far, near = sample.copy(), sample.copy()
         far[:len(outliers)] = outliers
         near[:len(outliers)] = np.sign(outliers) * 1e150
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_exact_loglik_score(far, 0.0, 1.0)
+            assert_exact_circle_mean(far, 0.0, 1.0)
             fit = fit_cauchy(far, "mle")
         reference = fit_cauchy(near, "mle")
         assert fit.nu == pytest.approx(reference.nu, rel=1e-12)
@@ -711,6 +784,7 @@ class TestMonteCarloPushForward:
         # median_iqr: no sample at all, one block's scratch and the points
         # near the quartiles.  Neither takes more scratch on more CPUs.
         n = 10**6
+        warm_up()
         tracemalloc.start()
         try:
             pf_monte_carlo_check(0.5, HPoint(0.3, 1.2), n, 7, seed=3, fit_method=method)
@@ -723,6 +797,7 @@ class TestMonteCarloPushForward:
     def test_memory_with_pole_hits_holds_one_sample_copy(self, cpus):
         # the streamed fit with dropped points, which sort last in each block
         n = 10**6
+        warm_up()
         tracemalloc.start()
         try:
             report = pf_monte_carlo_check(0.5, HPoint(0.0, 1e-296), n, 3, seed=3)

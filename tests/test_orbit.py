@@ -23,9 +23,8 @@ from boolemaps import (
     parameter_step,
     preimages,
 )
-from boolemaps._core import _boole
+from boolemaps._core import KS_MIN_SAMPLES, _boole
 from boolemaps.cli import _short_orbit
-from boolemaps.halfplane import KS_MIN_SAMPLES
 
 alphas = st.floats(min_value=0.01, max_value=0.99)
 safe_xi = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: abs(x) > 1e-200)

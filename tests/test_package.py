@@ -51,16 +51,14 @@ BENCHMARK_READS = [
     ("geometry", "conformal_factor"),
 ]
 
-#: The scalar core's names, which ``halfplane`` binds as its own.
-CORE = (
-    "POLE_EPS", "DEFAULT_GRID_SIZE", "MIN_MONTE_CARLO_SIZE", "MAX_SAMPLE_OFFSET",
-    "KS_MIN_SAMPLES", "check_alpha", "_cpu_count", "_boole", "_iterates", "_half_reciprocal",
-)
-
-#: Names of the scalar core that their earlier modules still bind.
-MOVED = {
-    "orbit": ("HPoint", "POLE_EPS", "check_alpha", "_boole"),
-    "density": ("DEFAULT_GRID_SIZE", "MIN_MONTE_CARLO_SIZE", "MAX_SAMPLE_OFFSET"),
+#: The scalar core's names that each module binds as its own, by module.
+CORE = {
+    "halfplane": ("POLE_EPS", "check_alpha", "_boole", "_step", "_fixed_scale", "_half_reciprocal"),
+    "orbit": ("POLE_EPS", "check_alpha", "_boole", "_iterates"),
+    "density": (
+        "POLE_EPS", "DEFAULT_GRID_SIZE", "MIN_MONTE_CARLO_SIZE", "KS_MIN_SAMPLES",
+        "check_alpha", "_cpu_count",
+    ),
 }
 
 
@@ -109,17 +107,15 @@ def test_names_the_benchmark_reads_resolve():
 def test_moved_names_are_the_scalar_core_objects():
     from boolemaps import _core, halfplane
 
-    for name in CORE:
-        assert getattr(halfplane, name) is getattr(_core, name), f"halfplane.{name}"
-
-    for module, names in MOVED.items():
+    for module, names in CORE.items():
         submodule = importlib.import_module(f"boolemaps.{module}")
         for name in names:
-            assert getattr(submodule, name) is getattr(halfplane, name), f"{module}.{name}"
-    assert importlib.import_module("boolemaps.orbit").CauchyParams is halfplane.HPoint
+            assert getattr(submodule, name) is getattr(_core, name), f"{module}.{name}"
+    orbit = importlib.import_module("boolemaps.orbit")
+    assert orbit.HPoint is orbit.CauchyParams is halfplane.HPoint
     # the double numpy gives for |tan(-pi/2)|
-    assert halfplane.MAX_SAMPLE_OFFSET == 1.633123935319537e16
-    assert halfplane.MAX_SAMPLE_OFFSET == abs(math.tan(-0.5 * math.pi))
+    assert _core.MAX_SAMPLE_OFFSET == 1.633123935319537e16
+    assert _core.MAX_SAMPLE_OFFSET == abs(math.tan(-0.5 * math.pi))
 
 
 def test_first_use_loads_only_the_module_that_defines_the_name():
