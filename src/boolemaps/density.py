@@ -17,16 +17,18 @@ formula out in place, a ufunc at a time, and the tests hold it to
 ``_boole`` bit for bit.  Its preimages come from ``orbit._preimages``.
 Sampling only draws points; fitting is a separate, explicit ``fit_cauchy``
 call.  A point the pole guard drops stays in its place as NaN, which sorts
-last, and every consumer cuts the dropped points off after sorting.  The
-Monte Carlo check's quantile fit streams its sample: each block is drawn,
-pushed and sorted on its own, and only the points near the quartiles are
-kept, so the check reads the quartiles of the whole pushed sample, as
-``fit_cauchy`` does, without holding it.  Its likelihood fit sorts the
-whole pushed sample and fits its kept points through ``_fit_sorted``: the
-law theta = nu + i*gamma at which the mean of zeta = (x - theta)/(x -
-conj(theta)) over the points is zero, reached by Moebius steps.
-Sample-sized work runs in blocks, on every CPU in the affinity where the
-blocks outnumber the CPUs, with the same bits on any number of CPUs.
+last, and every consumer cuts the dropped points off after sorting or
+selecting.  A quantile fit selects its quartiles, those of ``np.quantile``,
+by nested partitions in place, with no sort.  The Monte Carlo check's
+quantile fit streams its sample: each block is drawn, pushed and sorted on
+its own, and only the points near the quartiles are kept, so the check
+reads the quartiles of the whole pushed sample, as ``fit_cauchy`` does,
+without holding it.  Its likelihood fit sorts the whole pushed sample and
+fits its kept points through ``_fit``: the law theta = nu + i*gamma at which
+the mean of zeta = (x - theta)/(x - conj(theta)) over the points is zero,
+reached by Moebius steps.  Sample-sized work runs in blocks, on every CPU in
+the affinity where the blocks outnumber the CPUs, and the error ratio runs
+its seeds on them, with the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -291,7 +293,8 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
 
     ``median_iqr``: location = sample median, scale = half the interquartile
     range -- exact for the Cauchy CDF, whose quartiles sit at nu +/- gamma.
-    The quartiles are those of ``np.quantile``, bit for bit.
+    The quartiles are those of ``np.quantile``, bit for bit, selected from a
+    copy of the points by ``_quartiles`` rather than read from a sorted one.
     ``mle``: the maximum-likelihood law, the one theta = nu + i*gamma at
     which the mean of zeta = (x - theta)/(x - conj(theta)) is zero
     (McCullagh, Ann. Statist. 1996; unique by Copas, Biometrika 1975).  It
@@ -306,8 +309,8 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     positive double, as where the quartiles round to the same double.
     """
     _check_fit_method(method)
-    points = np.asarray(points, dtype=float)
-    return _fit_sorted(np.sort(points), method)  # a copy: the caller's order stays
+    points = np.array(points, dtype=float)  # a copy: the caller's order stays
+    return _fit(points, points.size, method)
 
 
 def _check_fit_method(method: str) -> None:
@@ -320,11 +323,15 @@ def _check_fit_size(size: int) -> None:
         raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {size}")
 
 
-def _fit_sorted(ordered: np.ndarray, method: str) -> HPoint:
-    # ``fit_cauchy`` of a sorted sample, which the likelihood fit overwrites
-    _check_fit_size(ordered.size)
-    quartile_fit = _quartile_fit(_quartiles(ordered))
-    return quartile_fit if method == "median_iqr" else _cauchy_mle(ordered, quartile_fit)
+def _fit(points: np.ndarray, size: int, method: str) -> HPoint:
+    # ``fit_cauchy`` of the ``size`` least of the points, NaN last, which it
+    # reorders and the likelihood fit overwrites
+    _check_fit_size(size)
+    if method == "median_iqr":
+        return _quartile_fit(_quartiles(points, size))
+    points.sort()
+    ordered = points[:size]
+    return _cauchy_mle(ordered, _quartile_fit(_sorted_quartiles(ordered)))
 
 
 def _quartile_fit(quartiles: np.ndarray) -> HPoint:
@@ -353,7 +360,7 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quartiles(ordered: np.ndarray) -> np.ndarray:
+def _sorted_quartiles(ordered: np.ndarray) -> np.ndarray:
     # np.quantile(ordered, [0.25, 0.5, 0.75]) read from a sorted sample by
     # index.  A NaN sorts last and makes every quartile that NaN, as in
     # np.quantile.
@@ -364,6 +371,30 @@ def _quartiles(ordered: np.ndarray) -> np.ndarray:
     return out
 
 
+def _quartiles(points: np.ndarray, size: int) -> np.ndarray:
+    # np.quantile(np.sort(points)[:size], [0.25, 0.5, 0.75]), NaN sorting
+    # last, selected in place of a sort: three nested single-kth partitions,
+    # each of the part below the last, place the floor of each quartile's
+    # virtual index, and the order statistic after each is the least point
+    # between it and the next one placed.  Only the points after the upper
+    # quartile's floor may be NaN, and fmin passes over them.  A NaN within
+    # the cut makes every quartile that NaN, as in np.quantile.
+    below, t = _quartile_ranks(size)
+    k1, k2, k3 = below.tolist()
+    points.partition(k3)
+    points[:k3].partition(k2)
+    points[:k2].partition(k1)
+    tail = points[k3 + 1:]
+    upper = [points[k1 + 1:k2 + 1].min(), points[k2 + 1:k3 + 1].min(), np.fmin.reduce(tail)]
+    out = _lerp(points[below], np.array(upper), t)
+    if np.isnan(tail.max()):  # a NaN: is one within the cut?
+        last = size - k3 - 2  # the cut's last point, as an order statistic of the tail
+        tail.partition(last)
+        if np.isnan(tail[last]):
+            out[:] = tail[last]
+    return out
+
+
 #: Sample-sized work runs in blocks of this many points (512 KiB of doubles),
 #: through buffers of one block, so that no temporary grows with the sample
 #: and peak memory does not depend on where earlier large temporaries left
@@ -371,6 +402,8 @@ def _quartiles(ordered: np.ndarray) -> np.ndarray:
 #: and the points near the quartiles; the likelihood fit's holds one copy of
 #: its sample, which it pushes forward, sorts and standardizes in place, and
 #: each pass of the fit sums a block at a time through two rows of scratch.
+#: Each worker of the error ratio holds one seed's 2n points and one block's
+#: scratch.
 _BLOCK = 1 << 16
 
 
@@ -491,9 +524,17 @@ def _cauchy_mle(points: np.ndarray, frame: HPoint) -> HPoint:
     # (Copas 1975).  Each step moves theta = nu + i*gamma to the law whose
     # mean of zeta is m, (theta - m*conj(theta))/(1 - m) (McCullagh 1996):
     # to first order Fisher scoring.  A mean on or outside the unit circle,
-    # or NaN where a step left the doubles, is the mean of no law of H.
-    points -= frame.nu
-    points /= frame.gamma
+    # or NaN where a step left the doubles, is the mean of no law of H.  A
+    # point beyond DBL_MAX quartile scales standardizes to +-inf, whose d*r
+    # would be inf*0; at +-DBL_MAX its q overflows instead, and it adds 0 to
+    # both sums, the limit zeta = 1.  The points come sorted, so any such
+    # point sits at an end.
+    with np.errstate(over="ignore"):
+        points -= frame.nu
+        points /= frame.gamma
+    if math.isinf(points[0]) or math.isinf(points[-1]):
+        big = np.finfo(float).max
+        np.clip(points, -big, big, out=points)
     nu, gamma = 0.0, 1.0
     for _ in range(_MLE_PASSES):
         m = _circle_mean(points, nu, gamma)
@@ -661,10 +702,11 @@ def pf_monte_carlo_check(
     sample.  An unknown ``fit_method`` raises ValueError before any point is
     drawn.  The ``median_iqr`` fit streams the sample through
     ``_streamed_quartiles``, in one block's scratch and about 8% of the
-    sample's size; where a bracket misses, and for the ``mle`` fit, the
-    check pushes and sorts the whole sample in place, cuts off the dropped
-    points and fits the rest.  Either way the report is the same, bit for
-    bit.
+    sample's size; where a bracket misses, the check pushes the whole sample
+    in place and selects the quartiles of its kept points, and for the
+    ``mle`` fit it pushes and sorts the whole sample in place, cuts off the
+    dropped points and fits the rest.  Either way the report is the same,
+    bit for bit.
     """
     alpha = check_alpha(alpha)
     if n < MIN_MONTE_CARLO_SIZE:
@@ -677,11 +719,10 @@ def pf_monte_carlo_check(
         size, dropped, quartiles = streamed
     else:  # the likelihood fit, or a bracket missed
         pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
-        pushed.sort()  # in place: the check holds one copy of its sample
-        pushed = pushed[:n - dropped]  # the dropped points, NaN, sort last
-        size = pushed.size
+        size = n - dropped  # the dropped points, NaN, order last
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
-    measured = _quartile_fit(quartiles) if streamed else _fit_sorted(pushed, fit_method)
+    # the fallback fits its one copy of the sample in place
+    measured = _quartile_fit(quartiles) if streamed else _fit(pushed, size, fit_method)
     sup_error = max(abs(measured.nu - predicted.nu), abs(measured.gamma - predicted.gamma))
     se = fit_stderr(predicted.gamma, size)
     return PfReport(
@@ -700,12 +741,16 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
     through the map; the kept points among the first n draws form the
     half-size estimate, so the two levels share their randomness and the
     ratio concentrates near sqrt(2) under the expected n^(-1/2) error
-    scaling of the quantile fit.  A copy of the first n and the whole pushed
-    sample are sorted concurrently, the dropped points, NaN, last, and the
-    kept points of each are fitted as ``fit_cauchy`` fits them, the error in
-    units of the predicted scale, so that no square overflows.  Raises
-    ValueError on an empty ``seeds``, and PoleGuardError as
-    ``pf_monte_carlo_check`` does.
+    scaling of the quantile fit.  Each seed is one task on up to one thread
+    per CPU: it draws and pushes its points a block at a time, as
+    ``sample_cauchy`` and ``_push_forward`` do, into its worker's buffer of
+    2n points, then selects the quartiles of the kept points among the
+    first n in place, and after them those of all 2n, and fits them as
+    ``fit_cauchy`` does, the error in units of the predicted scale, so that
+    no square overflows.  The squared errors are added in seed order, so the
+    ratio is the same bit for bit on any number of CPUs.  Raises ValueError
+    on an empty ``seeds``, and PoleGuardError as ``pf_monte_carlo_check``
+    does.
     """
     alpha = check_alpha(alpha)
     seeds = list(seeds)
@@ -713,14 +758,29 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
         raise ValueError("the error ratio needs at least one seed")
     predicted = parameter_step(alpha, p)
     nu, gamma = predicted.nu, predicted.gamma
+    workers = min(_cpu_count(), len(seeds))
+    width = min(2 * n, _BLOCK)
+    rows = [(np.empty(2 * n), np.empty(width), np.empty(width, bool)) for _ in range(workers)]
+
+    def squared_errors(worker, seed):
+        # the squared fit errors of one seed, at n and at 2n
+        sample, buf, passed = rows[worker]
+        dropped = first = 0  # in all, and among the first n
+        for lo in range(0, 2 * n, _BLOCK):
+            x = sample[lo:lo + _BLOCK]
+            _draw_block(p, seed, lo, x)
+            hits = _push_block(alpha, x, 1, buf[:x.size], passed[:x.size])
+            dropped += hits
+            if hits and lo < n:  # ``passed`` marks the points one step keeps
+                head = passed[:min(n - lo, x.size)]
+                first += head.size - np.count_nonzero(head)
+        _check_drops(dropped, 2 * n)
+        fits = _fit(sample[:n], n - first, "median_iqr"), _fit(sample, 2 * n - dropped, "median_iqr")
+        return [((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2 for fit in fits]
+
     errors = [0.0, 0.0]  # squared, at n and at 2n
-    for seed in seeds:
-        pushed, _ = _pushed_sample(alpha, p, 2 * n, 1, seed)
-        samples = [pushed[:n].copy(), pushed]
-        _concurrently(lambda worker, sample: sample.sort(), samples, _cpu_count())
-        for k, sample in enumerate(samples):
-            fit = _fit_sorted(sample[:np.searchsorted(sample, np.nan)], "median_iqr")
-            errors[k] += ((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2
+    for seed_errors in _concurrently(squared_errors, seeds, workers):
+        errors = [total + error for total, error in zip(errors, seed_errors)]
     return math.sqrt(errors[0] / errors[1])
 
 

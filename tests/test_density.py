@@ -1,5 +1,6 @@
 """Transfer-sum grid evolution, sampling, fitting, and ergodicity checks."""
 
+import functools
 import math
 import sys
 import threading
@@ -46,6 +47,7 @@ from boolemaps.density import (
     _grid_law,
     _push_forward,
     _quartiles,
+    _sorted_quartiles,
     transfer_values,
 )
 
@@ -98,14 +100,26 @@ def assert_same_push_forward(alpha: float, points: np.ndarray, steps: int) -> tu
 
 
 def assert_same_quartiles(points: np.ndarray) -> np.ndarray:
-    """Assert that ``_quartiles`` of the sorted points is ``np.quantile`` of the
-    points, bit for bit, and return the quartiles.  A zero quartile is
-    compared, and returned, as 0.0: which of a tied -0.0 and 0.0
-    np.quantile's partition leaves at an index is arbitrary, and it differs
-    between a sample and its sorted copy."""
+    """Assert that the quartiles read by index from the sorted points, and
+    those selected from the unsorted points, whole and as the kept-size cut
+    of a copy with three NaN mixed in, are ``np.quantile`` of the points,
+    bit for bit, that a cut one point longer has NaN quartiles, and return
+    the quartiles.  A zero quartile is compared, and returned, as 0.0:
+    which of a tied -0.0 and 0.0 a partition leaves at an index is
+    arbitrary, and it differs between a sample and its sorted copy."""
     expected = np.quantile(points, [0.25, 0.5, 0.75]) + 0.0  # -0.0 + 0.0 is 0.0
-    got = _quartiles(np.sort(points)) + 0.0
-    assert got.tobytes() == expected.tobytes(), (points.size, got, expected)
+    rng = np.random.default_rng(points.size)
+    padded = np.insert(points, rng.integers(0, points.size + 1, 3), np.nan)
+    routes = {
+        "sorted": _sorted_quartiles(np.sort(points)),
+        "selected": _quartiles(points.copy(), points.size),
+        "cut": _quartiles(padded, points.size),
+    }
+    for route, got in routes.items():
+        got = got + 0.0
+        assert got.tobytes() == expected.tobytes(), (route, points.size, got, expected)
+    # a cut one point longer holds a NaN, and so do all its quartiles
+    assert np.isnan(_quartiles(padded, points.size + 1)).all(), points.size
     return expected
 
 
@@ -284,6 +298,76 @@ def check_streamed_fits(count: int, seed: int) -> tuple[int, int, list[int]]:
             fallbacks += fell_back
         hits += expected[0] == "PoleGuardError" or expected[1] > 0
     return hits, fallbacks, settings
+
+
+@functools.cache
+def sorted_error_ratio(alpha: float, p: HPoint, n: int, seeds: tuple) -> tuple[float, int]:
+    """Reference oracle: ``mc_error_ratio`` a seed at a time, by sorting.
+    The 2n points of each seed are drawn by ``sample_cauchy`` and pushed one
+    step by ``_push_forward``; a sorted copy of the first n and the sorted
+    whole sample each lose their dropped points, NaN, off the end, and are
+    fitted from ``np.quantile``.  Returns the ratio and the points dropped
+    over all seeds; raises as ``mc_error_ratio`` does."""
+    predicted = parameter_step(alpha, p)
+    nu, gamma = predicted.nu, predicted.gamma
+    errors, hits = [0.0, 0.0], 0
+    for seed in seeds:
+        pushed, dropped = _push_forward(alpha, sample_cauchy(p, 2 * n, seed), 1)
+        density._check_drops(dropped, 2 * n)
+        hits += dropped
+        for k, ordered in enumerate([np.sort(pushed[:n]), np.sort(pushed)]):
+            kept = ordered[:np.searchsorted(ordered, np.nan)]
+            density._check_fit_size(kept.size)
+            fit = density._quartile_fit(np.quantile(kept, [0.25, 0.5, 0.75]))
+            errors[k] += ((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2
+    return math.sqrt(errors[0] / errors[1]), hits
+
+
+def ratio_outcome(func) -> bytes | tuple:
+    """The bytes of the ratio ``func()`` returns, or the failure's type and text."""
+    try:
+        return np.float64(func()).tobytes()
+    except (PoleGuardError, SingularInputError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_error_ratio(alpha: float, p: HPoint, n: int, seeds: tuple) -> int:
+    """Assert that ``mc_error_ratio`` equals ``sorted_error_ratio``, bit for
+    bit in the ratio or in the error raised; return the points the reference
+    dropped, or -1 where it raised."""
+    expected = ratio_outcome(lambda: sorted_error_ratio(alpha, p, n, seeds)[0])
+    got = ratio_outcome(lambda: mc_error_ratio(alpha, p, n, seeds=seeds))
+    assert got == expected, (alpha, p, n, seeds, got, expected)
+    return sorted_error_ratio(alpha, p, n, seeds)[1] if isinstance(expected, bytes) else -1
+
+
+def check_error_ratios(count: int, seed: int) -> tuple[int, list[int]]:
+    """``mc_error_ratio`` against ``sorted_error_ratio`` on ``count`` random
+    cases drawn from ``seed``: alpha uniform in 0.05..0.95, n log-uniform in
+    1e3..1.5e5, 1 to 12 random seeds, and C(nu, gamma) with nu normal and
+    gamma log-uniform in 1e-2..1e2, or for a third of the cases C(0, gamma)
+    with gamma log-uniform in 1e-298..1e-294, whose points hit the pole
+    guard, in some cases more often than it allows.  Each case is checked
+    with every seed on the calling thread and on every CPU in the affinity.
+    Returns how many cases dropped points or raised PoleGuardError, and the
+    CPU counts checked."""
+    rng = np.random.default_rng(seed)
+    settings = sorted({1, density._cpu_count()})
+    hits = 0
+    for _ in range(count):
+        alpha = float(rng.uniform(0.05, 0.95))
+        n = int(math.exp(rng.uniform(math.log(1e3), math.log(1.5e5))))
+        seeds = tuple(int(s) for s in rng.integers(0, 2**31, rng.integers(1, 12, endpoint=True)))
+        if rng.random() < 1 / 3:
+            law = HPoint(0.0, 10.0 ** rng.uniform(-298.0, -294.0))
+        else:
+            law = HPoint(float(rng.normal()), 10.0 ** rng.uniform(-2.0, 2.0))
+        for cpus in settings:
+            with mock.patch.object(density, "_cpu_count", return_value=cpus):
+                dropped = assert_same_error_ratio(alpha, law, n, seeds)
+        hits += dropped != 0
+    sorted_error_ratio.cache_clear()
+    return hits, settings
 
 
 @pytest.fixture(params=[1, 2, 3, 8], ids=lambda n: f"{n}cpus")
@@ -529,7 +613,32 @@ class TestFitting:
         points = np.random.default_rng(9).standard_cauchy(5000)
         points[17] = np.nan
         assert_same_quartiles(points)
-        assert np.isnan(_quartiles(np.sort(points))).all()
+        assert np.isnan(_sorted_quartiles(np.sort(points))).all()
+        assert np.isnan(_quartiles(points.copy(), points.size)).all()
+        # a cut that holds one of the two NaN
+        points[4000] = np.nan
+        assert np.isnan(_quartiles(points.copy(), points.size - 1)).all()
+
+    @pytest.mark.parametrize("size", [1000, _BLOCK + 1, 10**5])
+    def test_quartiles_of_a_cut_that_leaves_out_every_nan(self, size):
+        # dropped points, NaN, among the first and the last, past every
+        # partition's kth and in a quarter of the sample
+        rng = np.random.default_rng(size)
+        points = rng.standard_cauchy(size)
+        for hits in ([0, size - 1], rng.integers(0, size, size // 4)):
+            dropped = points.copy()
+            dropped[hits] = np.nan
+            kept = dropped[~np.isnan(dropped)]
+            expected = np.quantile(kept, [0.25, 0.5, 0.75])
+            assert _quartiles(dropped, kept.size).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
+    def test_fit_of_a_sample_with_nan_raises(self, method):
+        # its quartiles are NaN, and so is half their range
+        points = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=9)
+        points[[17, 4000]] = np.nan
+        with pytest.raises(SingularInputError, match="quartiles are nan and nan"):
+            fit_cauchy(points, method)
 
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
     def test_likelihood_fit_sums_over_the_sorted_sample(self, method, monkeypatch):
@@ -645,6 +754,22 @@ class TestFitting:
         assert fit.nu == pytest.approx(reference.nu, rel=1e-12)
         assert fit.gamma == pytest.approx(reference.gamma, rel=1e-12)
 
+    @pytest.mark.parametrize("outliers", [[1e300], [-1e300, 1e300], [-1.7e308, -1e300]])
+    def test_mle_fits_past_outliers_beyond_dbl_max_quartile_scales(self, outliers):
+        # in the frame of a C(0, 1e-10) sample such a point standardizes to
+        # +-inf; it adds 0 to both circle sums, as one at 1e150 quartile
+        # scales adds next to nothing, with no warning
+        sample = sample_cauchy(HPoint(0.0, 1e-10), 5000, seed=3)
+        far, near = sample.copy(), sample.copy()
+        far[:len(outliers)] = outliers
+        near[:len(outliers)] = np.sign(outliers) * 1e140
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_cauchy(far, "mle")
+        reference = fit_cauchy(near, "mle")
+        assert fit.nu == pytest.approx(reference.nu, rel=1e-12)
+        assert fit.gamma == pytest.approx(reference.gamma, rel=1e-12)
+
     @pytest.mark.parametrize(
         "nu, gamma", [(1e5, 1e-3), (1e3, 1e-6), (1e8, 1e-2), (1e300, 1e290)]
     )
@@ -747,12 +872,38 @@ class TestMonteCarloPushForward:
 
         assert check() == serially(monkeypatch, check)
 
-    def test_error_ratio_on_every_cpu_equals_the_serial_ratio(self, cpus, monkeypatch):
-        # 2n is ten blocks, more than any of the patched CPU counts
-        def ratio():
-            return mc_error_ratio(0.6, HPoint(0.2, 1.3), 5 * _BLOCK, seeds=[3, 4])
+    @pytest.mark.parametrize("n", [1000, 10**4, 12_345, 5 * _BLOCK, 131_075])
+    @pytest.mark.parametrize("law, drops", [
+        (HPoint(0.2, 1.3), "none"),
+        (HPoint(0.0, 1.6e-296), "some"),  # from n = 10**4 on, within the guard's limit
+        (HPoint(0.0, 1e-298), "too many"),
+    ], ids=["no-hits", "hits", "too-many-hits"])
+    def test_error_ratio_equals_the_sorted_reference(self, cpus, n, law, drops):
+        # nine seeds, more than any of the patched CPU counts
+        dropped = assert_same_error_ratio(0.6, law, n, tuple(range(20, 29)))
+        assert {"none": dropped == 0, "some": dropped > 0 or n == 1000, "too many": dropped == -1}[drops]
 
-        assert ratio() == serially(monkeypatch, ratio)
+    def test_error_ratio_equals_the_sorted_reference_on_random_cases(self):
+        assert check_error_ratios(20, seed=14)[0] > 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8], indirect=True, ids=lambda n: f"{n}cpus")
+    @pytest.mark.parametrize("law", [HPoint(0.3, 1.2), HPoint(0.0, 1.6e-296)], ids=["no-hits", "hits"])
+    @pytest.mark.parametrize("n", [10**4, 131_075])
+    def test_error_ratio_memory_holds_one_sample_per_worker(self, cpus, law, n):
+        # each of min(cpus, seeds) workers holds its seed's 2n points and one
+        # block of scratch: a row of doubles and two of flags (the push's
+        # mask and, where it drops points, the mask's complement); 32 KiB
+        # more covers the rest
+        seeds = range(6)
+        warm_up()
+        tracemalloc.start()
+        try:
+            mc_error_ratio(0.5, law, n, seeds=seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        workers = min(cpus, len(seeds))
+        assert peak < workers * (16 * n + 10 * min(2 * n, _BLOCK)) + 2**15
 
     def test_error_ratio_of_a_wide_law(self):
         # the fit errors near 1e157 overflowed once squared; at either scale
