@@ -609,7 +609,7 @@ def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
     either side.  Each block returns only its count of points below each
     bracket and copies of the points inside it, which are joined a bracket
     at a time after the pass, once the scratch is let go.  The order
-    statistics that ``_quartiles`` reads then lie in the joined brackets,
+    statistics that the quartiles read then lie in the joined brackets,
     at their rank less the count below, so the quartiles are those of the
     whole sorted sample, bit for bit, on any number of CPUs.  The blocks
     after the first split its scratch between the workers, so the scratch
