@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "density": (
         "DensityGrid", "ErgodicReport", "PfReport", "cauchy_grid", "ergodic_orbit_check",
-        "fit_cauchy", "ks_distance", "mc_error_ratio", "pf_closed_form_check",
+        "fit_cauchy", "ks_distance", "mc_error_ratio", "pf_circle_check", "pf_closed_form_check",
         "pf_density_step", "pf_monte_carlo_check", "sample_cauchy",
     ),
     "errors": (

@@ -234,12 +234,12 @@ def cmd_iterate_params(cfg: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
-    from .density import pf_closed_form_check, pf_monte_carlo_check
+    from .density import pf_circle_check, pf_closed_form_check
     from .halfplane import HPoint
 
     params = HPoint(cfg.nu0, cfg.gamma0)
     sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
-    report = pf_monte_carlo_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
+    report = pf_circle_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
     columns = _param_columns(cfg)
     # the tolerance is relative to the peak 1/(pi*gamma) of the stepped law
     peak = 1.0 / (math.pi * columns["gamma"][1])
@@ -254,6 +254,8 @@ def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
         "delta_gamma": report.measured.gamma - report.predicted.gamma,
         "fit_stderr": report.stderr,
         "n_dropped": report.n_dropped,
+        "monte_carlo_statistic": report.statistic,
+        "monte_carlo_tolerance": report.tolerance,
         "monte_carlo_pass": report.within_tolerance,
     }
     passed = bool(oracles["sup_error_pass"] and oracles["monte_carlo_pass"])

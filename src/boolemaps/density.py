@@ -9,26 +9,25 @@ push-forward is recomputed by brute force in two independent ways:
   1/|derivative|, evaluated on an arctan-spaced grid with analytic tail
   accounting, and
 * Monte Carlo -- seeded, counter-based sampling pushed through the pointwise
-  map and refitted by robust quantile (or maximum-likelihood) estimation.
+  map, and tested against the predicted law on the circle.
 
 Both are then compared against the closed-form prediction.  The pointwise
 map is ``_core._boole``, alpha*(x - 1/x); the push-forward writes that
 formula out in place, a ufunc at a time, and the tests hold it to
 ``_boole`` bit for bit.  Its preimages come from ``orbit._preimages``.
-Sampling only draws points; fitting is a separate, explicit ``fit_cauchy``
-call.  A point the pole guard drops stays in its place as NaN, which sorts
-last, and every consumer cuts the dropped points off after sorting or
-selecting.  A quantile fit selects its quartiles, those of ``np.quantile``,
-by nested partitions in place, with no sort.  The Monte Carlo check's
-quantile fit streams its sample: each block is drawn, pushed and sorted on
-its own, and only the points near the quartiles are kept, so the check
-reads the quartiles of the whole pushed sample, as ``fit_cauchy`` does,
-without holding it.  Its likelihood fit sorts the whole pushed sample and
-fits its kept points through ``_fit``: the law theta = nu + i*gamma at which
-the mean of zeta = (x - theta)/(x - conj(theta)) over the points is zero,
-reached by Moebius steps.  Sample-sized work runs in blocks, on every CPU in
-the affinity where the blocks outnumber the CPUs, and the error ratio runs
-its seeds on them, with the same bits on any number of CPUs.
+A sample is Cauchy with parameter theta = nu + i*gamma exactly when zeta =
+(x - theta)/(x - conj(theta)) is uniform on the unit circle (McCullagh,
+Ann. Statist. 1996).  So the Monte Carlo check, ``pf_circle_check``, never
+fits or holds its sample: each block is drawn, pushed, standardized by the
+predicted law and reduced to the two sums of the mean m of zeta, and n|m|^2
+is close to Exp(1) where the prediction is right.  A point the pole guard
+drops stays in its place as NaN.  ``pf_monte_carlo_check`` holds the whole
+pushed sample and refits its kept points by ``fit_cauchy``'s methods: the
+quartiles, selected by nested partitions in place, or the likelihood fit,
+the zero of the same circle mean, reached by Moebius steps.  Sample-sized
+work runs in blocks, on every CPU in the affinity where the blocks
+outnumber the CPUs, and the error ratio runs its seeds on them, with the
+same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -305,11 +304,14 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     passes over the points do not get there.  Its sums run over the sorted
     points, so any permutation of a sample gives the same fit.  Moment
     fitting is not offered; the Cauchy law has no moments.  Raises
-    SingularInputError where half the interquartile range is not a
-    positive double, as where the quartiles round to the same double.
+    SingularInputError on a NaN point, and where half the interquartile
+    range is not a positive double, as where the quartiles round to the
+    same double.
     """
     _check_fit_method(method)
     points = np.array(points, dtype=float)  # a copy: the caller's order stays
+    if np.isnan(points).any():
+        raise SingularInputError("no law fits a sample that holds NaN")
     return _fit(points, points.size, method)
 
 
@@ -361,49 +363,37 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _sorted_quartiles(ordered: np.ndarray) -> np.ndarray:
-    # np.quantile(ordered, [0.25, 0.5, 0.75]) read from a sorted sample by
-    # index.  A NaN sorts last and makes every quartile that NaN, as in
-    # np.quantile.
+    # np.quantile(ordered, [0.25, 0.5, 0.75]) read from a sorted sample with
+    # no NaN by index
     below, t = _quartile_ranks(ordered.size)
-    out = _lerp(ordered[below], ordered[below + 1], t)
-    if np.isnan(ordered[-1]):
-        out[:] = ordered[-1]
-    return out
+    return _lerp(ordered[below], ordered[below + 1], t)
 
 
 def _quartiles(points: np.ndarray, size: int) -> np.ndarray:
-    # np.quantile(np.sort(points)[:size], [0.25, 0.5, 0.75]), NaN sorting
-    # last, selected in place of a sort: three nested single-kth partitions,
-    # each of the part below the last, place the floor of each quartile's
-    # virtual index, and the order statistic after each is the least point
-    # between it and the next one placed.  Only the points after the upper
-    # quartile's floor may be NaN, and fmin passes over them.  A NaN within
-    # the cut makes every quartile that NaN, as in np.quantile.
+    # np.quantile(np.sort(points)[:size], [0.25, 0.5, 0.75]), where only the
+    # points past the cut may be NaN, selected in place of a sort: three
+    # nested single-kth partitions, each of the part below the last, place
+    # the floor of each quartile's virtual index, and the order statistic
+    # after each is the least point between it and the next one placed.
+    # Only the points after the upper quartile's floor may be NaN, and fmin
+    # passes over them.
     below, t = _quartile_ranks(size)
     k1, k2, k3 = below.tolist()
     points.partition(k3)
     points[:k3].partition(k2)
     points[:k2].partition(k1)
-    tail = points[k3 + 1:]
-    upper = [points[k1 + 1:k2 + 1].min(), points[k2 + 1:k3 + 1].min(), np.fmin.reduce(tail)]
-    out = _lerp(points[below], np.array(upper), t)
-    if np.isnan(tail.max()):  # a NaN: is one within the cut?
-        last = size - k3 - 2  # the cut's last point, as an order statistic of the tail
-        tail.partition(last)
-        if np.isnan(tail[last]):
-            out[:] = tail[last]
-    return out
+    upper = [points[k1 + 1:k2 + 1].min(), points[k2 + 1:k3 + 1].min(), np.fmin.reduce(points[k3 + 1:])]
+    return _lerp(points[below], np.array(upper), t)
 
 
 #: Sample-sized work runs in blocks of this many points (512 KiB of doubles),
 #: through buffers of one block, so that no temporary grows with the sample
 #: and peak memory does not depend on where earlier large temporaries left
-#: the heap.  The quantile fit's Monte Carlo check holds one block's scratch
-#: and the points near the quartiles; the likelihood fit's holds one copy of
-#: its sample, which it pushes forward, sorts and standardizes in place, and
-#: each pass of the fit sums a block at a time through two rows of scratch.
-#: Each worker of the error ratio holds one seed's 2n points and one block's
-#: scratch.
+#: the heap.  The circle check holds one block's scratch per worker and no
+#: sample; ``pf_monte_carlo_check`` holds one copy of its sample, which it
+#: pushes forward and fits in place, and each pass of the likelihood fit
+#: sums a block at a time through two rows of scratch.  Each worker of the
+#: error ratio holds one seed's 2n points and one block's scratch.
 _BLOCK = 1 << 16
 
 
@@ -451,29 +441,25 @@ def _concurrently(func, tasks, workers: int) -> list:
     return results
 
 
-def _workers(size: int) -> int:
-    # the threads of a pass over ``size`` points: every CPU where its blocks outnumber
-    # them, else one (on 2 CPUs, threading 2 blocks of 1e5 points cost more than it saved)
-    cpus = _cpu_count()
-    return cpus if size > cpus * _BLOCK else 1
-
-
 def _each_block(size: int, func, scratch=()) -> list:
     """``func(rows, lo)`` for the block at each lo in range(0, size, _BLOCK) of
     a sample of ``size`` doubles, the results in block order.
 
     ``rows`` is the worker's own scratch: one row of min(size, _BLOCK) items
-    per dtype in ``scratch``.  The blocks run on the threads of ``_workers``.
-    numpy releases the GIL inside each ufunc, so the threads compute in
-    parallel, and each block computes what a serial loop would, so the
-    results are the same bit for bit on any number of CPUs.  The scratch of
-    all workers stays within a quarter of the sample's blocks, whatever the
-    CPU count, which caps the workers of a pass that needs much of it.  This
-    thread allocates it, as it does the sample: memory that a worker thread
-    allocates comes from that thread's own malloc arena and stays resident.
+    per dtype in ``scratch``.  The blocks run on one thread per CPU where
+    they outnumber the CPUs, else on one (on 2 CPUs, threading 2 blocks of
+    1e5 points cost more than it saved).  numpy releases the GIL inside each
+    ufunc, so the threads compute in parallel, and each block computes what
+    a serial loop would, so the results are the same bit for bit on any
+    number of CPUs.  The scratch of all workers stays within a quarter of
+    the sample's blocks, whatever the CPU count, which caps the workers of a
+    pass that needs much of it.  This thread allocates it, as it does the
+    sample: memory that a worker thread allocates comes from that thread's
+    own malloc arena and stays resident.
     """
     starts = range(0, size, _BLOCK)
-    workers = _workers(size)
+    cpus = _cpu_count()
+    workers = cpus if size > cpus * _BLOCK else 1
     width = min(size, _BLOCK)
     worker_bytes = width * sum(np.dtype(dtype).itemsize for dtype in scratch)
     if worker_bytes:
@@ -495,19 +481,30 @@ def _circle_mean(points: np.ndarray, nu: float, gamma: float) -> complex:
     g2 = gamma * gamma
 
     def block_sums(rows, lo):
-        # two rows, d and then q, inverted in place; einsum, unlike np.dot,
-        # calls no BLAS, whose own threads would contend with the blocks'
         x = points[lo:lo + _BLOCK]
         d, r = (row[:x.size] for row in rows)
-        np.subtract(x, nu, out=d)
-        np.multiply(d, d, out=r)
-        r += g2
-        np.divide(1.0, r, out=r)
-        return float(np.sum(r)), float(np.einsum("i,i", d, r))
+        return _circle_sums(np.subtract(x, nu, out=d), r, g2)
 
     blocks = _each_block(points.size, block_sums, (float, float))
     mean_r, mean_dr = (math.fsum(sums) / points.size for sums in zip(*blocks))
     return complex(1.0 - 2.0 * g2 * mean_r, -2.0 * gamma * mean_dr)
+
+
+def _circle_sums(d: np.ndarray, r: np.ndarray, g2: float) -> tuple[float, float]:
+    # the sums of r = 1/q and of d*r over the offsets d, q = d^2 + g2, q
+    # formed and inverted in the row r; einsum, unlike np.dot, calls no
+    # BLAS, whose own threads would contend with the blocks'
+    np.multiply(d, d, out=r)
+    r += g2
+    np.divide(1.0, r, out=r)
+    return float(np.sum(r)), float(np.einsum("i,i", d, r))
+
+
+def _moebius(nu: float, gamma: float, m: complex) -> tuple[float, float]:
+    # the law whose circle mean at theta = nu + i*gamma is m, |m| < 1:
+    # (theta - m*conj(theta))/(1 - m) (McCullagh 1996)
+    w = gamma / ((1.0 - m.real) ** 2 + m.imag ** 2)
+    return nu - 2.0 * w * m.imag, w * (1.0 - abs(m) ** 2)
 
 
 #: Passes over the sample that the likelihood fit may take.
@@ -522,9 +519,9 @@ def _cauchy_mle(points: np.ndarray, frame: HPoint) -> HPoint:
     # log-likelihood l, so |m| < 1e-10*gamma is a gradient norm below 1e-10,
     # whatever the sample's place and scale; its stationary point is unique
     # (Copas 1975).  Each step moves theta = nu + i*gamma to the law whose
-    # mean of zeta is m, (theta - m*conj(theta))/(1 - m) (McCullagh 1996):
-    # to first order Fisher scoring.  A mean on or outside the unit circle,
-    # or NaN where a step left the doubles, is the mean of no law of H.  A
+    # mean of zeta is m, ``_moebius``: to first order Fisher scoring.  A
+    # mean on or outside the unit circle, or NaN where a step left the
+    # doubles, is the mean of no law of H.  A
     # point beyond DBL_MAX quartile scales standardizes to +-inf, whose d*r
     # would be inf*0; at +-DBL_MAX its q overflows instead, and it adds 0 to
     # both sums, the limit zeta = 1.  The points come sorted, so any such
@@ -542,8 +539,7 @@ def _cauchy_mle(points: np.ndarray, frame: HPoint) -> HPoint:
             return HPoint(frame.nu + frame.gamma * nu, frame.gamma * gamma)
         if not abs(m) < 1.0:
             raise FitConvergenceError(f"likelihood fit left the half-plane at circle mean {m}")
-        w = gamma / ((1.0 - m.real) ** 2 + m.imag ** 2)
-        nu, gamma = nu - 2.0 * w * m.imag, w * (1.0 - abs(m) ** 2)
+        nu, gamma = _moebius(nu, gamma, m)
     raise FitConvergenceError(f"likelihood fit did not converge in {_MLE_PASSES} passes")
 
 
@@ -566,13 +562,14 @@ def _push_block(alpha: float, x: np.ndarray, steps: int, buf: np.ndarray, passed
     # push-forward's independence: they become NaN, which fails every later
     # guard.  A kept point never maps to NaN, so after the last step the
     # dropped points are the NaN of ``x``, which sort last; returns their
-    # count.
+    # count.  Where it is not 0, ``passed`` is inverted in place at the last
+    # step, and marks the dropped points.
     dropped = 0
     for _ in range(steps):
         kept = np.greater_equal(np.abs(x, out=buf), POLE_EPS, out=passed)
         dropped = x.size - int(np.count_nonzero(kept))
         if dropped:
-            np.copyto(x, np.nan, where=~kept)
+            np.copyto(x, np.nan, where=np.logical_not(kept, out=kept))
         inverse = np.divide(1.0, x, out=buf)
         np.multiply(alpha, np.subtract(x, inverse, out=inverse), out=x)
     return dropped
@@ -592,83 +589,6 @@ def _pushed_sample(alpha: float, p: HPoint, n: int, steps: int, seed: int):
     return pushed, dropped
 
 
-#: Half-width of the rank brackets of the streamed quartile fit, in units of
-#: the square root of the first block's size: 2.5 puts each edge at least
-#: 5 standard errors of a quartile's rank from it.
-_BRACKET_WIDTH = 2.5
-
-
-def _streamed_quartiles(alpha: float, p: HPoint, n: int, steps: int, seed: int):
-    """The size, the pole-guard drops and the quartiles of ``sample_cauchy(p,
-    n, seed)`` pushed forward, read without holding the sample; None where
-    a bracket misses a quartile's order statistics.
-
-    Each block is drawn, pushed and sorted in a worker's scratch row, and
-    then let go.  The sorted first block places a bracket of values around
-    each quartile, ``_BRACKET_WIDTH`` square roots of its size in ranks to
-    either side.  Each block returns only its count of points below each
-    bracket and copies of the points inside it, which are joined a bracket
-    at a time after the pass, once the scratch is let go.  The order
-    statistics that the quartiles read then lie in the joined brackets,
-    at their rank less the count below, so the quartiles are those of the
-    whole sorted sample, bit for bit, on any number of CPUs.  The blocks
-    after the first split its scratch between the workers, so the scratch
-    is one block's on any number of CPUs; this thread allocates it.
-    """
-    def sorted_block(rows, lo):
-        # the kept points of the block from lo on, as wide as ``rows``,
-        # sorted in rows[0], and its drops
-        x, buf, passed = (row[:n - lo] for row in rows)
-        _draw_block(p, seed, lo, x)
-        dropped = _push_block(alpha, x, steps, buf, passed)
-        x.sort()  # the dropped points, NaN, sort last
-        return x[:x.size - dropped], dropped
-
-    def collect(x):
-        # the counts of the sorted x below each bracket [low, high), its low
-        # in bounds[:3] and its high in bounds[3:], and copies of the points
-        # inside each
-        edges = np.searchsorted(x, bounds).tolist()
-        return edges[:3], [x[lo:hi].copy() for lo, hi in zip(edges, edges[3:])]
-
-    rows = [np.empty(min(n, _BLOCK), dtype) for dtype in (float, float, bool)]
-    first, dropped = sorted_block(rows, 0)
-    if not first.size:  # no point to place a bracket at
-        return None
-    half = _BRACKET_WIDTH * math.sqrt(first.size)
-    at = [(first.size - 1) * q + side * half for side in (-1, 1) for q in (0.25, 0.5, 0.75)]
-    bounds = first[[min(max(round(rank), 0), first.size - 1) for rank in at]]
-    below, parts = collect(first)
-    inside, size = [[part] for part in parts], first.size  # each bracket's parts
-    workers = _workers(n - _BLOCK)  # of the other blocks
-    width = _BLOCK // workers // 4 * 4  # whole Philox counter values
-    split = [[row[k * width:(k + 1) * width] for row in rows] for k in range(workers)]
-
-    def later_block(worker, lo):
-        x, hits = sorted_block(split[worker], lo)
-        return collect(x), hits, x.size
-
-    for (counts, parts), hits, kept in _concurrently(later_block, range(_BLOCK, n, width), workers):
-        below = [total + count for total, count in zip(below, counts)]
-        for bracket, part in zip(inside, parts):
-            bracket.append(part)
-        dropped += hits
-        size += kept
-    del rows, first, split  # the scratch, let go before the brackets are joined
-    _check_drops(dropped, n)
-    _check_fit_size(size)
-    ranks, t = _quartile_ranks(size)
-    pairs = np.empty((2, 3))
-    for k, (rank, count) in enumerate(zip(ranks.tolist(), below)):
-        at = rank - count
-        row, inside[k] = np.concatenate(inside[k]), None  # its parts, let go
-        if not 0 <= at < row.size - 1:
-            return None
-        row.partition((at, at + 1))
-        pairs[:, k] = row[at:at + 2]
-    return size, dropped, _lerp(*pairs, t)
-
-
 def fit_stderr(gamma: float, n: int) -> float:
     """pi * gamma / (2 * sqrt(n)): asymptotic s.e. of both the median and half-IQR."""
     return math.pi * gamma / (2.0 * math.sqrt(n))
@@ -676,13 +596,89 @@ def fit_stderr(gamma: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class PfReport:
-    """Monte Carlo push-forward compared against the closed-form prediction."""
+    """Monte Carlo push-forward compared against the closed-form prediction:
+    the check passes where its ``statistic`` is below its ``tolerance``."""
 
     predicted: HPoint
     measured: HPoint
     n_dropped: int
     stderr: float
-    within_tolerance: bool
+    statistic: float
+    tolerance: float
+
+    @property
+    def within_tolerance(self) -> bool:
+        return self.statistic < self.tolerance
+
+
+def _check_run(n: int, steps: int) -> None:
+    if n < MIN_MONTE_CARLO_SIZE:
+        raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
+    if steps < 1:
+        raise ValueError("need at least one step")
+
+
+#: The circle check's bound on n*|m|^2, which tends to Exp(1) under the
+#: predicted law: a false-alarm rate of e^-14, about 8e-7.
+CIRCLE_TOL = 14.0
+
+
+def pf_circle_check(alpha: float, p: HPoint, n: int, steps: int, seed: int) -> PfReport:
+    """Test ``sample_cauchy(p, n, seed)`` pushed through the pointwise map
+    against the predicted law on the circle, without fitting or holding it.
+
+    Where the pushed points are Cauchy at the predicted law theta = nu' +
+    i*gamma', zeta = (x - theta)/(x - conj(theta)) is uniform on the unit
+    circle, so the mean m of zeta over the n kept points has E m = 0 and
+    E|m|^2 = 1/n; the check passes where n*|m|^2 < ``CIRCLE_TOL``.  Under
+    the exact step, over 1,000 seeds of each of (1, 1) at alpha 0.5 and
+    (-2, 0.5) at alpha 0.3, at 1 and 5 steps and n = 1e4 and 1e6, n*|m|^2
+    averaged 0.94-1.05, passed 3 and 6 about as often as Exp(1) does, and
+    read at most 11.7.  A gamma' 1% wrong, or nu' off by 0.01*gamma', reads
+    a median of 25 at n = 1e6, and passed in 52 of 1,600 such runs; at
+    n = 1e4 the check cannot see it.  The fitted law is the Moebius inverse
+    (theta - conj(theta)*m)/(1 - m), at which m would be the exact mean: a
+    scoring step toward the likelihood fit, of standard error
+    sqrt(2)*gamma'/sqrt(n) in each parameter.  Raises PoleGuardError as
+    ``pf_monte_carlo_check`` does, and SingularInputError where m is the
+    mean of no law of H.
+    """
+    alpha = check_alpha(alpha)
+    _check_run(n, steps)
+    predicted = iterate_parameter_map(alpha, p, steps)[-1]
+    sum_r, sum_dr, dropped = _pushed_circle_sums(alpha, p, n, steps, seed, predicted)
+    size = n - dropped
+    m = complex(1.0 - 2.0 * sum_r / size, -2.0 * sum_dr / size)
+    nu, gamma = _moebius(predicted.nu, predicted.gamma, m) if abs(m) < 1.0 else (math.nan, 0.0)
+    if not (math.isfinite(nu) and 0.0 < gamma < math.inf):
+        raise SingularInputError(f"the pushed sample's circle mean {m} is the mean of no law of H")
+    se = math.sqrt(2.0) * predicted.gamma / math.sqrt(size)
+    return PfReport(predicted, HPoint(nu, gamma), dropped, se, size * abs(m) ** 2, CIRCLE_TOL)
+
+
+@np.errstate(over="ignore", divide="ignore")  # held in the blocks' threads too
+def _pushed_circle_sums(alpha: float, p: HPoint, n: int, steps: int, seed: int, law: HPoint):
+    # The two circle sums of ``_circle_mean`` at C(0, 1), of r = 1/(d^2 + 1)
+    # and of d*r, over ``sample_cauchy(p, n, seed)`` pushed forward and
+    # standardized by ``law``, d = (x - nu)/gamma, each block in a worker's
+    # scratch rows and added by ``math.fsum`` in block order, and the count
+    # of dropped points.  A dropped point, NaN, and a d beyond +-DBL_MAX go
+    # to +-DBL_MAX, where d^2 overflows, so each adds 0 to both sums.
+    big = np.finfo(float).max
+
+    def block(rows, lo):
+        x, buf, passed = (row[:n - lo] for row in rows)
+        _draw_block(p, seed, lo, x)
+        dropped = _push_block(alpha, x, steps, buf, passed)
+        np.subtract(x, law.nu, out=x)
+        np.divide(x, law.gamma, out=x)
+        np.fmin(np.fmax(x, -big, out=x), big, out=x)  # fmax takes NaN to -big
+        return (*_circle_sums(x, buf, 1.0), dropped)
+
+    sum_r, sum_dr, hits = zip(*_each_block(n, block, (float, float, bool)))
+    dropped = sum(hits)
+    _check_drops(dropped, n)
+    return math.fsum(sum_r), math.fsum(sum_dr), dropped
 
 
 def pf_monte_carlo_check(
@@ -693,45 +689,28 @@ def pf_monte_carlo_check(
     seed: int,
     fit_method: str = "median_iqr",
 ) -> PfReport:
-    """Push a seeded sample through the pointwise map and refit.
+    """Push a seeded sample through the pointwise map and refit it.
 
-    The refitted parameters are compared against the half-plane prediction;
-    ``within_tolerance`` demands agreement within 5 asymptotic standard
-    errors of the fit.  Pole-guard hits are dropped with accounting, and the
-    check raises PoleGuardError if they exceed ``MAX_DROP_FRACTION`` of the
-    sample.  An unknown ``fit_method`` raises ValueError before any point is
-    drawn.  The ``median_iqr`` fit streams the sample through
-    ``_streamed_quartiles``, in one block's scratch and about 8% of the
-    sample's size; where a bracket misses, the check pushes the whole sample
-    in place and selects the quartiles of its kept points, and for the
-    ``mle`` fit it pushes and sorts the whole sample in place, cuts off the
-    dropped points and fits the rest.  Either way the report is the same,
-    bit for bit.
+    The whole pushed sample is held, and its kept points are fitted in
+    place as ``fit_cauchy`` fits them.  The statistic is the larger gap
+    between the fitted and the predicted parameters in units of
+    ``fit_stderr``, and the check passes below 5.  Pole-guard hits are
+    dropped with accounting, and the check raises PoleGuardError if they
+    exceed ``MAX_DROP_FRACTION`` of the sample.  An unknown ``fit_method``
+    raises ValueError before any point is drawn.  Commands run
+    ``pf_circle_check``, which needs no fit; this check measures the error
+    scaling of the fits, and is the circle check's reference in the tests.
     """
     alpha = check_alpha(alpha)
-    if n < MIN_MONTE_CARLO_SIZE:
-        raise ValueError(f"push-forward check needs n >= {MIN_MONTE_CARLO_SIZE} samples")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    _check_run(n, steps)
     _check_fit_method(fit_method)
-    streamed = fit_method == "median_iqr" and _streamed_quartiles(alpha, p, n, steps, seed)
-    if streamed:
-        size, dropped, quartiles = streamed
-    else:  # the likelihood fit, or a bracket missed
-        pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
-        size = n - dropped  # the dropped points, NaN, order last
+    pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
-    # the fallback fits its one copy of the sample in place
-    measured = _quartile_fit(quartiles) if streamed else _fit(pushed, size, fit_method)
+    # the dropped points, NaN, order last; the fit reorders the sample in place
+    measured = _fit(pushed, n - dropped, fit_method)
+    se = fit_stderr(predicted.gamma, n - dropped)
     sup_error = max(abs(measured.nu - predicted.nu), abs(measured.gamma - predicted.gamma))
-    se = fit_stderr(predicted.gamma, size)
-    return PfReport(
-        predicted=predicted,
-        measured=measured,
-        n_dropped=dropped,
-        stderr=se,
-        within_tolerance=sup_error < 5.0 * se,
-    )
+    return PfReport(predicted, measured, dropped, se, sup_error / se, 5.0)
 
 
 def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
@@ -771,9 +750,8 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
             _draw_block(p, seed, lo, x)
             hits = _push_block(alpha, x, 1, buf[:x.size], passed[:x.size])
             dropped += hits
-            if hits and lo < n:  # ``passed`` marks the points one step keeps
-                head = passed[:min(n - lo, x.size)]
-                first += head.size - np.count_nonzero(head)
+            if hits and lo < n:  # ``passed`` marks the points the step dropped
+                first += np.count_nonzero(passed[:min(n - lo, x.size)])
         _check_drops(dropped, 2 * n)
         fits = _fit(sample[:n], n - first, "median_iqr"), _fit(sample, 2 * n - dropped, "median_iqr")
         return [((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2 for fit in fits]

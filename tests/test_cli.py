@@ -373,6 +373,37 @@ class TestVerifyPf:
         assert code == 1
         assert report["oracles"]["sup_error_pass"] is False
 
+    @pytest.mark.parametrize("error, alpha, nu0, gamma0, steps", [
+        pytest.param(error, *case, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "the check's power against a 1% error at n = 1e6 is about 97% (52 misses in 1,600 "
+            "seeded runs of these eight cases); here n*|m|^2 reads 13.40 at the default seed, "
+            "under the bound 14")) if (error, case) == ("gamma", ("0.5", "1", "1", "5")) else ())
+        for error in ("gamma", "nu")
+        for case in [("0.5", "1", "1", "1"), ("0.5", "1", "1", "5"),
+                     ("0.3", "-2", "0.5", "1"), ("0.3", "-2", "0.5", "5")]
+    ])
+    def test_wrong_prediction_fails_the_monte_carlo_check(self, tmp_path, monkeypatch, error,
+                                                          alpha, nu0, gamma0, steps):
+        # the check's prediction gamma' 1% wide, or nu' off by 0.01*gamma',
+        # moves the circle mean by about 0.005, so n*|m|^2 to about 25 at
+        # n = 1e6; the exact step passes at the same seed
+        argv = ["verify-pf", "--alpha", alpha, "--nu0", nu0, "--gamma0", gamma0,
+                "--steps", steps, "--n", "1000000"]
+        code, report = run_json(tmp_path, argv)
+        assert (code, report["oracles"]["monte_carlo_pass"]) == (0, True)
+        exact = density.iterate_parameter_map
+
+        def wrong(alpha, p, steps):
+            *head, last = exact(alpha, p, steps)
+            if error == "gamma":
+                return [*head, HPoint(last.nu, 1.01 * last.gamma)]
+            return [*head, HPoint(last.nu + 0.01 * last.gamma, last.gamma)]
+
+        monkeypatch.setattr(density, "iterate_parameter_map", wrong)
+        code, report = run_json(tmp_path, argv)
+        assert report["oracles"]["sup_error_pass"] is True
+        assert (code, report["oracles"]["monte_carlo_pass"]) == (1, False)
+
     @pytest.mark.parametrize(
         "args", [["verify-pf"], ["verify-pf", "--gamma0", "1e200", "--n", "10000"]]
     )
@@ -988,19 +1019,19 @@ class TestNumericalFailure:
         assert report["oracles"]["error"].startswith("PoleGuardError: ")
         assert report["meta"]["passed"] is False
 
-    def test_coinciding_quartiles_are_a_failed_report(self, tmp_path, capsys):
+    def test_sample_coarser_than_its_law_fails_the_check(self, tmp_path):
         # two nodes 1.6e-16*pi apart pass the node-collapse rule at nu0 = 3,
-        # but the pushed sample's quartiles round to the same double
+        # but the pushed points lie on doubles about 2.5 of the stepped
+        # law's widths apart, which no Cauchy law of that width matches
         argv = ["verify-pf", "--nu0", "3", "--gamma0", "1.6e-16", "--grid-size", "2",
                 "--n", "10000"]
         code, report = run_json(tmp_path, argv)
+        oracles = report["oracles"]
         assert code == 1
-        assert report["records"] == []
-        assert report["oracles"]["error"].startswith("SingularInputError: ")
-        assert report["meta"]["passed"] is False
-        err = capsys.readouterr().err
-        assert err.startswith("boolemaps verify-pf: SingularInputError: ")
-        assert len(err.splitlines()) == 1
+        assert oracles["sup_error_pass"] is True
+        assert oracles["monte_carlo_statistic"] > 50 * oracles["monte_carlo_tolerance"]
+        assert oracles["monte_carlo_pass"] is False
+        assert len(report["records"]) == 2
 
     @pytest.mark.parametrize("flag", ["--gamma0", "--alpha"])
     def test_singular_input_is_a_failed_report(self, tmp_path, capsys, flag):
@@ -1298,7 +1329,9 @@ class TestProcessEnd:
         # os._exit would end a live thread or child without a word, so main
         # joins every Monte Carlo thread and reaps every report worker; both
         # are started here, on this machine's CPUs and on 3 patched ones.
-        commands = [["iterate-params"], ["geometry"], ["verify-pf", "--n", "1000000"],
+        # The check's blocks go to threads at 3e6 points; at 1e6 they keep
+        # their scratch within a quarter of the sample's size on one.
+        commands = [["iterate-params"], ["geometry"], ["verify-pf", "--n", "3000000"],
                     ["orbit", "--n", "200000"], ["orbit", "--n", "200000", "--format", "csv"]]
         out = str(tmp_path / "report")
         probe = "\n".join([

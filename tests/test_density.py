@@ -34,6 +34,7 @@ from boolemaps import (
     ks_distance,
     mc_error_ratio,
     parameter_step,
+    pf_circle_check,
     pf_closed_form_check,
     pf_density_step,
     pf_monte_carlo_check,
@@ -103,10 +104,10 @@ def assert_same_quartiles(points: np.ndarray) -> np.ndarray:
     """Assert that the quartiles read by index from the sorted points, and
     those selected from the unsorted points, whole and as the kept-size cut
     of a copy with three NaN mixed in, are ``np.quantile`` of the points,
-    bit for bit, that a cut one point longer has NaN quartiles, and return
-    the quartiles.  A zero quartile is compared, and returned, as 0.0:
-    which of a tied -0.0 and 0.0 a partition leaves at an index is
-    arbitrary, and it differs between a sample and its sorted copy."""
+    bit for bit, and return the quartiles.  A zero quartile is compared,
+    and returned, as 0.0: which of a tied -0.0 and 0.0 a partition leaves
+    at an index is arbitrary, and it differs between a sample and its
+    sorted copy."""
     expected = np.quantile(points, [0.25, 0.5, 0.75]) + 0.0  # -0.0 + 0.0 is 0.0
     rng = np.random.default_rng(points.size)
     padded = np.insert(points, rng.integers(0, points.size + 1, 3), np.nan)
@@ -118,8 +119,6 @@ def assert_same_quartiles(points: np.ndarray) -> np.ndarray:
     for route, got in routes.items():
         got = got + 0.0
         assert got.tobytes() == expected.tobytes(), (route, points.size, got, expected)
-    # a cut one point longer holds a NaN, and so do all its quartiles
-    assert np.isnan(_quartiles(padded, points.size + 1)).all(), points.size
     return expected
 
 
@@ -240,47 +239,82 @@ def report_bits(report) -> tuple:
     """A ``PfReport`` as the bytes of its floats and its other fields, so
     that two reports compare bit for bit."""
     floats = [report.predicted.nu, report.predicted.gamma, report.measured.nu,
-              report.measured.gamma, report.stderr]
+              report.measured.gamma, report.stderr, report.statistic, report.tolerance]
     return np.array(floats).tobytes(), report.n_dropped, report.within_tolerance
 
 
-def full_sample_check(*args):
-    """``pf_monte_carlo_check(*args)`` by the path a bracket miss takes: the
-    whole pushed sample, sorted and fitted in place."""
-    with mock.patch.object(density, "_streamed_quartiles", return_value=None):
-        return pf_monte_carlo_check(*args)
+def reference_circle_sums(alpha: float, p: HPoint, n: int, steps: int, seed: int) -> tuple:
+    """Reference oracle: the two circle sums of ``_pushed_circle_sums`` at the
+    predicted law, from the whole pushed sample of ``_pushed_sample``.  Each
+    point is standardized, d = (x - nu')/gamma', a dropped point, NaN, taken
+    to -DBL_MAX and a d beyond +-DBL_MAX to +-DBL_MAX by ``np.nan_to_num``;
+    r = 1/(d^2 + 1).  The sums of r and of d*r over each block, by
+    ``np.sum`` and ``np.einsum`` as the check takes them, are added by
+    ``math.fsum`` in block order.  Returns those two sums, the count of
+    dropped points, and the exact sums of the terms over the whole sample
+    by ``math.fsum`` with the sums of their magnitudes; raises
+    PoleGuardError as the check does."""
+    law = iterate_parameter_map(alpha, p, steps)[-1]
+    pushed, dropped = density._pushed_sample(alpha, p, n, steps, seed)
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        d = np.nan_to_num((pushed - law.nu) / law.gamma, nan=-big)
+        r = 1.0 / (d * d + 1.0)
+    dr = d * r
+    starts = range(0, n, _BLOCK)
+    sums = (math.fsum(float(np.sum(r[lo:lo + _BLOCK])) for lo in starts),
+            math.fsum(float(np.einsum("i,i", d[lo:lo + _BLOCK], r[lo:lo + _BLOCK])) for lo in starts))
+    exact = [(math.fsum(terms.tolist()), math.fsum(np.abs(terms).tolist())) for terms in (r, dr)]
+    return sums, dropped, exact
 
 
-def streamed_check(*args) -> tuple:
-    """``pf_monte_carlo_check(*args)``, and whether it fell back to the
-    whole sample."""
-    with mock.patch.object(density, "_pushed_sample", wraps=density._pushed_sample) as spy:
-        return pf_monte_carlo_check(*args), spy.called
+def circle_sums_outcome(func) -> tuple:
+    """The bytes of the two sums and the count of dropped points that
+    ``func()`` returns, or the failure's type and text."""
+    try:
+        sum_r, sum_dr, dropped = func()
+    except PoleGuardError as exc:
+        return "PoleGuardError", str(exc)
+    return np.array([sum_r, sum_dr]).tobytes(), dropped
 
 
-def check_streamed_fits(count: int, seed: int) -> tuple[int, int, list[int]]:
-    """The streamed quantile fit of ``pf_monte_carlo_check`` against the
-    full-sample path, bit for bit in every report field or in the error
-    raised, on ``count`` random cases drawn from ``seed``: alpha uniform in
-    0.05..0.95, n log-uniform in 1e4..3e5, steps uniform in 1..10, any
-    seed, and C(nu, gamma) with nu normal and gamma log-uniform in
-    1e-2..1e2, or for a third of the cases C(0, gamma) with gamma
-    log-uniform in 1e-299..1e-295, whose points hit the pole guard, in some
-    cases more often than it allows.  Each case is checked with every block
-    on the calling thread and on every CPU in the affinity.  Returns how
-    many cases dropped points, how many fell back to the whole sample, and
-    the CPU counts checked."""
-    def outcome(check, args):
-        # report_bits, or the failure's type and text, and whether it fell back
-        try:
-            report, fell_back = check(*args)
-        except PoleGuardError as exc:
-            return ("PoleGuardError", str(exc)), False
-        return report_bits(report), fell_back
+def assert_same_circle_sums(alpha: float, p: HPoint, n: int, steps: int, seed: int,
+                            settings=None) -> int:
+    """Assert that ``_pushed_circle_sums`` at the predicted law gives the
+    sums of ``reference_circle_sums`` bit for bit, and its count of dropped
+    points, or raises the same PoleGuardError, with every block on the
+    calling thread and on every CPU in the affinity (or on each CPU count
+    of ``settings``), and that each sum lies within 1e-13 times the sum of
+    its terms' magnitudes of the exact sum.  Returns the count of dropped
+    points, or -1 where the pole guard failed the sample."""
+    law = iterate_parameter_map(alpha, p, steps)[-1]
+    try:
+        sums, dropped, exact = reference_circle_sums(alpha, p, n, steps, seed)
+    except PoleGuardError as exc:
+        expected, dropped = ("PoleGuardError", str(exc)), -1
+    else:
+        expected = np.array(sums).tobytes(), dropped
+        for got, (total, scale) in zip(sums, exact):
+            assert abs(got - total) <= 1e-13 * scale, (alpha, p, n, steps, seed, got, total)
+    for cpus in settings or sorted({1, density._cpu_count()}):
+        with mock.patch.object(density, "_cpu_count", return_value=cpus):
+            got = circle_sums_outcome(lambda: density._pushed_circle_sums(alpha, p, n, steps, seed, law))
+        assert got == expected, (alpha, p, n, steps, seed, cpus, got, expected)
+    return dropped
 
+
+def check_circle_sums(count: int, seed: int) -> tuple[int, list[int]]:
+    """The two sums of the circle check against ``reference_circle_sums``,
+    by ``assert_same_circle_sums``, on ``count`` random cases drawn from
+    ``seed``: alpha uniform in 0.05..0.95, n log-uniform in 1e4..3e5, steps
+    uniform in 1..10, any seed, and C(nu, gamma) with nu normal and gamma
+    log-uniform in 1e-2..1e2, or for a third of the cases C(0, gamma) with
+    gamma log-uniform in 1e-299..1e-295, whose points hit the pole guard,
+    in some cases more often than it allows.  Returns how many cases
+    dropped points, and the CPU counts checked."""
     rng = np.random.default_rng(seed)
     settings = sorted({1, density._cpu_count()})
-    hits = fallbacks = 0
+    hits = 0
     for _ in range(count):
         alpha = float(rng.uniform(0.05, 0.95))
         n = int(math.exp(rng.uniform(math.log(1e4), math.log(3e5))))
@@ -289,15 +323,8 @@ def check_streamed_fits(count: int, seed: int) -> tuple[int, int, list[int]]:
             law = HPoint(0.0, 10.0 ** rng.uniform(-299.0, -295.0))
         else:
             law = HPoint(float(rng.normal()), 10.0 ** rng.uniform(-2.0, 2.0))
-        args = (alpha, law, n, steps, int(rng.integers(2**31)))
-        expected, _ = outcome(lambda *a: (full_sample_check(*a), True), args)
-        for cpus in settings:
-            with mock.patch.object(density, "_cpu_count", return_value=cpus):
-                got, fell_back = outcome(streamed_check, args)
-            assert got == expected, (args, cpus, got, expected)
-            fallbacks += fell_back
-        hits += expected[0] == "PoleGuardError" or expected[1] > 0
-    return hits, fallbacks, settings
+        hits += assert_same_circle_sums(alpha, law, n, steps, int(rng.integers(2**31)), settings) != 0
+    return hits, settings
 
 
 @functools.cache
@@ -609,16 +636,6 @@ class TestFitting:
             assert_same_quartiles(rng.integers(-3, 4, n) * 0.7)
             assert_same_quartiles(rng.choice([-0.0, 0.0, 1.5, -2.5], n, p=[0.4, 0.4, 0.1, 0.1]))
 
-    def test_quartiles_of_a_sample_with_nan_are_nan(self):
-        points = np.random.default_rng(9).standard_cauchy(5000)
-        points[17] = np.nan
-        assert_same_quartiles(points)
-        assert np.isnan(_sorted_quartiles(np.sort(points))).all()
-        assert np.isnan(_quartiles(points.copy(), points.size)).all()
-        # a cut that holds one of the two NaN
-        points[4000] = np.nan
-        assert np.isnan(_quartiles(points.copy(), points.size - 1)).all()
-
     @pytest.mark.parametrize("size", [1000, _BLOCK + 1, 10**5])
     def test_quartiles_of_a_cut_that_leaves_out_every_nan(self, size):
         # dropped points, NaN, among the first and the last, past every
@@ -634,10 +651,10 @@ class TestFitting:
 
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
     def test_fit_of_a_sample_with_nan_raises(self, method):
-        # its quartiles are NaN, and so is half their range
+        # rejected before any quartile is read
         points = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=9)
         points[[17, 4000]] = np.nan
-        with pytest.raises(SingularInputError, match="quartiles are nan and nan"):
+        with pytest.raises(SingularInputError, match="sample that holds NaN"):
             fit_cauchy(points, method)
 
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
@@ -891,9 +908,8 @@ class TestMonteCarloPushForward:
     @pytest.mark.parametrize("n", [10**4, 131_075])
     def test_error_ratio_memory_holds_one_sample_per_worker(self, cpus, law, n):
         # each of min(cpus, seeds) workers holds its seed's 2n points and one
-        # block of scratch: a row of doubles and two of flags (the push's
-        # mask and, where it drops points, the mask's complement); 32 KiB
-        # more covers the rest
+        # block of scratch: a row of doubles and one of flags, which the push
+        # inverts in place where it drops points; 32 KiB more covers the rest
         seeds = range(6)
         warm_up()
         tracemalloc.start()
@@ -903,7 +919,7 @@ class TestMonteCarloPushForward:
         finally:
             tracemalloc.stop()
         workers = min(cpus, len(seeds))
-        assert peak < workers * (16 * n + 10 * min(2 * n, _BLOCK)) + 2**15
+        assert peak < workers * (16 * n + 9 * min(2 * n, _BLOCK)) + 2**15
 
     def test_error_ratio_of_a_wide_law(self):
         # the fit errors near 1e157 overflowed once squared; at either scale
@@ -930,10 +946,9 @@ class TestMonteCarloPushForward:
     @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
     def test_memory_holds_one_sample_copy(self, cpus, method):
-        # mle: the sample, pushed forward, sorted and fitted in place; no
-        # temporary of the sample's size, however many steps or iterations.
-        # median_iqr: no sample at all, one block's scratch and the points
-        # near the quartiles.  Neither takes more scratch on more CPUs.
+        # the sample, pushed forward and fitted in place (for mle sorted);
+        # no temporary of the sample's size, however many steps or
+        # iterations, and no more scratch on more CPUs
         n = 10**6
         warm_up()
         tracemalloc.start()
@@ -942,11 +957,10 @@ class TestMonteCarloPushForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (1.5 if method == "mle" else 0.25) * 8 * n
+        assert peak < 1.5 * 8 * n
 
     @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
     def test_memory_with_pole_hits_holds_one_sample_copy(self, cpus):
-        # the streamed fit with dropped points, which sort last in each block
         n = 10**6
         warm_up()
         tracemalloc.start()
@@ -956,7 +970,24 @@ class TestMonteCarloPushForward:
         finally:
             tracemalloc.stop()
         assert report.n_dropped > 0
-        assert peak < 0.25 * 8 * n
+        assert peak < 1.5 * 8 * n
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
+    @pytest.mark.parametrize("law", [HPoint(0.3, 1.2), HPoint(0.0, 1e-296)], ids=["no-hits", "hits"])
+    @pytest.mark.parametrize("n", [10**6, 3 * 10**6])
+    def test_circle_check_memory_holds_one_block_per_worker(self, cpus, law, n):
+        # no sample: each worker's scratch is a block of two rows of doubles
+        # and one of flags, which the push inverts in place where it drops
+        # points; 32 KiB more covers the rest
+        warm_up()
+        tracemalloc.start()
+        try:
+            report = pf_circle_check(0.5, law, n, 3, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.n_dropped > 0) == (law.nu == 0.0)
+        assert peak < cpus * 17 * _BLOCK + 2**15
 
     def test_unknown_fit_method_fails_before_drawing(self, monkeypatch):
         monkeypatch.setattr(density, "_draw_block", mock.Mock(side_effect=AssertionError("drew")))
@@ -964,56 +995,95 @@ class TestMonteCarloPushForward:
             pf_monte_carlo_check(0.5, HPoint(1.0, 1.0), 10**6, 3, seed=1, fit_method="bogus")
 
     @pytest.mark.parametrize("n", [10**4, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 10**6])
-    def test_streamed_fit_equals_the_full_sample_fit(self, cpus, n):
-        for steps in range(1, 11):
-            args = (0.35, HPoint(0.4, 1.7), n, steps, 100 + steps)
-            report, fell_back = streamed_check(*args)
-            assert not fell_back, (n, steps)
-            assert report_bits(report) == report_bits(full_sample_check(*args)), (n, steps)
+    def test_circle_sums_equal_the_reference(self, n):
+        for steps in (1, 2, 5, 10):
+            assert assert_same_circle_sums(0.35, HPoint(0.4, 1.7), n, steps, 100 + steps, [1, 2, 3, 8]) == 0
 
-    def test_streamed_fit_with_pole_hits_equals_the_full_sample_fit(self, cpus):
-        args = (0.5, HPoint(0.0, 1e-296), 10**6, 3, 3)
-        report, fell_back = streamed_check(*args)
-        assert report.n_dropped > 0 and not fell_back
-        assert report_bits(report) == report_bits(full_sample_check(*args))
+    @pytest.mark.parametrize("law, seed", [
+        (HPoint(0.0, 1e-296), 3),  # within the guard's limit
+        (HPoint(0.0, 1e-298), 1),  # too many: the same PoleGuardError
+    ], ids=["hits", "too-many-hits"])
+    def test_circle_sums_with_pole_hits_equal_the_reference(self, law, seed):
+        dropped = assert_same_circle_sums(0.5, law, 10**6, 3, seed, [1, 2, 3, 8])
+        assert dropped > 0 if law.gamma > 1e-297 else dropped == -1
 
-    def test_streamed_fit_raises_the_full_sample_pole_guard_error(self, cpus, monkeypatch):
+    def test_circle_sums_equal_the_reference_on_random_cases(self):
+        assert check_circle_sums(40, seed=13)[0] > 0
+
+    def test_circle_check_on_every_cpu_equals_the_serial_check(self, cpus, monkeypatch):
+        def check():
+            return pf_circle_check(0.4, HPoint(-0.7, 0.9), 9 * _BLOCK + 7, 3, seed=5)
+
+        assert report_bits(check()) == report_bits(serially(monkeypatch, check))
+
+    @pytest.mark.parametrize("args", [
+        (0.3, HPoint(-2.0, 0.5), 10**5, 5, 8), (0.5, HPoint(0.0, 1e-296), 10**6, 3, 3),
+    ], ids=["no-hits", "hits"])
+    def test_circle_check_reports_its_statistic_and_the_moebius_fit(self, args):
+        # n*|m|^2 for the mean m over the kept points at the predicted law,
+        # and the law at which m is the exact mean, from the reference sums
+        report = pf_circle_check(*args)
+        (sum_r, sum_dr), dropped, _ = reference_circle_sums(*args)
+        kept = args[2] - dropped
+        m = complex(1.0 - 2.0 * sum_r / kept, -2.0 * sum_dr / kept)
+        theta = complex(report.predicted.nu, report.predicted.gamma)
+        fitted = (theta - theta.conjugate() * m) / (1.0 - m)
+        assert report.n_dropped == dropped and (dropped > 0) == (args[1].nu == 0.0)
+        assert report.statistic == pytest.approx(kept * abs(m) ** 2, rel=1e-12)
+        assert report.measured.nu == pytest.approx(fitted.real, rel=1e-12, abs=1e-12 * abs(theta))
+        assert report.measured.gamma == pytest.approx(fitted.imag, rel=1e-12)
+        assert report.stderr == pytest.approx(math.sqrt(2.0) * report.predicted.gamma / math.sqrt(kept))
+        assert report.tolerance == 14.0 and report.within_tolerance
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_circle_fit_is_near_the_likelihood_fit(self, n):
+        # a scoring step from the predicted law lands within 8*gamma'/n of the
+        # likelihood fit of the same kept points (measured: at most 6.8 over
+        # 30 seeds of each case and size)
+        for alpha, law, steps in [(0.5, HPoint(1.0, 1.0), 1), (0.3, HPoint(-2.0, 0.5), 5)]:
+            for seed in range(3):
+                report = pf_circle_check(alpha, law, n, steps, seed)
+                pushed, _ = density._pushed_sample(alpha, law, n, steps, seed)
+                mle = fit_cauchy(kept_points(pushed), "mle")
+                bound = 8.0 * report.predicted.gamma / n
+                assert abs(report.measured.nu - mle.nu) < bound, (alpha, law, steps, seed)
+                assert abs(report.measured.gamma - mle.gamma) < bound, (alpha, law, steps, seed)
+
+    def test_circle_check_raises_the_pole_guard_error_of_the_whole_sample(self, cpus):
         # 54 of the 10**4 points of C(0, 1e-298) drawn from seed 1 hit the guard
         args = (0.5, HPoint(0.0, 1e-298), 10**4, 1, 1)
-        with pytest.raises(PoleGuardError) as full:
-            full_sample_check(*args)
-        monkeypatch.setattr(density, "_pushed_sample", mock.Mock(side_effect=AssertionError("fell back")))
-        with pytest.raises(PoleGuardError, match="54 of 10000 samples") as streamed:
+        with pytest.raises(PoleGuardError) as whole:
             pf_monte_carlo_check(*args)
-        assert str(streamed.value) == str(full.value)
+        with pytest.raises(PoleGuardError, match="54 of 10000 samples") as streamed:
+            pf_circle_check(*args)
+        assert str(streamed.value) == str(whole.value)
 
-    def test_bracket_miss_falls_back_to_the_full_sample(self, cpus, monkeypatch):
-        # brackets of width 0 hold no point, so every quartile misses
-        monkeypatch.setattr(density, "_BRACKET_WIDTH", 0.0)
-        args = (0.4, HPoint(-0.7, 0.9), 10**6, 3, 5)
-        report, fell_back = streamed_check(*args)
-        assert fell_back
-        assert report_bits(report) == report_bits(full_sample_check(*args))
+    def test_circle_mean_of_no_law_raises(self, monkeypatch):
+        # predicted 1e200 times too narrow, every offset's square overflows:
+        # each point adds 0 to both sums, m = 1, and no law of H has that mean
+        exact = density.iterate_parameter_map
 
-    def test_brackets_lose_no_point_under_frequent_switches(self, monkeypatch):
-        # eight workers on fewer cores, switching threads every microsecond,
-        # share the bracket buffers; a lost update of their fill would shift
-        # the ranks and change the fit
-        monkeypatch.setattr(density, "_cpu_count", lambda: 8)
-        args = (0.6, HPoint(0.2, 1.3), 100 * _BLOCK + 3, 1, 9)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report, fell_back = streamed_check(*args)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not fell_back
-        assert report_bits(report) == report_bits(full_sample_check(*args))
+        def narrow(alpha, p, steps):
+            *head, last = exact(alpha, p, steps)
+            return [*head, HPoint(last.nu, 1e-200 * last.gamma)]
 
-    def test_streamed_fit_equals_the_full_sample_fit_on_random_cases(self):
-        hits, fallbacks, _ = check_streamed_fits(40, seed=13)
-        assert hits > 0
-        assert fallbacks == 0
+        monkeypatch.setattr(density, "iterate_parameter_map", narrow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInputError, match=r"circle mean \(1-0j\)"):
+                pf_circle_check(0.5, HPoint(1.0, 1.0), 10**4, 1, seed=0)
+
+    @pytest.mark.parametrize("alpha, law", [
+        (0.5, HPoint(1.0, 1e-12)), (0.5, HPoint(0.0, 1.1e292)), (1e-12, HPoint(1.0, 1e292)),
+    ])
+    def test_circle_check_is_finite_across_the_float_range(self, alpha, law):
+        # offsets beyond DBL_MAX standard widths, and squares that overflow,
+        # add 0 to both sums with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pf_circle_check(alpha, law, 10**4, 3, seed=2)
+        assert all(math.isfinite(v) for v in (report.measured.nu, report.measured.gamma, report.statistic))
+        assert report.within_tolerance
 
 
 class TestBlocks:
