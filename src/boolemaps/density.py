@@ -22,9 +22,13 @@ fits or holds its sample: each block is drawn, pushed, standardized by the
 predicted law and reduced to the two sums of the mean m of zeta, and n|m|^2
 is close to Exp(1) where the prediction is right.  A point the pole guard
 drops stays in its place as NaN.  ``pf_monte_carlo_check`` holds the whole
-pushed sample and refits its kept points by ``fit_cauchy``'s methods: the
-quartiles, selected by nested partitions in place, or the likelihood fit,
-the zero of the same circle mean, reached by Moebius steps.  Sample-sized
+pushed sample and refits its kept points: by the quartiles, selected by
+nested partitions in place as ``fit_cauchy`` selects them, or by the
+likelihood fit, the zero of the same circle mean, reached by Moebius steps.
+The likelihood route runs the circle check's pass with the held sample as
+its rows, so the sample comes out standardized by the predicted law and the
+circle check's fitted law is the first step; ``fit_cauchy`` starts the same
+steps from the quartile fit of the sorted points.  Sample-sized
 work runs in blocks, on every CPU in the affinity where the blocks
 outnumber the CPUs, and the error ratio runs its seeds on them, with the
 same bits on any number of CPUs.
@@ -301,8 +305,11 @@ def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
     the law of which the current mean would be the exact mean, and is
     declared converged when the gradient norm of the mean log-likelihood in
     that frame drops below 1e-10; it raises FitConvergenceError where 100
-    passes over the points do not get there.  Its sums run over the sorted
-    points, so any permutation of a sample gives the same fit.  Moment
+    passes over the points do not get there.  Its sums run over a sorted
+    copy of the points, so any permutation of a sample gives the same fit,
+    bit for bit.  ``pf_monte_carlo_check`` takes the same steps from the
+    predicted law over its unsorted sample, and reaches the same fit to
+    within rounding, not bit for bit.  Moment
     fitting is not offered; the Cauchy law has no moments.  Raises
     SingularInputError on a NaN point, and where half the interquartile
     range is not a positive double, as where the quartiles round to the
@@ -469,14 +476,16 @@ def _each_block(size: int, func, scratch=()) -> list:
 
 
 @np.errstate(over="ignore", divide="ignore")  # held in the blocks' threads too
-def _circle_mean(points: np.ndarray, nu: float, gamma: float) -> complex:
-    """The mean over the points of zeta = (x - theta)/(x - conj(theta)),
+def _circle_mean(points: np.ndarray, nu: float, gamma: float, size: int) -> complex:
+    """The mean over ``size`` points of zeta = (x - theta)/(x - conj(theta)),
     theta = nu + i*gamma, from the two sums of 1/q and d/q in one pass.
 
     Here d = x - nu and q = d^2 + gamma^2, so zeta = 1 - 2*gamma^2/q -
     2i*gamma*d/q.  A point whose q overflows adds 0 to both sums, the limit
-    zeta = 1.  The blocks' sums are added by ``math.fsum``, so the mean is
-    the same bit for bit on any number of CPUs.
+    zeta = 1, and a point held at +-DBL_MAX in place of a dropped one adds
+    0 and leaves the mean, over the ``size`` kept points.  The blocks' sums
+    are added by ``math.fsum``, so the mean is the same bit for bit on any
+    number of CPUs.
     """
     g2 = gamma * gamma
 
@@ -486,7 +495,7 @@ def _circle_mean(points: np.ndarray, nu: float, gamma: float) -> complex:
         return _circle_sums(np.subtract(x, nu, out=d), r, g2)
 
     blocks = _each_block(points.size, block_sums, (float, float))
-    mean_r, mean_dr = (math.fsum(sums) / points.size for sums in zip(*blocks))
+    mean_r, mean_dr = (math.fsum(sums) / size for sums in zip(*blocks))
     return complex(1.0 - 2.0 * g2 * mean_r, -2.0 * gamma * mean_dr)
 
 
@@ -507,34 +516,43 @@ def _moebius(nu: float, gamma: float, m: complex) -> tuple[float, float]:
     return nu - 2.0 * w * m.imag, w * (1.0 - abs(m) ** 2)
 
 
-#: Passes over the sample that the likelihood fit may take.
+#: Passes over the sample that the likelihood fit may take from its start;
+#: the check's pass that pushes the sample and fits its start is not one.
 _MLE_PASSES = 100
 
 
 def _cauchy_mle(points: np.ndarray, frame: HPoint) -> HPoint:
-    # The zero of the circle mean m of the standardized points (x - m0)/s,
-    # formed in place, where (m0, s) is the quartile fit ``frame``, from
-    # C(0, 1); the fit of the sample is C(m0 + s*nu, s*gamma).  There
-    # Re m = gamma*dl/dgamma and Im m = -gamma*dl/dnu for the mean
-    # log-likelihood l, so |m| < 1e-10*gamma is a gradient norm below 1e-10,
-    # whatever the sample's place and scale; its stationary point is unique
-    # (Copas 1975).  Each step moves theta = nu + i*gamma to the law whose
-    # mean of zeta is m, ``_moebius``: to first order Fisher scoring.  A
-    # mean on or outside the unit circle, or NaN where a step left the
-    # doubles, is the mean of no law of H.  A
-    # point beyond DBL_MAX quartile scales standardizes to +-inf, whose d*r
-    # would be inf*0; at +-DBL_MAX its q overflows instead, and it adds 0 to
-    # both sums, the limit zeta = 1.  The points come sorted, so any such
-    # point sits at an end.
+    # ``fit_cauchy``'s likelihood fit of the sorted points from the quartile
+    # fit ``frame`` = (m0, s): the points are standardized in place, (x -
+    # m0)/s, and ``_mle_passes`` starts from the frame.  A point beyond
+    # DBL_MAX quartile scales standardizes to +-inf, whose d*r would be
+    # inf*0; at +-DBL_MAX its q overflows instead, and it adds 0 to both
+    # sums, the limit zeta = 1.  The points come sorted, so any such point
+    # sits at an end.
     with np.errstate(over="ignore"):
         points -= frame.nu
         points /= frame.gamma
     if math.isinf(points[0]) or math.isinf(points[-1]):
         big = np.finfo(float).max
         np.clip(points, -big, big, out=points)
-    nu, gamma = 0.0, 1.0
+    return _mle_passes(points, points.size, frame, frame)
+
+
+def _mle_passes(points: np.ndarray, size: int, frame: HPoint, start: HPoint) -> HPoint:
+    # The zero of the circle mean m over the ``size`` kept points, which are
+    # standardized by ``frame`` = (m0, s), from the law ``start``, at theta =
+    # nu + i*gamma in that frame; the fit of the sample is C(m0 + s*nu,
+    # s*gamma).  There Re m = gamma*dl/dgamma and Im m = -gamma*dl/dnu for
+    # the mean log-likelihood l, so |m| < 1e-10*gamma is a gradient norm
+    # below 1e-10, whatever the sample's place and scale; its stationary
+    # point is unique (Copas 1975), so steps that converge reach it from any
+    # start.  Each step moves theta to the law whose mean of zeta is m,
+    # ``_moebius``: to first order Fisher scoring.  A mean on or outside the
+    # unit circle, or NaN where a step left the doubles, is the mean of no
+    # law of H.
+    nu, gamma = (start.nu - frame.nu) / frame.gamma, start.gamma / frame.gamma
     for _ in range(_MLE_PASSES):
-        m = _circle_mean(points, nu, gamma)
+        m = _circle_mean(points, nu, gamma, size)
         if abs(m) < 1e-10 * gamma:
             return HPoint(frame.nu + frame.gamma * nu, frame.gamma * gamma)
         if not abs(m) < 1.0:
@@ -648,26 +666,38 @@ def pf_circle_check(alpha: float, p: HPoint, n: int, steps: int, seed: int) -> P
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
     sum_r, sum_dr, dropped = _pushed_circle_sums(alpha, p, n, steps, seed, predicted)
     size = n - dropped
+    m, measured = _circle_fit(predicted, sum_r, sum_dr, size)
+    se = math.sqrt(2.0) * predicted.gamma / math.sqrt(size)
+    return PfReport(predicted, measured, dropped, se, size * abs(m) ** 2, CIRCLE_TOL)
+
+
+def _circle_fit(law: HPoint, sum_r: float, sum_dr: float, size: int) -> tuple[complex, HPoint]:
+    # the circle mean m at ``law`` from the two sums of ``_pushed_circle_sums``
+    # over ``size`` kept points, and the law at which m is the exact mean;
+    # SingularInputError where m is the mean of no law of H
     m = complex(1.0 - 2.0 * sum_r / size, -2.0 * sum_dr / size)
-    nu, gamma = _moebius(predicted.nu, predicted.gamma, m) if abs(m) < 1.0 else (math.nan, 0.0)
+    nu, gamma = _moebius(law.nu, law.gamma, m) if abs(m) < 1.0 else (math.nan, 0.0)
     if not (math.isfinite(nu) and 0.0 < gamma < math.inf):
         raise SingularInputError(f"the pushed sample's circle mean {m} is the mean of no law of H")
-    se = math.sqrt(2.0) * predicted.gamma / math.sqrt(size)
-    return PfReport(predicted, HPoint(nu, gamma), dropped, se, size * abs(m) ** 2, CIRCLE_TOL)
+    return m, HPoint(nu, gamma)
 
 
 @np.errstate(over="ignore", divide="ignore")  # held in the blocks' threads too
-def _pushed_circle_sums(alpha: float, p: HPoint, n: int, steps: int, seed: int, law: HPoint):
+def _pushed_circle_sums(alpha: float, p: HPoint, n: int, steps: int, seed: int, law: HPoint,
+                        sample: np.ndarray | None = None):
     # The two circle sums of ``_circle_mean`` at C(0, 1), of r = 1/(d^2 + 1)
     # and of d*r, over ``sample_cauchy(p, n, seed)`` pushed forward and
     # standardized by ``law``, d = (x - nu)/gamma, each block in a worker's
-    # scratch rows and added by ``math.fsum`` in block order, and the count
-    # of dropped points.  A dropped point, NaN, and a d beyond +-DBL_MAX go
-    # to +-DBL_MAX, where d^2 overflows, so each adds 0 to both sums.
+    # scratch rows, or in its place in ``sample`` where one is given to
+    # hold the standardized points, and added by ``math.fsum`` in block
+    # order, and the count of dropped points.  A dropped point, NaN, and a d
+    # beyond +-DBL_MAX go to +-DBL_MAX, where d^2 overflows, so each adds 0
+    # to both sums.
     big = np.finfo(float).max
 
     def block(rows, lo):
-        x, buf, passed = (row[:n - lo] for row in rows)
+        buf, passed, *own = (row[:n - lo] for row in rows)
+        x = own[0] if sample is None else sample[lo:lo + _BLOCK]
         _draw_block(p, seed, lo, x)
         dropped = _push_block(alpha, x, steps, buf, passed)
         np.subtract(x, law.nu, out=x)
@@ -675,7 +705,8 @@ def _pushed_circle_sums(alpha: float, p: HPoint, n: int, steps: int, seed: int, 
         np.fmin(np.fmax(x, -big, out=x), big, out=x)  # fmax takes NaN to -big
         return (*_circle_sums(x, buf, 1.0), dropped)
 
-    sum_r, sum_dr, hits = zip(*_each_block(n, block, (float, float, bool)))
+    scratch = (float, bool) if sample is not None else (float, bool, float)
+    sum_r, sum_dr, hits = zip(*_each_block(n, block, scratch))
     dropped = sum(hits)
     _check_drops(dropped, n)
     return math.fsum(sum_r), math.fsum(sum_dr), dropped
@@ -692,7 +723,19 @@ def pf_monte_carlo_check(
     """Push a seeded sample through the pointwise map and refit it.
 
     The whole pushed sample is held, and its kept points are fitted in
-    place as ``fit_cauchy`` fits them.  The statistic is the larger gap
+    place.  The quartiles are selected as ``fit_cauchy`` selects them.  The
+    likelihood fit sorts nothing: each block is drawn, pushed and
+    standardized by the predicted law straight into the held sample, a
+    dropped point, NaN, and an offset beyond DBL_MAX predicted scales at
+    +-DBL_MAX, and the block's two circle sums are added in the same pass,
+    as ``pf_circle_check`` adds them.  The law that check fits is the first
+    Moebius step, and the further passes step over the held sample, each
+    mean taken over the kept points, until |m| < 1e-10*gamma in the
+    predicted law's frame.  The circle mean has one zero, so a prediction that is off only
+    costs passes, and the fit is ``fit_cauchy``'s likelihood fit of the kept
+    points to within rounding, the same bits on any number of CPUs; a first
+    mean outside the unit disk raises the SingularInputError of
+    ``pf_circle_check``.  The statistic is the larger gap
     between the fitted and the predicted parameters in units of
     ``fit_stderr``, and the check passes below 5.  Pole-guard hits are
     dropped with accounting, and the check raises PoleGuardError if they
@@ -704,10 +747,18 @@ def pf_monte_carlo_check(
     alpha = check_alpha(alpha)
     _check_run(n, steps)
     _check_fit_method(fit_method)
-    pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
-    # the dropped points, NaN, order last; the fit reorders the sample in place
-    measured = _fit(pushed, n - dropped, fit_method)
+    if fit_method == "mle":
+        # the circle check's pass, holding the standardized sample, and its
+        # fitted law is the first step of the likelihood fit
+        sample = np.empty(n)
+        sum_r, sum_dr, dropped = _pushed_circle_sums(alpha, p, n, steps, seed, predicted, sample)
+        _, first = _circle_fit(predicted, sum_r, sum_dr, n - dropped)
+        measured = _mle_passes(sample, n - dropped, predicted, first)
+    else:
+        pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
+        # the dropped points, NaN, order last; the fit reorders the sample in place
+        measured = _fit(pushed, n - dropped, fit_method)
     se = fit_stderr(predicted.gamma, n - dropped)
     sup_error = max(abs(measured.nu - predicted.nu), abs(measured.gamma - predicted.gamma))
     return PfReport(predicted, measured, dropped, se, sup_error / se, 5.0)

@@ -144,7 +144,7 @@ def assert_exact_circle_mean(points: np.ndarray, nu: float, gamma: float,
     within 1e-13 of their terms' scale of the exact mean in ``reference``, by
     default ``exact_circle_mean`` of the same arguments; return the larger
     such error."""
-    got = density._circle_mean(points, nu, gamma)
+    got = density._circle_mean(points, nu, gamma, points.size)
     exact, scales = reference or exact_circle_mean(points, nu, gamma)
     errors = [abs(got.real - exact.real) / scales[0], abs(got.imag - exact.imag) / scales[1]]
     assert max(errors) <= 1e-13, (points.size, nu, gamma, errors)
@@ -324,6 +324,73 @@ def check_circle_sums(count: int, seed: int) -> tuple[int, list[int]]:
         else:
             law = HPoint(float(rng.normal()), 10.0 ** rng.uniform(-2.0, 2.0))
         hits += assert_same_circle_sums(alpha, law, n, steps, int(rng.integers(2**31)), settings) != 0
+    return hits, settings
+
+
+def check_outcome(func) -> tuple:
+    """``report_bits`` of the report ``func()`` returns, or the failure's type
+    and text."""
+    try:
+        return report_bits(func())
+    except (PoleGuardError, SingularInputError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_likelihood_check_is_the_sorted_fit(alpha: float, p: HPoint, n: int, steps: int, seed: int,
+                                              settings=None) -> int:
+    """Assert that the likelihood route of ``pf_monte_carlo_check``, which
+    fits its held sample from the predicted law, lands within 1e-9*gamma'
+    in each parameter of ``fit_cauchy``'s sorted likelihood fit of the
+    points that ``_pushed_sample`` keeps, that its fit is stationary by
+    ``assert_stationary``, and that its report has the same bits, or it
+    raises the reference's PoleGuardError, with every block on the calling
+    thread and on every CPU in the affinity (or on each CPU count of
+    ``settings``).  Returns the count of dropped points, or -1 where the
+    pole guard failed the sample."""
+    try:
+        pushed, dropped = density._pushed_sample(alpha, p, n, steps, seed)
+    except PoleGuardError as exc:
+        expected, dropped = ("PoleGuardError", str(exc)), -1
+    outcomes = set()
+    for cpus in settings or sorted({1, density._cpu_count()}):
+        with mock.patch.object(density, "_cpu_count", return_value=cpus):
+            outcomes.add(check_outcome(lambda: pf_monte_carlo_check(alpha, p, n, steps, seed, fit_method="mle")))
+    assert len(outcomes) == 1, (alpha, p, n, steps, seed, outcomes)
+    if dropped < 0:
+        assert outcomes == {expected}, (alpha, p, n, steps, seed, outcomes, expected)
+        return dropped
+    report = pf_monte_carlo_check(alpha, p, n, steps, seed, fit_method="mle")
+    kept = kept_points(pushed)
+    reference = fit_cauchy(kept, "mle")
+    gaps = abs(report.measured.nu - reference.nu), abs(report.measured.gamma - reference.gamma)
+    assert max(gaps) <= 1e-9 * report.predicted.gamma, (alpha, p, n, steps, seed, gaps, report.predicted)
+    assert report.n_dropped == dropped, (alpha, p, n, steps, seed)
+    assert_stationary(kept, report.measured)
+    return dropped
+
+
+def check_likelihood_checks(count: int, seed: int) -> tuple[int, list[int]]:
+    """The likelihood route of ``pf_monte_carlo_check`` against the sorted
+    fit, by ``assert_likelihood_check_is_the_sorted_fit``, on ``count``
+    random cases drawn from ``seed``: alpha uniform in 0.05..0.95, n
+    log-uniform in 1e4..3e5, steps uniform in 1..10, any seed, and C(nu,
+    gamma) with nu normal and gamma log-uniform in 1e-2..1e2, or for a third
+    of the cases C(0, gamma) with gamma log-uniform in 1e-297..1e-295, whose
+    points hit the pole guard, in some cases more often than it allows.
+    Returns how many cases dropped points, and the CPU counts checked."""
+    rng = np.random.default_rng(seed)
+    settings = sorted({1, density._cpu_count()})
+    hits = 0
+    for _ in range(count):
+        alpha = float(rng.uniform(0.05, 0.95))
+        n = int(math.exp(rng.uniform(math.log(1e4), math.log(3e5))))
+        steps = int(rng.integers(1, 10, endpoint=True))
+        if rng.random() < 1 / 3:
+            law = HPoint(0.0, 10.0 ** rng.uniform(-297.0, -295.0))
+        else:
+            law = HPoint(float(rng.normal()), 10.0 ** rng.uniform(-2.0, 2.0))
+        hits += assert_likelihood_check_is_the_sorted_fit(alpha, law, n, steps, int(rng.integers(2**31)),
+                                                          settings) > 0
     return hits, settings
 
 
@@ -657,21 +724,23 @@ class TestFitting:
         with pytest.raises(SingularInputError, match="sample that holds NaN"):
             fit_cauchy(points, method)
 
-    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
-    def test_likelihood_fit_sums_over_the_sorted_sample(self, method, monkeypatch):
-        # both fitting routes hand the likelihood fit the sorted sample
+    def test_only_fit_cauchy_sorts_for_the_likelihood_fit(self, monkeypatch):
+        # fit_cauchy hands the likelihood fit the sorted sample; the
+        # likelihood check fits its held sample from the predicted law, and
+        # goes through neither ``_fit`` nor the sorted route
         calls = []
         fit = density._cauchy_mle
 
-        def spy(points, frame, **kwargs):
+        def spy(points, frame):
             calls.append(bool(np.all(points[1:] >= points[:-1])))
-            return fit(points, frame, **kwargs)
+            return fit(points, frame)
 
         monkeypatch.setattr(density, "_cauchy_mle", spy)
-        sample = sample_cauchy(HPoint(0.4, 1.3), 12_345, seed=2)
-        fit_cauchy(sample, method)
-        pf_monte_carlo_check(0.5, HPoint(0.4, 1.3), 12_345, 3, seed=2, fit_method=method)
-        assert calls == ([True, True] if method == "mle" else [])
+        fit_cauchy(sample_cauchy(HPoint(0.4, 1.3), 12_345, seed=2), "mle")
+        assert calls == [True]
+        monkeypatch.setattr(density, "_fit", mock.Mock(side_effect=AssertionError("went through _fit")))
+        pf_monte_carlo_check(0.5, HPoint(0.4, 1.3), 12_345, 3, seed=2, fit_method="mle")
+        assert calls == [True]
 
     @pytest.mark.parametrize("n", [10_000, 12_345, 70_001])
     def test_fit_does_not_depend_on_the_order_of_the_points(self, n):
@@ -909,7 +978,10 @@ class TestMonteCarloPushForward:
     def test_error_ratio_memory_holds_one_sample_per_worker(self, cpus, law, n):
         # each of min(cpus, seeds) workers holds its seed's 2n points and one
         # block of scratch: a row of doubles and one of flags, which the push
-        # inverts in place where it drops points; 32 KiB more covers the rest
+        # inverts in place where it drops points.  16 KiB more per worker
+        # covers its thread's own objects (about 6 KB of locks, events and
+        # hooks under tracemalloc), and 32 KiB the rest; a second buffer of
+        # 2n points, 160 KB at n = 1e4, does not fit in that slack
         seeds = range(6)
         warm_up()
         tracemalloc.start()
@@ -919,7 +991,7 @@ class TestMonteCarloPushForward:
         finally:
             tracemalloc.stop()
         workers = min(cpus, len(seeds))
-        assert peak < workers * (16 * n + 9 * min(2 * n, _BLOCK)) + 2**15
+        assert peak < workers * (16 * n + 9 * min(2 * n, _BLOCK) + 2**14) + 2**15
 
     def test_error_ratio_of_a_wide_law(self):
         # the fit errors near 1e157 overflowed once squared; at either scale
@@ -946,9 +1018,10 @@ class TestMonteCarloPushForward:
     @pytest.mark.parametrize("cpus", [1, 2, 4, 8], indirect=True, ids=lambda n: f"{n}cpus")
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
     def test_memory_holds_one_sample_copy(self, cpus, method):
-        # the sample, pushed forward and fitted in place (for mle sorted);
-        # no temporary of the sample's size, however many steps or
-        # iterations, and no more scratch on more CPUs
+        # the sample, pushed forward and fitted in place (for mle
+        # standardized by the predicted law as it is pushed); no temporary
+        # of the sample's size, however many steps or passes, and no more
+        # scratch on more CPUs
         n = 10**6
         warm_up()
         tracemalloc.start()
@@ -1058,6 +1131,65 @@ class TestMonteCarloPushForward:
             pf_circle_check(*args)
         assert str(streamed.value) == str(whole.value)
 
+    @pytest.mark.parametrize("steps", [1, 10])
+    @pytest.mark.parametrize("law, seed", [(HPoint(-0.7, 0.9), 5), (HPoint(0.0, 1e-296), 3)],
+                             ids=["no-hits", "hits"])
+    def test_likelihood_check_is_the_sorted_fit(self, law, seed, steps):
+        # nine blocks and more, so that 8 CPUs each take blocks; the fit has
+        # the same bits on each CPU count (43 points dropped in the hits case)
+        dropped = assert_likelihood_check_is_the_sorted_fit(0.5, law, 9 * _BLOCK + 7, steps, seed, [1, 2, 4, 8])
+        assert (dropped > 0) == (law.nu == 0.0)
+
+    def test_likelihood_check_is_the_sorted_fit_on_random_cases(self):
+        assert check_likelihood_checks(20, seed=15)[0] > 0
+
+    @pytest.mark.parametrize("args", [
+        (0.3, HPoint(-2.0, 0.5), 10**5, 5, 8), (0.5, HPoint(0.0, 1e-296), 10**5, 10, 3),
+    ], ids=["no-hits", "hits"])
+    def test_likelihood_check_steps_first_to_the_circle_fit(self, args, monkeypatch):
+        # the first Moebius step of the likelihood route, from the predicted
+        # law, is the circle check's fitted law bit for bit, and the passes
+        # over the held sample start there, in the predicted law's frame
+        steps, starts = [], []
+        moebius, mean = density._moebius, density._circle_mean
+
+        def step(nu, gamma, m):
+            steps.append(moebius(nu, gamma, m))
+            return steps[-1]
+
+        def start(points, nu, gamma, size):
+            starts.append((nu, gamma))
+            return mean(points, nu, gamma, size)
+
+        monkeypatch.setattr(density, "_moebius", step)
+        monkeypatch.setattr(density, "_circle_mean", start)
+        law = pf_monte_carlo_check(*args, fit_method="mle").predicted
+        first = steps[0]
+        circle = pf_circle_check(*args).measured
+        assert np.array(first).tobytes() == np.array([circle.nu, circle.gamma]).tobytes()
+        assert starts[0] == ((circle.nu - law.nu) / law.gamma, circle.gamma / law.gamma)
+        assert len(starts) > 1
+
+    @pytest.mark.parametrize("scale, shift", [(1.01, 0.0), (10.0, 0.0), (1.0, 5.0), (1.0, -5.0), (10.0, 5.0)])
+    def test_likelihood_check_reaches_the_fit_from_a_wrong_prediction(self, scale, shift, monkeypatch):
+        # the circle mean's zero is unique, so a start at a prediction with
+        # gamma' 1% or 10 times too wide, or nu' 5*gamma' off, still reaches
+        # the sorted fit of the kept points
+        args = (0.3, HPoint(-2.0, 0.5), 10**5, 5, 8)
+        exact = density.iterate_parameter_map
+        gamma = exact(args[0], args[1], args[3])[-1].gamma
+        pushed, _ = density._pushed_sample(*args)
+        reference = fit_cauchy(kept_points(pushed), "mle")
+
+        def wrong(alpha, p, steps):
+            *head, last = exact(alpha, p, steps)
+            return [*head, HPoint(last.nu + shift * last.gamma, scale * last.gamma)]
+
+        monkeypatch.setattr(density, "iterate_parameter_map", wrong)
+        fit = pf_monte_carlo_check(*args, fit_method="mle").measured
+        assert abs(fit.nu - reference.nu) <= 1e-9 * gamma
+        assert abs(fit.gamma - reference.gamma) <= 1e-9 * gamma
+
     def test_circle_mean_of_no_law_raises(self, monkeypatch):
         # predicted 1e200 times too narrow, every offset's square overflows:
         # each point adds 0 to both sums, m = 1, and no law of H has that mean
@@ -1070,8 +1202,12 @@ class TestMonteCarloPushForward:
         monkeypatch.setattr(density, "iterate_parameter_map", narrow)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularInputError, match=r"circle mean \(1-0j\)"):
+            with pytest.raises(SingularInputError, match=r"circle mean \(1-0j\)") as circle:
                 pf_circle_check(0.5, HPoint(1.0, 1.0), 10**4, 1, seed=0)
+            # the likelihood route starts at the same mean, and raises the same error
+            with pytest.raises(SingularInputError) as likelihood:
+                pf_monte_carlo_check(0.5, HPoint(1.0, 1.0), 10**4, 1, seed=0, fit_method="mle")
+        assert str(likelihood.value) == str(circle.value)
 
     @pytest.mark.parametrize("alpha, law", [
         (0.5, HPoint(1.0, 1e-12)), (0.5, HPoint(0.0, 1.1e292)), (1e-12, HPoint(1.0, 1e292)),
