@@ -3,7 +3,7 @@
 Subcommands
 -----------
 iterate-params   trajectory of the half-plane map with per-step geometry data
-verify-pf        grid and Monte Carlo push-forward oracles vs the closed form
+verify-pf        transfer-sum and Monte Carlo push-forward oracles vs the closed form
 geometry         metric/symplectic verification at a point and on a lattice
 orbit            pointwise orbit trace with an ergodicity check for long runs
 
@@ -125,7 +125,7 @@ _FLAGS = {
     "n": (int, 10**6, "sample size / orbit length"),
     "steps": (int, 1, "number of map iterations"),
     "seed": (int, 42, "RNG seed"),
-    "grid_size": (int, DEFAULT_GRID_SIZE, "density grid node count"),
+    "grid_size": (int, DEFAULT_GRID_SIZE, "transfer-check node count"),
 }
 
 #: The flags each command reads, besides --out and --format.
@@ -164,7 +164,7 @@ def validate(cfg: argparse.Namespace) -> None:
             raise ValueError(f"grid-size must be >= 2, got {cfg.grid_size}")
         if cfg.seed < 0:
             raise ValueError(f"seed must be >= 0, got {cfg.seed}")
-        # cauchy_grid's central nodes are about this far apart; no more than
+        # the transfer check's central nodes are about this far apart; no more than
         # one double apart at nu0, neighbouring nodes round to the same value.
         gap = cfg.gamma0 * math.pi / (cfg.grid_size - 1)
         if not gap > math.ulp(cfg.nu0):
@@ -172,7 +172,7 @@ def validate(cfg: argparse.Namespace) -> None:
                 f"grid nodes collapse: gamma0*pi/(grid-size - 1) = {gap:.3g} does not exceed"
                 f" the spacing {math.ulp(cfg.nu0):.3g} of doubles at nu0 = {cfg.nu0}"
             )
-        # Every point of the sample, and so of the grid, lies within
+        # Every point of the sample, and so every node, lies within
         # gamma0*MAX_SAMPLE_OFFSET of nu0; that must stay a finite double.
         if not math.isfinite(abs(cfg.nu0) + cfg.gamma0 * MAX_SAMPLE_OFFSET):
             limit = (sys.float_info.max - abs(cfg.nu0)) / MAX_SAMPLE_OFFSET

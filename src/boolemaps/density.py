@@ -5,19 +5,20 @@ through the pointwise transform must land exactly on the Cauchy law with
 the stepped parameters.  Nothing here relies on that claim; instead the
 push-forward is recomputed by brute force in two independent ways:
 
-* grid evolution -- the two-branch transfer sum over preimages weighted by
-  1/|derivative|, evaluated on an arctan-spaced grid with analytic tail
-  accounting, and
+* the transfer sum -- the two-branch sum over preimages weighted by
+  1/|derivative|, evaluated at quantile nodes of the input law, and
 * Monte Carlo -- seeded, counter-based sampling pushed through the pointwise
   map, and tested against the predicted law on the circle.
 
-Both are then compared against the closed-form prediction.  The pointwise
-map is ``_core._boole``, alpha*(x - 1/x); the push-forward writes that
-formula out in place, a ufunc at a time, and the tests hold it to
-``_boole`` bit for bit.  Its preimages come from ``orbit._preimages``.
-A sample is Cauchy with parameter theta = nu + i*gamma exactly when zeta =
-(x - theta)/(x - conj(theta)) is uniform on the unit circle (McCullagh,
-Ann. Statist. 1996).  So the Monte Carlo check, ``pf_circle_check``, never
+Both are then compared against the closed-form prediction.  A
+``DensityGrid`` tabulates a density on arctan-spaced nodes with analytic
+tail accounting, and ``pf_density_step`` evolves it by the same sum,
+interpolating between the nodes.  The pointwise map is ``_core._boole``,
+alpha*(x - 1/x); the push-forward writes that formula out in place, a
+ufunc at a time, and the tests hold it to ``_boole`` bit for bit.  Its
+preimages come from ``orbit._preimages``.  A sample is Cauchy with
+parameter theta = nu + i*gamma exactly when zeta = (x - theta)/(x -
+conj(theta)) is uniform on the unit circle (McCullagh, Ann. Statist. 1996).  So the Monte Carlo check, ``pf_circle_check``, never
 fits or holds its sample: each block is drawn, pushed, standardized by the
 predicted law and reduced to the two sums of the mean m of zeta, and n|m|^2
 is close to Exp(1) where the prediction is right.  A point the pole guard
@@ -27,11 +28,10 @@ nested partitions in place as ``fit_cauchy`` selects them, or by the
 likelihood fit, the zero of the same circle mean, reached by Moebius steps.
 The likelihood route runs the circle check's pass with the held sample as
 its rows, so the sample comes out standardized by the predicted law and the
-circle check's fitted law is the first step; ``fit_cauchy`` starts the same
-steps from the quartile fit of the sorted points.  Sample-sized
-work runs in blocks, on every CPU in the affinity where the blocks
-outnumber the CPUs, and the error ratio runs its seeds on them, with the
-same bits on any number of CPUs.
+circle check's fitted law is the first step.  Sample-sized work runs in
+blocks, on every CPU in the affinity where the blocks outnumber the CPUs,
+and the error ratio runs its seeds on them, with the same bits on any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ from .errors import (
 from .halfplane import HPoint, fixed_point, iterate_parameter_map, parameter_step
 from .orbit import _preimages, cauchy_cdf, cauchy_pdf, cauchy_quantile, iterate_orbit
 
-#: Probability left outside a ``cauchy_grid`` on each side.
+#: Probability left outside the quantile nodes on each side.
 TAIL_PROB = 1e-6
 #: Largest share of a Monte Carlo sample that may hit the pole guard.
 MAX_DROP_FRACTION = 1e-4
-#: Nodes per interpolation stencil on a tabulated-only grid: a local quintic.
+#: Nodes per interpolation stencil of a grid's density: a local quintic.
 STENCIL = 6
 
 
@@ -74,17 +74,12 @@ class DensityGrid:
     are evaluated by the trapezoid rule in the arctan parameter of ``ref``
     with the chain-rule Jacobian.  Trapezoid sums in raw xi would lose the
     heavy tails entirely at any practical node count.
-
-    When the tabulated law is known in closed form it travels along in
-    ``source``; transfer steps then evaluate it exactly at preimage points
-    instead of interpolating.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     tail_mass: float
     ref: HPoint
-    source: HPoint | None = None
 
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.nodes.shape != self.values.shape:
@@ -114,19 +109,22 @@ class DensityGrid:
         return float(np.trapezoid(self._integrand(), self.theta())) + self.tail_mass
 
 
-def cauchy_grid(params: HPoint, n_nodes: int = DEFAULT_GRID_SIZE) -> DensityGrid:
-    """Tabulate a Cauchy density on nodes at its own quantiles.
-
-    The nodes sit at ``n_nodes`` evenly spaced levels in
-    [TAIL_PROB, 1 - TAIL_PROB]; near the centre they are about
-    ``params.gamma * pi / (n_nodes - 1)`` apart.
-    """
+def _quantile_nodes(params: HPoint, n_nodes: int) -> np.ndarray:
+    # the law's quantiles at ``n_nodes`` evenly spaced levels in [TAIL_PROB,
+    # 1 - TAIL_PROB]; near the centre they are about
+    # params.gamma*pi/(n_nodes - 1) apart
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
-    nodes = cauchy_quantile(params, np.linspace(TAIL_PROB, 1.0 - TAIL_PROB, n_nodes))
+    return cauchy_quantile(params, np.linspace(TAIL_PROB, 1.0 - TAIL_PROB, n_nodes))
+
+
+def cauchy_grid(params: HPoint, n_nodes: int = DEFAULT_GRID_SIZE) -> DensityGrid:
+    """Tabulate a Cauchy density on ``n_nodes`` nodes at its own quantiles,
+    those of ``pf_closed_form_check``, with its own law as the reference."""
+    nodes = _quantile_nodes(params, n_nodes)
     values = cauchy_pdf(params, nodes)
     tail = cauchy_cdf(params, nodes[0]) + 1.0 - cauchy_cdf(params, nodes[-1])
-    return DensityGrid(nodes, values, float(tail), ref=params, source=params)
+    return DensityGrid(nodes, values, float(tail), ref=params)
 
 
 def transfer_values(alpha: float, density, nodes: np.ndarray) -> np.ndarray:
@@ -154,14 +152,11 @@ def transfer_values(alpha: float, density, nodes: np.ndarray) -> np.ndarray:
 
 def _grid_law(rho: DensityGrid):
     """The density and the CDF that ``rho`` describes, as vectorized callables."""
-    if rho.source is not None:
-        src = rho.source
-        return (lambda xi: cauchy_pdf(src, xi)), (lambda xi: cauchy_cdf(src, xi))
-    # Tabulated-only fallback, in the arctan parameter t of ``rho.ref``.  The
-    # density is the quintic through the six nodes around each interval,
-    # clamped at 0: column j of the table holds the Newton divided
-    # differences of the stencil that starts at node j, then the nodes that
-    # Horner's rule on the Newton form reads, so one gather serves a query.
+    # Both in the arctan parameter t of ``rho.ref``.  The density is the
+    # quintic through the six nodes around each interval, clamped at 0:
+    # column j of the table holds the Newton divided differences of the
+    # stencil that starts at node j, then the nodes that Horner's rule on
+    # the Newton form reads, so one gather serves a query.
     # The CDF is the trapezoid sum of the integrand, linear in t.  Beyond the
     # window both take the integrand in t as flat out to +-pi/2, the shape of
     # every Cauchy tail, if the grid records tail mass at all: at its edge
@@ -232,7 +227,7 @@ def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
     tail = float(1.0 + cdf(plus_l) - cdf(plus_r) + cdf(minus_l) - cdf(minus_r))
     tail = max(tail, 0.0)
 
-    out = DensityGrid(rho.nodes, new_values, tail, ref=rho.ref, source=None)
+    out = DensityGrid(rho.nodes, new_values, tail, ref=rho.ref)
     drift = abs(1.0 - out.mass())
     if drift > 1e-3:
         warn(
@@ -246,15 +241,16 @@ def pf_density_step(alpha: float, rho: DensityGrid) -> DensityGrid:
 def pf_closed_form_check(alpha: float, p: HPoint, n_nodes: int = DEFAULT_GRID_SIZE) -> float:
     """Sup gap between the brute-force transfer step and the closed-form step.
 
-    Evolves C(.; p) by the two-branch sum and compares pointwise against the
-    Cauchy density with parameters advanced by the half-plane map, over every
-    grid node.  Exactness of the reduction means this is floating-point small
-    (<< 1e-10 of the stepped law's peak).
+    The two-branch sum of C(.; p), ``transfer_values``, is compared pointwise
+    with the Cauchy density at the parameters the half-plane map steps p to,
+    at ``n_nodes`` quantile nodes of C(.; p), those of ``cauchy_grid``.
+    Exactness of the reduction means this is floating-point small (<< 1e-10
+    of the stepped law's peak).
     """
-    grid = cauchy_grid(p, n_nodes)
-    stepped = pf_density_step(alpha, grid)
-    predicted = cauchy_pdf(parameter_step(alpha, p), grid.nodes)
-    return float(np.max(np.abs(stepped.values - predicted)))
+    nodes = _quantile_nodes(p, n_nodes)
+    stepped = transfer_values(alpha, lambda xi: cauchy_pdf(p, xi), nodes)
+    predicted = cauchy_pdf(parameter_step(alpha, p), nodes)
+    return float(np.max(np.abs(stepped - predicted)))
 
 
 MIN_FIT_SIZE = 1000
@@ -291,40 +287,23 @@ def _draw_block(p: HPoint, seed: int, lo: int, u: np.ndarray) -> None:
     np.add(p.nu, u, out=u)
 
 
-def fit_cauchy(points: np.ndarray, method: str = "median_iqr") -> HPoint:
-    """Estimate Cauchy parameters from data.
+def fit_cauchy(points: np.ndarray) -> HPoint:
+    """Estimate Cauchy parameters from data by the quartiles.
 
-    ``median_iqr``: location = sample median, scale = half the interquartile
-    range -- exact for the Cauchy CDF, whose quartiles sit at nu +/- gamma.
-    The quartiles are those of ``np.quantile``, bit for bit, selected from a
-    copy of the points by ``_quartiles`` rather than read from a sorted one.
-    ``mle``: the maximum-likelihood law, the one theta = nu + i*gamma at
-    which the mean of zeta = (x - theta)/(x - conj(theta)) is zero
-    (McCullagh, Ann. Statist. 1996; unique by Copas, Biometrika 1975).  It
-    steps from the quantile fit, in that fit's location and scale frame, to
-    the law of which the current mean would be the exact mean, and is
-    declared converged when the gradient norm of the mean log-likelihood in
-    that frame drops below 1e-10; it raises FitConvergenceError where 100
-    passes over the points do not get there.  Its sums run over a sorted
-    copy of the points, so any permutation of a sample gives the same fit,
-    bit for bit.  ``pf_monte_carlo_check`` takes the same steps from the
-    predicted law over its unsorted sample, and reaches the same fit to
-    within rounding, not bit for bit.  Moment
+    Location = sample median, scale = half the interquartile range -- exact
+    for the Cauchy CDF, whose quartiles sit at nu +/- gamma.  The quartiles
+    are those of ``np.quantile``, bit for bit, selected from a copy of the
+    points by ``_quartiles`` rather than read from a sorted one.  The
+    likelihood fit is ``pf_monte_carlo_check(..., "mle")``'s.  Moment
     fitting is not offered; the Cauchy law has no moments.  Raises
     SingularInputError on a NaN point, and where half the interquartile
     range is not a positive double, as where the quartiles round to the
     same double.
     """
-    _check_fit_method(method)
     points = np.array(points, dtype=float)  # a copy: the caller's order stays
     if np.isnan(points).any():
         raise SingularInputError("no law fits a sample that holds NaN")
-    return _fit(points, points.size, method)
-
-
-def _check_fit_method(method: str) -> None:
-    if method not in ("median_iqr", "mle"):
-        raise ValueError(f"unknown fit method {method!r}")
+    return _fit(points, points.size)
 
 
 def _check_fit_size(size: int) -> None:
@@ -332,15 +311,10 @@ def _check_fit_size(size: int) -> None:
         raise ValueError(f"fitting needs at least {MIN_FIT_SIZE} points, got {size}")
 
 
-def _fit(points: np.ndarray, size: int, method: str) -> HPoint:
-    # ``fit_cauchy`` of the ``size`` least of the points, NaN last, which it
-    # reorders and the likelihood fit overwrites
+def _fit(points: np.ndarray, size: int) -> HPoint:
+    # ``fit_cauchy`` of the ``size`` least of the points, NaN last, which it reorders
     _check_fit_size(size)
-    if method == "median_iqr":
-        return _quartile_fit(_quartiles(points, size))
-    points.sort()
-    ordered = points[:size]
-    return _cauchy_mle(ordered, _quartile_fit(_sorted_quartiles(ordered)))
+    return _quartile_fit(_quartiles(points, size))
 
 
 def _quartile_fit(quartiles: np.ndarray) -> HPoint:
@@ -367,13 +341,6 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = a + diff * t
     np.subtract(b, diff * (1.0 - t), out=out, where=t >= 0.5)
     return out
-
-
-def _sorted_quartiles(ordered: np.ndarray) -> np.ndarray:
-    # np.quantile(ordered, [0.25, 0.5, 0.75]) read from a sorted sample with
-    # no NaN by index
-    below, t = _quartile_ranks(ordered.size)
-    return _lerp(ordered[below], ordered[below + 1], t)
 
 
 def _quartiles(points: np.ndarray, size: int) -> np.ndarray:
@@ -519,23 +486,6 @@ def _moebius(nu: float, gamma: float, m: complex) -> tuple[float, float]:
 #: Passes over the sample that the likelihood fit may take from its start;
 #: the check's pass that pushes the sample and fits its start is not one.
 _MLE_PASSES = 100
-
-
-def _cauchy_mle(points: np.ndarray, frame: HPoint) -> HPoint:
-    # ``fit_cauchy``'s likelihood fit of the sorted points from the quartile
-    # fit ``frame`` = (m0, s): the points are standardized in place, (x -
-    # m0)/s, and ``_mle_passes`` starts from the frame.  A point beyond
-    # DBL_MAX quartile scales standardizes to +-inf, whose d*r would be
-    # inf*0; at +-DBL_MAX its q overflows instead, and it adds 0 to both
-    # sums, the limit zeta = 1.  The points come sorted, so any such point
-    # sits at an end.
-    with np.errstate(over="ignore"):
-        points -= frame.nu
-        points /= frame.gamma
-    if math.isinf(points[0]) or math.isinf(points[-1]):
-        big = np.finfo(float).max
-        np.clip(points, -big, big, out=points)
-    return _mle_passes(points, points.size, frame, frame)
 
 
 def _mle_passes(points: np.ndarray, size: int, frame: HPoint, start: HPoint) -> HPoint:
@@ -723,21 +673,24 @@ def pf_monte_carlo_check(
     """Push a seeded sample through the pointwise map and refit it.
 
     The whole pushed sample is held, and its kept points are fitted in
-    place.  The quartiles are selected as ``fit_cauchy`` selects them.  The
-    likelihood fit sorts nothing: each block is drawn, pushed and
-    standardized by the predicted law straight into the held sample, a
-    dropped point, NaN, and an offset beyond DBL_MAX predicted scales at
-    +-DBL_MAX, and the block's two circle sums are added in the same pass,
-    as ``pf_circle_check`` adds them.  The law that check fits is the first
-    Moebius step, and the further passes step over the held sample, each
-    mean taken over the kept points, until |m| < 1e-10*gamma in the
-    predicted law's frame.  The circle mean has one zero, so a prediction that is off only
-    costs passes, and the fit is ``fit_cauchy``'s likelihood fit of the kept
-    points to within rounding, the same bits on any number of CPUs; a first
-    mean outside the unit disk raises the SingularInputError of
-    ``pf_circle_check``.  The statistic is the larger gap
-    between the fitted and the predicted parameters in units of
-    ``fit_stderr``, and the check passes below 5.  Pole-guard hits are
+    place.  ``median_iqr`` selects the quartiles as ``fit_cauchy`` selects
+    them.  ``mle`` fits the maximum-likelihood law, the one theta = nu +
+    i*gamma at which the mean m of zeta = (x - theta)/(x - conj(theta)) is
+    zero (McCullagh, Ann. Statist. 1996; unique by Copas, Biometrika 1975),
+    and sorts nothing: each block is drawn, pushed and standardized by the
+    predicted law straight into the held sample, a dropped point, NaN, and
+    an offset beyond DBL_MAX predicted scales at +-DBL_MAX, and the block's
+    two circle sums are added in the same pass, as ``pf_circle_check`` adds
+    them.  The law that check fits is the first Moebius step, and the
+    further passes step over the held sample, each mean taken over the kept
+    points, until |m| < 1e-10*gamma in the predicted law's frame, a
+    gradient norm of the mean log-likelihood below 1e-10.  The circle mean
+    has one zero, so a prediction that is off only costs passes; the fit
+    has the same bits on any number of CPUs, and raises FitConvergenceError
+    where 100 passes do not get there.  A first mean outside the unit disk
+    raises the SingularInputError of ``pf_circle_check``.  The statistic is
+    the larger gap between the fitted and the predicted parameters in units
+    of ``fit_stderr``, and the check passes below 5.  Pole-guard hits are
     dropped with accounting, and the check raises PoleGuardError if they
     exceed ``MAX_DROP_FRACTION`` of the sample.  An unknown ``fit_method``
     raises ValueError before any point is drawn.  Commands run
@@ -746,7 +699,8 @@ def pf_monte_carlo_check(
     """
     alpha = check_alpha(alpha)
     _check_run(n, steps)
-    _check_fit_method(fit_method)
+    if fit_method not in ("median_iqr", "mle"):
+        raise ValueError(f"unknown fit method {fit_method!r}")
     predicted = iterate_parameter_map(alpha, p, steps)[-1]
     if fit_method == "mle":
         # the circle check's pass, holding the standardized sample, and its
@@ -758,7 +712,7 @@ def pf_monte_carlo_check(
     else:
         pushed, dropped = _pushed_sample(alpha, p, n, steps, seed)
         # the dropped points, NaN, order last; the fit reorders the sample in place
-        measured = _fit(pushed, n - dropped, fit_method)
+        measured = _fit(pushed, n - dropped)
     se = fit_stderr(predicted.gamma, n - dropped)
     sup_error = max(abs(measured.nu - predicted.nu), abs(measured.gamma - predicted.gamma))
     return PfReport(predicted, measured, dropped, se, sup_error / se, 5.0)
@@ -804,7 +758,7 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
             if hits and lo < n:  # ``passed`` marks the points the step dropped
                 first += np.count_nonzero(passed[:min(n - lo, x.size)])
         _check_drops(dropped, 2 * n)
-        fits = _fit(sample[:n], n - first, "median_iqr"), _fit(sample, 2 * n - dropped, "median_iqr")
+        fits = _fit(sample[:n], n - first), _fit(sample, 2 * n - dropped)
         return [((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2 for fit in fits]
 
     errors = [0.0, 0.0]  # squared, at n and at 2n

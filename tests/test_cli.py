@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boolemaps import HPoint, cli, density, orbit
+from boolemaps import HPoint, cli, density, geometry, orbit
 from boolemaps._core import KS_MIN_SAMPLES, _step
 from boolemaps.cli import main
 from boolemaps.errors import SingularInputError
@@ -412,26 +412,15 @@ class TestVerifyPf:
         assert code == 0
         assert report["oracles"]["sup_error_pass"] is True
 
-    def test_coarse_grid_reports_warning(self, tmp_path):
-        code, report = run_json(
-            tmp_path, ["verify-pf", "--n", "20000", "--grid-size", "8"]
-        )
-        assert code == 0
-        assert any("drift" in w for w in report["oracles"]["warnings"])
-
-    def test_warning_is_reported_not_printed(self, tmp_path):
-        # the coarse grid's drift warning goes to the report, not to stderr
-        out = tmp_path / "pf.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "boolemaps.cli", "verify-pf", "--n", "20000",
-             "--grid-size", "8", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        warned = json.loads(out.read_text())["oracles"]["warnings"]
-        assert any("drift" in w for w in warned)
+    @pytest.mark.parametrize("args", [
+        ["--n", "20000", "--grid-size", "8"],
+        # once "transfer step mass drift 4.91e-03" of a grid of the input law
+        ["--nu0", "1e-5", "--gamma0", "1e-5", "--n", "10000"],
+    ], ids=["coarse-grid", "small-scale"])
+    def test_correct_input_has_no_warning(self, tmp_path, args):
+        # the transfer check sums at its nodes, and no mass drift is computed
+        code, report = run_json(tmp_path, ["verify-pf", *args])
+        assert (code, report["oracles"]["warnings"]) == (0, [])
 
 
 class TestGeometry:
@@ -584,6 +573,50 @@ class TestOrbit:
         report = json.loads(out.read_text())
         assert report["oracles"]["ks_pass"] is False
         assert report["meta"]["passed"] is False
+
+
+#: Each command, on a small input, and a library function that it calls.
+_CALLS = [
+    (["iterate-params"], cli, "_step"),
+    (["verify-pf", "--n", "20000"], density, "pf_closed_form_check"),
+    (["geometry"], geometry, "conformal_factor"),
+    (["orbit", "--n", "5"], cli, "_iterates"),
+]
+
+
+class TestWarningCapture:
+    @pytest.mark.parametrize("argv, module, name", _CALLS, ids=[argv[0] for argv, *_ in _CALLS])
+    def test_warning_is_reported_not_printed(self, tmp_path, monkeypatch, capsys, argv, module, name):
+        # a warning from inside the run goes to the report, not to stderr,
+        # and leaves the exit status as it was
+        status, report = run_json(tmp_path, argv)
+        assert report["oracles"]["warnings"] == []
+        called = getattr(module, name)
+
+        def warning(*args):
+            warnings.warn(f"{name} was called", UserWarning)
+            return called(*args)
+
+        monkeypatch.setattr(module, name, warning)
+        code, report = run_json(tmp_path, argv)
+        assert code == status
+        assert set(report["oracles"]["warnings"]) == {f"{name} was called"}
+        assert capsys.readouterr().err == ""
+
+    def test_warning_in_the_command_process_is_reported_not_printed(self, tmp_path):
+        # the same in the process of ``python -m boolemaps.cli``: patched
+        # first, then run as the command
+        out = tmp_path / "pf.json"
+        probe = (
+            "import sys, warnings; from boolemaps import cli, density; "
+            "check = density.pf_closed_form_check; "
+            "density.pf_closed_form_check = lambda *args: (warnings.warn('probe'), check(*args))[1]; "
+            f"sys.argv[1:] = ['verify-pf', '--n', '20000', '--out', {str(out)!r}]; "
+            "cli.run()"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(out.read_text())["oracles"]["warnings"] == ["probe"]
 
 
 class TestSerialization:

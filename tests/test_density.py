@@ -48,7 +48,6 @@ from boolemaps.density import (
     _grid_law,
     _push_forward,
     _quartiles,
-    _sorted_quartiles,
     transfer_values,
 )
 
@@ -101,10 +100,9 @@ def assert_same_push_forward(alpha: float, points: np.ndarray, steps: int) -> tu
 
 
 def assert_same_quartiles(points: np.ndarray) -> np.ndarray:
-    """Assert that the quartiles read by index from the sorted points, and
-    those selected from the unsorted points, whole and as the kept-size cut
-    of a copy with three NaN mixed in, are ``np.quantile`` of the points,
-    bit for bit, and return the quartiles.  A zero quartile is compared,
+    """Assert that the quartiles selected from the unsorted points, whole
+    and as the kept-size cut of a copy with three NaN mixed in, are
+    ``np.quantile`` of the points, bit for bit, and return the quartiles.  A zero quartile is compared,
     and returned, as 0.0: which of a tied -0.0 and 0.0 a partition leaves
     at an index is arbitrary, and it differs between a sample and its
     sorted copy."""
@@ -112,7 +110,6 @@ def assert_same_quartiles(points: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(points.size)
     padded = np.insert(points, rng.integers(0, points.size + 1, 3), np.nan)
     routes = {
-        "sorted": _sorted_quartiles(np.sort(points)),
         "selected": _quartiles(points.copy(), points.size),
         "cut": _quartiles(padded, points.size),
     }
@@ -151,6 +148,24 @@ def assert_exact_circle_mean(points: np.ndarray, nu: float, gamma: float,
     return max(errors)
 
 
+def sorted_likelihood_fit(points: np.ndarray) -> HPoint:
+    """Reference oracle: the likelihood fit of ``points`` from the quartile
+    fit of a sorted copy.  The copy is standardized by that fit's frame
+    (m0, s), (x - m0)/s, a point beyond DBL_MAX quartile scales, +-inf, is
+    taken to +-DBL_MAX, where its q overflows and it adds 0 to both circle
+    sums, the limit zeta = 1, and ``_mle_passes`` steps from the frame.
+    The sums run over the sorted copy, so any permutation of the points
+    gives the same fit, bit for bit."""
+    ordered = np.sort(points)
+    frame = density._quartile_fit(np.quantile(ordered, [0.25, 0.5, 0.75]))
+    with np.errstate(over="ignore"):
+        ordered -= frame.nu
+        ordered /= frame.gamma
+    big = np.finfo(float).max
+    np.clip(ordered, -big, big, out=ordered)
+    return density._mle_passes(ordered, ordered.size, frame, frame)
+
+
 def assert_stationary(points: np.ndarray, fit: HPoint) -> float:
     """Assert that |m|, the circle mean by ``math.fsum`` at the likelihood
     fit ``fit`` of ``points``, in the quartile frame (m0, s) in which the fit
@@ -175,8 +190,8 @@ def assert_stationary(points: np.ndarray, fit: HPoint) -> float:
 
 
 def check_likelihood_fits(count: int, seed: int) -> tuple[float, list[int]]:
-    """The likelihood fit of ``fit_cauchy`` against the stationarity oracle
-    on ``count`` random samples drawn from ``seed``: n log-uniform in
+    """``sorted_likelihood_fit`` against the stationarity oracle on
+    ``count`` random samples drawn from ``seed``: n log-uniform in
     1e3..3e5, C(nu, gamma) with |nu| log-uniform in 1e-3..1e8 of either
     sign and gamma log-uniform in 1e-6..1e6, and up to three points replaced
     by 1e150, -1e200, 1e300 or 3e153.  Returns the largest circle mean in
@@ -192,7 +207,7 @@ def check_likelihood_fits(count: int, seed: int) -> tuple[float, list[int]]:
         hits = rng.integers(0, 3, endpoint=True)
         points[rng.integers(0, n, hits)] = rng.choice([1e150, -1e200, 1e300, 3e153], hits)
         with mock.patch.object(density, "_circle_mean", wraps=density._circle_mean) as spy:
-            fit = fit_cauchy(points, "mle")
+            fit = sorted_likelihood_fit(points)
         passes.append(spy.call_count)
         worst = max(worst, assert_stationary(points, fit))
     return worst, passes
@@ -340,8 +355,8 @@ def assert_likelihood_check_is_the_sorted_fit(alpha: float, p: HPoint, n: int, s
                                               settings=None) -> int:
     """Assert that the likelihood route of ``pf_monte_carlo_check``, which
     fits its held sample from the predicted law, lands within 1e-9*gamma'
-    in each parameter of ``fit_cauchy``'s sorted likelihood fit of the
-    points that ``_pushed_sample`` keeps, that its fit is stationary by
+    in each parameter of ``sorted_likelihood_fit`` of the points that
+    ``_pushed_sample`` keeps, that its fit is stationary by
     ``assert_stationary``, and that its report has the same bits, or it
     raises the reference's PoleGuardError, with every block on the calling
     thread and on every CPU in the affinity (or on each CPU count of
@@ -361,7 +376,7 @@ def assert_likelihood_check_is_the_sorted_fit(alpha: float, p: HPoint, n: int, s
         return dropped
     report = pf_monte_carlo_check(alpha, p, n, steps, seed, fit_method="mle")
     kept = kept_points(pushed)
-    reference = fit_cauchy(kept, "mle")
+    reference = sorted_likelihood_fit(kept)
     gaps = abs(report.measured.nu - reference.nu), abs(report.measured.gamma - reference.gamma)
     assert max(gaps) <= 1e-9 * report.predicted.gamma, (alpha, p, n, steps, seed, gaps, report.predicted)
     assert report.n_dropped == dropped, (alpha, p, n, steps, seed)
@@ -504,8 +519,7 @@ class TestDensityGrid:
             warnings.simplefilter("error")
             grid = cauchy_grid(HPoint(1.0, 1e200))
             assert grid.mass() == pytest.approx(1.0, abs=1e-9)
-            tabulated = DensityGrid(grid.nodes, grid.values, grid.tail_mass, ref=grid.ref)
-            assert pf_density_step(0.5, tabulated).mass() == pytest.approx(1.0, abs=1e-3)
+            assert pf_density_step(0.5, grid).mass() == pytest.approx(1.0, abs=1e-3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -577,17 +591,29 @@ class TestTransferStep:
     def test_stationary_sup_error_is_tiny(self):
         assert pf_closed_form_check(0.5, HPoint(0.0, 1.0)) < 1e-12
 
+    def test_sup_error_is_finite_and_small_across_the_float_range(self):
+        # no warning, and no error where the nodes round together: |nu| and
+        # gamma log-uniform in 1e-300..1e300, any alpha, every node count
+        rng = np.random.default_rng(36)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(200):
+                alpha = float(rng.uniform(0.01, 0.99))
+                nu = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+                p = HPoint(nu, 10.0 ** rng.uniform(-300.0, 300.0))
+                nodes = int(rng.choice([2, 8, 4096, 65536]))
+                gap = pf_closed_form_check(alpha, p, nodes)
+                peak = 1.0 / (math.pi * parameter_step(alpha, p).gamma)
+                assert gap < 1e-10 * peak, (alpha, p, nodes, gap, peak)
+
     def test_tabulated_grid_without_source(self):
-        exact = cauchy_grid(fixed_point(0.5))
-        tabulated = DensityGrid(
-            exact.nodes, exact.values, exact.tail_mass, ref=exact.ref, source=None
-        )
-        stepped = pf_density_step(0.5, tabulated)
-        window = np.abs(exact.nodes) < 1e3
-        np.testing.assert_allclose(
-            stepped.values[window], exact.values[window], atol=1e-8
-        )
-        spline = transfer_values(0.5, spline_density(tabulated), exact.nodes)
+        # the grid's density between its nodes is the quintic's, near the
+        # scipy spline's, and steps the invariant law to itself
+        grid = cauchy_grid(fixed_point(0.5))
+        stepped = pf_density_step(0.5, grid)
+        window = np.abs(grid.nodes) < 1e3
+        np.testing.assert_allclose(stepped.values[window], grid.values[window], atol=1e-8)
+        spline = transfer_values(0.5, spline_density(grid), grid.nodes)
         np.testing.assert_allclose(stepped.values[window], spline[window], atol=1e-8)
 
     @given(
@@ -601,8 +627,7 @@ class TestTransferStep:
     def test_tabulated_chain_against_cubic_spline(self, alpha, nu, log_gamma):
         # ten steps on a 4096-node grid, the benchmark's chain
         grid = cauchy_grid(HPoint(nu, math.exp(log_gamma)), 4096)
-        quintic = DensityGrid(grid.nodes, grid.values, grid.tail_mass, ref=grid.ref)
-        spline = grid.values
+        quintic, spline = grid, grid.values
         for _ in range(10):
             quintic = pf_density_step(alpha, quintic)
             spline = transfer_values(
@@ -684,15 +709,10 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_cauchy(np.zeros(999))
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            fit_cauchy(np.arange(2000, dtype=float), method="moments")
-
-    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
-    def test_coinciding_quartiles_raise(self, method):
+    def test_coinciding_quartiles_raise(self):
         # no scale fits a sample whose quartiles are the same double
         with pytest.raises(SingularInputError):
-            fit_cauchy(np.full(2000, 3.0), method)
+            fit_cauchy(np.full(2000, 3.0))
 
     def test_quartiles_equal_numpy_quantile(self):
         # np.quantile's default rule, bit for bit, at sizes of every residue
@@ -716,45 +736,25 @@ class TestFitting:
             expected = np.quantile(kept, [0.25, 0.5, 0.75])
             assert _quartiles(dropped, kept.size).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("method", ["median_iqr", "mle"])
-    def test_fit_of_a_sample_with_nan_raises(self, method):
+    def test_fit_of_a_sample_with_nan_raises(self):
         # rejected before any quartile is read
         points = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=9)
         points[[17, 4000]] = np.nan
         with pytest.raises(SingularInputError, match="sample that holds NaN"):
-            fit_cauchy(points, method)
-
-    def test_only_fit_cauchy_sorts_for_the_likelihood_fit(self, monkeypatch):
-        # fit_cauchy hands the likelihood fit the sorted sample; the
-        # likelihood check fits its held sample from the predicted law, and
-        # goes through neither ``_fit`` nor the sorted route
-        calls = []
-        fit = density._cauchy_mle
-
-        def spy(points, frame):
-            calls.append(bool(np.all(points[1:] >= points[:-1])))
-            return fit(points, frame)
-
-        monkeypatch.setattr(density, "_cauchy_mle", spy)
-        fit_cauchy(sample_cauchy(HPoint(0.4, 1.3), 12_345, seed=2), "mle")
-        assert calls == [True]
-        monkeypatch.setattr(density, "_fit", mock.Mock(side_effect=AssertionError("went through _fit")))
-        pf_monte_carlo_check(0.5, HPoint(0.4, 1.3), 12_345, 3, seed=2, fit_method="mle")
-        assert calls == [True]
+            fit_cauchy(points)
 
     @pytest.mark.parametrize("n", [10_000, 12_345, 70_001])
     def test_fit_does_not_depend_on_the_order_of_the_points(self, n):
         sample = sample_cauchy(HPoint(-0.2, 0.8), n, seed=n)
         shuffled = np.random.default_rng(n).permutation(sample)
-        for method in ("median_iqr", "mle"):
-            fit, fit_shuffled = fit_cauchy(sample, method), fit_cauchy(shuffled, method)
-            assert (np.array([fit.nu, fit.gamma]).tobytes()
-                    == np.array([fit_shuffled.nu, fit_shuffled.gamma]).tobytes())
+        fit, fit_shuffled = fit_cauchy(sample), fit_cauchy(shuffled)
+        assert (np.array([fit.nu, fit.gamma]).tobytes()
+                == np.array([fit_shuffled.nu, fit_shuffled.gamma]).tobytes())
 
     def test_fit_leaves_the_points_in_their_order(self):
         sample = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=4)
         before = sample.copy()
-        fit_cauchy(sample, "mle")
+        fit_cauchy(sample)
         assert sample.tobytes() == before.tobytes()
 
     def test_quantile_plugin_recovers_parameters(self):
@@ -769,34 +769,35 @@ class TestFitting:
 
     def test_mle_large_sample(self):
         sample = sample_cauchy(HPoint(3.0, 2.0), 10**6, seed=5)
-        fit = fit_cauchy(sample, method="mle")
+        fit = sorted_likelihood_fit(sample)
         assert fit.nu == pytest.approx(3.0, rel=0.01)
         assert fit.gamma == pytest.approx(2.0, rel=0.01)
 
     def test_mle_beats_quantile_fit_on_average(self):
-        sq_quantile = 0.0
-        sq_mle = 0.0
+        # the check's two fits of the same pushed samples, against the law
+        # they are drawn from
+        squares = {"median_iqr": 0.0, "mle": 0.0}
         for seed in range(20):
-            sample = sample_cauchy(HPoint(3.0, 2.0), 10**5, seed=seed)
-            quantile_fit = fit_cauchy(sample)
-            mle_fit = fit_cauchy(sample, method="mle")
-            sq_quantile += (quantile_fit.nu - 3.0) ** 2 + (quantile_fit.gamma - 2.0) ** 2
-            sq_mle += (mle_fit.nu - 3.0) ** 2 + (mle_fit.gamma - 2.0) ** 2
-        assert sq_mle < sq_quantile
+            for method in squares:
+                report = pf_monte_carlo_check(0.5, HPoint(3.0, 2.0), 10**5, 1, seed, fit_method=method)
+                fit, law = report.measured, report.predicted
+                squares[method] += (fit.nu - law.nu) ** 2 + (fit.gamma - law.gamma) ** 2
+        assert squares["mle"] < squares["median_iqr"]
 
     def test_mle_iteration_budget(self, monkeypatch):
         sample = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=3)
         monkeypatch.setattr(density, "_MLE_PASSES", 1)
-        with pytest.raises(FitConvergenceError):
-            density._cauchy_mle(sample, HPoint(50.0, 100.0))
+        with pytest.raises(FitConvergenceError, match="did not converge in 1 passes"):
+            density._mle_passes(sample, sample.size, HPoint(0.0, 1.0), HPoint(50.0, 100.0))
 
     def test_mle_converges_from_a_far_frame(self):
         # from the frame C(50, 100) a C(0, 1) sample sits near one point of
         # the circle, |m| about 0.98 at the start, and the fit still reaches
         # the one stationary point within the default budget
-        sample = np.sort(sample_cauchy(HPoint(0.0, 1.0), 5000, seed=3))
-        fit = density._cauchy_mle(sample.copy(), HPoint(50.0, 100.0))
-        reference = fit_cauchy(sample, "mle")
+        sample = sample_cauchy(HPoint(0.0, 1.0), 5000, seed=3)
+        frame = HPoint(50.0, 100.0)
+        fit = density._mle_passes((sample - frame.nu) / frame.gamma, sample.size, frame, frame)
+        reference = sorted_likelihood_fit(sample)
         assert fit.nu == pytest.approx(reference.nu, abs=1e-9)
         assert fit.gamma == pytest.approx(reference.gamma, rel=1e-9)
         assert_stationary(sample, fit)
@@ -804,7 +805,7 @@ class TestFitting:
     def test_mle_raises_where_the_circle_mean_leaves_the_disk(self):
         # every q overflows, so every zeta is 1: no law of H has that mean
         with pytest.raises(FitConvergenceError, match="left the half-plane"):
-            density._cauchy_mle(np.full(2000, 1e300), HPoint(0.0, 1.0))
+            density._mle_passes(np.full(2000, 1e300), 2000, HPoint(0.0, 1.0), HPoint(0.0, 1.0))
 
     @pytest.mark.parametrize("n", [1000, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_likelihood_sums_equal_exact_sums(self, n):
@@ -835,8 +836,8 @@ class TestFitting:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_exact_circle_mean(far, 0.0, 1.0)
-            fit = fit_cauchy(far, "mle")
-        reference = fit_cauchy(near, "mle")
+            fit = sorted_likelihood_fit(far)
+        reference = sorted_likelihood_fit(near)
         assert fit.nu == pytest.approx(reference.nu, rel=1e-12)
         assert fit.gamma == pytest.approx(reference.gamma, rel=1e-12)
 
@@ -851,8 +852,8 @@ class TestFitting:
         near[:len(outliers)] = np.sign(outliers) * 1e140
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_cauchy(far, "mle")
-        reference = fit_cauchy(near, "mle")
+            fit = sorted_likelihood_fit(far)
+        reference = sorted_likelihood_fit(near)
         assert fit.nu == pytest.approx(reference.nu, rel=1e-12)
         assert fit.gamma == pytest.approx(reference.gamma, rel=1e-12)
 
@@ -865,8 +866,8 @@ class TestFitting:
         sample = sample_cauchy(HPoint(nu, gamma), 2000, seed=1)
         standard = sample_cauchy(HPoint(0.0, 1.0), 2000, seed=1)
         for size in (2000, 1000):
-            fit = fit_cauchy(sample[:size], method="mle")
-            reference = fit_cauchy(standard[:size], method="mle")
+            fit = sorted_likelihood_fit(sample[:size])
+            reference = sorted_likelihood_fit(standard[:size])
             assert (fit.nu - nu) / gamma == pytest.approx(reference.nu, abs=1e-5)
             assert fit.gamma / gamma == pytest.approx(reference.gamma, rel=1e-5)
 
@@ -1117,7 +1118,7 @@ class TestMonteCarloPushForward:
             for seed in range(3):
                 report = pf_circle_check(alpha, law, n, steps, seed)
                 pushed, _ = density._pushed_sample(alpha, law, n, steps, seed)
-                mle = fit_cauchy(kept_points(pushed), "mle")
+                mle = sorted_likelihood_fit(kept_points(pushed))
                 bound = 8.0 * report.predicted.gamma / n
                 assert abs(report.measured.nu - mle.nu) < bound, (alpha, law, steps, seed)
                 assert abs(report.measured.gamma - mle.gamma) < bound, (alpha, law, steps, seed)
@@ -1179,7 +1180,7 @@ class TestMonteCarloPushForward:
         exact = density.iterate_parameter_map
         gamma = exact(args[0], args[1], args[3])[-1].gamma
         pushed, _ = density._pushed_sample(*args)
-        reference = fit_cauchy(kept_points(pushed), "mle")
+        reference = sorted_likelihood_fit(kept_points(pushed))
 
         def wrong(alpha, p, steps):
             *head, last = exact(alpha, p, steps)
