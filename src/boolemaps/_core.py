@@ -28,6 +28,8 @@ POLE_EPS = 1e-300
 
 # Limits of the density oracles, kept here so that the CLI checks its flags,
 # and chooses its route, without loading them.
+#: The transfer check's node count: ``verify-pf`` runs it at this one count,
+#: and the CLI's node-collapse rule reads it too.
 DEFAULT_GRID_SIZE = 4096
 #: Smallest sample the Monte Carlo push-forward check accepts.
 MIN_MONTE_CARLO_SIZE = 10**4

@@ -125,13 +125,12 @@ _FLAGS = {
     "n": (int, 10**6, "sample size / orbit length"),
     "steps": (int, 1, "number of map iterations"),
     "seed": (int, 42, "RNG seed"),
-    "grid_size": (int, DEFAULT_GRID_SIZE, "transfer-check node count"),
 }
 
 #: The flags each command reads, besides --out and --format.
 _COMMAND_FLAGS = {
     "iterate-params": ("alpha", "nu0", "gamma0", "steps"),
-    "verify-pf": ("alpha", "nu0", "gamma0", "n", "steps", "seed", "grid_size"),
+    "verify-pf": ("alpha", "nu0", "gamma0", "n", "steps", "seed"),
     "geometry": ("alpha", "nu0", "gamma0"),
     "orbit": ("alpha", "xi0", "n"),
 }
@@ -160,17 +159,15 @@ def validate(cfg: argparse.Namespace) -> None:
     if cfg.command == "verify-pf":
         if cfg.n < MIN_MONTE_CARLO_SIZE:
             raise ValueError(f"n must be >= {MIN_MONTE_CARLO_SIZE}, got {cfg.n}")
-        if cfg.grid_size < 2:
-            raise ValueError(f"grid-size must be >= 2, got {cfg.grid_size}")
         if cfg.seed < 0:
             raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         # the transfer check's central nodes are about this far apart; no more than
         # one double apart at nu0, neighbouring nodes round to the same value.
-        gap = cfg.gamma0 * math.pi / (cfg.grid_size - 1)
+        gap = cfg.gamma0 * math.pi / (DEFAULT_GRID_SIZE - 1)
         if not gap > math.ulp(cfg.nu0):
             raise ValueError(
-                f"grid nodes collapse: gamma0*pi/(grid-size - 1) = {gap:.3g} does not exceed"
-                f" the spacing {math.ulp(cfg.nu0):.3g} of doubles at nu0 = {cfg.nu0}"
+                f"grid nodes collapse: gamma0*pi/{DEFAULT_GRID_SIZE - 1} = {gap:.3g} does not"
+                f" exceed the spacing {math.ulp(cfg.nu0):.3g} of doubles at nu0 = {cfg.nu0}"
             )
         # Every point of the sample, and so every node, lies within
         # gamma0*MAX_SAMPLE_OFFSET of nu0; that must stay a finite double.
@@ -238,7 +235,7 @@ def cmd_verify_pf(cfg: argparse.Namespace) -> tuple[dict, bool]:
     from .halfplane import HPoint
 
     params = HPoint(cfg.nu0, cfg.gamma0)
-    sup_error = pf_closed_form_check(cfg.alpha, params, cfg.grid_size)
+    sup_error = pf_closed_form_check(cfg.alpha, params)
     report = pf_circle_check(cfg.alpha, params, cfg.n, cfg.steps, cfg.seed)
     columns = _param_columns(cfg)
     # the tolerance is relative to the peak 1/(pi*gamma) of the stepped law
@@ -648,8 +645,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    cfg = parser.parse_args(_joined_negatives(argv))
+    cfg, extras = parser.parse_known_args(_joined_negatives(argv))
     try:
+        if extras:
+            raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
         validate(cfg)
         # an output that cannot be opened is bad input too, found before the run
         handle = open(cfg.output_path, "wb") if cfg.output_path is not None else sys.stdout.buffer

@@ -427,7 +427,11 @@ def _each_block(size: int, func, scratch=()) -> list:
     a serial loop would, so the results are the same bit for bit on any
     number of CPUs.  The scratch of all workers stays within a quarter of
     the sample's blocks, whatever the CPU count, which caps the workers of a
-    pass that needs much of it.  This thread allocates it, as it does the
+    pass that needs much of it.  The cap is a speed choice too: it keeps
+    ``pf_circle_check``, whose scratch is 17 bytes a point (two float rows
+    and a bool row), on one worker up to 16 blocks (1,048,576 points),
+    where fresh-process ``verify-pf`` measured slower with a worker per CPU
+    (ROADMAP, Parked).  This thread allocates the scratch, as it does the
     sample: memory that a worker thread allocates comes from that thread's
     own malloc arena and stays resident.
     """

@@ -172,19 +172,19 @@ class TestValidation:
             ["iterate-params", "--gamma0", "-1"],
             ["verify-pf", "--n", "0"],
             ["verify-pf", "--n", "100"],
-            ["verify-pf", "--grid-size", "1"],
             ["orbit", "--xi0", "0"],
             ["orbit", "--xi0", "nan"],
             ["geometry", "--gamma0", "1e-200"],
             # 1/(2*gamma0^2) underflows to 0
             ["geometry", "--gamma0", "1e154"],
-            # the density grid's nodes would collapse onto equal doubles
+            # the transfer check's nodes would collapse onto equal doubles
             ["verify-pf", "--nu0", "1", "--gamma0", "1e-300"],
             ["verify-pf", "--nu0", "1", "--gamma0", "1e-13"],
             ["verify-pf", "--nu0", "1e300", "--gamma0", "1"],
             # a flag the command does not read
             ["iterate-params", "--seed", "1"],
             ["verify-pf", "--xi0", "1"],
+            ["verify-pf", "--grid-size", "1"],
             ["geometry", "--steps", "2"],
             ["orbit", "--seed", "1"],
             # a starting point that is not finite
@@ -219,6 +219,8 @@ class TestValidation:
             (["geometry", "--gamma0", "1e-200"], "gamma0 must lie in the metric's domain: "
              "1/(2*gamma^2) is not a normal double at gamma = 1e-200"),
             (["iterate-params", "--out", ""], "[Errno 2] No such file or directory: ''"),
+            (["iterate-params", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["verify-pf", "--grid-size", "8"], "unrecognized arguments: --grid-size 8"),
         ],
     )
     def test_rejected_value_shows_the_command_usage(self, capsys, args, message):
@@ -241,7 +243,7 @@ class TestValidation:
         "command, flags",
         [
             ("iterate-params", ["alpha", "nu0", "gamma0", "steps"]),
-            ("verify-pf", ["alpha", "nu0", "gamma0", "n", "steps", "seed", "grid_size"]),
+            ("verify-pf", ["alpha", "nu0", "gamma0", "n", "steps", "seed"]),
             ("geometry", ["alpha", "nu0", "gamma0"]),
             ("orbit", ["alpha", "xi0", "n"]),
         ],
@@ -413,10 +415,9 @@ class TestVerifyPf:
         assert report["oracles"]["sup_error_pass"] is True
 
     @pytest.mark.parametrize("args", [
-        ["--n", "20000", "--grid-size", "8"],
         # once "transfer step mass drift 4.91e-03" of a grid of the input law
         ["--nu0", "1e-5", "--gamma0", "1e-5", "--n", "10000"],
-    ], ids=["coarse-grid", "small-scale"])
+    ], ids=["small-scale"])
     def test_correct_input_has_no_warning(self, tmp_path, args):
         # the transfer check sums at its nodes, and no mass drift is computed
         code, report = run_json(tmp_path, ["verify-pf", *args])
@@ -724,7 +725,7 @@ class TestStreamingWriter:
         "args",
         [
             ["iterate-params", "--alpha", "0.3", "--nu0", "2", "--gamma0", "0.7", "--steps", "20"],
-            ["verify-pf", "--n", "20000", "--grid-size", "8"],
+            ["verify-pf", "--n", "20000"],
             ["geometry", "--nu0", "0", "--gamma0", "1"],
             ["orbit", "--n", "5"],
             ["orbit", "--alpha", "0.5", "--xi0", "1", "--n", "3"],  # truncated
@@ -1051,20 +1052,6 @@ class TestNumericalFailure:
         assert report["records"] == []
         assert report["oracles"]["error"].startswith("PoleGuardError: ")
         assert report["meta"]["passed"] is False
-
-    def test_sample_coarser_than_its_law_fails_the_check(self, tmp_path):
-        # two nodes 1.6e-16*pi apart pass the node-collapse rule at nu0 = 3,
-        # but the pushed points lie on doubles about 2.5 of the stepped
-        # law's widths apart, which no Cauchy law of that width matches
-        argv = ["verify-pf", "--nu0", "3", "--gamma0", "1.6e-16", "--grid-size", "2",
-                "--n", "10000"]
-        code, report = run_json(tmp_path, argv)
-        oracles = report["oracles"]
-        assert code == 1
-        assert oracles["sup_error_pass"] is True
-        assert oracles["monte_carlo_statistic"] > 50 * oracles["monte_carlo_tolerance"]
-        assert oracles["monte_carlo_pass"] is False
-        assert len(report["records"]) == 2
 
     @pytest.mark.parametrize("flag", ["--gamma0", "--alpha"])
     def test_singular_input_is_a_failed_report(self, tmp_path, capsys, flag):
@@ -1420,7 +1407,6 @@ _INTS = {
     ),
     "steps": st.integers(-1, 30),
     "seed": st.integers(-2, 2**64),
-    "grid_size": st.integers(-1, 4096),
 }
 
 

@@ -42,6 +42,7 @@ from boolemaps import (
 )
 from boolemaps import density
 from boolemaps._core import _boole
+from boolemaps.cli import SUP_ERROR_TOL
 from boolemaps.density import (
     _BLOCK,
     _each_block,
@@ -605,6 +606,23 @@ class TestTransferStep:
                 gap = pf_closed_form_check(alpha, p, nodes)
                 peak = 1.0 / (math.pi * parameter_step(alpha, p).gamma)
                 assert gap < 1e-10 * peak, (alpha, p, nodes, gap, peak)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: where the nodes collapse, the input law's quantile nodes lie "
+        "about 1e17 stepped widths from the stepped law's centre, so a 1%-wrong step "
+        "reads 1.0e-36 (gamma') and 3.6e-50 (nu') of the stepped peak"))
+    def test_wrong_step_fails_where_nodes_collapse(self, monkeypatch):
+        # at (1, 1e-17) the 4,096 quantile nodes round to a few doubles around
+        # 1, where the stepped law, at about 0 and 1e-17 wide, has no mass to show
+        p, exact = HPoint(1.0, 1e-17), density.parameter_step
+        peak = 1.0 / (math.pi * exact(0.5, p).gamma)
+        wrongs = {"gamma": lambda s: HPoint(s.nu, 1.01 * s.gamma),
+                  "nu": lambda s: HPoint(s.nu + 0.01 * s.gamma, s.gamma)}
+        gaps = {}
+        for error, wrong in wrongs.items():
+            monkeypatch.setattr(density, "parameter_step", lambda a, x: wrong(exact(a, x)))
+            gaps[error] = pf_closed_form_check(0.5, p) / peak
+        assert min(gaps.values()) >= SUP_ERROR_TOL, gaps
 
     def test_tabulated_grid_without_source(self):
         # the grid's density between its nodes is the quintic's, near the
@@ -1209,6 +1227,14 @@ class TestMonteCarloPushForward:
             with pytest.raises(SingularInputError) as likelihood:
                 pf_monte_carlo_check(0.5, HPoint(1.0, 1.0), 10**4, 1, seed=0, fit_method="mle")
         assert str(likelihood.value) == str(circle.value)
+
+    def test_sample_coarser_than_its_law_fails_the_check(self):
+        # the pushed points of a law 1.6e-16 wide at 3 lie on doubles about
+        # 2.5 of the stepped law's widths apart, which no Cauchy law of that
+        # width matches
+        report = pf_circle_check(0.5, HPoint(3.0, 1.6e-16), 10_000, 1, 42)
+        assert report.statistic > 50 * report.tolerance
+        assert not report.within_tolerance
 
     @pytest.mark.parametrize("alpha, law", [
         (0.5, HPoint(1.0, 1e-12)), (0.5, HPoint(0.0, 1.1e292)), (1e-12, HPoint(1.0, 1e292)),
