@@ -6,9 +6,9 @@ numpy nor ``dataclasses``, so that ``import boolemaps.cli``,
 holds the map ``_boole`` (floats, complex numbers and ndarrays alike), the
 orbit generator ``_iterates`` (which ``orbit`` turns into an array), the
 limits the CLI checks its flags against, ``check_alpha``, ``_cpu_count``
-(the CPUs over which the report writer and the Monte Carlo oracle spread
-their work), and three float-level formulas: the half-plane step on
-(nu, gamma), the fixed point's scale and the conformal factor.
+(the CPUs over which the Monte Carlo oracle spreads its work), and three
+float-level formulas: the half-plane step on (nu, gamma), the fixed
+point's scale and the conformal factor.
 ``halfplane`` re-binds these objects and wraps the formulas in
 ``parameter_step``, ``fixed_point`` and ``geometry.conformal_factor``, its
 points the frozen dataclass ``HPoint``; so each number has one route: the

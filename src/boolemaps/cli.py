@@ -40,36 +40,32 @@ Records are a ``Table`` of named columns, and ``render_report`` alone
 writes a report: the CSV header, or the JSON around the records, and the
 rows streamed a chunk at a time, as bytes, to the file or to the binary
 buffer under stdout.  One encoder, ``_chunk``, spells a chunk of rows in
-either format, for the process and its workers alike.  A float is written
-as ``float.__repr__`` writes it, the shortest decimal that reads back to
-the same double, so identical runs diff cleanly.  A table of lists (the
-records of every command but a long ``orbit``) is spelled by one json
-encoder call per column for JSON, or a cell at a time for CSV, nan and the
-infinities as JSON or Python spell them, and its rows joined by
-``str.join``.  A table of ranges of step 1 from 0 up and finite float64
-arrays (a long ``orbit``'s) is spelled by the numpy kernels of
-``_numtext``, with no Python object per cell, a chunk of rows as one
-matrix of cell and separator words whose holes are NUL bytes, laid out by
-dropping them with one ``bytes.translate``; its chunks are encoded
-round-robin on every CPU the process may run on, by the process itself and
-forked workers, and written in order.  A worker sends only chunk bytes, and
-the process encodes every chunk it did not receive, so a worker that fails
-or dies costs time, not the report.  The bytes do not depend on the number
-of CPUs, nor on the route: a short orbit's list gives the bytes its array
-would.  The exit status is 0 exactly when every tolerance check the command
-configured has passed; a numerical failure in the library gives exit 1 and
-a report with empty records and ``oracles.error``, and a chunk that cannot
-be encoded, or a write that fails, gives exit 1 and one line on stderr.
+either format.  A float is written as ``float.__repr__`` writes it, the
+shortest decimal that reads back to the same double, so identical runs
+diff cleanly.  A table of lists (the records of every command but a long
+``orbit``) is spelled by one json encoder call per column for JSON, or a
+cell at a time for CSV, nan and the infinities as JSON or Python spell
+them, and its rows joined by ``str.join``.  A table of ranges of step 1
+from 0 up and finite float64 arrays (a long ``orbit``'s) is spelled by the
+numpy kernels of ``_numtext``, with no Python object per cell, a chunk of
+rows as one matrix of cell and separator words whose holes are NUL bytes,
+laid out by dropping them with one ``bytes.translate``.  The command's own
+process encodes each chunk and writes it before the next, so it holds one
+chunk of text at a time.  The bytes do not depend on the route: a short
+orbit's list gives the bytes its array would.  The exit status is 0 exactly
+when every tolerance check the command configured has passed; a numerical
+failure in the library gives exit 1 and a report with empty records and
+``oracles.error``, and a chunk that cannot be encoded, or a write that
+fails, gives exit 1 and one line on stderr.
 
 A command's process (``python -m boolemaps.cli``, or the ``boolemaps``
 script) enters through ``run``, which flushes stdout and stderr after
 ``main`` and ends with ``os._exit``, skipping the interpreter's teardown:
-``main`` has written the report, joined every thread and reaped every
-worker by then.  A write to stdout or stderr that fails, in that flush or
-in argparse's own write of a help or usage text (which unbuffered streams
-do at once), exits 1 with one line on stderr.  Under Python's development
-mode (``-X dev``) it exits through SystemExit instead, as teardown is where
-a file left open warns.
+``main`` has written the report and joined every thread by then.  A write
+to stdout or stderr that fails, in that flush or in argparse's own write of
+a help or usage text (which unbuffered streams do at once), exits 1 with
+one line on stderr.  Under Python's development mode (``-X dev``) it exits
+through SystemExit instead, as teardown is where a file left open warns.
 """
 
 from __future__ import annotations
@@ -80,7 +76,6 @@ import importlib
 import math
 import os
 import resource
-import struct
 import sys
 import time
 import warnings
@@ -407,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 #: Rows per chunk, each one matrix of words: the text kernels' working
 #: arrays stay small.
 _CHUNK_ROWS = 1 << 13
-#: A frame on a worker's pipe: the length in bytes of the chunk that follows.
-_FRAME = struct.Struct("<Q")
 
 
 class ReportError(RuntimeError):
@@ -472,89 +465,20 @@ def _chunk(table: Table, start: int, fmt: str) -> bytes:
     return text[2:] if fmt == "json" and not start else text
 
 
-def _fork() -> int:
-    # Python 3.12+ warns that forking a process with threads (numpy's BLAS
-    # pool) can deadlock a child that needs a lock another thread held.  A
-    # worker takes none: it encodes, writes to its pipe and leaves through
-    # os._exit.
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning
-        )
-        return os.fork()
-
-
-def _serve(table: Table, fmt: str, starts: range, pipe, readers: list) -> NoReturn:
-    # A forked worker: send each chunk, then leave through os._exit, so that no
-    # exit handler runs and no buffer copied from the parent (its unflushed
-    # report among them) is written.  On any error it just stops; the parent
-    # encodes every chunk it did not receive.
-    try:
-        for reader in readers:  # the parent's ends, so that only it holds them
-            reader.close()
-        for start in starts:
-            data = _chunk(table, start, fmt)
-            pipe.write(_FRAME.pack(len(data)))
-            pipe.write(data)
-            pipe.flush()
-    finally:
-        os._exit(0)
-
-
-def _receive(pipe) -> bytes | None:
-    # A worker's next chunk, or None if it stopped before sending it whole.
-    header = pipe.read(_FRAME.size)
-    if len(header) < _FRAME.size:
-        return None
-    (size,) = _FRAME.unpack(header)
-    data = pipe.read(size)
-    return data if len(data) == size else None
-
-
 def _write_chunks(table: Table, fmt: str, handle) -> None:
     """Write ``_chunk(table, start, fmt)`` for every chunk of rows, in order.
 
-    Chunk k is encoded by worker k % W, with W the number of CPUs this
-    process may run on, at most the number of chunks, for a table the numpy
-    kernels encode, and 1 for any other.  Worker 0 is this process; the
-    others are forked children, which send their chunks back through pipes.
-    A child blocks on its pipe until its chunk is read, so no worker holds
-    more than one chunk of text.  This process encodes every chunk a child
-    did not send whole, because the child failed or died; a chunk it cannot
-    encode raises ReportError, one line, not a traceback.
+    A chunk that cannot be encoded raises ReportError, one line, not a
+    traceback.
     """
-    starts = range(0, len(table), _CHUNK_ROWS)
-    workers = min(_cpu_count(), len(starts)) if _by_kernels(table) else 1
-    pipes, pids = [], []
-    try:
-        for w in range(1, workers):
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            with open(write_end, "wb") as pipe:
-                pid = _fork()
-                if pid == 0:
-                    _serve(table, fmt, starts[w::workers], pipe, pipes)
-            pids.append(pid)
-        for k, start in enumerate(starts):
-            w = k % workers
-            chunk = _receive(pipes[w - 1]) if w else None
-            if chunk is None:
-                try:
-                    chunk = _chunk(table, start, fmt)
-                except Exception as exc:
-                    raise ReportError(
-                        f"rows from {start} not encoded: {type(exc).__name__}: {exc}"
-                    ) from exc
-            handle.write(chunk)
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if pids:
-            import signal
-        for pid in pids:
-            # every chunk was read, or the report failed: no worker is needed now
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    for start in range(0, len(table), _CHUNK_ROWS):
+        try:
+            chunk = _chunk(table, start, fmt)
+        except Exception as exc:
+            raise ReportError(
+                f"rows from {start} not encoded: {type(exc).__name__}: {exc}"
+            ) from exc
+        handle.write(chunk)
 
 
 _RECORDS_SLOT = "\0records\0"
@@ -571,16 +495,15 @@ def _around_records(report: dict) -> tuple[str, str]:
 
 
 def _peak_rss_mb() -> float:
-    # The high-water mark of this process or of any reaped report worker.
-    # Linux keeps this process's ru_maxrss across exec, so that it holds the
-    # launcher's mark; VmHWM starts afresh with the program.
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    # The high-water mark of this process.  Linux keeps ru_maxrss across
+    # exec, so that it holds the launcher's mark; VmHWM starts afresh with
+    # the program.
     try:
         with open("/proc/self/status") as status:
-            own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+            peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
     except (OSError, StopIteration):
-        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return max(own, peak) / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes or KiB
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes or KiB
 
 
 def render_report(report: dict, fmt: str, handle) -> None:
@@ -589,12 +512,11 @@ def render_report(report: dict, fmt: str, handle) -> None:
     CSV is a header line of the column names, then the rows.  JSON is the
     text of ``json.dumps(report, indent=2)`` with every record an object,
     but only the small rest of the report goes through json's pure-Python
-    indenting encoder.  Rows are written in chunks straight from the record
-    columns, those of an array table encoded on every CPU this process may
-    run on, so the whole report is never held as one string.  JSON sets
-    ``meta.timings.render_s`` to the time spent up to the tail that holds
-    it, and ``meta.peak_rss_mb`` to the high-water mark by then, so the
-    tail (oracles, meta) is encoded after the records.  ReportError means
+    indenting encoder.  Rows are written a chunk at a time straight from the
+    record columns, so the whole report is never held as one string.  JSON
+    sets ``meta.timings.render_s`` to the time spent up to the tail that
+    holds it, and ``meta.peak_rss_mb`` to the high-water mark by then, so
+    the tail (oracles, meta) is encoded after the records.  ReportError means
     the records were cut short.
     """
     started = time.perf_counter()
@@ -738,7 +660,7 @@ def run() -> NoReturn:
     are flushed, and a flush that fails gives 1 and one line on stderr.  The
     process then ends with ``os._exit``, without the interpreter's teardown,
     which only frees what no report reads: ``main`` has written and closed
-    the report, joined every thread and reaped every worker it started.
+    the report and joined every thread it started.
     Under Python's development mode (``-X dev``) it exits through SystemExit
     instead, so that teardown still warns of a file left open.  Any other
     exception propagates, with its traceback.

@@ -381,7 +381,7 @@ def _concurrently(func, tasks, workers: int) -> list:
     ``np.errstate`` around the call holds in every task.  A failure stops further claims, and the exception
     of the first task, in task order, that failed is raised here, as a
     serial loop would raise it.  Every thread is joined before this returns
-    or raises, so none is alive when the report writer forks.
+    or raises.
     """
     workers = min(workers, len(tasks))
     results = [None] * len(tasks)

@@ -661,16 +661,11 @@ class TestSerialization:
         assert len(report["records"]) == 2
 
 
-def _one_cpu():
-    # preexec_fn of a command that must run on a single CPU
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-
 def _probe(setup, argv):
     # A script that runs cli.main(argv) after the ``setup`` lines and exits
-    # with its status, or with 3 if a report worker is left unreaped.
+    # with its status, or with 3 if a child process is left unreaped.
     return "\n".join([
-        "import os, signal, sys",
+        "import os, sys",
         "from boolemaps import cli",
         *setup,
         f"code = cli.main({argv!r})",
@@ -859,29 +854,9 @@ class TestStreamingWriter:
         assert out.getvalue().decode() == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
-    def test_same_bytes_on_one_cpu_and_on_all(self, tmp_path, fmt, to_stdout):
-        # Chunks are encoded by as many workers as the process has CPUs.
-        def run(one_cpu):
-            argv = [sys.executable, "-m", "boolemaps.cli", "orbit", "--n", "200000",
-                    "--format", fmt]
-            out = tmp_path / f"orbit.{fmt}"
-            if not to_stdout:
-                argv += ["--out", str(out)]
-            proc = subprocess.run(argv, capture_output=True, timeout=120,
-                                  preexec_fn=_one_cpu if one_cpu else None)
-            assert (proc.returncode, proc.stderr) == (0, b"")
-            text = proc.stdout if to_stdout else out.read_bytes()
-            # meta, the last section of a JSON report, holds the run's timings
-            return text.partition(b'\n  "meta": ')[0] if fmt == "json" else text
-
-        assert run(one_cpu=True) == run(one_cpu=False)
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("one_cpu", [False, True], ids=["all-cpus", "one-cpu"])
-    def test_failed_chunk_fails_the_command(self, tmp_path, fmt, one_cpu):
-        # An encoder that raises from the second chunk on, in whichever worker
-        # encodes it: one line on stderr, exit 1, and every worker reaped.
+    def test_failed_chunk_fails_the_command(self, tmp_path, fmt):
+        # An encoder that raises from the second chunk on: one line on
+        # stderr, exit 1, and no child process left.
         out = tmp_path / f"orbit.{fmt}"
         probe = "\n".join([
             "import os, sys",
@@ -901,44 +876,13 @@ class TestStreamingWriter:
             "sys.exit(code)",
         ])
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              timeout=120, preexec_fn=_one_cpu if one_cpu else None)
+                              timeout=120)
         assert proc.returncode == 1
         assert proc.stderr == (
             f"boolemaps orbit: ReportError: rows from {cli._CHUNK_ROWS} not encoded:"
             " ValueError: injected\n"
         )
         assert proc.stdout == "no child left\n"
-
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a forked worker")
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_killed_worker_leaves_its_chunks_to_the_command(self, tmp_path, fmt):
-        # The worker that encodes the second chunk is SIGKILLed as it starts
-        # it; the command encodes that chunk and the worker's later ones.
-        killed = tmp_path / "killed"
-
-        def run(setup):
-            out = tmp_path / f"orbit.{fmt}"
-            argv = ["orbit", "--n", "200000", "--format", fmt, "--out", str(out)]
-            proc = subprocess.run([sys.executable, "-c", _probe(setup, argv)],
-                                  capture_output=True, text=True, timeout=120)
-            assert (proc.returncode, proc.stderr) == (0, "")
-            text = out.read_bytes()
-            # meta, the last section of a JSON report, holds the run's timings
-            return text.partition(b'\n  "meta": ')[0] if fmt == "json" else text
-
-        normal = run([])
-        dying = run([
-            "parent = os.getpid()",
-            "encode = cli._chunk",
-            "def dying(table, start, fmt):",
-            "    if start == cli._CHUNK_ROWS and os.getpid() != parent:",
-            f"        open({str(killed)!r}, 'w').close()",
-            "        os.kill(os.getpid(), signal.SIGKILL)",
-            "    return encode(table, start, fmt)",
-            "cli._chunk = dying",
-        ])
-        assert killed.exists()
-        assert dying == normal
 
     def test_closed_stdout_is_one_line(self):
         # A reader that stops early: exit 1, one line on stderr, and no
@@ -966,24 +910,6 @@ class TestStreamingWriter:
         assert proc.stderr == (
             f"boolemaps {args[0]}: OSError: [Errno 28] No space left on device\n"
         )
-
-    def test_fork_warning_is_not_shown(self, tmp_path, monkeypatch):
-        # Python 3.12+ warns when a process with threads forks; a worker only
-        # encodes and exits, so the warning is not the user's to act on.
-        fork = os.fork
-
-        def warning_fork():
-            warnings.warn(
-                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead"
-                " to deadlocks in the child.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return fork()
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        code, _ = run_json(tmp_path, ["orbit", "--n", "100000"])
-        assert code == 0
 
     def test_timings_account_for_the_run(self, tmp_path):
         out = tmp_path / "orbit.json"
@@ -1346,11 +1272,11 @@ class TestProcessEnd:
 
     @pytest.mark.parametrize("cpus", [None, 3], ids=["machine-cpus", "3cpus"])
     def test_nothing_outlives_main(self, tmp_path, cpus):
-        # os._exit would end a live thread or child without a word, so main
-        # joins every Monte Carlo thread and reaps every report worker; both
-        # are started here, on this machine's CPUs and on 3 patched ones.
-        # The check's blocks go to threads at 3e6 points; at 1e6 they keep
-        # their scratch within a quarter of the sample's size on one.
+        # os._exit would end a live thread without a word, so main joins every
+        # Monte Carlo thread, on this machine's CPUs and on 3 patched ones,
+        # and starts no child process: a fork fails the probe.  The check's
+        # blocks go to threads at 3e6 points; at 1e6 they keep their scratch
+        # within a quarter of the sample's size on one.
         commands = [["iterate-params"], ["geometry"], ["verify-pf", "--n", "3000000"],
                     ["orbit", "--n", "200000"], ["orbit", "--n", "200000", "--format", "csv"]]
         out = str(tmp_path / "report")
@@ -1358,17 +1284,15 @@ class TestProcessEnd:
             "import os, threading, time",
             "from boolemaps import cli, density",
             *([f"cli._cpu_count = density._cpu_count = lambda: {cpus}"] if cpus else []),
-            "threads, forks = [], []",
-            "run, fork = threading.Thread.run, cli._fork",
+            "threads = []",
+            "run = threading.Thread.run",
             "def lingering_run(thread):",
             "    threads.append(thread)",
             "    run(thread)",
             "    time.sleep(0.05)  # ends well after its last task, as a thread may",
-            "def counted_fork():",
-            "    pid = fork()",
-            "    forks.append(pid)",
-            "    return pid",
-            "threading.Thread.run, cli._fork = lingering_run, counted_fork",
+            "def no_fork():",
+            "    raise AssertionError('the command forked')",
+            "threading.Thread.run, os.fork = lingering_run, no_fork",
             "before = threading.active_count()",
             f"for argv in {commands!r}:",
             f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv",
@@ -1378,14 +1302,13 @@ class TestProcessEnd:
             "        raise AssertionError(f'{argv}: a child is left')",
             "    except ChildProcessError:",
             "        pass",
-            "print(len(threads), len(forks))",
+            "print(len(threads))",
         ])
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
-        threads, forks = map(int, proc.stdout.split())
         if (cpus or len(os.sched_getaffinity(0))) > 1:
-            assert threads > 0 and forks > 0, (threads, forks)
+            assert int(proc.stdout) > 0
 
 
 # Any float a flag may be given: magnitudes log-uniform over 5e-324..1e308,
