@@ -884,6 +884,89 @@ class TestStreamingWriter:
         )
         assert proc.stdout == "no child left\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_chunk_is_written_before_the_next_is_encoded(self, monkeypatch, fmt):
+        # One chunk of text is held at a time: encoding and writing alternate,
+        # in row order.
+        events = []
+        encode = cli._chunk
+
+        def encoding(table, start, fmt):
+            events.append(("encode", start))
+            return encode(table, start, fmt)
+
+        class Handle(io.BytesIO):
+            def write(self, data):
+                events.append(("write", len(data)))
+                return super().write(data)
+
+        monkeypatch.setattr(cli, "_chunk", encoding)
+        rows = 3 * cli._CHUNK_ROWS + 5
+        table = cli.Table({"step": range(rows), "xi": np.linspace(-1.0, 1.0, rows)})
+        cli._write_chunks(table, fmt, Handle())
+        starts = range(0, rows, cli._CHUNK_ROWS)
+        assert [event for event, _ in events] == ["encode", "write"] * len(starts)
+        assert [start for event, start in events if event == "encode"] == list(starts)
+        assert [size for event, size in events if event == "write"] == [
+            len(encode(table, start, fmt)) for start in starts
+        ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("failing", [0, 1, 3], ids=["first", "second", "last"])
+    def test_failed_chunk_leaves_the_rows_before_it(self, monkeypatch, fmt, failing):
+        # The report holds every chunk before the one that failed, whole and
+        # in order, and nothing is encoded after it.
+        rows = 3 * cli._CHUNK_ROWS + 5
+        table = cli.Table({"step": range(rows), "xi": np.linspace(-1.0, 1.0, rows)})
+        report = {"config": {}, "records": table, "oracles": {}, "meta": {"timings": {}}}
+        whole = io.BytesIO()
+        cli.render_report(report, fmt, whole)
+        encode, starts = cli._chunk, []
+
+        def failing_at(table, start, fmt):
+            starts.append(start)
+            if start == failing * cli._CHUNK_ROWS:
+                raise ValueError("injected")
+            return encode(table, start, fmt)
+
+        monkeypatch.setattr(cli, "_chunk", failing_at)
+        out = io.BytesIO()
+        with pytest.raises(cli.ReportError) as error:
+            cli.render_report(report, fmt, out)
+        assert str(error.value) == (
+            f"rows from {failing * cli._CHUNK_ROWS} not encoded: ValueError: injected"
+        )
+        assert starts == [n * cli._CHUNK_ROWS for n in range(failing + 1)]
+        head = len(",".join(table.columns)) + 1 if fmt == "csv" else (
+            whole.getvalue().index(b"[\n") + 2)
+        written = head + sum(len(encode(table, start, fmt)) for start in starts[:-1])
+        assert out.getvalue() == whole.getvalue()[:written]
+
+    @pytest.mark.parametrize("proc", [True, False], ids=["vmhwm", "no-proc"])
+    def test_peak_rss_is_of_this_process(self, monkeypatch, proc):
+        # VmHWM where /proc is readable, else this process's ru_maxrss; the
+        # command starts no child, so none is counted.
+        if proc:
+            with open("/proc/self/status") as status:
+                line = next(line for line in status if line.startswith("VmHWM:"))
+            low = int(line.split()[1]) / 1024
+        else:
+            import builtins
+            import resource
+
+            opened = builtins.open
+
+            def no_proc(path, *args, **kwargs):
+                if str(path).startswith("/proc/"):
+                    raise FileNotFoundError(path)
+                return opened(path, *args, **kwargs)
+
+            monkeypatch.setattr(builtins, "open", no_proc)
+            low = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        peak = cli._peak_rss_mb()
+        # a high-water mark only rises between the two reads
+        assert low <= peak < low + 64
+
     def test_closed_stdout_is_one_line(self):
         # A reader that stops early: exit 1, one line on stderr, and no
         # "Exception ignored" from the interpreter's flush at exit.
