@@ -515,17 +515,6 @@ def _mle_passes(points: np.ndarray, size: int, frame: HPoint, start: HPoint) -> 
     raise FitConvergenceError(f"likelihood fit did not converge in {_MLE_PASSES} passes")
 
 
-def _push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-    # Pointwise map applied to every sample in place, a block at a time
-    # through ``_push_block``; returns ``points`` and the count of dropped
-    # points, which stay in their places as NaN.
-    def push(rows, lo):
-        x = points[lo:lo + _BLOCK]
-        return _push_block(alpha, x, steps, *(row[:x.size] for row in rows))
-
-    return points, sum(_each_block(points.size, push, (float, bool)))
-
-
 def _push_block(alpha: float, x: np.ndarray, steps: int, buf: np.ndarray, passed: np.ndarray) -> int:
     # ``x`` taken through every step in place while it is in cache, mapped
     # through ``buf`` as ``_boole`` maps it, alpha*(x - 1/x).  Before each
@@ -534,8 +523,7 @@ def _push_block(alpha: float, x: np.ndarray, steps: int, buf: np.ndarray, passed
     # push-forward's independence: they become NaN, which fails every later
     # guard.  A kept point never maps to NaN, so after the last step the
     # dropped points are the NaN of ``x``, which sort last; returns their
-    # count.  Where it is not 0, ``passed`` is inverted in place at the last
-    # step, and marks the dropped points.
+    # count.  ``buf`` and ``passed`` are scratch.
     dropped = 0
     for _ in range(steps):
         kept = np.greater_equal(np.abs(x, out=buf), POLE_EPS, out=passed)
@@ -555,10 +543,19 @@ def _check_drops(dropped: int, n: int) -> None:
 
 
 def _pushed_sample(alpha: float, p: HPoint, n: int, steps: int, seed: int):
-    # ``sample_cauchy(p, n, seed)`` pushed forward, and its pole-guard drops
-    pushed, dropped = _push_forward(alpha, sample_cauchy(p, n, seed), steps)
+    # ``sample_cauchy(p, n, seed)`` pushed forward, each block drawn into its
+    # place and pushed there by ``_push_block``, and the count of dropped
+    # points, which stay in their places as NaN
+    sample = np.empty(n)
+
+    def block(rows, lo):
+        x = sample[lo:lo + _BLOCK]
+        _draw_block(p, seed, lo, x)
+        return _push_block(alpha, x, steps, *(row[:x.size] for row in rows))
+
+    dropped = sum(_each_block(n, block, (float, bool)))
     _check_drops(dropped, n)
-    return pushed, dropped
+    return sample, dropped
 
 
 def fit_stderr(gamma: float, n: int) -> float:
@@ -730,12 +727,12 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
     half-size estimate, so the two levels share their randomness and the
     ratio concentrates near sqrt(2) under the expected n^(-1/2) error
     scaling of the quantile fit.  Each seed is one task on up to one thread
-    per CPU: it draws and pushes its points a block at a time, as
-    ``sample_cauchy`` and ``_push_forward`` do, into its worker's buffer of
-    2n points, then selects the quartiles of the kept points among the
-    first n in place, and after them those of all 2n, and fits them as
-    ``fit_cauchy`` does, the error in units of the predicted scale, so that
-    no square overflows.  The squared errors are added in seed order, so the
+    per CPU: it draws and pushes its points a block at a time into its
+    worker's buffer of 2n points, counting the drops among the first n as
+    the NaN the push left there, then selects the quartiles of the kept
+    points among the first n in place, and after them those of all 2n, and
+    fits them as ``fit_cauchy`` does, the error in units of the predicted
+    scale, so that no square overflows.  The squared errors are added in seed order, so the
     ratio is the same bit for bit on any number of CPUs.  Raises ValueError
     on an empty ``seeds``, and PoleGuardError as ``pf_monte_carlo_check``
     does.
@@ -759,8 +756,9 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
             _draw_block(p, seed, lo, x)
             hits = _push_block(alpha, x, 1, buf[:x.size], passed[:x.size])
             dropped += hits
-            if hits and lo < n:  # ``passed`` marks the points the step dropped
-                first += np.count_nonzero(passed[:min(n - lo, x.size)])
+            if hits and lo < n:  # the block's drops among the first n, the NaN the step left
+                head = x[:n - lo]
+                first += np.count_nonzero(np.isnan(head, out=passed[:head.size]))
         _check_drops(dropped, 2 * n)
         fits = _fit(sample[:n], n - first), _fit(sample, 2 * n - dropped)
         return [((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2 for fit in fits]

@@ -47,7 +47,7 @@ from boolemaps.density import (
     _BLOCK,
     _each_block,
     _grid_law,
-    _push_forward,
+    _push_block,
     _quartiles,
     transfer_values,
 )
@@ -72,30 +72,44 @@ def spline_density(rho):
 
 def loop_push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
     """Reference oracle: the push-forward a step at a time through the map
-    ``_boole``, dropping and counting the points that fail the pole guard
-    before each step."""
-    x, dropped = np.array(points, dtype=float), 0
+    ``_boole``, dropping the points that fail the pole guard before each
+    step, each in its place as NaN, and the count of dropped points."""
+    x, kept = np.array(points, dtype=float), np.ones(len(points), dtype=bool)
     for _ in range(steps):
-        kept = x[np.abs(x) >= POLE_EPS]
-        dropped += x.size - kept.size
-        x = _boole(alpha, kept)
-    return x, dropped
+        kept &= np.abs(x) >= POLE_EPS
+        x[~kept] = np.nan
+        x[kept] = _boole(alpha, x[kept])
+    return x, x.size - int(np.count_nonzero(kept))
 
 
 def kept_points(pushed: np.ndarray) -> np.ndarray:
-    """The points of a ``_push_forward`` result that the pole guard kept, in
-    order: it leaves each dropped point in its place as NaN."""
+    """The points of a pushed sample that the pole guard kept, in order: the
+    push leaves each dropped point in its place as NaN."""
     return pushed[~np.isnan(pushed)]
 
 
+def assert_same_pushed(pushed: np.ndarray, expected: np.ndarray, *context) -> None:
+    """Assert that ``pushed`` holds NaN where ``expected`` does, and its other
+    points bit for bit."""
+    dropped = np.isnan(expected)
+    assert np.array_equal(np.isnan(pushed), dropped), context
+    assert pushed[~dropped].tobytes() == expected[~dropped].tobytes(), context
+
+
 def assert_same_push_forward(alpha: float, points: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-    """Assert that ``_push_forward`` keeps the oracle's points, bit for bit,
-    and gives its count of dropped points; return the kept points and the
-    count."""
+    """Assert that ``_push_block``, a block at a time through one block of
+    scratch rows, keeps the oracle's points, bit for bit, leaves NaN in the
+    place of each dropped one, and gives the oracle's count of dropped
+    points; return the kept points and the count."""
     expected, expected_dropped = loop_push_forward(alpha, points, steps)
-    pushed, dropped = _push_forward(alpha, np.array(points, dtype=float), steps)
+    pushed = np.array(points, dtype=float)
+    buf, passed = np.empty(_BLOCK), np.empty(_BLOCK, dtype=bool)
+    dropped = 0
+    for lo in range(0, pushed.size, _BLOCK):
+        x = pushed[lo:lo + _BLOCK]
+        dropped += _push_block(alpha, x, steps, buf[:x.size], passed[:x.size])
+    assert_same_pushed(pushed, expected, alpha, points.size, steps)
     kept = kept_points(pushed)
-    assert kept.tobytes() == expected.tobytes(), (alpha, points.size, steps)
     assert dropped == expected_dropped == pushed.size - kept.size, (alpha, points.size, steps)
     return kept, dropped
 
@@ -215,17 +229,18 @@ def check_likelihood_fits(count: int, seed: int) -> tuple[float, list[int]]:
 
 
 def check_monte_carlo_kernels(count: int, seed: int) -> tuple[int, list[int]]:
-    """``_push_forward`` against ``loop_push_forward``, ``_quartiles`` against
-    ``np.quantile``, and ``_circle_mean`` at the quartile fit of the pushed
-    sample against ``exact_circle_mean``, on ``count`` random cases drawn
-    from ``seed``: n log-uniform in 1e3..3e5, steps uniform in 1..10, alpha
-    uniform in 0.05..0.95, and a Cauchy sample of random location and scale
-    in which a few points are replaced by 0, +-1 (a pole hit at the second
-    step) or NaN.  Each case's references are computed once, and the
-    kernels that spread blocks over CPUs are checked against them serially,
-    every block on the calling thread, and on every CPU in the affinity.
-    Returns how many points the pole guard dropped in all, and the CPU
-    counts checked."""
+    """``_push_block``, a block at a time, against ``loop_push_forward`` by
+    ``assert_same_push_forward``, ``_quartiles`` against ``np.quantile``,
+    and ``_circle_mean`` at the quartile fit of the kept points against
+    ``exact_circle_mean``, on ``count`` random cases drawn from ``seed``: n
+    log-uniform in 1e3..3e5, steps uniform in 1..10, alpha uniform in
+    0.05..0.95, and a Cauchy sample of random location and scale in which a
+    few points are replaced by 0, +-1 (a pole hit at the second step) or
+    NaN.  Each case's references are computed once, and ``_circle_mean``,
+    which spreads blocks over CPUs, is checked against them serially, every
+    block on the calling thread, and on every CPU in the affinity.  Returns
+    how many points the pole guard dropped in all, and the CPU counts
+    checked."""
     rng = np.random.default_rng(seed)
     settings = sorted({1, density._cpu_count()})
     dropped = 0
@@ -236,17 +251,13 @@ def check_monte_carlo_kernels(count: int, seed: int) -> tuple[int, list[int]]:
         points = rng.normal() + math.exp(rng.uniform(-5.0, 5.0)) * rng.standard_cauchy(n)
         hits = rng.integers(0, 3, endpoint=True)
         points[rng.integers(0, n, hits)] = rng.choice([0.0, 1.0, -1.0, np.nan], hits)
-        expected, hit = loop_push_forward(alpha, points, steps)
-        q1, q2, q3 = assert_same_quartiles(expected)
+        kept, hit = assert_same_push_forward(alpha, points, steps)
+        q1, q2, q3 = assert_same_quartiles(kept)
         fit = (q2, (q3 - q1) / 2.0)
-        reference = exact_circle_mean(expected, *fit)
+        reference = exact_circle_mean(kept, *fit)
         for cpus in settings:
             with mock.patch.object(density, "_cpu_count", return_value=cpus):
-                pushed, pushed_hit = _push_forward(alpha, points.copy(), steps)
-                pushed = kept_points(pushed)
-                assert pushed.tobytes() == expected.tobytes(), (alpha, n, steps, cpus)
-                assert pushed_hit == hit, (alpha, n, steps, cpus)
-                assert_exact_circle_mean(pushed, *fit, reference)
+                assert_exact_circle_mean(kept, *fit, reference)
         dropped += hit
     return dropped, settings
 
@@ -319,28 +330,65 @@ def assert_same_circle_sums(alpha: float, p: HPoint, n: int, steps: int, seed: i
     return dropped
 
 
-def check_circle_sums(count: int, seed: int) -> tuple[int, list[int]]:
-    """The two sums of the circle check against ``reference_circle_sums``,
-    by ``assert_same_circle_sums``, on ``count`` random cases drawn from
+def random_runs(count: int, seed: int, narrow: tuple[float, float]):
+    """``count`` random runs (alpha, law, n, steps, seed) drawn from
     ``seed``: alpha uniform in 0.05..0.95, n log-uniform in 1e4..3e5, steps
     uniform in 1..10, any seed, and C(nu, gamma) with nu normal and gamma
-    log-uniform in 1e-2..1e2, or for a third of the cases C(0, gamma) with
-    gamma log-uniform in 1e-299..1e-295, whose points hit the pole guard,
-    in some cases more often than it allows.  Returns how many cases
-    dropped points, and the CPU counts checked."""
+    log-uniform in 1e-2..1e2, or for a third of the runs C(0, gamma) with
+    log10(gamma) uniform in ``narrow``, whose points hit the pole guard, in
+    some runs more often than it allows."""
     rng = np.random.default_rng(seed)
-    settings = sorted({1, density._cpu_count()})
-    hits = 0
     for _ in range(count):
         alpha = float(rng.uniform(0.05, 0.95))
         n = int(math.exp(rng.uniform(math.log(1e4), math.log(3e5))))
         steps = int(rng.integers(1, 10, endpoint=True))
         if rng.random() < 1 / 3:
-            law = HPoint(0.0, 10.0 ** rng.uniform(-299.0, -295.0))
+            law = HPoint(0.0, 10.0 ** rng.uniform(*narrow))
         else:
             law = HPoint(float(rng.normal()), 10.0 ** rng.uniform(-2.0, 2.0))
-        hits += assert_same_circle_sums(alpha, law, n, steps, int(rng.integers(2**31)), settings) != 0
-    return hits, settings
+        yield alpha, law, n, steps, int(rng.integers(2**31))
+
+
+def check_circle_sums(count: int, seed: int) -> tuple[int, list[int]]:
+    """The two sums of the circle check against ``reference_circle_sums``,
+    by ``assert_same_circle_sums``, on the ``random_runs`` of ``count`` and
+    ``seed`` with gamma in 1e-299..1e-295 for the narrow laws.  Returns how
+    many runs dropped points, and the CPU counts checked."""
+    settings = sorted({1, density._cpu_count()})
+    runs = random_runs(count, seed, (-299.0, -295.0))
+    return sum(assert_same_circle_sums(*run, settings) != 0 for run in runs), settings
+
+
+def assert_same_pushed_sample(alpha: float, p: HPoint, n: int, steps: int, seed: int,
+                              settings=None) -> int:
+    """Assert that ``_pushed_sample`` is ``loop_push_forward`` of
+    ``sample_cauchy(p, n, seed)`` by ``assert_same_pushed``, with the same
+    count of dropped points, or raises PoleGuardError where that count
+    exceeds the guard's limit, with every block on the calling thread and on
+    every CPU in the affinity (or on each CPU count of ``settings``).
+    Returns the count of dropped points."""
+    expected, hits = loop_push_forward(alpha, sample_cauchy(p, n, seed), steps)
+    too_many = hits > density.MAX_DROP_FRACTION * n
+    for cpus in settings or sorted({1, density._cpu_count()}):
+        with mock.patch.object(density, "_cpu_count", return_value=cpus):
+            if too_many:
+                with pytest.raises(PoleGuardError, match=f"^{hits} of {n} samples"):
+                    density._pushed_sample(alpha, p, n, steps, seed)
+                continue
+            pushed, dropped = density._pushed_sample(alpha, p, n, steps, seed)
+        assert_same_pushed(pushed, expected, alpha, p, n, steps, seed, cpus)
+        assert dropped == hits, (alpha, p, n, steps, seed, cpus)
+    return hits
+
+
+def check_pushed_samples(count: int, seed: int) -> tuple[int, list[int]]:
+    """``_pushed_sample`` against the loop, by ``assert_same_pushed_sample``,
+    on the ``random_runs`` of ``count`` and ``seed`` with gamma in
+    1e-299..1e-295 for the narrow laws.  Returns how many runs dropped
+    points, and the CPU counts checked."""
+    settings = sorted({1, density._cpu_count()})
+    runs = random_runs(count, seed, (-299.0, -295.0))
+    return sum(assert_same_pushed_sample(*run, settings) != 0 for run in runs), settings
 
 
 def check_outcome(func) -> tuple:
@@ -387,42 +435,28 @@ def assert_likelihood_check_is_the_sorted_fit(alpha: float, p: HPoint, n: int, s
 
 def check_likelihood_checks(count: int, seed: int) -> tuple[int, list[int]]:
     """The likelihood route of ``pf_monte_carlo_check`` against the sorted
-    fit, by ``assert_likelihood_check_is_the_sorted_fit``, on ``count``
-    random cases drawn from ``seed``: alpha uniform in 0.05..0.95, n
-    log-uniform in 1e4..3e5, steps uniform in 1..10, any seed, and C(nu,
-    gamma) with nu normal and gamma log-uniform in 1e-2..1e2, or for a third
-    of the cases C(0, gamma) with gamma log-uniform in 1e-297..1e-295, whose
-    points hit the pole guard, in some cases more often than it allows.
-    Returns how many cases dropped points, and the CPU counts checked."""
-    rng = np.random.default_rng(seed)
+    fit, by ``assert_likelihood_check_is_the_sorted_fit``, on the
+    ``random_runs`` of ``count`` and ``seed`` with gamma in 1e-297..1e-295
+    for the narrow laws.  Returns how many runs dropped points, and the CPU
+    counts checked."""
     settings = sorted({1, density._cpu_count()})
-    hits = 0
-    for _ in range(count):
-        alpha = float(rng.uniform(0.05, 0.95))
-        n = int(math.exp(rng.uniform(math.log(1e4), math.log(3e5))))
-        steps = int(rng.integers(1, 10, endpoint=True))
-        if rng.random() < 1 / 3:
-            law = HPoint(0.0, 10.0 ** rng.uniform(-297.0, -295.0))
-        else:
-            law = HPoint(float(rng.normal()), 10.0 ** rng.uniform(-2.0, 2.0))
-        hits += assert_likelihood_check_is_the_sorted_fit(alpha, law, n, steps, int(rng.integers(2**31)),
-                                                          settings) > 0
-    return hits, settings
+    runs = random_runs(count, seed, (-297.0, -295.0))
+    return sum(assert_likelihood_check_is_the_sorted_fit(*run, settings) > 0 for run in runs), settings
 
 
 @functools.cache
 def sorted_error_ratio(alpha: float, p: HPoint, n: int, seeds: tuple) -> tuple[float, int]:
     """Reference oracle: ``mc_error_ratio`` a seed at a time, by sorting.
     The 2n points of each seed are drawn by ``sample_cauchy`` and pushed one
-    step by ``_push_forward``; a sorted copy of the first n and the sorted
-    whole sample each lose their dropped points, NaN, off the end, and are
-    fitted from ``np.quantile``.  Returns the ratio and the points dropped
+    step by ``loop_push_forward``, each dropped point NaN in its place; a
+    sorted copy of the first n and the sorted whole sample each lose their
+    dropped points, NaN, off the end, and are fitted from ``np.quantile``.  Returns the ratio and the points dropped
     over all seeds; raises as ``mc_error_ratio`` does."""
     predicted = parameter_step(alpha, p)
     nu, gamma = predicted.nu, predicted.gamma
     errors, hits = [0.0, 0.0], 0
     for seed in seeds:
-        pushed, dropped = _push_forward(alpha, sample_cauchy(p, 2 * n, seed), 1)
+        pushed, dropped = loop_push_forward(alpha, sample_cauchy(p, 2 * n, seed), 1)
         density._check_drops(dropped, 2 * n)
         hits += dropped
         for k, ordered in enumerate([np.sort(pushed[:n]), np.sort(pushed)]):
@@ -959,15 +993,27 @@ class TestMonteCarloPushForward:
         # some cases hold pole hits, so the drop and its count are checked too
         assert check_monte_carlo_kernels(40, seed=12)[0] > 0
 
-    def test_pole_hits_on_every_cpu_equal_the_serial_push(self, cpus, monkeypatch):
+    def test_pole_hits_in_ten_blocks_equal_the_loop(self):
         # hits in the first, a middle and the last of ten blocks, at each step
         points = np.random.default_rng(8).standard_cauchy(9 * _BLOCK + 17)
         points[[0, 4 * _BLOCK + 3, 9 * _BLOCK + 16]] = [0.0, np.nan, 0.0]
         points[[_BLOCK - 1, 5 * _BLOCK, 9 * _BLOCK]] = [1.0, -1.0, 1.0]
-        expected = serially(monkeypatch, lambda: _push_forward(0.5, points.copy(), 3))
-        pushed, dropped = assert_same_push_forward(0.5, points, 3)
-        assert dropped == expected[1] == 6
-        assert pushed.tobytes() == kept_points(expected[0]).tobytes()
+        assert assert_same_push_forward(0.5, points, 3)[1] == 6
+
+    @pytest.mark.parametrize("law", [HPoint(-0.7, 0.9), HPoint(0.0, 1e-296)], ids=["no-hits", "hits"])
+    def test_pushed_sample_on_every_cpu_equals_the_loop(self, cpus, law):
+        # ten blocks, so that each patched CPU count takes blocks
+        dropped = assert_same_pushed_sample(0.5, law, 9 * _BLOCK + 7, 3, 3, [cpus])
+        assert (dropped > 0) == (law.nu == 0.0)
+
+    def test_pushed_sample_equals_the_loop_on_random_cases(self):
+        assert check_pushed_samples(20, seed=16)[0] > 0
+
+    def test_quartile_check_draws_and_pushes_in_one_pass(self):
+        # each block is drawn and pushed in the same visit
+        with mock.patch.object(density, "_each_block", wraps=_each_block) as passes:
+            pf_monte_carlo_check(0.5, HPoint(1.0, 1.0), 10**5, 3, seed=2)
+        assert passes.call_count == 1
 
     @pytest.mark.parametrize("method", ["median_iqr", "mle"])
     def test_check_on_every_cpu_equals_the_serial_check(self, cpus, method, monkeypatch):
@@ -996,11 +1042,10 @@ class TestMonteCarloPushForward:
     @pytest.mark.parametrize("n", [10**4, 131_075])
     def test_error_ratio_memory_holds_one_sample_per_worker(self, cpus, law, n):
         # each of min(cpus, seeds) workers holds its seed's 2n points and one
-        # block of scratch: a row of doubles and one of flags, which the push
-        # inverts in place where it drops points.  16 KiB more per worker
-        # covers its thread's own objects (about 6 KB of locks, events and
-        # hooks under tracemalloc), and 32 KiB the rest; a second buffer of
-        # 2n points, 160 KB at n = 1e4, does not fit in that slack
+        # block of scratch: a row of doubles and one of flags.  16 KiB more
+        # per worker covers its thread's own objects (about 6 KB of locks,
+        # events and hooks under tracemalloc), and 32 KiB the rest; a second
+        # buffer of 2n points, 160 KB at n = 1e4, does not fit in that slack
         seeds = range(6)
         warm_up()
         tracemalloc.start()

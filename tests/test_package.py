@@ -1,7 +1,9 @@
 """The package namespace: every public name resolves, on first use, to its module's object."""
 
+import ast
 import importlib.util
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,13 +45,8 @@ BOUND = {
 NAMES = [name for names in BOUND.values() for name in names]
 MODULES = list(BOUND)
 
-#: Names the benchmark's in-process operations read from a submodule.
-BENCHMARK_READS = [
-    ("orbit", "CauchyParams"),
-    ("halfplane", "HPoint"),
-    ("halfplane", "CanonicalPoint"),
-    ("geometry", "conformal_factor"),
-]
+#: The benchmark's directory, next to the tests.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: The scalar core's names that each module binds as its own, by module.
 CORE = {
@@ -62,15 +59,37 @@ CORE = {
 }
 
 
-def _traced() -> dict:
-    # The functions the benchmark's tracer wraps, by module.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+def _perfbench(name: str) -> Path:
+    path = PERFBENCH / name
     if not path.exists():
         pytest.skip("no perfbench/ next to the tests")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    return path
+
+
+def _traced() -> dict:
+    # The functions the benchmark's tracer wraps, by module.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _perfbench("tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer.TRACED
+
+
+def _inproc_reads() -> set:
+    # The (module, name) pairs that the benchmark's in-process operations
+    # read: the names after its aliases ``d.``, ``g.`` and ``h.`` of
+    # density, geometry and halfplane, and after ``self.<module>.``.
+    aliases = {"d": "density", "g": "geometry", "h": "halfplane"}
+    reads = set()
+    for node in ast.walk(ast.parse(_perfbench("inproc.py").read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in aliases:
+            reads.add((aliases[owner.id], node.attr))
+        elif (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+              and owner.value.id == "self" and owner.attr in MODULES):
+            reads.add((owner.attr, node.attr))
+    return reads
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -100,8 +119,22 @@ def test_names_the_benchmark_reads_resolve():
         submodule = importlib.import_module(f"boolemaps.{module}")
         for name in names:
             assert callable(getattr(submodule, name)), f"{module}.{name}"
-    for module, name in BENCHMARK_READS:
-        assert getattr(importlib.import_module(f"boolemaps.{module}"), name)
+    reads = _inproc_reads()
+    assert {module for module, _ in reads} == set(MODULES)
+    for module, name in reads:
+        assert hasattr(importlib.import_module(f"boolemaps.{module}"), name), f"{module}.{name}"
+
+
+def test_benchmark_tracer_installs_against_the_package():
+    # A traced benchmark run wraps every name the tracer lists, wherever a
+    # module binds it; a name missing from src/ would crash that run.
+    src = Path(boolemaps.__file__).resolve().parents[1]
+    probe = "import boolemaps, tracer; tracer.Tracer().install(); print(boolemaps.__file__)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(_perfbench("tracer.py").parent)])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).resolve().parent == src / "boolemaps"
 
 
 def test_moved_names_are_the_scalar_core_objects():
