@@ -732,10 +732,10 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
     the NaN the push left there, then selects the quartiles of the kept
     points among the first n in place, and after them those of all 2n, and
     fits them as ``fit_cauchy`` does, the error in units of the predicted
-    scale, so that no square overflows.  The squared errors are added in seed order, so the
-    ratio is the same bit for bit on any number of CPUs.  Raises ValueError
-    on an empty ``seeds``, and PoleGuardError as ``pf_monte_carlo_check``
-    does.
+    scale, so that no square overflows.  The squared errors are added in
+    seed order, so the ratio is the same bit for bit on any number of CPUs.
+    Raises ValueError on an empty ``seeds``, and PoleGuardError as
+    ``pf_monte_carlo_check`` does.
     """
     alpha = check_alpha(alpha)
     seeds = list(seeds)

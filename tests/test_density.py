@@ -441,7 +441,8 @@ def check_likelihood_checks(count: int, seed: int) -> tuple[int, list[int]]:
     counts checked."""
     settings = sorted({1, density._cpu_count()})
     runs = random_runs(count, seed, (-297.0, -295.0))
-    return sum(assert_likelihood_check_is_the_sorted_fit(*run, settings) > 0 for run in runs), settings
+    hits = sum(assert_likelihood_check_is_the_sorted_fit(*run, settings) > 0 for run in runs)
+    return hits, settings
 
 
 @functools.cache
@@ -450,8 +451,9 @@ def sorted_error_ratio(alpha: float, p: HPoint, n: int, seeds: tuple) -> tuple[f
     The 2n points of each seed are drawn by ``sample_cauchy`` and pushed one
     step by ``loop_push_forward``, each dropped point NaN in its place; a
     sorted copy of the first n and the sorted whole sample each lose their
-    dropped points, NaN, off the end, and are fitted from ``np.quantile``.  Returns the ratio and the points dropped
-    over all seeds; raises as ``mc_error_ratio`` does."""
+    dropped points, NaN, off the end, and are fitted from ``np.quantile``.
+    Returns the ratio and the points dropped over all seeds; raises as
+    ``mc_error_ratio`` does."""
     predicted = parameter_step(alpha, p)
     nu, gamma = predicted.nu, predicted.gamma
     errors, hits = [0.0, 0.0], 0
