@@ -29,7 +29,7 @@ likelihood fit, the zero of the same circle mean, reached by Moebius steps.
 The likelihood route runs the circle check's pass with the held sample as
 its rows, so the sample comes out standardized by the predicted law and the
 circle check's fitted law is the first step.  Sample-sized work runs in
-blocks, on every CPU in the affinity where the blocks outnumber the CPUs,
+blocks, on up to one thread per CPU in the affinity as its scratch allows,
 and the error ratio runs its seeds on them, with the same bits on any
 number of CPUs.
 """
@@ -371,19 +371,24 @@ def _quartiles(points: np.ndarray, size: int) -> np.ndarray:
 _BLOCK = 1 << 16
 
 
-def _concurrently(func, tasks, workers: int) -> list:
-    """``func(worker, task)`` for each of the sequence ``tasks`` on up to
+def _concurrently(func, tasks, workers: int, scratch=()) -> list:
+    """``func(rows, task)`` for each of the sequence ``tasks`` on up to
     ``workers`` threads, the results in task order.
 
-    The workers claim tasks one at a time, in order.  Worker 0 is the
-    calling thread, so one worker starts no thread; each of the others runs
-    in a copy of the caller's ``contextvars`` context, so that an
-    ``np.errstate`` around the call holds in every task.  A failure stops further claims, and the exception
-    of the first task, in task order, that failed is raised here, as a
-    serial loop would raise it.  Every thread is joined before this returns
-    or raises.
+    ``rows`` is the worker's own scratch, one array per (size, dtype) pair
+    in ``scratch``.  This thread allocates every worker's rows, as the
+    callers allocate their samples: memory that a worker thread allocates
+    comes from that thread's own malloc arena and stays resident.  The
+    workers claim tasks one at a time, in order.  Worker 0 is the calling
+    thread, so one worker starts no thread; each of the others runs in a
+    copy of the caller's ``contextvars`` context, so that an
+    ``np.errstate`` around the call holds in every task.  A failure stops
+    further claims, and the exception of the first task, in task order,
+    that failed is raised here, as a serial loop would raise it.  Every
+    thread is joined before this returns or raises.
     """
     workers = min(workers, len(tasks))
+    rows = [[np.empty(size, dtype) for size, dtype in scratch] for _ in range(workers)]
     results = [None] * len(tasks)
     failures = {}
     claims = iter(range(len(tasks)))
@@ -396,7 +401,7 @@ def _concurrently(func, tasks, workers: int) -> list:
             if k is None:
                 return
             try:
-                results[k] = func(worker, tasks[k])
+                results[k] = func(rows[worker], tasks[k])
             except BaseException as exc:  # raised below, in the caller
                 failures[k] = exc
 
@@ -420,30 +425,23 @@ def _each_block(size: int, func, scratch=()) -> list:
     a sample of ``size`` doubles, the results in block order.
 
     ``rows`` is the worker's own scratch: one row of min(size, _BLOCK) items
-    per dtype in ``scratch``.  The blocks run on one thread per CPU where
-    they outnumber the CPUs, else on one (on 2 CPUs, threading 2 blocks of
-    1e5 points cost more than it saved).  numpy releases the GIL inside each
-    ufunc, so the threads compute in parallel, and each block computes what
-    a serial loop would, so the results are the same bit for bit on any
-    number of CPUs.  The scratch of all workers stays within a quarter of
-    the sample's blocks, whatever the CPU count, which caps the workers of a
-    pass that needs much of it.  The cap is a speed choice too: it keeps
-    ``pf_circle_check``, whose scratch is 17 bytes a point (two float rows
-    and a bool row), on one worker up to 16 blocks (1,048,576 points),
-    where fresh-process ``verify-pf`` measured slower with a worker per CPU
-    (ROADMAP, Parked).  This thread allocates the scratch, as it does the
-    sample: memory that a worker thread allocates comes from that thread's
-    own malloc arena and stays resident.
+    per dtype in ``scratch``.  The blocks run on one thread per CPU, but the
+    scratch of all workers stays within a quarter of the sample's blocks:
+    at b bytes of scratch a point, 2*blocks // b workers at most, and one
+    at least.  The cap also keeps ``pf_circle_check`` (17 bytes a point) on
+    one worker up to 16 blocks (1,048,576 points), where fresh-process
+    ``verify-pf`` measured slower with a worker per CPU (ROADMAP, Parked).
+    numpy releases the GIL inside each ufunc, so the threads compute in
+    parallel, and each block computes what a serial loop would, so the
+    results are the same bit for bit on any number of CPUs.
     """
     starts = range(0, size, _BLOCK)
-    cpus = _cpu_count()
-    workers = cpus if size > cpus * _BLOCK else 1
+    workers = _cpu_count()
     width = min(size, _BLOCK)
     worker_bytes = width * sum(np.dtype(dtype).itemsize for dtype in scratch)
     if worker_bytes:
         workers = max(1, min(workers, len(starts) * _BLOCK * 8 // 4 // worker_bytes))
-    rows = [[np.empty(width, dtype) for dtype in scratch] for _ in range(workers)]
-    return _concurrently(lambda worker, lo: func(rows[worker], lo), starts, workers)
+    return _concurrently(func, starts, workers, [(width, dtype) for dtype in scratch])
 
 
 @np.errstate(over="ignore", divide="ignore")  # held in the blocks' threads too
@@ -743,13 +741,10 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
         raise ValueError("the error ratio needs at least one seed")
     predicted = parameter_step(alpha, p)
     nu, gamma = predicted.nu, predicted.gamma
-    workers = min(_cpu_count(), len(seeds))
-    width = min(2 * n, _BLOCK)
-    rows = [(np.empty(2 * n), np.empty(width), np.empty(width, bool)) for _ in range(workers)]
 
-    def squared_errors(worker, seed):
+    def squared_errors(rows, seed):
         # the squared fit errors of one seed, at n and at 2n
-        sample, buf, passed = rows[worker]
+        sample, buf, passed = rows
         dropped = first = 0  # in all, and among the first n
         for lo in range(0, 2 * n, _BLOCK):
             x = sample[lo:lo + _BLOCK]
@@ -763,8 +758,10 @@ def mc_error_ratio(alpha: float, p: HPoint, n: int, seeds=range(10)) -> float:
         fits = _fit(sample[:n], n - first), _fit(sample, 2 * n - dropped)
         return [((fit.nu - nu) / gamma) ** 2 + ((fit.gamma - gamma) / gamma) ** 2 for fit in fits]
 
+    width = min(2 * n, _BLOCK)
+    scratch = [(2 * n, float), (width, float), (width, bool)]
     errors = [0.0, 0.0]  # squared, at n and at 2n
-    for seed_errors in _concurrently(squared_errors, seeds, workers):
+    for seed_errors in _concurrently(squared_errors, seeds, _cpu_count(), scratch):
         errors = [total + error for total, error in zip(errors, seed_errors)]
     return math.sqrt(errors[0] / errors[1])
 

@@ -566,6 +566,8 @@ class TestDensityGrid:
             DensityGrid(nodes, np.ones(3), 0.0, ref=HPoint(0, 1))
         with pytest.raises(ValueError):
             DensityGrid(np.array([0.0, 1.0]), np.ones(2), -0.1, ref=HPoint(0, 1))
+        with pytest.raises(ValueError, match="matching 1-D arrays"):
+            DensityGrid(np.array([0.0, 1.0]), np.ones(3), 0.0, ref=HPoint(0, 1))
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_fewer_than_two_nodes(self, size):
@@ -949,6 +951,11 @@ class TestMonteCarloPushForward:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             pf_monte_carlo_check(0.5, HPoint(1, 1), 10**3, 1, seed=0)
+
+    @pytest.mark.parametrize("check", [pf_circle_check, pf_monte_carlo_check])
+    def test_no_steps(self, check):
+        with pytest.raises(ValueError, match="at least one step"):
+            check(0.5, HPoint(1, 1), 10**4, 0, seed=0)
 
     def test_pole_guard_overflow_raises(self):
         # about half of a C(0, 1e-300) sample lies inside the pole guard
@@ -1349,6 +1356,78 @@ class TestBlocks:
         assert states == [dict.fromkeys(["divide", "over", "under", "invalid"], "raise")] * 10
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             _each_block(10 * _BLOCK, lambda rows, lo: np.divide(1.0, np.zeros(3)))
+
+    #: Workers at 1, 2, 3, 8 and 15 CPUs, by sample size and by the scratch
+    #: of each pass: the held pass's (float, bool), the circle mean's
+    #: (float, float) and the circle check's (float, bool, float).  Every
+    #: workload's passes have run at these counts up to 15 CPUs.
+    WORKERS_UP_TO_15_CPUS = {
+        (10**5, (float, bool)): [1, 1, 1, 1, 1],
+        (10**5, (float, float)): [1, 1, 1, 1, 1],
+        (10**5, (float, bool, float)): [1, 1, 1, 1, 1],
+        (10**6, (float, bool)): [1, 2, 3, 3, 3],
+        (10**6, (float, float)): [1, 2, 2, 2, 2],
+        (10**6, (float, bool, float)): [1, 1, 1, 1, 1],
+        (10**7, (float, bool)): [1, 2, 3, 8, 15],
+        (10**7, (float, float)): [1, 2, 3, 8, 15],
+        (10**7, (float, bool, float)): [1, 2, 3, 8, 15],
+    }
+
+    @pytest.mark.parametrize(
+        "size, scratch", list(WORKERS_UP_TO_15_CPUS),
+        ids=lambda v: f"{v:.0e}" if isinstance(v, int) else "-".join(t.__name__ for t in v),
+    )
+    def test_workers_never_fall_as_cpus_rise(self, size, scratch):
+        counts = []
+        for cpus in (1, 2, 3, 8, 15, 16, 32, 160):
+            with mock.patch.object(density, "_cpu_count", return_value=cpus), \
+                    mock.patch.object(density, "_concurrently", wraps=density._concurrently) as spread:
+                _each_block(size, lambda rows, lo: None, scratch)
+            _, tasks, workers, rows = spread.call_args.args
+            workers = min(workers, len(tasks))
+            worker_bytes = sum(width * np.dtype(dtype).itemsize for width, dtype in rows)
+            # all workers' scratch within a quarter of the sample's blocks
+            assert workers == 1 or workers * worker_bytes <= len(tasks) * _BLOCK * 8 // 4
+            counts.append(workers)
+        assert counts == sorted(counts)
+        assert counts[:5] == self.WORKERS_UP_TO_15_CPUS[size, scratch]
+
+    def test_a_pass_without_scratch_takes_a_worker_per_block(self, cpus):
+        with mock.patch.object(density, "_concurrently", wraps=density._concurrently) as spread:
+            sample_cauchy(HPoint(0.0, 1.0), 2 * _BLOCK, seed=0)
+        _, tasks, workers, rows = spread.call_args.args
+        assert (min(workers, len(tasks)), rows) == (min(cpus, 2), [])
+
+    def test_only_the_calling_thread_allocates(self, monkeypatch):
+        # memory that a worker thread allocates stays resident in its own
+        # arena, so each threaded pass allocates its samples and scratch
+        # here; a worker allocates only the 32-byte counters that
+        # Philox.advance builds for each block it draws
+        caller = threading.get_ident()
+        allocators, drawers = set(), set()
+        empty, draw = np.empty, density._draw_block
+
+        def recorded_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.nbytes >= 1024:
+                allocators.add(threading.get_ident())
+            return out
+
+        def recorded_draw(*args):
+            drawers.add(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        monkeypatch.setattr(density, "_draw_block", recorded_draw)
+        p = HPoint(1.0, 1.0)
+        for cpus in (2, 8):
+            with mock.patch.object(density, "_cpu_count", return_value=cpus):
+                density._pushed_sample(0.5, p, 10**6, 3, seed=1)
+        with mock.patch.object(density, "_cpu_count", return_value=8):
+            pf_monte_carlo_check(0.5, p, 10**6, 3, seed=1, fit_method="mle")
+            mc_error_ratio(0.5, p, 2 * 10**4, seeds=range(6))
+        assert allocators == {caller}
+        assert len(drawers) > 1  # the passes ran on threads
 
 
 class TestErgodicity:

@@ -114,6 +114,10 @@ class TestParameterStep:
         assert left.nu == pytest.approx(-right.nu, abs=1e-14)
         assert left.gamma == pytest.approx(right.gamma, abs=1e-14)
 
+    def test_negative_step_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            iterate_parameter_map(0.5, HPoint(1.0, 1.0), -1)
+
 
 # |nu| and gamma log-uniform over 1e-300..1e300, nu of either sign
 magnitudes = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
